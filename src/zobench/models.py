@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .params import ParamSet
-from .streams import GaussianStream
+from .streams import GaussianStream, thread_stream
 
 __all__ = [
     "Batch", "Model", "BatchSampler", "StreamSample", "DataGenConfig",
@@ -569,7 +569,7 @@ class BatchSampler:
         self.seed = seed
 
     def draw(self, index: int) -> Batch:
-        stream = GaussianStream(self.seed, substream=index)
-        rows = stream.integers(0, len(self.dataset), size=self.batch_size)
+        rows = thread_stream(self.seed, index).integers(
+            0, len(self.dataset), size=self.batch_size)
         labels = None if self.dataset.labels is None else self.dataset.labels[rows]
         return Batch(self.dataset.inputs[rows], labels)

@@ -7,6 +7,8 @@ regenerating z from a stored seed reproduces exactly the same update.
 
 perturb_inplace / axpy never hold more than one tensor-sized temporary at
 a time; that temporary is what bounds the optimizer's transient memory.
+They draw z from the calling thread's rekeyed stream (see
+:func:`zobench.streams.thread_stream`), never from a newly built one.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import struct
 import numpy as np
 
 from .samplers import PerturbSpec, alloc_tracker, sample_for_tensor
-from .streams import GaussianStream
+# GaussianStream stays a module attribute: bench/spans.py wraps it by this name.
+from .streams import GaussianStream, thread_stream  # noqa: F401
 
 __all__ = ["ParamSet", "SchemaMismatchError", "perturb_inplace", "axpy"]
 
@@ -214,13 +217,20 @@ def axpy(params: ParamSet, coeff: float, spec: PerturbSpec):
     pure function of (spec, schema, coeff).  Only one z_i exists at a
     time; it is scaled in place before the add, so the peak temporary is
     exactly one tensor's worth of floats.
+
+    Each z_i comes from the calling thread's one stream, rekeyed to
+    (spec.seed, i), not from a new ``GaussianStream``: building one costs
+    an OS-entropy ``SeedSequence`` per tensor per update, several times
+    the rekey.  The samples are bit-identical either way, and threads
+    never share a stream, so concurrent calls on separate ParamSets are
+    safe.
     """
     coeff = float(coeff)
     if coeff == 0.0:
         return
     for i, (name, arr) in enumerate(params.items()):
-        stream = GaussianStream(spec.seed, substream=i)
-        z = sample_for_tensor(stream, arr.shape, spec.kind, dtype=arr.dtype)
+        z = sample_for_tensor(thread_stream(spec.seed, i), arr.shape,
+                              spec.kind, dtype=arr.dtype)
         z *= coeff
         arr += z
         alloc_tracker.free(z.nbytes)

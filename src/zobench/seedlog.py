@@ -17,7 +17,8 @@ Layout (all little-endian):
     7       1     proj_grad storage width in bytes (u8: 4 or 8)
     8       1     sampler variant (u8: 0 full, 1 low-rank)
     9       1     combine mode (u8: 0 accumulate, 1 mean)
-    10      2     reserved = 0
+    10      2     flags (u16): bit 0 SamplerKind.normalize, other bits 0
+                  (was reserved = 0, so older logs read unchanged)
     12      4     low-rank rank (u32, 0 for full)
     16      4     queries per step q (u32)
     20      8     master seed (u64)
@@ -53,6 +54,7 @@ assert struct.calcsize(_HEADER_FMT) == HEADER_SIZE
 
 _SAMPLER_CODES = {"full": 0, "lowrank": 1}
 _COMBINE_CODES = {"accumulate": 0, "mean": 1}
+_FLAG_NORMALIZE = 1
 
 
 class LogFormatError(ValueError):
@@ -100,7 +102,7 @@ class SeedLogHeader:
         return struct.pack(
             _HEADER_FMT, MAGIC, VERSION, self.elem_width, self.pg_width,
             _SAMPLER_CODES[self.sampler.variant],
-            _COMBINE_CODES[self.combine], 0,
+            _COMBINE_CODES[self.combine], int(self.sampler.normalize),
             self.sampler.rank, self.q, self.master_seed, self.schema_hash,
             self.epsilon, self.lr, self.record_count)
 
@@ -108,25 +110,33 @@ class SeedLogHeader:
     def unpack(blob: bytes) -> "SeedLogHeader":
         if len(blob) < HEADER_SIZE:
             raise LogFormatError("truncated header")
-        (magic, version, elem_w, pg_w, sampler_code, combine_code, _reserved,
+        (magic, version, elem_w, pg_w, sampler_code, combine_code, flags,
          rank, q, master_seed, schema_hash, epsilon, lr,
          count) = struct.unpack_from(_HEADER_FMT, blob, 0)
         if magic != MAGIC:
             raise LogFormatError("not a seed log (bad magic)")
         if version != VERSION:
             raise LogFormatError(f"unsupported seed-log version {version}")
-        samplers = {0: SamplerKind.full(),
-                    1: SamplerKind.lowrank(rank) if rank else None}
-        kind = samplers.get(sampler_code)
-        if kind is None:
-            raise LogFormatError("invalid sampler descriptor in header")
         combines = {v: k for k, v in _COMBINE_CODES.items()}
+        if sampler_code not in _SAMPLER_CODES.values():
+            raise LogFormatError("invalid sampler descriptor in header")
         if combine_code not in combines:
             raise LogFormatError("invalid combine mode in header")
-        return SeedLogHeader(
-            master_seed=master_seed, schema_hash=schema_hash, epsilon=epsilon,
-            lr=lr, q=q, combine=combines[combine_code], sampler=kind,
-            elem_width=elem_w, pg_width=pg_w, record_count=count)
+        if flags & ~_FLAG_NORMALIZE:
+            raise LogFormatError(f"unknown header flags {flags:#06x}")
+        normalize = bool(flags & _FLAG_NORMALIZE)
+        try:
+            kind = (SamplerKind.lowrank(rank, normalize) if sampler_code
+                    else SamplerKind("full", normalize=normalize))
+            header = SeedLogHeader(
+                master_seed=master_seed, schema_hash=schema_hash,
+                epsilon=epsilon, lr=lr, q=q, combine=combines[combine_code],
+                sampler=kind, elem_width=elem_w, pg_width=pg_w,
+                record_count=count)
+            header.to_config()  # epsilon, lr and q as training checks them
+        except ValueError as exc:
+            raise LogFormatError(f"invalid header: {exc}") from exc
+        return header
 
 
 @dataclass

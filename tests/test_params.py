@@ -181,3 +181,48 @@ def test_perturbation_independent_of_other_tensors():
     axpy(p1, 1.0, spec)
     axpy(p2, 1.0, spec)
     np.testing.assert_array_equal(p1["b"], p2["b"])
+
+
+def test_axpy_rejects_out_of_range_seed():
+    with pytest.raises(ValueError):
+        axpy(small_set(), 0.5, PerturbSpec(seed=2 ** 64, epsilon=1e-3))
+
+
+def test_concurrent_axpy_matches_sequential():
+    # each thread rekeys its own stream, so two threads updating separate
+    # ParamSets at once must give exactly the one-thread result
+    import sys
+    import threading
+
+    def fresh():
+        return ParamSet([("w", np.zeros((64, 256))), ("b", np.zeros(300))])
+
+    def run(params, base):
+        for k in range(40):
+            axpy(params, 0.1 + k, PerturbSpec(seed=base + k, epsilon=1e-3))
+
+    expected = [fresh(), fresh()]
+    for params, base in zip(expected, (1000, 2000)):
+        run(params, base)
+
+    got = [fresh(), fresh()]
+    start = threading.Barrier(2)
+
+    def worker(params, base):
+        start.wait()
+        run(params, base)
+
+    threads = [threading.Thread(target=worker, args=(params, base))
+               for params, base in zip(got, (1000, 2000))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads inside every axpy
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for g, e in zip(got, expected):
+        assert g.equals_bitwise(e)

@@ -1,8 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 
 from zobench.models import BatchSampler, DataGenConfig, gen_data, make_model
 from zobench.params import SchemaMismatchError
+from zobench.samplers import SamplerKind
 from zobench.seedlog import (HEADER_SIZE, LogFormatError, SeedLog,
                              SeedLogHeader, SeedLogWriter, inspect, read_log,
                              replay, revert)
@@ -21,6 +24,54 @@ def test_header_size_and_roundtrip():
     assert len(blob) == HEADER_SIZE == 60
     back = SeedLogHeader.unpack(blob)
     assert back == h
+
+
+def test_header_roundtrip_keeps_sampler_kind():
+    for kind in (SamplerKind.full(), SamplerKind.lowrank(2),
+                 SamplerKind.lowrank(2, normalize=True),
+                 SamplerKind.lowrank(5, normalize=False)):
+        h = make_header(sampler=kind, combine="mean", pg_width=8)
+        assert SeedLogHeader.unpack(h.pack()) == h
+
+
+def test_header_without_flags_reads_unnormalized():
+    # logs written before the normalize flag hold 0 at offset 10
+    blob = bytearray(make_header(sampler=SamplerKind.lowrank(3)).pack())
+    assert blob[10:12] == b"\x00\x00"
+    assert SeedLogHeader.unpack(bytes(blob)).sampler == SamplerKind.lowrank(3)
+
+
+def _corrupt(offset, fmt, value):
+    blob = bytearray(make_header().pack())
+    struct.pack_into(fmt, blob, offset, value)
+    return bytes(blob)
+
+
+@pytest.mark.parametrize("offset, fmt, value", [
+    (6, "<B", 3),          # element width
+    (7, "<B", 2),          # proj_grad width
+    (8, "<B", 7),          # sampler variant
+    (8, "<B", 1),          # low-rank with the full header's rank 0
+    (9, "<B", 9),          # combine mode
+    (10, "<H", 2),         # unknown flag bit
+    (16, "<I", 0),         # q
+    (36, "<d", 0.0),       # epsilon
+    (36, "<d", -1e-3),     # epsilon
+    (44, "<d", -0.5),      # learning rate
+], ids=["elem_width", "pg_width", "sampler", "lowrank_rank0", "combine",
+        "flags", "q", "epsilon_zero", "epsilon_negative", "lr"])
+def test_unpack_rejects_invalid_fields(offset, fmt, value):
+    with pytest.raises(LogFormatError):
+        SeedLogHeader.unpack(_corrupt(offset, fmt, value))
+
+
+def test_cli_inspect_rejects_bad_width(tmp_path, capsys):
+    from zobench.cli import main
+
+    path = tmp_path / "bad.zolog"
+    path.write_bytes(_corrupt(6, "<B", 3))
+    assert main(["inspect", "--log", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_header_validation():
@@ -99,7 +150,7 @@ def test_file_size_arithmetic(tmp_path):
     assert path.stat().st_size == HEADER_SIZE + 12 * n
 
 
-def trained_run(tmp_path, steps=50, q=4):
+def trained_run(tmp_path, steps=50, q=4, kind=SamplerKind.full()):
     cfg = DataGenConfig(task="mlp", dim=8, hidden=6, classes=3, n_train=128,
                         seed=0)
     model = make_model(cfg)
@@ -107,7 +158,7 @@ def trained_run(tmp_path, steps=50, q=4):
     params = model.init(0)
     initial = params.copy()
     zcfg = ZOConfig(epsilon=1e-3, lr=0.05, q=q, steps=steps, combine="mean",
-                    master_seed=7)
+                    master_seed=7, sampler=kind)
     header = SeedLogHeader.from_config(zcfg, params.schema_hash)
     path = tmp_path / "train.zolog"
     sampler = BatchSampler(tr, 16, seed=0)
@@ -121,6 +172,14 @@ def test_replay_reconstructs_live_params(tmp_path):
     log = read_log(path)
     rebuilt = replay(initial, log)
     assert rebuilt.max_abs_diff(live) < 1e-6
+
+
+def test_normalized_lowrank_run_replays_from_its_file(tmp_path):
+    kind = SamplerKind.lowrank(2, normalize=True)
+    initial, live, path = trained_run(tmp_path, kind=kind)
+    log = read_log(path)
+    assert log.header.sampler == kind
+    assert replay(initial, log).max_abs_diff(live) < 1e-6
 
 
 def test_revert_of_replay_is_near_identity(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from zobench.streams import GaussianStream, gaussian_fill
+from zobench.streams import GaussianStream, gaussian_fill, thread_stream
 
 
 def test_same_seed_same_stream():
@@ -84,3 +84,40 @@ def test_fill_is_row_major_prefix_consistent():
     flat = gaussian_fill(GaussianStream(5), (12,))
     mat = gaussian_fill(GaussianStream(5), (3, 4))
     np.testing.assert_array_equal(flat, mat.reshape(-1))
+
+
+@pytest.mark.parametrize("draw", [
+    lambda s: s.normal((257,)),
+    lambda s: s.normal((257,), dtype=np.float32),
+    lambda s: s.integers(0, 1000, size=33),
+], ids=["f64", "f32", "integers"])
+def test_rekey_matches_a_fresh_stream(draw):
+    s = GaussianStream(1)
+    s.normal((5,), dtype=np.float32)  # an odd count of 32-bit draws
+    assert s._gen.bit_generator.state["has_uint32"] == 1
+    for seed, sub in [(12345, 7), (0, 0), (2 ** 64 - 1, 3)]:
+        got = draw(s.rekey(seed, sub))
+        np.testing.assert_array_equal(got, draw(GaussianStream(seed, sub)))
+        assert (s.seed, s.substream) == (seed, sub)
+
+
+def test_rekey_keeps_the_seed_check():
+    s = GaussianStream(0)
+    for bad in (-1, 2 ** 64):
+        with pytest.raises(ValueError):
+            s.rekey(bad)
+        with pytest.raises(ValueError):
+            thread_stream(bad)
+
+
+def test_thread_stream_is_per_thread_and_rekeyed():
+    import threading
+
+    a = thread_stream(9, 2)
+    np.testing.assert_array_equal(a.normal(4), GaussianStream(9, 2).normal(4))
+    assert thread_stream(3) is a
+    other = []
+    t = threading.Thread(target=lambda: other.append(thread_stream(3)))
+    t.start()
+    t.join(timeout=10)
+    assert not t.is_alive() and other[0] is not a
