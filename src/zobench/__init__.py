@@ -10,11 +10,12 @@ and an experiment harness with a CLI.
 
 from .fo import FOConfig, finite_diff_grad, fo_step, fo_train
 from .models import (Batch, BatchSampler, DataGenConfig, Model, StreamSample,
-                     accuracy, entropy_loss, entropy_objective, gen_data,
+                     accuracy, entropy_objective, gen_data,
                      gen_shifted_stream, load_dataset, logistic_regression,
                      make_model, mlp_classifier, quadratic_bowl,
                      sample_scores, save_dataset, seq_classifier)
-from .params import ParamSet, SchemaMismatchError, axpy, perturb_inplace
+from .params import (ParamSet, ParamSetFormatError, SchemaMismatchError,
+                     apply_records, axpy)
 from .samplers import (FULL, PerturbSpec, SamplerKind, alloc_tracker,
                        sample_for_tensor, sample_full, sample_lowrank)
 from .seedlog import (LogFormatError, SeedLog, SeedLogHeader, SeedLogWriter,
@@ -22,6 +23,6 @@ from .seedlog import (LogFormatError, SeedLog, SeedLogHeader, SeedLogWriter,
 from .streams import GaussianStream, gaussian_fill
 from .tta import AdaptMask, TTAEpisodeConfig, adapt_sample, run_stream
 from .zo import (CountingModel, NumericError, StepRecord, ZOConfig,
-                 apply_update, derive_seed, rge_proj_grad, train, zo_step)
+                 derive_seed, rge_proj_grad, train, zo_step)
 
 __version__ = "0.1.0"

@@ -1,16 +1,18 @@
 """Command-line entry point.
 
 Verbs:
-    train    run a training experiment from a config file
-    tta      run a test-time-adaptation experiment from a config file
-    sweep    run an experiment's full sweep grid (alias of train/tta with sweeps)
+    train    run a training experiment config (and its sweep grid, if any)
+    tta      run a test-time-adaptation experiment config (and its sweep grid)
     replay   rebuild parameters from an initial snapshot plus a seed log
     revert   undo a seed log, recovering the pre-adaptation parameters
     inspect  print a seed log's header and projected-gradient statistics
     compare  aggregate result directories against a named baseline run
 
 Flags mirror config fields; when both are given the config file wins for
-experiment numerics and flags only affect paths and verbosity.
+experiment numerics and flags only affect paths and verbosity.  The verb
+must match the config's ``kind``.  Invalid configs, malformed seed logs
+or parameter files, and parameter files of the wrong schema exit with
+code 2 and a one-line error instead of a traceback.
 """
 
 from __future__ import annotations
@@ -20,11 +22,15 @@ import json
 import sys
 
 from . import harness, seedlog
-from .params import ParamSet
+from .params import ParamSet, ParamSetFormatError, SchemaMismatchError
 
 
 def _cmd_experiment(args):
     cfg = harness.load_config(args.config)
+    if cfg.kind != args.command:
+        raise harness.ConfigError(
+            f"kind: config is a {cfg.kind!r} experiment; "
+            f"run it with 'zobench {cfg.kind}'")
     if args.output_dir:
         cfg.output_dir = args.output_dir
     summaries = harness.run(cfg)
@@ -80,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Zeroth-order optimization benchmark harness")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for verb in ("train", "tta", "sweep"):
+    for verb in ("train", "tta"):
         p = sub.add_parser(verb, help=f"run a {verb} experiment config")
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--output-dir", default=None,
@@ -117,7 +123,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (harness.ConfigError, seedlog.LogFormatError) as exc:
+    except (harness.ConfigError, seedlog.LogFormatError, ParamSetFormatError,
+            SchemaMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

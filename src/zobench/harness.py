@@ -185,6 +185,28 @@ def _write_csv(path, fieldnames, rows):
             writer.writerow(row)
 
 
+def _write_run(outdir, run_id, seed, steps, summary, timings):
+    """Write a run's metrics.csv, summary.json and timings.json.
+
+    ``steps`` yields (step, loss, forwards) per training step or TTA
+    episode; cum_forwards is their running total.  ``timings`` holds the
+    wall-clock fields, which stay out of the byte-reproducible files.
+    """
+    rows, cum = [], 0
+    for step, loss, forwards in steps:
+        cum += forwards
+        rows.append({"run_id": run_id, "seed": seed, "step": step,
+                     "loss": repr(loss), "forwards": forwards,
+                     "cum_forwards": cum})
+    _write_csv(os.path.join(outdir, f"{run_id}.metrics.csv"),
+               ["run_id", "seed", "step", "loss", "forwards", "cum_forwards"],
+               rows)
+    with open(os.path.join(outdir, f"{run_id}.summary.json"), "w") as fh:
+        json.dump(summary, fh, indent=2, sort_keys=True)
+    with open(os.path.join(outdir, f"{run_id}.timings.json"), "w") as fh:
+        json.dump({"run_id": run_id, **timings}, fh, indent=2)
+
+
 def _train_single(cfg, overrides, seed, outdir, run_id):
     data_cfg = _data_config(cfg, overrides)
     model = make_model(data_cfg)
@@ -202,7 +224,7 @@ def _train_single(cfg, overrides, seed, outdir, run_id):
         batch_source = sampler.draw
 
     opt = _optimizer_config(cfg, overrides, seed)
-    rows, summary = [], {}
+    summary = {}
     t0 = time.perf_counter()
     if isinstance(opt, ZOConfig):
         header = SeedLogHeader.from_config(opt, params.schema_hash)
@@ -220,16 +242,6 @@ def _train_single(cfg, overrides, seed, outdir, run_id):
     elapsed = time.perf_counter() - t0
     params.save(os.path.join(outdir, f"{run_id}.final.pset"))
 
-    cum = 0
-    for m in metrics:
-        cum += m["forwards"]
-        rows.append({"run_id": run_id, "seed": seed, "step": m["step"],
-                     "loss": repr(m["loss"]), "forwards": m["forwards"],
-                     "cum_forwards": cum})
-    _write_csv(os.path.join(outdir, f"{run_id}.metrics.csv"),
-               ["run_id", "seed", "step", "loss", "forwards", "cum_forwards"],
-               rows)
-
     summary.update({
         "run_id": run_id, "kind": "train", "seed": seed,
         "task": data_cfg.task, "steps": len(metrics),
@@ -245,10 +257,9 @@ def _train_single(cfg, overrides, seed, outdir, run_id):
         summary["eval_loss"] = float(model.loss(params, test))
         if model.predict is not None:
             summary["eval_accuracy"] = accuracy(model, params, test)
-    with open(os.path.join(outdir, f"{run_id}.summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-    with open(os.path.join(outdir, f"{run_id}.timings.json"), "w") as fh:
-        json.dump({"run_id": run_id, "seconds": elapsed}, fh, indent=2)
+    _write_run(outdir, run_id, seed,
+               [(m["step"], m["loss"], m["forwards"]) for m in metrics],
+               summary, {"seconds": elapsed})
     return summary
 
 
@@ -281,14 +292,6 @@ def _tta_single(cfg, overrides, seed, outdir, run_id):
                                      tta_cfg, master_seed=seed)
     elapsed = time.perf_counter() - t0
 
-    rows = [{"run_id": run_id, "seed": seed, "step": ep["sample_id"],
-             "loss": repr(ep["entropy_after"]),
-             "forwards": ep["adapt_forwards"],
-             "cum_forwards": (i + 1) * ep["adapt_forwards"]}
-            for i, ep in enumerate(episodes)]
-    _write_csv(os.path.join(outdir, f"{run_id}.metrics.csv"),
-               ["run_id", "seed", "step", "loss", "forwards", "cum_forwards"],
-               rows)
     with open(os.path.join(outdir, f"{run_id}.episodes.jsonl"), "w") as fh:
         for ep in episodes:
             clean = {k: v for k, v in ep.items() if k != "adapt_seconds"}
@@ -306,12 +309,11 @@ def _tta_single(cfg, overrides, seed, outdir, run_id):
         "total_adapt_forwards": aggregate["total_adapt_forwards"],
         "optimizer": "zo" if isinstance(opt, ZOConfig) else opt.optimizer,
     }
-    with open(os.path.join(outdir, f"{run_id}.summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-    with open(os.path.join(outdir, f"{run_id}.timings.json"), "w") as fh:
-        json.dump({"run_id": run_id, "seconds": elapsed,
-                   "mean_adapt_seconds": aggregate["mean_adapt_seconds"]},
-                  fh, indent=2)
+    _write_run(outdir, run_id, seed,
+               [(ep["sample_id"], ep["entropy_after"], ep["adapt_forwards"])
+                for ep in episodes],
+               summary, {"seconds": elapsed,
+                         "mean_adapt_seconds": aggregate["mean_adapt_seconds"]})
     return summary
 
 

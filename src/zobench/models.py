@@ -25,7 +25,7 @@ from .streams import GaussianStream, thread_stream
 __all__ = [
     "Batch", "Model", "BatchSampler", "StreamSample", "DataGenConfig",
     "quadratic_bowl", "logistic_regression", "mlp_classifier",
-    "seq_classifier", "entropy_loss", "entropy_objective",
+    "seq_classifier", "entropy_objective",
     "gen_data", "gen_shifted_stream", "make_model", "accuracy",
     "sample_scores", "save_dataset", "load_dataset",
 ]
@@ -64,6 +64,8 @@ class Model:
     grad: Optional[Callable[[ParamSet, Batch], ParamSet]] = None
     predict: Optional[Callable[[ParamSet, Batch], np.ndarray]] = None
     init: Optional[Callable[[int], ParamSet]] = None
+    # the softmax network behind a classifier; None for other losses
+    core: Optional["_SoftmaxCore"] = None
 
 
 # ---------------------------------------------------------------------------
@@ -323,10 +325,8 @@ def _model_from_core(core: _SoftmaxCore) -> Model:
         scores, _ = core.forward(params, batch.inputs)
         return _softmax(scores)
 
-    m = Model(name=core.name, schema=core.schema, loss=loss, grad=grad,
-              predict=predict, init=core.init)
-    m._core = core
-    return m
+    return Model(name=core.name, schema=core.schema, loss=loss, grad=grad,
+                 predict=predict, init=core.init, core=core)
 
 
 def logistic_regression(d: int, classes: int) -> Model:
@@ -352,32 +352,21 @@ def seq_classifier(frames: int, feat_dim: int, classes: int,
 # entropy objective (unlabeled adaptation)
 # ---------------------------------------------------------------------------
 
-def entropy_loss(model: Model, params: ParamSet, batch: Batch) -> float:
-    """Mean Shannon entropy (nats) of the model's predictive distributions.
-
-    For the sequence classifier this averages over the frame-level
-    distributions; for flat classifiers, over the per-sample ones.
-    """
-    if batch.labels is not None:
-        raise ValueError("entropy objective expects an unlabeled batch")
-    core = getattr(model, "_core", None)
-    if core is None:
-        raise ValueError(f"model {model.name!r} has no predictive distribution")
-    if hasattr(core, "entropy_forward"):
-        scores, _ = core.entropy_forward(params, batch.inputs)
-    else:
-        scores, _ = core.forward(params, batch.inputs)
-    return _entropy_from_scores(scores)
-
-
 def entropy_objective(model: Model) -> Model:
-    """The same network with loss/grad replaced by predictive entropy."""
-    core = getattr(model, "_core", None)
+    """The same network with loss/grad replaced by predictive entropy.
+
+    The loss is the mean Shannon entropy (nats) of the model's predictive
+    distributions: over the frame-level distributions for the sequence
+    classifier, over the per-sample ones for flat classifiers.
+    """
+    core = model.core
     if core is None:
         raise ValueError(f"model {model.name!r} has no predictive distribution")
     framewise = hasattr(core, "entropy_forward")
 
     def loss(params, batch):
+        if batch.labels is not None:
+            raise ValueError("entropy objective expects an unlabeled batch")
         if framewise:
             scores, _ = core.entropy_forward(params, batch.inputs)
         else:
@@ -393,10 +382,9 @@ def entropy_objective(model: Model) -> Model:
         return core.backward(params, batch.inputs,
                              _entropy_dscores(scores), cache)
 
-    m = Model(name=model.name + "-entropy", schema=model.schema,
-              loss=loss, grad=grad, predict=model.predict, init=model.init)
-    m._core = core
-    return m
+    return Model(name=model.name + "-entropy", schema=model.schema,
+                 loss=loss, grad=grad, predict=model.predict, init=model.init,
+                 core=core)
 
 
 def accuracy(model: Model, params: ParamSet, batch: Batch) -> float:
@@ -432,7 +420,7 @@ def sample_scores(model: Model, params: ParamSet, batch: Batch) -> np.ndarray:
     """
     if batch.labels is None:
         raise ValueError("sample_scores needs labels")
-    core = getattr(model, "_core", None)
+    core = model.core
     if core is not None and hasattr(core, "entropy_forward"):
         flat, _ = core.entropy_forward(params, batch.inputs)
         b = batch.inputs.shape[0]

@@ -5,15 +5,19 @@ iteration order is fixed at construction and is load-bearing: the i-th
 tensor always draws its perturbation from substream i of the seed, so
 regenerating z from a stored seed reproduces exactly the same update.
 
-perturb_inplace / axpy never hold more than one tensor-sized temporary at
-a time; that temporary is what bounds the optimizer's transient memory.
-They draw z from the calling thread's rekeyed stream (see
-:func:`zobench.streams.thread_stream`), never from a newly built one.
+axpy is the one update kernel: the perturbation cycle calls it directly,
+and apply_records runs it once per (seed, proj_grad) record for stage-2
+updates, seed-log replay and revert alike.  It never holds more than one
+tensor-sized temporary at a time; that temporary is what bounds the
+optimizer's transient memory.  It draws z from the calling thread's
+rekeyed stream (see :func:`zobench.streams.thread_stream`), never from a
+newly built one.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 
 import numpy as np
@@ -22,7 +26,8 @@ from .samplers import PerturbSpec, alloc_tracker, sample_for_tensor
 # GaussianStream stays a module attribute: bench/spans.py wraps it by this name.
 from .streams import GaussianStream, thread_stream  # noqa: F401
 
-__all__ = ["ParamSet", "SchemaMismatchError", "perturb_inplace", "axpy"]
+__all__ = ["ParamSet", "SchemaMismatchError", "ParamSetFormatError", "axpy",
+           "apply_records"]
 
 _MAGIC = b"ZOPS"
 _VERSION = 1
@@ -31,6 +36,10 @@ _SUPPORTED_DTYPES = (np.dtype(np.float64), np.dtype(np.float32))
 
 class SchemaMismatchError(ValueError):
     """Raised when a ParamSet does not match the schema an operation expects."""
+
+
+class ParamSetFormatError(ValueError):
+    """Malformed, truncated or version-incompatible ParamSet data."""
 
 
 class ParamSet:
@@ -137,11 +146,6 @@ class ParamSet:
         return all(np.array_equal(a, b)
                    for (_, a), (_, b) in zip(self._entries, other._entries))
 
-    def assert_finite(self):
-        for name, arr in self._entries:
-            if not np.all(np.isfinite(arr)):
-                raise FloatingPointError(f"non-finite values in parameter {name!r}")
-
     # -- serialization -----------------------------------------------------
 
     def save(self, path):
@@ -170,30 +174,48 @@ class ParamSet:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "ParamSet":
-        if blob[:4] != _MAGIC:
-            raise ValueError("not a ParamSet file (bad magic)")
-        version, width, count = struct.unpack_from("<HBI", blob, 4)
+        """Decode a container; every malformed blob raises ParamSetFormatError.
+
+        Each field's length is checked before it is unpacked, so a
+        truncated or overwritten file never reaches ``struct`` or numpy
+        with too few bytes.
+        """
+        view = memoryview(blob)
+        off = 0
+
+        def take(n):
+            nonlocal off
+            if off + n > len(view):
+                raise ParamSetFormatError("truncated ParamSet data")
+            off += n
+            return view[off - n:off]
+
+        if take(4) != _MAGIC:
+            raise ParamSetFormatError("not a ParamSet file (bad magic)")
+        version, width, count = struct.unpack("<HBI", take(7))
         if version != _VERSION:
-            raise ValueError(f"unsupported ParamSet version {version}")
+            raise ParamSetFormatError(f"unsupported ParamSet version {version}")
+        if width not in (4, 8):
+            raise ParamSetFormatError(f"unsupported element width {width}")
         dtype = np.dtype(f"<f{width}")
-        off = 4 + 7
         entries = []
         for _ in range(count):
-            (nlen,) = struct.unpack_from("<H", blob, off)
-            off += 2
-            name = blob[off:off + nlen].decode("utf-8")
-            off += nlen
-            (rank,) = struct.unpack_from("<B", blob, off)
-            off += 1
-            shape = struct.unpack_from(f"<{rank}I", blob, off)
-            off += 4 * rank
-            n = int(np.prod(shape))
-            arr = np.frombuffer(blob, dtype=dtype, count=n, offset=off)
-            off += n * width
+            (nlen,) = struct.unpack("<H", take(2))
+            name = bytes(take(nlen))
+            (rank,) = struct.unpack("<B", take(1))
+            shape = struct.unpack(f"<{rank}I", take(4 * rank))
+            n = math.prod(shape)
+            if n == 0:
+                raise ParamSetFormatError("empty tensor in ParamSet data")
+            arr = np.frombuffer(take(n * width), dtype=dtype)
             entries.append((name, arr.reshape(shape).astype(dtype.newbyteorder("="))))
-        if off != len(blob):
-            raise ValueError("trailing bytes in ParamSet file")
-        return cls(entries, copy=False)
+        if off != len(view):
+            raise ParamSetFormatError("trailing bytes in ParamSet file")
+        try:
+            return cls([(name.decode("utf-8"), arr) for name, arr in entries],
+                       copy=False)
+        except ValueError as exc:  # bad UTF-8, duplicate name, no tensors
+            raise ParamSetFormatError(f"invalid ParamSet data: {exc}") from exc
 
     def __repr__(self):  # pragma: no cover
         inner = ", ".join(f"{n}{list(a.shape)}" for n, a in self._entries)
@@ -237,11 +259,13 @@ def axpy(params: ParamSet, coeff: float, spec: PerturbSpec):
         del z
 
 
-def perturb_inplace(params: ParamSet, scale: float, spec: PerturbSpec):
-    """Shift every tensor by scale * z(spec), in place.
+def apply_records(params: ParamSet, seeds, proj_grads, coeff: float,
+                  epsilon: float, kind):
+    """params += coeff * g_j * z(seed_j) for each record j, in order.
 
-    The paired-forward cycle is perturb(+eps), perturb(-2*eps),
-    perturb(+eps), which returns each element to its original value up to
-    a few ulps.  scale=0 is a bit-exact no-op.
+    Live stage-2 updates pass coeff = -lr_eff, replay the same over a
+    log's records, and revert passes the records reversed with +lr_eff.
+    ``axpy`` is looked up at call time, one call per record.
     """
-    axpy(params, scale, spec)
+    for seed, g in zip(seeds, proj_grads):
+        axpy(params, coeff * float(g), PerturbSpec(int(seed), epsilon, kind))

@@ -37,9 +37,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .params import ParamSet, SchemaMismatchError, perturb_inplace
-from .samplers import PerturbSpec, SamplerKind
-from .zo import QueryRecord, StepRecord, ZOConfig, apply_update
+from .params import ParamSet, SchemaMismatchError, apply_records
+from .samplers import SamplerKind
+from .zo import ZOConfig
 
 __all__ = [
     "SeedLogHeader", "SeedLog", "SeedLogWriter", "LogFormatError",
@@ -239,25 +239,13 @@ def read_log(path) -> SeedLog:
                    rec["seed"].copy(), rec["pg"].copy())
 
 
-def _records_as_steps(log: SeedLog):
-    """Group flat records into StepRecords of q queries (step-major order)."""
-    q = max(1, log.header.q)
-    steps = []
-    for start in range(0, len(log), q):
-        queries = [QueryRecord(seed=int(s), proj_grad=float(g))
-                   for s, g in zip(log.seeds[start:start + q],
-                                   log.proj_grads[start:start + q])]
-        steps.append(StepRecord(step=start // q, queries=queries))
-    return steps
-
-
 def replay(initial_params: ParamSet, log: SeedLog) -> ParamSet:
     """Reconstruct trained parameters from the initial ones plus the log."""
     initial_params.check_schema(log.header.schema_hash)
     params = initial_params.copy()
-    config = log.header.to_config()
-    for record in _records_as_steps(log):
-        apply_update(params, record, config)
+    h = log.header
+    apply_records(params, log.seeds, log.proj_grads,
+                  -h.to_config().lr_effective, h.epsilon, h.sampler)
     return params
 
 
@@ -265,11 +253,9 @@ def revert(adapted_params: ParamSet, log: SeedLog) -> ParamSet:
     """Undo the log: apply records in reverse order with negated coefficient."""
     adapted_params.check_schema(log.header.schema_hash)
     params = adapted_params.copy()
-    lr_eff = log.header.to_config().lr_effective
-    kind = log.header.sampler
-    for seed, g in zip(log.seeds[::-1], log.proj_grads[::-1]):
-        spec = PerturbSpec(int(seed), log.header.epsilon, kind)
-        perturb_inplace(params, +lr_eff * float(g), spec)
+    h = log.header
+    apply_records(params, log.seeds[::-1], log.proj_grads[::-1],
+                  +h.to_config().lr_effective, h.epsilon, h.sampler)
     return params
 
 

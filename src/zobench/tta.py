@@ -47,7 +47,6 @@ class AdaptMask:
 class TTAEpisodeConfig:
     steps: int
     optimizer: Union[ZOConfig, FOConfig]
-    episodic: bool = True
     reset_mode: str = "snapshot"    # "snapshot" | "revert" (ZO only)
 
     def __post_init__(self):
@@ -139,9 +138,6 @@ def run_stream(model: Model, source_params: ParamSet, stream, mask: AdaptMask,
     records); episode records are flat dicts, one per sample, suitable
     for line-delimited output.
     """
-    if not config.episodic:
-        raise ValueError("run_stream drives episodic adaptation only; "
-                         "cumulative mode is a manual loop over adapt_sample")
     episodes = []
     zero_scores = []
     adapt_scores = []

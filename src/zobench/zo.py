@@ -5,8 +5,11 @@ gradients: for each query, the parameters are perturbed in place by
 +eps*z, evaluated, moved to -eps*z, evaluated, and restored, yielding
 g = (l_plus - l_minus) / (2 eps).  Only the seed and the scalar g are
 kept.  Stage 2 regenerates each z from its seed and applies
-theta -= lr_eff * g * z.  Both live training and checkpoint replay go
-through the same apply_update code path.
+theta -= lr_eff * g * z through :func:`zobench.params.apply_records`, the
+same kernel that seed-log replay and revert run.
+
+Every perturbation and update goes through ``params.axpy``, looked up on
+the module at call time, so a wrapper installed there sees every call.
 
 Query estimates are combined either by plain accumulation (the default:
 each query contributes lr * g, so the effective step grows with q) or by
@@ -19,17 +22,18 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .params import ParamSet, perturb_inplace
+from . import params as _params
+from .params import ParamSet
 from .samplers import FULL, PerturbSpec, SamplerKind
 
 __all__ = [
     "ZOConfig", "StepRecord", "QueryRecord", "NumericError",
-    "derive_seed", "rge_proj_grad", "zo_step", "apply_update", "train",
+    "derive_seed", "rge_proj_grad", "zo_step", "train",
     "CountingModel",
 ]
 
@@ -85,16 +89,12 @@ class QueryRecord:
     proj_grad: float
     loss_plus: Optional[float] = None
     loss_minus: Optional[float] = None
-    forward_seconds: Optional[float] = None
 
 
 @dataclass
 class StepRecord:
     step: int
     queries: list  # [QueryRecord]
-
-    def seeds(self):
-        return [rec.seed for rec in self.queries]
 
 
 def _splitmix64(x: int) -> int:
@@ -121,32 +121,18 @@ def rge_proj_grad(model, params: ParamSet, batch, spec: PerturbSpec):
     they started, whatever the losses come out to.
     """
     eps = spec.epsilon
-    t0 = time.perf_counter()
-    perturb_inplace(params, +eps, spec)
+    _params.axpy(params, +eps, spec)
     loss_plus = float(model.loss(params, batch))
-    perturb_inplace(params, -2.0 * eps, spec)
+    _params.axpy(params, -2.0 * eps, spec)
     loss_minus = float(model.loss(params, batch))
-    perturb_inplace(params, +eps, spec)
-    elapsed = (time.perf_counter() - t0) / 2.0
+    _params.axpy(params, +eps, spec)
     if not (math.isfinite(loss_plus) and math.isfinite(loss_minus)):
         raise NumericError(
             f"non-finite loss under perturbation seed {spec.seed} "
             f"(l+={loss_plus}, l-={loss_minus})", seed=spec.seed)
     g = (loss_plus - loss_minus) / (2.0 * eps)
     return g, QueryRecord(seed=spec.seed, proj_grad=g, loss_plus=loss_plus,
-                          loss_minus=loss_minus, forward_seconds=elapsed)
-
-
-def apply_update(params: ParamSet, record: StepRecord, config: ZOConfig):
-    """Stage-2 replay: theta -= lr_eff * g_j * z(seed_j) for each query.
-
-    Shared verbatim by live training and by seed-log replay, so the two
-    paths cannot drift apart.
-    """
-    lr_eff = config.lr_effective
-    for rec in record.queries:
-        spec = PerturbSpec(rec.seed, config.epsilon, config.sampler)
-        perturb_inplace(params, -lr_eff * rec.proj_grad, spec)
+                          loss_minus=loss_minus)
 
 
 def zo_step(model, params: ParamSet, batch_source: Callable, config: ZOConfig,
@@ -165,9 +151,10 @@ def zo_step(model, params: ParamSet, batch_source: Callable, config: ZOConfig,
         batch = batch_source(t, j)
         _, rec = rge_proj_grad(model, params, batch, spec)
         queries.append(rec)
-    record = StepRecord(step=t, queries=queries)
-    apply_update(params, record, config)
-    return record
+    _params.apply_records(params, [rec.seed for rec in queries],
+                          [rec.proj_grad for rec in queries],
+                          -config.lr_effective, config.epsilon, config.sampler)
+    return StepRecord(step=t, queries=queries)
 
 
 class CountingModel:

@@ -134,9 +134,9 @@ def test_criterion_03_two_stage_fidelity():
     before = params.copy()
     eps = 1e-3
     spec = PerturbSpec(seed=21, epsilon=eps)
-    z.perturb_inplace(params, +eps, spec)
-    z.perturb_inplace(params, -2 * eps, spec)
-    z.perturb_inplace(params, +eps, spec)
+    z.axpy(params, +eps, spec)
+    z.axpy(params, -2 * eps, spec)
+    z.axpy(params, +eps, spec)
     eps_mach = np.finfo(np.float64).eps
     cycle_ok = True
     for i, (name, arr) in enumerate(params.items()):

@@ -211,6 +211,38 @@ def test_cli_reports_config_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb, kind", [("tta", "train"), ("train", "tta")])
+def test_cli_rejects_config_of_other_kind(tmp_path, capsys, verb, kind):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(train_config(
+        kind=kind, tta={"steps": 2, "mask": ["feat.*"]})))
+    out_dir = tmp_path / "out"
+    assert cli_main([verb, "--config", str(cfg_path),
+                     "--output-dir", str(out_dir)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda blob: blob[:-5],
+    lambda blob: b"NOPE" + blob[4:],
+    lambda blob: ParamSet([("x", np.zeros(3))]).to_bytes(),
+], ids=["truncated", "bad_magic", "schema_mismatch"])
+def test_cli_replay_rejects_bad_params_file(tmp_path, capsys, corrupt):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(train_config()))
+    out_dir = tmp_path / "out"
+    assert cli_main(["train", "--config", str(cfg_path),
+                     "--output-dir", str(out_dir)]) == 0
+    init = out_dir / "exp-seed0.init.pset"
+    init.write_bytes(corrupt(init.read_bytes()))
+    capsys.readouterr()
+    assert cli_main(["replay", "--log", str(out_dir / "exp-seed0.zolog"),
+                     "--params", str(init),
+                     "--out", str(tmp_path / "r.pset")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_load_config_roundtrip(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(train_config()))

@@ -5,7 +5,7 @@ import pytest
 
 from zobench.fo import finite_diff_grad
 from zobench.models import (Batch, BatchSampler, DataGenConfig, StreamSample,
-                            accuracy, entropy_loss, entropy_objective,
+                            accuracy, entropy_objective,
                             gen_data, gen_shifted_stream, load_dataset,
                             logistic_regression, make_model, mlp_classifier,
                             quadratic_bowl, sample_scores, save_dataset,
@@ -88,17 +88,18 @@ def test_entropy_trivial_values():
     model = logistic_regression(4, 5)
     params = model.init(0)  # zero weights: uniform outputs
     batch = Batch(np.random.default_rng(0).normal(size=(8, 4)))
-    assert abs(entropy_loss(model, params, batch) - math.log(5)) < 1e-12
+    assert abs(entropy_objective(model).loss(params, batch)
+               - math.log(5)) < 1e-12
     # enormous weights: effectively one-hot outputs, entropy ~ 0
     params["weight"][:] = 1e4 * np.random.default_rng(1).normal(size=(4, 5))
-    assert entropy_loss(model, params, batch) < 1e-6
+    assert entropy_objective(model).loss(params, batch) < 1e-6
 
 
 def test_entropy_rejects_labeled_batch():
     model = logistic_regression(4, 3)
     batch = Batch(np.zeros((2, 4)), np.zeros(2, dtype=int))
     with pytest.raises(ValueError):
-        entropy_loss(model, model.init(0), batch)
+        entropy_objective(model).loss(model.init(0), batch)
 
 
 def test_seq_schema_groups():

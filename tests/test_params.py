@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from zobench.params import ParamSet, SchemaMismatchError, axpy, perturb_inplace
+from zobench.params import (ParamSet, ParamSetFormatError, SchemaMismatchError,
+                            axpy)
 from zobench.samplers import FULL, PerturbSpec, SamplerKind
 
 
@@ -127,6 +128,37 @@ def test_trailing_bytes_rejected():
         ParamSet.from_bytes(blob)
 
 
+def test_bad_width_rejected():
+    blob = bytearray(small_set().to_bytes())
+    for width in (0, 2, 3, 16):
+        blob[6] = width  # element width, after magic and version
+        with pytest.raises(ParamSetFormatError):
+            ParamSet.from_bytes(bytes(blob))
+
+
+def test_from_bytes_fuzz_raises_only_format_error():
+    # truncate, overwrite 1-4 bytes, or append 1-8 bytes; any exception
+    # other than ParamSetFormatError escapes and fails the test
+    rng = np.random.default_rng(2024)
+    blobs = [small_set().to_bytes(),
+             ParamSet([("w", np.ones((3, 2), dtype=np.float32))]).to_bytes()]
+    for case in range(3000):
+        blob = bytearray(blobs[case % 2])
+        mode = case % 3
+        if mode == 0:
+            del blob[rng.integers(len(blob)):]
+        elif mode == 1:
+            for _ in range(rng.integers(1, 5)):
+                blob[rng.integers(len(blob))] = rng.integers(256)
+        else:
+            blob += rng.integers(256, size=rng.integers(1, 9),
+                                 dtype=np.uint8).tobytes()
+        try:
+            ParamSet.from_bytes(bytes(blob))
+        except ParamSetFormatError:
+            pass
+
+
 def test_max_abs_diff_and_bitwise():
     a = small_set()
     b = small_set()
@@ -162,9 +194,9 @@ def test_perturb_cycle_restores_within_ulps():
     before = p.copy()
     eps = 1e-3
     spec = PerturbSpec(seed=5, epsilon=eps)
-    perturb_inplace(p, +eps, spec)
-    perturb_inplace(p, -2 * eps, spec)
-    perturb_inplace(p, +eps, spec)
+    axpy(p, +eps, spec)
+    axpy(p, -2 * eps, spec)
+    axpy(p, +eps, spec)
     from zobench.streams import GaussianStream
     from zobench.samplers import sample_for_tensor
     z = sample_for_tensor(GaussianStream(5, substream=0), (10, 100), FULL)

@@ -1,15 +1,16 @@
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from zobench.models import BatchSampler, DataGenConfig, gen_data, make_model
-from zobench.params import SchemaMismatchError
-from zobench.samplers import SamplerKind
+from zobench.params import SchemaMismatchError, axpy
+from zobench.samplers import PerturbSpec, SamplerKind
 from zobench.seedlog import (HEADER_SIZE, LogFormatError, SeedLog,
                              SeedLogHeader, SeedLogWriter, inspect, read_log,
                              replay, revert)
-from zobench.zo import ZOConfig, train
+from zobench.zo import ZOConfig, train, zo_step
 
 
 def make_header(**kw):
@@ -228,3 +229,53 @@ def test_replay_uses_header_hyperparameters(tmp_path):
     assert log.header.lr == 0.05
     rebuilt = replay(initial, log)
     assert rebuilt.max_abs_diff(live) < 1e-6
+
+
+def _reference_updates(params, seeds, proj_grads, coeff, header):
+    """The per-record axpy loop every update path must reproduce."""
+    out = params.copy()
+    for seed, g in zip(seeds, proj_grads):
+        spec = PerturbSpec(int(seed), header.epsilon, header.sampler)
+        axpy(out, coeff * float(g), spec)
+    return out
+
+
+@pytest.mark.parametrize("combine", ["accumulate", "mean"])
+@pytest.mark.parametrize("pg_width", [4, 8])
+@pytest.mark.parametrize("kind", [SamplerKind.full(),
+                                  SamplerKind.lowrank(2, normalize=True)],
+                         ids=["full", "lowrank2"])
+def test_update_paths_match_reference_loop(tmp_path, kind, pg_width, combine):
+    cfg = DataGenConfig(task="mlp", dim=8, hidden=6, classes=3, n_train=128,
+                        seed=0)
+    model = make_model(cfg)
+    tr, _ = gen_data(cfg)
+    sampler = BatchSampler(tr, 16, seed=0)
+    zcfg = ZOConfig(epsilon=1e-3, lr=0.05, q=3, steps=5, combine=combine,
+                    master_seed=7, sampler=kind)
+    initial = model.init(0)
+    header = SeedLogHeader.from_config(zcfg, initial.schema_hash,
+                                       pg_width=pg_width)
+    lr_eff = zcfg.lr_effective
+
+    # live stage 2, from the params the perturbation cycles leave behind:
+    # the same step at lr=0 runs the cycles and skips the updates
+    source = lambda t, j: sampler.draw(j)
+    cycled = initial.copy()
+    zo_step(model, cycled, source, replace(zcfg, lr=0.0), 0)
+    live = initial.copy()
+    step = zo_step(model, live, source, zcfg, 0)
+    seeds = [rec.seed for rec in step.queries]
+    pgs = [rec.proj_grad for rec in step.queries]
+    assert live.equals_bitwise(
+        _reference_updates(cycled, seeds, pgs, -lr_eff, header))
+
+    path = tmp_path / "run.zolog"
+    with SeedLogWriter(path, header) as w:
+        train(model, sampler.draw, zcfg, initial.copy(), log_writer=w)
+    log = read_log(path)
+    rebuilt = replay(initial, log)
+    assert rebuilt.equals_bitwise(_reference_updates(
+        initial, log.seeds, log.proj_grads, -lr_eff, header))
+    assert revert(rebuilt, log).equals_bitwise(_reference_updates(
+        rebuilt, log.seeds[::-1], log.proj_grads[::-1], +lr_eff, header))

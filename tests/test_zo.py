@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from zobench.models import Batch, Model, quadratic_bowl
-from zobench.params import ParamSet
+from zobench.params import ParamSet, apply_records
 from zobench.samplers import FULL, PerturbSpec, SamplerKind, sample_for_tensor
 from zobench.streams import GaussianStream
-from zobench.zo import (CountingModel, NumericError, ZOConfig, apply_update,
-                        derive_seed, rge_proj_grad, train, zo_step)
+from zobench.zo import (CountingModel, NumericError, ZOConfig, derive_seed,
+                        rge_proj_grad, train, zo_step)
 
 D = 10
 
@@ -106,7 +106,7 @@ def test_estimator_is_unbiased_on_quadratic():
     assert rel < 0.05
 
 
-def test_apply_update_matches_manual():
+def test_apply_records_matches_manual():
     model = bowl()
     params = model.init(2)
     cfg = ZOConfig(epsilon=1e-3, lr=0.1, q=2, master_seed=5)
@@ -118,7 +118,9 @@ def test_apply_update_matches_manual():
         manual["theta"][:] -= cfg.lr * qrec.proj_grad * z
 
     replayed = params.copy()
-    apply_update(replayed, rec, cfg)
+    apply_records(replayed, [q.seed for q in rec.queries],
+                  [q.proj_grad for q in rec.queries], -cfg.lr_effective,
+                  cfg.epsilon, cfg.sampler)
     assert replayed.max_abs_diff(manual) < 1e-14
 
 
