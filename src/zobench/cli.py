@@ -11,8 +11,9 @@ Verbs:
 Flags mirror config fields; when both are given the config file wins for
 experiment numerics and flags only affect paths and verbosity.  The verb
 must match the config's ``kind``.  Invalid configs, malformed seed logs
-or parameter files, and parameter files of the wrong schema exit with
-code 2 and a one-line error instead of a traceback.
+or parameter files, parameter files of the wrong schema, and files that
+cannot be read or written exit with code 2 and a one-line error instead
+of a traceback.
 """
 
 from __future__ import annotations
@@ -45,21 +46,13 @@ def _cmd_experiment(args):
     return 0
 
 
-def _cmd_replay(args):
-    initial = ParamSet.load(args.params)
+def _cmd_apply_log(args):
+    """``replay`` or ``revert``, as the verb says."""
+    params = ParamSet.load(args.params)
     log = seedlog.read_log(args.log)
-    result = seedlog.replay(initial, log)
-    result.save(args.out)
-    print(f"replayed {len(log)} records -> {args.out}")
-    return 0
-
-
-def _cmd_revert(args):
-    adapted = ParamSet.load(args.params)
-    log = seedlog.read_log(args.log)
-    result = seedlog.revert(adapted, log)
-    result.save(args.out)
-    print(f"reverted {len(log)} records -> {args.out}")
+    apply = seedlog.replay if args.command == "replay" else seedlog.revert
+    apply(params, log).save(args.out)
+    print(f"{args.command}ed {len(log)} records -> {args.out}")
     return 0
 
 
@@ -93,17 +86,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the config's output directory")
         p.set_defaults(func=_cmd_experiment)
 
-    p = sub.add_parser("replay", help="replay a seed log onto initial params")
-    p.add_argument("--log", required=True, help=".zolog file")
-    p.add_argument("--params", required=True, help="initial .pset file")
-    p.add_argument("--out", required=True, help="output .pset file")
-    p.set_defaults(func=_cmd_replay)
-
-    p = sub.add_parser("revert", help="revert a seed log from adapted params")
-    p.add_argument("--log", required=True, help=".zolog file")
-    p.add_argument("--params", required=True, help="adapted .pset file")
-    p.add_argument("--out", required=True, help="output .pset file")
-    p.set_defaults(func=_cmd_revert)
+    for verb, help_, start in (
+            ("replay", "replay a seed log onto initial params", "initial"),
+            ("revert", "revert a seed log from adapted params", "adapted")):
+        p = sub.add_parser(verb, help=help_)
+        p.add_argument("--log", required=True, help=".zolog file")
+        p.add_argument("--params", required=True, help=f"{start} .pset file")
+        p.add_argument("--out", required=True, help="output .pset file")
+        p.set_defaults(func=_cmd_apply_log)
 
     p = sub.add_parser("inspect", help="print seed-log header and stats")
     p.add_argument("--log", required=True, help=".zolog file")
@@ -124,7 +114,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (harness.ConfigError, seedlog.LogFormatError, ParamSetFormatError,
-            SchemaMismatchError) as exc:
+            SchemaMismatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

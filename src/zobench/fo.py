@@ -8,7 +8,6 @@ run differs only in the optimizer.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

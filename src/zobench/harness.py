@@ -21,6 +21,7 @@ import itertools
 import json
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +58,21 @@ def _require(cond, path, msg):
         raise ConfigError(f"{path}: {msg}")
 
 
+def _is_positive(value, kind=(int, float)) -> bool:
+    return isinstance(value, kind) and value is not True and value > 0
+
+
+@contextmanager
+def _config_errors(path):
+    """Report a config object's own ValueError/TypeError as ConfigError."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 @dataclass
 class ExperimentConfig:
     name: str
@@ -71,9 +87,8 @@ class ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        raw = json.load(fh)
-    return parse_config(raw)
+    with open(path) as fh, _config_errors(path):   # e.g. invalid JSON
+        return parse_config(json.load(fh))
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -91,7 +106,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
     _require(opt["type"] in ("zo", "sgd", "adam"),
              "optimizer.type", "must be 'zo', 'sgd' or 'adam'")
     if "lr" in opt:
-        _require(opt["lr"] > 0, "optimizer.lr", "must be positive")
+        _require(_is_positive(opt["lr"]), "optimizer.lr", "must be positive")
+    if "forward_budget" in opt:
+        _require(kind == "train", "optimizer.forward_budget",
+                 "applies to training only; tta.steps sets the episode")
+        _require(_is_positive(opt["forward_budget"], int),
+                 "optimizer.forward_budget", "must be a positive integer")
     sweep = raw.get("sweep", {})
     for axis in sweep:
         _require(axis in _SWEEP_AXES, f"sweep.{axis}",
@@ -106,8 +126,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         seeds = list(range(replicates))
     _require(isinstance(seeds, list) and seeds, "seeds", "must be non-empty")
     if kind == "tta":
-        _require("tta" in raw, "tta", "section required for kind 'tta'")
-        _require(raw["tta"].get("steps", 0) >= 1, "tta.steps", "must be >= 1")
+        _require(isinstance(raw.get("tta"), dict), "tta", "section required")
+        _require(_is_positive(raw["tta"].get("steps"), int), "tta.steps",
+                 "must be an integer >= 1")
         _require(raw["tta"].get("mask"), "tta.mask", "is required")
     return ExperimentConfig(
         name=raw.get("name", "experiment"), kind=kind, model=model,
@@ -116,7 +137,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         output_dir=raw.get("output_dir", "results"))
 
 
-def _data_config(cfg: ExperimentConfig, overrides: dict) -> DataGenConfig:
+def _data_and_model(cfg: ExperimentConfig, overrides: dict):
     merged = {**cfg.model, **cfg.data}
     merged.pop("batch_size", None)
     for (section, name), value in overrides.items():
@@ -125,7 +146,9 @@ def _data_config(cfg: ExperimentConfig, overrides: dict) -> DataGenConfig:
     allowed = DataGenConfig.__dataclass_fields__
     unknown = set(merged) - set(allowed)
     _require(not unknown, "model/data", f"unknown fields {sorted(unknown)}")
-    return DataGenConfig(**merged)
+    with _config_errors("model/data"):
+        data_cfg = DataGenConfig(**merged)
+        return data_cfg, make_model(data_cfg)
 
 
 def _sampler_kind(spec, rank) -> SamplerKind:
@@ -143,17 +166,20 @@ def _optimizer_config(cfg: ExperimentConfig, overrides: dict, seed: int):
     for (section, name), value in overrides.items():
         if section == "optimizer":
             opt[name] = value
-    kind = opt.pop("type")
-    if kind == "zo":
-        sampler = _sampler_kind(opt.pop("sampler", "full"), opt.pop("rank", 4))
-        budget = opt.pop("forward_budget", None)
-        zcfg = ZOConfig(sampler=sampler, master_seed=seed, **opt)
-        if budget is not None:
-            # equal-forward-budget sweeps: one step costs 2q forwards
-            zcfg.steps = int(budget) // (2 * zcfg.q)
-        return zcfg
-    opt.pop("forward_budget", None)
-    return FOConfig(optimizer=kind, **opt)
+    kind, budget = opt.pop("type"), opt.pop("forward_budget", None)
+    with _config_errors("optimizer"):
+        if kind == "zo":
+            sampler = _sampler_kind(opt.pop("sampler", "full"),
+                                    opt.pop("rank", 4))
+            config = ZOConfig(sampler=sampler, master_seed=seed, **opt)
+            step_forwards = 2 * config.q
+        else:
+            config = FOConfig(optimizer=kind, **opt)
+            step_forwards = 1
+    if budget is not None:
+        # equal-forward-budget runs: the budget fixes the step count
+        config.steps = budget // step_forwards
+    return config
 
 
 def expand_grid(cfg: ExperimentConfig):
@@ -208,8 +234,8 @@ def _write_run(outdir, run_id, seed, steps, summary, timings):
 
 
 def _train_single(cfg, overrides, seed, outdir, run_id):
-    data_cfg = _data_config(cfg, overrides)
-    model = make_model(data_cfg)
+    data_cfg, model = _data_and_model(cfg, overrides)
+    opt = _optimizer_config(cfg, overrides, seed)
     counting = CountingModel(model)
     params = model.init(seed)
     params.save(os.path.join(outdir, f"{run_id}.init.pset"))
@@ -223,7 +249,6 @@ def _train_single(cfg, overrides, seed, outdir, run_id):
                                seed=seed)
         batch_source = sampler.draw
 
-    opt = _optimizer_config(cfg, overrides, seed)
     summary = {}
     t0 = time.perf_counter()
     if isinstance(opt, ZOConfig):
@@ -276,16 +301,17 @@ def _pretrain_source(cfg, data_cfg, model, seed):
 
 
 def _tta_single(cfg, overrides, seed, outdir, run_id):
-    data_cfg = _data_config(cfg, overrides)
-    model = make_model(data_cfg)
+    data_cfg, model = _data_and_model(cfg, overrides)
+    opt = _optimizer_config(cfg, overrides, seed)
+    with _config_errors("tta"):
+        tta_cfg = TTAEpisodeConfig(
+            steps=cfg.tta["steps"], optimizer=opt,
+            reset_mode=cfg.tta.get("reset_mode", "snapshot"))
     # source model is always trained on the clean distribution
     clean_cfg = DataGenConfig(**{**data_cfg.__dict__, "noise_sigma": 0.0,
                                  "shift_scale": 1.0, "shift_bias": 0.0})
     source_params = _pretrain_source(cfg, clean_cfg, model, seed)
     stream = gen_shifted_stream(data_cfg, cfg.tta.get("samples", 100))
-    opt = _optimizer_config(cfg, overrides, seed)
-    tta_cfg = TTAEpisodeConfig(steps=cfg.tta["steps"], optimizer=opt,
-                               reset_mode=cfg.tta.get("reset_mode", "snapshot"))
     mask = AdaptMask(cfg.tta["mask"])
     t0 = time.perf_counter()
     aggregate, episodes = run_stream(model, source_params, stream, mask,

@@ -26,18 +26,19 @@ Layout (all little-endian):
     36      8     perturbation scale epsilon (f64)
     44      8     learning rate (f64)
     52      8     record count (u64)
-    60      --    records: seed (u64) + proj_grad (f32 or f64)
+    60      --    records: seed (u64) + proj_grad (f32 or f64), as
+                  ``SeedLogHeader.record_dtype`` defines them for the
+                  writer, the reader and in-memory logs alike
 """
 
 from __future__ import annotations
 
-import io
 import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .params import ParamSet, SchemaMismatchError, apply_records
+from .params import ParamSet, apply_records
 from .samplers import SamplerKind
 from .zo import ZOConfig
 
@@ -81,8 +82,13 @@ class SeedLogHeader:
             raise ValueError(f"unknown combine mode {self.combine!r}")
 
     @property
+    def record_dtype(self) -> np.dtype:
+        """One record: u64 seed, then proj_grad at ``pg_width`` bytes."""
+        return np.dtype([("seed", "<u8"), ("pg", f"<f{self.pg_width}")])
+
+    @property
     def record_size(self) -> int:
-        return 8 + self.pg_width
+        return self.record_dtype.itemsize
 
     @staticmethod
     def from_config(config: ZOConfig, schema_hash: int,
@@ -157,24 +163,10 @@ class SeedLog:
             for rec in record.queries:
                 seeds.append(rec.seed)
                 pgs.append(rec.proj_grad)
-        pg_dtype = np.float32 if header.pg_width == 4 else np.float64
+        dtype = header.record_dtype
         header = replace(header, record_count=len(seeds))
-        return SeedLog(header, np.array(seeds, dtype=np.uint64),
-                       np.array(pgs, dtype=pg_dtype))
-
-    def save(self, path):
-        header = replace(self.header, record_count=len(self.seeds))
-        with open(path, "wb") as fh:
-            fh.write(header.pack())
-            fh.write(_pack_records(self.seeds, self.proj_grads, header.pg_width))
-
-
-def _pack_records(seeds, proj_grads, pg_width) -> bytes:
-    pg_dtype = np.dtype(f"<f{pg_width}")
-    rec = np.zeros(len(seeds), dtype=[("seed", "<u8"), ("pg", pg_dtype)])
-    rec["seed"] = seeds
-    rec["pg"] = proj_grads
-    return rec.tobytes()
+        return SeedLog(header, np.array(seeds, dtype=dtype["seed"]),
+                       np.array(pgs, dtype=dtype["pg"]))
 
 
 class SeedLogWriter:
@@ -186,20 +178,15 @@ class SeedLogWriter:
         self._fh.write(replace(header, record_count=0).pack())
         self._count = 0
         self._finalized = False
-        self._pg_dtype = np.dtype(f"<f{header.pg_width}")
-
-    @property
-    def record_count(self) -> int:
-        return self._count
+        self._dtype = header.record_dtype
 
     def append(self, seed: int, proj_grad: float):
         if self._finalized:
             raise LogFormatError("append after finalize")
-        pg = np.array([proj_grad], dtype=self._pg_dtype)
-        if not np.isfinite(pg[0]):
+        record = np.array((int(seed), proj_grad), dtype=self._dtype)
+        if not np.isfinite(record["pg"]):
             raise ValueError("proj_grad must be finite")
-        self._fh.write(struct.pack("<Q", int(seed)))
-        self._fh.write(pg.tobytes())
+        self._fh.write(record.tobytes())
         self._count += 1
 
     def flush(self):
@@ -233,8 +220,7 @@ def read_log(path) -> SeedLog:
     if header.record_count and n != header.record_count:
         raise LogFormatError(
             f"header promises {header.record_count} records, file has {n}")
-    pg_dtype = np.dtype(f"<f{header.pg_width}")
-    rec = np.frombuffer(body, dtype=[("seed", "<u8"), ("pg", pg_dtype)])
+    rec = np.frombuffer(body, dtype=header.record_dtype)
     return SeedLog(replace(header, record_count=n),
                    rec["seed"].copy(), rec["pg"].copy())
 

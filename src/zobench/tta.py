@@ -146,6 +146,9 @@ def run_stream(model: Model, source_params: ParamSet, stream, mask: AdaptMask,
     use_revert = (config.reset_mode == "revert"
                   and isinstance(config.optimizer, ZOConfig))
     work = source_params if use_revert else None
+    if use_revert:
+        mask_names = mask.resolve(source_params)
+        sub = source_params.subset(mask_names)
     for sample in stream:
         batch_eval = Batch(sample.inputs[None, ...],
                            np.array([sample.label]))
@@ -156,8 +159,6 @@ def run_stream(model: Model, source_params: ParamSet, stream, mask: AdaptMask,
             episode_seed=episode_seed, work_params=work)
         adapt_score = float(sample_scores(model, adapted, batch_eval)[0])
         if use_revert:
-            mask_names = mask.resolve(source_params)
-            sub = source_params.subset(mask_names)
             restored = revert_log(sub, log)
             for name in mask_names:
                 np.copyto(sub[name], restored[name])

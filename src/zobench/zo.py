@@ -21,9 +21,8 @@ floating point (any power-of-two q).
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -87,8 +86,8 @@ class ZOConfig:
 class QueryRecord:
     seed: int
     proj_grad: float
-    loss_plus: Optional[float] = None
-    loss_minus: Optional[float] = None
+    loss_plus: float
+    loss_minus: float
 
 
 @dataclass
@@ -191,14 +190,12 @@ def train(model, batch_source: Callable, config: ZOConfig, params: ParamSet,
             source = lambda tt, jj: batch_source(tt * config.q + jj)
         else:
             source = lambda tt, jj: batch_source(tt)
-        t0 = time.perf_counter()
         try:
             record = zo_step(model, params, source, config, t)
         except NumericError:
             if log_writer is not None:
                 log_writer.flush()
             raise
-        elapsed = time.perf_counter() - t0
         records.append(record)
         if log_writer is not None:
             for rec in record.queries:
@@ -209,7 +206,6 @@ def train(model, batch_source: Callable, config: ZOConfig, params: ParamSet,
         metrics.append({
             "step": t,
             "loss": loss_proxy,
-            "seconds": elapsed,
             "forwards": 2 * config.q,
         })
     return records, metrics

@@ -26,6 +26,24 @@ def train_config(**kw):
     return raw
 
 
+def tta_config(**kw):
+    raw = {
+        "version": 1,
+        "name": "adapt",
+        "kind": "tta",
+        "model": {"task": "seq", "frames": 6, "feat_dim": 4, "classes": 3,
+                  "hidden": 6},
+        "data": {"n_train": 64, "n_test": 32, "batch_size": 16,
+                 "noise_sigma": 0.005},
+        "optimizer": {"type": "zo", "lr": 0.001, "q": 2, "epsilon": 1e-3},
+        "tta": {"steps": 2, "mask": ["feat.*", "norm.*"], "samples": 4,
+                "pretrain": {"steps": 40, "lr": 0.05}},
+        "seeds": [0],
+    }
+    raw.update(kw)
+    return raw
+
+
 def test_parse_validation_errors():
     with pytest.raises(ConfigError):
         parse_config([])
@@ -116,6 +134,30 @@ def test_sweep_with_forward_budget(tmp_path):
     table = (tmp_path / "sweep_table.csv").read_text()
     assert "exp-q1" in table and "exp-q4" in table
     assert "median" in table.splitlines()[0]
+
+
+def test_fo_forward_budget_sets_steps(tmp_path):
+    # an FO step costs one forward, so the budget is the step count
+    cfg = parse_config(train_config(
+        optimizer={"type": "sgd", "lr": 0.1, "forward_budget": 40}))
+    s = run(cfg, output_dir=str(tmp_path))[0]
+    assert s["steps"] == 40
+    assert s["optimizer_forwards"] == s["expected_forwards"] == 40
+
+
+@pytest.mark.parametrize("budget", [0, -4, 2.5, "40", True, None])
+def test_forward_budget_must_be_positive_integer(budget):
+    with pytest.raises(ConfigError, match="forward_budget"):
+        parse_config(train_config(
+            optimizer={"type": "zo", "lr": 0.05, "forward_budget": budget}))
+
+
+def test_tta_rejects_forward_budget():
+    # tta.steps sets the episode length; a budget would be dropped
+    raw = tta_config()
+    raw["optimizer"]["forward_budget"] = 40
+    with pytest.raises(ConfigError, match="forward_budget"):
+        parse_config(raw)
 
 
 def test_quadratic_task_runs(tmp_path):
@@ -241,6 +283,40 @@ def test_cli_replay_rejects_bad_params_file(tmp_path, capsys, corrupt):
                      "--params", str(init),
                      "--out", str(tmp_path / "r.pset")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["replay", "--log", "nope.zolog", "--params", "nope.pset",
+     "--out", "x.pset"],
+    ["revert", "--log", "nope.zolog", "--params", "nope.pset",
+     "--out", "x.pset"],
+    ["inspect", "--log", "nope.zolog"],
+    ["train", "--config", "missing.json"],
+    ["compare", "nodir", "--baseline", "exp"],
+], ids=["replay", "revert", "inspect", "train", "compare"])
+def test_cli_missing_file_exits_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb, raw", [
+    ("train", '{"kind": "train",'),
+    ("train", train_config(optimizer={"type": "zo", "lr": "abc"})),
+    ("tta", tta_config(tta={"steps": "x", "mask": ["feat.*"]})),
+    ("train", train_config(optimizer={"type": "zo", "q": 0, "steps": 2})),
+    ("train", train_config(optimizer={"type": "zo", "momentum": 0.9})),
+    ("train", train_config(model={"task": "banana"})),
+], ids=["invalid_json", "lr_string", "tta_steps_string", "q_zero",
+        "unknown_optimizer_field", "unknown_task"])
+def test_cli_bad_config_value_exits_2(tmp_path, capsys, verb, raw):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(raw if isinstance(raw, str) else json.dumps(raw))
+    out_dir = tmp_path / "out"
+    assert cli_main([verb, "--config", str(cfg_path),
+                     "--output-dir", str(out_dir)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not list(out_dir.glob("*"))
 
 
 def test_load_config_roundtrip(tmp_path):

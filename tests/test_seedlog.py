@@ -127,6 +127,44 @@ def test_writer_rejects_nonfinite_proj_grad(tmp_path):
     w.finalize()
 
 
+GOLDEN_RECORDS = [(1, 0.5), (2**64 - 1, -2.25), (0x0123456789ABCDEF, 3.0)]
+
+
+@pytest.mark.parametrize("pg_width, records_hex", [
+    (4, "01000000000000000000003f"
+        "ffffffffffffffff000010c0"
+        "efcdab896745230100004040"),
+    (8, "0100000000000000000000000000e03f"
+        "ffffffffffffffff00000000000002c0"
+        "efcdab89674523010000000000000840"),
+], ids=["pg4", "pg8"])
+def test_log_bytes_are_pinned(tmp_path, pg_width, records_hex):
+    # little-endian u64 seed, then the proj_grad at pg_width bytes
+    path = tmp_path / "golden.zolog"
+    h = make_header(pg_width=pg_width)
+    with SeedLogWriter(path, h) as w:
+        for seed, g in GOLDEN_RECORDS:
+            w.append(seed, g)
+    blob = path.read_bytes()
+    assert blob[:HEADER_SIZE] == replace(h, record_count=3).pack()
+    assert blob[HEADER_SIZE:] == bytes.fromhex(records_hex)
+    log = read_log(path)
+    assert log.seeds.tolist() == [s for s, _ in GOLDEN_RECORDS]
+    assert log.proj_grads.tolist() == [g for _, g in GOLDEN_RECORDS]
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_writer_rejects_out_of_range_seed(tmp_path, seed):
+    path = tmp_path / "x.zolog"
+    with SeedLogWriter(path, make_header()) as w:
+        with pytest.raises(OverflowError):
+            w.append(seed, 0.5)
+        w.append(7, 0.25)
+    assert path.stat().st_size == HEADER_SIZE + 12
+    log = read_log(path)
+    assert log.seeds.tolist() == [7] and log.proj_grads.tolist() == [0.25]
+
+
 def test_read_rejects_truncation(tmp_path):
     path = tmp_path / "run.zolog"
     with SeedLogWriter(path, make_header()) as w:
