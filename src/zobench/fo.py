@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import ParamSet
+from .streams import check_int
 
 __all__ = ["FOConfig", "fo_step", "fo_train", "finite_diff_grad"]
 
@@ -35,6 +36,7 @@ class FOConfig:
             raise ValueError("betas must lie in (0, 1)")
         if self.eps_adam <= 0:
             raise ValueError("eps_adam must be positive")
+        check_int("steps", self.steps, 0)
 
 
 def fo_step(model, params: ParamSet, batch, config: FOConfig, state: dict):

@@ -125,14 +125,23 @@ def parse_config(raw: dict) -> ExperimentConfig:
                  "replicates", "must be a positive integer")
         seeds = list(range(replicates))
     _require(isinstance(seeds, list) and seeds, "seeds", "must be non-empty")
+    for seed in seeds:
+        _require(type(seed) is int and 0 <= seed < 2**64, "seeds",
+                 f"{seed!r} is not an integer in [0, 2**64)")
+    data = raw.get("data", {})
+    _require(isinstance(data, dict), "data", "must be a JSON object")
+    _require(_is_positive(data.get("batch_size", 24), int),
+             "data.batch_size", "must be a positive integer")
     if kind == "tta":
         _require(isinstance(raw.get("tta"), dict), "tta", "section required")
         _require(_is_positive(raw["tta"].get("steps"), int), "tta.steps",
                  "must be an integer >= 1")
+        _require(_is_positive(raw["tta"].get("samples", 100), int),
+                 "tta.samples", "must be an integer >= 1")
         _require(raw["tta"].get("mask"), "tta.mask", "is required")
     return ExperimentConfig(
         name=raw.get("name", "experiment"), kind=kind, model=model,
-        data=raw.get("data", {}), optimizer=opt, tta=raw.get("tta", {}),
+        data=data, optimizer=opt, tta=raw.get("tta", {}),
         sweep=sweep, seeds=seeds,
         output_dir=raw.get("output_dir", "results"))
 
@@ -143,10 +152,7 @@ def _data_and_model(cfg: ExperimentConfig, overrides: dict):
     for (section, name), value in overrides.items():
         if section == "data":
             merged[name] = value
-    allowed = DataGenConfig.__dataclass_fields__
-    unknown = set(merged) - set(allowed)
-    _require(not unknown, "model/data", f"unknown fields {sorted(unknown)}")
-    with _config_errors("model/data"):
+    with _config_errors("model/data"):   # unknown fields too
         data_cfg = DataGenConfig(**merged)
         return data_cfg, make_model(data_cfg)
 
@@ -157,7 +163,7 @@ def _sampler_kind(spec, rank) -> SamplerKind:
     if spec == "full":
         return SamplerKind.full()
     if spec == "lowrank":
-        return SamplerKind.lowrank(rank or 4)
+        return SamplerKind.lowrank(rank)
     raise ConfigError(f"optimizer.sampler: unknown sampler {spec!r}")
 
 
@@ -183,16 +189,11 @@ def _optimizer_config(cfg: ExperimentConfig, overrides: dict, seed: int):
 
 
 def expand_grid(cfg: ExperimentConfig):
-    """All sweep-axis combinations as (label, overrides) pairs."""
-    if not cfg.sweep:
-        return [("", {})]
+    """All sweep-axis combinations as (label, overrides); ("", {}) if none."""
     axes = sorted(cfg.sweep)
-    combos = []
-    for values in itertools.product(*(cfg.sweep[a] for a in axes)):
-        label = "-".join(f"{a}{v}" for a, v in zip(axes, values))
-        overrides = {_SWEEP_AXES[a]: v for a, v in zip(axes, values)}
-        combos.append((label, overrides))
-    return combos
+    return [("-".join(f"{a}{v}" for a, v in zip(axes, values)),
+             {_SWEEP_AXES[a]: v for a, v in zip(axes, values)})
+            for values in itertools.product(*(cfg.sweep[a] for a in axes))]
 
 
 def _run_id(cfg: ExperimentConfig, label: str, seed: int) -> str:
@@ -233,9 +234,7 @@ def _write_run(outdir, run_id, seed, steps, summary, timings):
         json.dump({"run_id": run_id, **timings}, fh, indent=2)
 
 
-def _train_single(cfg, overrides, seed, outdir, run_id):
-    data_cfg, model = _data_and_model(cfg, overrides)
-    opt = _optimizer_config(cfg, overrides, seed)
+def _train_single(cfg, seed, outdir, run_id, data_cfg, model, opt):
     counting = CountingModel(model)
     params = model.init(seed)
     params.save(os.path.join(outdir, f"{run_id}.init.pset"))
@@ -257,14 +256,13 @@ def _train_single(cfg, overrides, seed, outdir, run_id):
         with SeedLogWriter(log_path, header) as writer:
             _, metrics = zo_train(counting, batch_source, opt, params,
                                   log_writer=writer)
-        summary["optimizer_forwards"] = counting.forward_count
         summary["expected_forwards"] = 2 * opt.q * opt.steps
         summary["seed_log"] = os.path.basename(log_path)
     else:
         metrics = fo_train(counting, batch_source, opt, params)
-        summary["optimizer_forwards"] = counting.forward_count
         summary["expected_forwards"] = opt.steps
     elapsed = time.perf_counter() - t0
+    summary["optimizer_forwards"] = counting.forward_count
     params.save(os.path.join(outdir, f"{run_id}.final.pset"))
 
     summary.update({
@@ -288,31 +286,16 @@ def _train_single(cfg, overrides, seed, outdir, run_id):
     return summary
 
 
-def _pretrain_source(cfg, data_cfg, model, seed):
-    spec = cfg.tta.get("pretrain", {})
-    focfg = FOConfig(lr=spec.get("lr", 0.05),
-                     optimizer=spec.get("optimizer", "adam"),
-                     steps=spec.get("steps", 300))
-    params = model.init(seed)
-    train_set, _ = gen_data(data_cfg)
-    sampler = BatchSampler(train_set, cfg.data.get("batch_size", 24), seed=seed)
-    fo_train(model, sampler.draw, focfg, params)
-    return params
-
-
-def _tta_single(cfg, overrides, seed, outdir, run_id):
-    data_cfg, model = _data_and_model(cfg, overrides)
-    opt = _optimizer_config(cfg, overrides, seed)
-    with _config_errors("tta"):
-        tta_cfg = TTAEpisodeConfig(
-            steps=cfg.tta["steps"], optimizer=opt,
-            reset_mode=cfg.tta.get("reset_mode", "snapshot"))
+def _tta_single(cfg, seed, outdir, run_id, data_cfg, model, opt, tta_cfg,
+                mask, pretrain):
     # source model is always trained on the clean distribution
     clean_cfg = DataGenConfig(**{**data_cfg.__dict__, "noise_sigma": 0.0,
                                  "shift_scale": 1.0, "shift_bias": 0.0})
-    source_params = _pretrain_source(cfg, clean_cfg, model, seed)
+    source_params = model.init(seed)
+    train_set, _ = gen_data(clean_cfg)
+    sampler = BatchSampler(train_set, cfg.data.get("batch_size", 24), seed=seed)
+    fo_train(model, sampler.draw, pretrain, source_params)
     stream = gen_shifted_stream(data_cfg, cfg.tta.get("samples", 100))
-    mask = AdaptMask(cfg.tta["mask"])
     t0 = time.perf_counter()
     aggregate, episodes = run_stream(model, source_params, stream, mask,
                                      tta_cfg, master_seed=seed)
@@ -320,39 +303,52 @@ def _tta_single(cfg, overrides, seed, outdir, run_id):
 
     with open(os.path.join(outdir, f"{run_id}.episodes.jsonl"), "w") as fh:
         for ep in episodes:
-            clean = {k: v for k, v in ep.items() if k != "adapt_seconds"}
-            fh.write(json.dumps(clean, sort_keys=True) + "\n")
+            fh.write(json.dumps(ep, sort_keys=True) + "\n")
     summary = {
         "run_id": run_id, "kind": "tta", "seed": seed, "task": data_cfg.task,
-        "noise_sigma": data_cfg.noise_sigma,
-        "zero_shot_accuracy": aggregate["zero_shot_accuracy"],
-        "adapted_accuracy": aggregate["adapted_accuracy"],
-        "accuracy_gain": aggregate["accuracy_gain"],
-        "accuracy_gain_se": aggregate["accuracy_gain_se"],
-        "improved_fraction": aggregate["improved_fraction"],
-        "samples": aggregate["samples"],
-        "forwards_per_episode": aggregate["forwards_per_episode"],
-        "total_adapt_forwards": aggregate["total_adapt_forwards"],
+        "noise_sigma": data_cfg.noise_sigma, **aggregate,
         "optimizer": "zo" if isinstance(opt, ZOConfig) else opt.optimizer,
     }
     _write_run(outdir, run_id, seed,
                [(ep["sample_id"], ep["entropy_after"], ep["adapt_forwards"])
                 for ep in episodes],
-               summary, {"seconds": elapsed,
-                         "mean_adapt_seconds": aggregate["mean_adapt_seconds"]})
+               summary, {"seconds": elapsed})
     return summary
 
 
+def _build(cfg: ExperimentConfig, overrides: dict, seed: int) -> dict:
+    """One run's config objects and model, checked before any run starts."""
+    data_cfg, model = _data_and_model(cfg, overrides)
+    built = {"data_cfg": data_cfg, "model": model,
+             "opt": _optimizer_config(cfg, overrides, seed)}
+    if cfg.kind == "tta":
+        with _config_errors("tta"):
+            built["tta_cfg"] = TTAEpisodeConfig(
+                steps=cfg.tta["steps"], optimizer=built["opt"],
+                reset_mode=cfg.tta.get("reset_mode", "snapshot"))
+        with _config_errors("tta.mask"):
+            built["mask"] = AdaptMask(cfg.tta["mask"])
+            built["mask"].resolve(model.init(seed))
+        with _config_errors("tta.pretrain"):
+            built["pretrain"] = FOConfig(**{"lr": 0.05, "optimizer": "adam",
+                                            "steps": 300,
+                                            **cfg.tta.get("pretrain", {})})
+    return built
+
+
 def run(cfg: ExperimentConfig, output_dir=None) -> list:
-    """Execute the full sweep grid x replicate seeds; returns summaries."""
+    """Execute the full sweep grid x replicate seeds; returns summaries.
+
+    Every run's config is built first, so a bad value anywhere in the
+    grid raises ConfigError before any file is written.
+    """
     outdir = output_dir or cfg.output_dir
-    os.makedirs(outdir, exist_ok=True)
-    summaries = []
     single = _train_single if cfg.kind == "train" else _tta_single
-    for label, overrides in expand_grid(cfg):
-        for seed in cfg.seeds:
-            run_id = _run_id(cfg, label, seed)
-            summaries.append(single(cfg, overrides, seed, outdir, run_id))
+    runs = [(_run_id(cfg, label, seed), seed, _build(cfg, overrides, seed))
+            for label, overrides in expand_grid(cfg) for seed in cfg.seeds]
+    os.makedirs(outdir, exist_ok=True)
+    summaries = [single(cfg, seed, outdir, run_id, **built)
+                 for run_id, seed, built in runs]
     if cfg.sweep:
         _write_sweep_table(cfg, summaries, outdir)
     return summaries

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .params import ParamSet
-from .streams import GaussianStream, thread_stream
+from .streams import GaussianStream, check_int, thread_stream
 
 __all__ = [
     "Batch", "Model", "BatchSampler", "StreamSample", "DataGenConfig",
@@ -451,6 +451,9 @@ class DataGenConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("dim", "hidden", "frames", "feat_dim", "classes",
+                     "n_train", "n_test", "seed"):
+            check_int(name, getattr(self, name), 0 if name == "seed" else 1)
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be non-negative")
 

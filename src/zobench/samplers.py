@@ -14,6 +14,7 @@ leading dim) fall back to full Gaussian sampling under the low-rank kind.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,7 +87,8 @@ class SamplerKind:
 
     @staticmethod
     def lowrank(rank: int, normalize: bool = False) -> "SamplerKind":
-        return SamplerKind("lowrank", rank=int(rank), normalize=normalize)
+        return SamplerKind("lowrank", rank=operator.index(rank),
+                           normalize=normalize)
 
 
 FULL = SamplerKind.full()

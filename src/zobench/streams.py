@@ -32,6 +32,14 @@ _U64 = np.uint64
 _ZEROS4 = np.zeros(4, dtype=_U64)
 
 
+def check_int(name: str, value, low: int) -> None:
+    """Raise unless ``value`` is an integer (numpy's too) >= ``low``."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
 def _check_seed(seed) -> int:
     seed = int(seed)
     if not 0 <= seed < 2**64:

@@ -3,25 +3,29 @@
 Each sample is adapted independently from the source model: only the
 parameters matched by the adaptation mask (e.g. ``feat.*`` and
 ``norm.*``) are updated, by minimizing the predictive entropy with
-either the zeroth-order optimizer or first-order Adam/SGD.  ZO episodes
-emit a seed log scoped to the masked parameters, so the source state
-can be recovered by reverting the log instead of keeping a snapshot.
+either the zeroth-order optimizer or first-order Adam/SGD.  A ZO
+episode is one ``zo.train`` run, the loop training uses, and emits a
+seed log scoped to the masked parameters, so ``reset_mode="revert"`` can
+recover the source state by reverting the log instead of keeping a
+snapshot.  Episodes report seed-determined values only, no timings.
 """
 
 from __future__ import annotations
 
 import fnmatch
-import time
 from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
 
+from . import zo as _zo
 from .fo import FOConfig, fo_step
 from .models import Batch, Model, entropy_objective, sample_scores
 from .params import ParamSet
 from .seedlog import SeedLog, SeedLogHeader, revert as revert_log
-from .zo import CountingModel, ZOConfig, derive_seed, zo_step
+from .streams import check_int
+# zo_step stays a module attribute: bench/spans.py wraps it by this name.
+from .zo import CountingModel, ZOConfig, derive_seed, zo_step  # noqa: F401
 
 __all__ = ["AdaptMask", "TTAEpisodeConfig", "adapt_sample", "run_stream"]
 
@@ -33,6 +37,8 @@ class AdaptMask:
     patterns: tuple
 
     def __init__(self, patterns):
+        if isinstance(patterns, str):
+            raise ValueError(f"mask must be a list of patterns, not {patterns!r}")
         object.__setattr__(self, "patterns", tuple(patterns))
 
     def resolve(self, params: ParamSet) -> list:
@@ -50,10 +56,11 @@ class TTAEpisodeConfig:
     reset_mode: str = "snapshot"    # "snapshot" | "revert" (ZO only)
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        check_int("steps", self.steps, 1)
         if self.reset_mode not in ("snapshot", "revert"):
             raise ValueError(f"unknown reset mode {self.reset_mode!r}")
+        if self.reset_mode == "revert" and isinstance(self.optimizer, FOConfig):
+            raise ValueError("revert resets need a ZO optimizer's seed log")
 
     def forward_budget(self) -> int:
         """Loss evaluations one episode spends on adaptation."""
@@ -85,44 +92,39 @@ def adapt_sample(model: Model, source_params: ParamSet, sample: Batch,
                  work_params: ParamSet = None):
     """Adapt one unlabeled sample; returns (params, episode log, metrics).
 
-    When ``work_params`` is given the episode mutates it in place (the
-    revert-based reset path); otherwise it runs on a private copy of the
-    source parameters.  The returned seed log is None for FO episodes.
+    A ZO episode is one ``zo.train`` run seeded by ``episode_seed``, whose
+    records are the episode log; an FO episode runs ``fo_step`` and its
+    log is None.  When ``work_params`` is given the episode mutates it in
+    place (the revert-based reset path); otherwise it runs on a private
+    copy of the source parameters.
     """
     if sample.labels is not None:
         raise ValueError("adaptation samples must be unlabeled")
     params = work_params if work_params is not None else source_params.copy()
     mask_names = mask.resolve(params)
     sub = params.subset(mask_names)
-    objective = CountingModel(_masked_objective(model, params, mask_names))
+    masked = _masked_objective(model, params, mask_names)
+    objective = CountingModel(masked)
 
-    entropy_before = float(objective.loss(sub, sample))
-    eval_forwards = 1
-    t0 = time.perf_counter()
-    step_records = []
+    entropy_before = float(masked.loss(sub, sample))
     if isinstance(config.optimizer, ZOConfig):
         episode_cfg = replace(config.optimizer, master_seed=episode_seed,
                               steps=config.steps)
-        for t in range(config.steps):
-            step_records.append(
-                zo_step(objective, sub, lambda tt, jj: sample, episode_cfg, t))
+        records, _ = _zo.train(objective, lambda index: sample, episode_cfg,
+                               sub)
         header = SeedLogHeader.from_config(episode_cfg, sub.schema_hash)
-        log = SeedLog.from_records(header, step_records)
+        log = SeedLog.from_records(header, records)
     else:
         state: dict = {}
         for _ in range(config.steps):
             objective.forward_count += 1  # FO budget is counted per loss eval
             fo_step(objective, sub, sample, config.optimizer, state)
         log = None
-    elapsed = time.perf_counter() - t0
-    entropy_after = float(objective.loss(sub, sample))
-    eval_forwards += 1
 
     metrics = {
         "entropy_before": entropy_before,
-        "entropy_after": entropy_after,
-        "adapt_seconds": elapsed,
-        "adapt_forwards": objective.forward_count - eval_forwards,
+        "entropy_after": float(masked.loss(sub, sample)),
+        "adapt_forwards": objective.forward_count,
         "steps": config.steps,
     }
     return params, log, metrics
@@ -139,12 +141,7 @@ def run_stream(model: Model, source_params: ParamSet, stream, mask: AdaptMask,
     for line-delimited output.
     """
     episodes = []
-    zero_scores = []
-    adapt_scores = []
-    total_seconds = 0.0
-    total_forwards = 0
-    use_revert = (config.reset_mode == "revert"
-                  and isinstance(config.optimizer, ZOConfig))
+    use_revert = config.reset_mode == "revert"
     work = source_params if use_revert else None
     if use_revert:
         mask_names = mask.resolve(source_params)
@@ -162,21 +159,18 @@ def run_stream(model: Model, source_params: ParamSet, stream, mask: AdaptMask,
             restored = revert_log(sub, log)
             for name in mask_names:
                 np.copyto(sub[name], restored[name])
-        zero_scores.append(zero_score)
-        adapt_scores.append(adapt_score)
-        total_seconds += metrics["adapt_seconds"]
-        total_forwards += metrics["adapt_forwards"]
         episodes.append({
             "sample_id": sample.sample_id,
             "zero_shot_score": zero_score,
             "adapted_score": adapt_score,
             "entropy_before": metrics["entropy_before"],
             "entropy_after": metrics["entropy_after"],
-            "adapt_seconds": metrics["adapt_seconds"],
             "adapt_forwards": metrics["adapt_forwards"],
         })
     n = len(episodes)
-    gains = np.asarray(adapt_scores) - np.asarray(zero_scores)
+    zero_scores = np.array([ep["zero_shot_score"] for ep in episodes])
+    adapt_scores = np.array([ep["adapted_score"] for ep in episodes])
+    gains = adapt_scores - zero_scores
     gain_se = (float(gains.std(ddof=1) / np.sqrt(n)) if n > 1 else float("nan"))
     aggregate = {
         "samples": n,
@@ -185,8 +179,7 @@ def run_stream(model: Model, source_params: ParamSet, stream, mask: AdaptMask,
         "accuracy_gain": float(gains.mean()) if n else float("nan"),
         "accuracy_gain_se": gain_se,
         "improved_fraction": float(np.mean(gains > 0)) if n else float("nan"),
-        "mean_adapt_seconds": total_seconds / n if n else float("nan"),
-        "total_adapt_forwards": total_forwards,
+        "total_adapt_forwards": sum(ep["adapt_forwards"] for ep in episodes),
         "forwards_per_episode": config.forward_budget(),
     }
     return aggregate, episodes

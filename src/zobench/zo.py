@@ -29,6 +29,7 @@ import numpy as np
 from . import params as _params
 from .params import ParamSet
 from .samplers import FULL, PerturbSpec, SamplerKind
+from .streams import check_int
 
 __all__ = [
     "ZOConfig", "StepRecord", "QueryRecord", "NumericError",
@@ -67,10 +68,8 @@ class ZOConfig:
             raise ValueError("epsilon must be positive")
         if self.lr < 0:
             raise ValueError("lr must be non-negative")
-        if self.q < 1:
-            raise ValueError("q must be >= 1")
-        if self.steps < 0:
-            raise ValueError("steps must be >= 0")
+        check_int("q", self.q, 1)
+        check_int("steps", self.steps, 0)
         if self.combine not in ("accumulate", "mean"):
             raise ValueError(f"unknown combine mode {self.combine!r}")
         if self.batch_mode not in ("fresh", "shared"):
@@ -181,8 +180,8 @@ def train(model, batch_source: Callable, config: ZOConfig, params: ParamSet,
     (l_plus + l_minus) / 2 over the step's queries, so a step costs
     exactly 2 q forward passes, nothing more.
 
-    If ``log_writer`` is given, each query record is appended and flushed
-    as it is produced, so a partial log survives an aborted run.
+    If ``log_writer`` is given, each completed step is appended and
+    flushed, so a partial log survives an aborted run.
     """
     records, metrics = [], []
     for t in range(config.steps):
@@ -190,12 +189,7 @@ def train(model, batch_source: Callable, config: ZOConfig, params: ParamSet,
             source = lambda tt, jj: batch_source(tt * config.q + jj)
         else:
             source = lambda tt, jj: batch_source(tt)
-        try:
-            record = zo_step(model, params, source, config, t)
-        except NumericError:
-            if log_writer is not None:
-                log_writer.flush()
-            raise
+        record = zo_step(model, params, source, config, t)
         records.append(record)
         if log_writer is not None:
             for rec in record.queries:

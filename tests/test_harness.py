@@ -193,6 +193,8 @@ def test_tta_run_outputs(tmp_path):
     assert len(lines) == 4
     ep = json.loads(lines[0])
     assert "adapt_seconds" not in ep  # wall clock stays out of data files
+    timings = json.loads((tmp_path / f"{rid}.timings.json").read_text())
+    assert set(timings) == {"run_id", "seconds"}
 
 
 def test_compare_relative_percent(tmp_path):
@@ -307,8 +309,25 @@ def test_cli_missing_file_exits_2(tmp_path, monkeypatch, capsys, argv):
     ("train", train_config(optimizer={"type": "zo", "q": 0, "steps": 2})),
     ("train", train_config(optimizer={"type": "zo", "momentum": 0.9})),
     ("train", train_config(model={"task": "banana"})),
+    ("tta", tta_config(tta={"steps": 2, "mask": "feat.*"})),
+    ("tta", tta_config(tta={"steps": 2, "mask": ["nope.*"]})),
+    ("tta", tta_config(optimizer={"type": "adam", "lr": 0.01},
+                       tta={"steps": 2, "mask": ["feat.*"],
+                            "reset_mode": "revert"})),
+    ("train", train_config(optimizer={"type": "zo", "steps": 2.5})),
+    ("train", train_config(optimizer={"type": "zo", "q": 2.5, "steps": 2})),
+    ("train", train_config(data={"n_train": "x"})),
+    ("train", train_config(data={"batch_size": 0})),
+    ("train", train_config(seeds=["a"])),
+    ("tta", tta_config(tta={"steps": 2, "mask": ["feat.*"],
+                            "pretrain": {"steps": "x"}})),
+    ("train", train_config(optimizer={"type": "zo", "sampler": "lowrank",
+                                      "rank": 0, "steps": 2})),
 ], ids=["invalid_json", "lr_string", "tta_steps_string", "q_zero",
-        "unknown_optimizer_field", "unknown_task"])
+        "unknown_optimizer_field", "unknown_task", "mask_string",
+        "mask_matches_nothing", "fo_revert_reset", "steps_float", "q_float",
+        "n_train_string", "batch_size_zero", "seed_string",
+        "pretrain_steps_string", "lowrank_rank_zero"])
 def test_cli_bad_config_value_exits_2(tmp_path, capsys, verb, raw):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(raw if isinstance(raw, str) else json.dumps(raw))
@@ -316,6 +335,14 @@ def test_cli_bad_config_value_exits_2(tmp_path, capsys, verb, raw):
     assert cli_main([verb, "--config", str(cfg_path),
                      "--output-dir", str(out_dir)]) == 2
     assert "error:" in capsys.readouterr().err
+    assert not list(out_dir.glob("*"))
+
+
+def test_bad_sweep_value_writes_no_file(tmp_path):
+    cfg = parse_config(train_config(sweep={"q": [1, 0]}))
+    out_dir = tmp_path / "out"
+    with pytest.raises(ConfigError):
+        run(cfg, output_dir=str(out_dir))
     assert not list(out_dir.glob("*"))
 
 

@@ -44,6 +44,8 @@ def test_config_validation():
         TTAEpisodeConfig(steps=0, optimizer=FOConfig())
     with pytest.raises(ValueError):
         TTAEpisodeConfig(steps=1, optimizer=FOConfig(), reset_mode="magic")
+    with pytest.raises(ValueError):  # FO episodes leave no log to revert
+        TTAEpisodeConfig(steps=1, optimizer=FOConfig(), reset_mode="revert")
 
 
 def test_forward_budget():
@@ -189,3 +191,37 @@ def test_adaptation_time_scales_linearly_in_steps():
     r2 = 1.0 - ss_res / ss_tot
     assert slope > 0
     assert r2 > 0.99
+
+
+def test_mask_must_be_a_pattern_list():
+    with pytest.raises(ValueError):
+        AdaptMask("feat.*")  # would otherwise be split into characters
+
+
+def test_zo_episode_runs_zo_train(monkeypatch):
+    import zobench.zo as zo
+
+    model, params, stream = seq_setup()
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[2])
+        return real_train(*args, **kwargs)
+
+    real_train = zo.train
+    monkeypatch.setattr(zo, "train", spy)
+    cfg = zo_episode(steps=3, q=2)
+    _, log, metrics = adapt_sample(model, params, stream[0].batch(),
+                                   AdaptMask(["feat.*"]), cfg, episode_seed=5)
+    assert len(calls) == 1
+    assert calls[0].steps == 3 and calls[0].master_seed == 5
+    assert len(log) == 3 * 2
+    assert not any("seconds" in key for key in metrics)
+
+
+def test_stream_outputs_hold_no_wall_clock():
+    model, params, stream = seq_setup(n=2)
+    agg, eps = run_stream(model, params, stream, AdaptMask(["feat.*"]),
+                          zo_episode(), master_seed=1)
+    keys = set(agg).union(*eps)
+    assert not any("seconds" in key for key in keys)

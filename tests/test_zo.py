@@ -205,3 +205,39 @@ def test_lowrank_training_descends():
                    sampler=SamplerKind.lowrank(2), master_seed=3)
     train(m, lambda i: None, cfg, params)
     assert loss(params, None) < start / 10
+
+
+def test_config_integer_fields():
+    with pytest.raises(TypeError):
+        ZOConfig(q=2.5)
+    with pytest.raises(TypeError):
+        ZOConfig(steps="3")
+    with pytest.raises(TypeError):
+        ZOConfig(q=True)
+    cfg = ZOConfig(q=np.int64(2), steps=np.int32(3))  # numpy ints still work
+    assert cfg.lr_effective == cfg.lr
+
+
+def test_partial_log_survives_aborted_run(tmp_path):
+    from zobench.seedlog import SeedLogHeader, SeedLogWriter, read_log
+
+    q, k = 3, 4
+    inner = bowl()
+    calls = []
+
+    def loss(p, b):
+        calls.append(None)
+        # every loss of step k (0-based) and later is NaN
+        return float("nan") if len(calls) > 2 * q * k else inner.loss(p, b)
+
+    model = Model(name="nan-at-k", schema=None, loss=loss)
+    params = inner.init(0)
+    cfg = ZOConfig(epsilon=1e-3, lr=0.01, q=q, steps=10, master_seed=2)
+    path = tmp_path / "run.zolog"
+    writer = SeedLogWriter(path, SeedLogHeader.from_config(cfg, params.schema_hash))
+    with pytest.raises(NumericError):
+        train(model, lambda i: None, cfg, params, log_writer=writer)
+    # the completed steps are on disk before the writer is finalized
+    assert path.stat().st_size == 60 + 12 * k * q
+    writer.finalize()
+    assert len(read_log(path)) == k * q
