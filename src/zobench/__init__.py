@@ -11,9 +11,9 @@ and an experiment harness with a CLI.
 from .fo import FOConfig, finite_diff_grad, fo_step, fo_train
 from .models import (Batch, BatchSampler, DataGenConfig, Model, StreamSample,
                      accuracy, entropy_objective, gen_data,
-                     gen_shifted_stream, load_dataset, logistic_regression,
-                     make_model, mlp_classifier, quadratic_bowl,
-                     sample_scores, save_dataset, seq_classifier)
+                     gen_shifted_stream, logistic_regression, make_model,
+                     mlp_classifier, quadratic_bowl, sample_scores,
+                     seq_classifier)
 from .params import (ParamSet, ParamSetFormatError, SchemaMismatchError,
                      apply_records, axpy)
 from .samplers import (FULL, PerturbSpec, SamplerKind, alloc_tracker,

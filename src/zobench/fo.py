@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import ParamSet
-from .streams import check_int
+from .streams import check_int, check_real
 
 __all__ = ["FOConfig", "fo_step", "fo_train", "finite_diff_grad"]
 
@@ -28,6 +28,8 @@ class FOConfig:
     steps: int = 100
 
     def __post_init__(self):
+        for name in ("lr", "beta1", "beta2", "eps_adam"):
+            check_real(name, getattr(self, name))
         if self.lr < 0:
             raise ValueError("lr must be non-negative")
         if self.optimizer not in ("sgd", "adam"):

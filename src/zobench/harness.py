@@ -31,6 +31,7 @@ from .models import (Batch, BatchSampler, DataGenConfig, accuracy, gen_data,
                      gen_shifted_stream, make_model)
 from .samplers import SamplerKind
 from .seedlog import SeedLogHeader, SeedLogWriter
+from .streams import check_int
 from .tta import AdaptMask, TTAEpisodeConfig, run_stream
 from .zo import CountingModel, ZOConfig, train as zo_train
 
@@ -58,8 +59,12 @@ def _require(cond, path, msg):
         raise ConfigError(f"{path}: {msg}")
 
 
-def _is_positive(value, kind=(int, float)) -> bool:
-    return isinstance(value, kind) and value is not True and value > 0
+def _check_int(path, value, low=1):
+    """check_int on a field only the harness reads, raised as ConfigError."""
+    try:
+        check_int(path, value, low)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 @contextmanager
@@ -92,6 +97,7 @@ def load_config(path) -> ExperimentConfig:
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
+    """Check structure and harness-only fields; ``_build`` checks the rest."""
     _require(isinstance(raw, dict), "<root>", "config must be a JSON object")
     _require(raw.get("version", CONFIG_VERSION) == CONFIG_VERSION,
              "version", f"expected {CONFIG_VERSION}")
@@ -105,13 +111,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
              "optimizer.type", "is required")
     _require(opt["type"] in ("zo", "sgd", "adam"),
              "optimizer.type", "must be 'zo', 'sgd' or 'adam'")
-    if "lr" in opt:
-        _require(_is_positive(opt["lr"]), "optimizer.lr", "must be positive")
     if "forward_budget" in opt:
         _require(kind == "train", "optimizer.forward_budget",
                  "applies to training only; tta.steps sets the episode")
-        _require(_is_positive(opt["forward_budget"], int),
-                 "optimizer.forward_budget", "must be a positive integer")
+        _check_int("optimizer.forward_budget", opt["forward_budget"])
     sweep = raw.get("sweep", {})
     for axis in sweep:
         _require(axis in _SWEEP_AXES, f"sweep.{axis}",
@@ -121,24 +124,21 @@ def parse_config(raw: dict) -> ExperimentConfig:
     seeds = raw.get("seeds")
     if seeds is None:
         replicates = raw.get("replicates", 1)
-        _require(isinstance(replicates, int) and replicates >= 1,
-                 "replicates", "must be a positive integer")
+        _check_int("replicates", replicates)
         seeds = list(range(replicates))
     _require(isinstance(seeds, list) and seeds, "seeds", "must be non-empty")
     for seed in seeds:
-        _require(type(seed) is int and 0 <= seed < 2**64, "seeds",
-                 f"{seed!r} is not an integer in [0, 2**64)")
+        _check_int("seeds", seed, 0)
+        _require(seed < 2**64, "seeds", f"{seed} is not below 2**64")
     data = raw.get("data", {})
     _require(isinstance(data, dict), "data", "must be a JSON object")
-    _require(_is_positive(data.get("batch_size", 24), int),
-             "data.batch_size", "must be a positive integer")
+    _check_int("data.batch_size", data.get("batch_size", 24))
     if kind == "tta":
         _require(isinstance(raw.get("tta"), dict), "tta", "section required")
-        _require(_is_positive(raw["tta"].get("steps"), int), "tta.steps",
-                 "must be an integer >= 1")
-        _require(_is_positive(raw["tta"].get("samples", 100), int),
-                 "tta.samples", "must be an integer >= 1")
+        _check_int("tta.samples", raw["tta"].get("samples", 100))
         _require(raw["tta"].get("mask"), "tta.mask", "is required")
+    for key in ("name", "output_dir"):
+        _require(isinstance(raw.get(key, ""), str), key, "must be a string")
     return ExperimentConfig(
         name=raw.get("name", "experiment"), kind=kind, model=model,
         data=data, optimizer=opt, tta=raw.get("tta", {}),
@@ -158,8 +158,6 @@ def _data_and_model(cfg: ExperimentConfig, overrides: dict):
 
 
 def _sampler_kind(spec, rank) -> SamplerKind:
-    if isinstance(spec, SamplerKind):
-        return spec
     if spec == "full":
         return SamplerKind.full()
     if spec == "lowrank":
@@ -182,6 +180,8 @@ def _optimizer_config(cfg: ExperimentConfig, overrides: dict, seed: int):
         else:
             config = FOConfig(optimizer=kind, **opt)
             step_forwards = 1
+    # the library allows lr 0 (a no-op run); an experiment must move
+    _require(config.lr > 0, "optimizer.lr", "must be positive")
     if budget is not None:
         # equal-forward-budget runs: the budget fixes the step count
         config.steps = budget // step_forwards
@@ -324,7 +324,7 @@ def _build(cfg: ExperimentConfig, overrides: dict, seed: int) -> dict:
     if cfg.kind == "tta":
         with _config_errors("tta"):
             built["tta_cfg"] = TTAEpisodeConfig(
-                steps=cfg.tta["steps"], optimizer=built["opt"],
+                steps=cfg.tta.get("steps"), optimizer=built["opt"],
                 reset_mode=cfg.tta.get("reset_mode", "snapshot"))
         with _config_errors("tta.mask"):
             built["mask"] = AdaptMask(cfg.tta["mask"])

@@ -20,14 +20,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from .params import ParamSet
-from .streams import GaussianStream, check_int, thread_stream
+from .streams import GaussianStream, check_int, check_real, thread_stream
 
 __all__ = [
     "Batch", "Model", "BatchSampler", "StreamSample", "DataGenConfig",
     "quadratic_bowl", "logistic_regression", "mlp_classifier",
     "seq_classifier", "entropy_objective",
     "gen_data", "gen_shifted_stream", "make_model", "accuracy",
-    "sample_scores", "save_dataset", "load_dataset",
+    "sample_scores",
 ]
 
 _LN_EPS = 1e-5
@@ -49,9 +49,6 @@ class Batch:
 
     def __len__(self):
         return self.inputs.shape[0]
-
-    def without_labels(self) -> "Batch":
-        return Batch(self.inputs, None)
 
 
 @dataclass
@@ -392,24 +389,6 @@ def accuracy(model: Model, params: ParamSet, batch: Batch) -> float:
     return float(np.mean(p.argmax(axis=1) == batch.labels))
 
 
-def save_dataset(path, batch: Batch) -> None:
-    """Snapshot a dataset in the same container format as parameter sets.
-
-    Labels are widened to float64 for storage and restored to int64 on
-    load; the container holds uniform-width real tensors only.
-    """
-    entries = [("inputs", batch.inputs)]
-    if batch.labels is not None:
-        entries.append(("labels", batch.labels.astype(np.float64)))
-    ParamSet(entries).save(path)
-
-
-def load_dataset(path) -> Batch:
-    ps = ParamSet.load(path)
-    labels = ps["labels"].astype(np.int64) if "labels" in ps.names else None
-    return Batch(ps["inputs"], labels)
-
-
 def sample_scores(model: Model, params: ParamSet, batch: Batch) -> np.ndarray:
     """Per-sample accuracy scores in [0, 1], one entry per batch row.
 
@@ -454,6 +433,8 @@ class DataGenConfig:
         for name in ("dim", "hidden", "frames", "feat_dim", "classes",
                      "n_train", "n_test", "seed"):
             check_int(name, getattr(self, name), 0 if name == "seed" else 1)
+        for name in ("noise_sigma", "shift_scale", "shift_bias"):
+            check_real(name, getattr(self, name))
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be non-negative")
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .streams import GaussianStream, gaussian_fill
+from .streams import GaussianStream, check_int, gaussian_fill
 
 __all__ = [
     "SamplerKind",
@@ -87,6 +87,7 @@ class SamplerKind:
 
     @staticmethod
     def lowrank(rank: int, normalize: bool = False) -> "SamplerKind":
+        check_int("rank", rank, 1)
         return SamplerKind("lowrank", rank=operator.index(rank),
                            normalize=normalize)
 

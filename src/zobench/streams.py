@@ -22,6 +22,8 @@ et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11).
 
 from __future__ import annotations
 
+import math
+import numbers
 import threading
 
 import numpy as np
@@ -30,14 +32,23 @@ __all__ = ["GaussianStream", "gaussian_fill", "thread_stream"]
 
 _U64 = np.uint64
 _ZEROS4 = np.zeros(4, dtype=_U64)
+_BOOLS = (bool, np.bool_)   # a JSON true is not the number 1
 
 
 def check_int(name: str, value, low: int) -> None:
     """Raise unless ``value`` is an integer (numpy's too) >= ``low``."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+    if isinstance(value, _BOOLS) or not hasattr(type(value), "__index__"):
         raise TypeError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
+def check_real(name: str, value) -> None:
+    """Raise unless ``value`` is a finite real number (numpy's too)."""
+    if isinstance(value, _BOOLS) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _check_seed(seed) -> int:

@@ -29,7 +29,7 @@ import numpy as np
 from . import params as _params
 from .params import ParamSet
 from .samplers import FULL, PerturbSpec, SamplerKind
-from .streams import check_int
+from .streams import check_int, check_real
 
 __all__ = [
     "ZOConfig", "StepRecord", "QueryRecord", "NumericError",
@@ -64,6 +64,8 @@ class ZOConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        check_real("epsilon", self.epsilon)
+        check_real("lr", self.lr)
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if self.lr < 0:

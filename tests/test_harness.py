@@ -323,11 +323,33 @@ def test_cli_missing_file_exits_2(tmp_path, monkeypatch, capsys, argv):
                             "pretrain": {"steps": "x"}})),
     ("train", train_config(optimizer={"type": "zo", "sampler": "lowrank",
                                       "rank": 0, "steps": 2})),
+    ("train", train_config(name=5)),
+    ("train", train_config(name=["a"])),
+    ("train", train_config(output_dir=5)),
+    ("train", train_config(optimizer={"type": "zo", "epsilon": True,
+                                      "steps": 2})),
+    ("train", train_config(data={"noise_sigma": True})),
+    ("train", train_config(seeds=None, replicates=True)),
+    ("tta", tta_config(tta={"steps": 2, "mask": ["feat.*"],
+                            "pretrain": {"lr": True}})),
+    ("train", '{"model": {"task": "mlp"}, '
+              '"optimizer": {"type": "zo", "lr": 1e999, "steps": 2}}'),
+    ("train", '{"model": {"task": "mlp"}, '
+              '"optimizer": {"type": "zo", "epsilon": NaN, "steps": 2}}'),
+    ("tta", tta_config(data={"shift_scale": "x"})),
+    ("train", train_config(sweep={"lr": [0.05, 0]})),
+    ("train", train_config(sweep={"lr": [True]})),
+    ("train", train_config(optimizer={"type": "zo", "sampler": "lowrank",
+                                      "rank": True, "steps": 2})),
 ], ids=["invalid_json", "lr_string", "tta_steps_string", "q_zero",
         "unknown_optimizer_field", "unknown_task", "mask_string",
         "mask_matches_nothing", "fo_revert_reset", "steps_float", "q_float",
         "n_train_string", "batch_size_zero", "seed_string",
-        "pretrain_steps_string", "lowrank_rank_zero"])
+        "pretrain_steps_string", "lowrank_rank_zero", "name_int",
+        "name_list", "output_dir_int", "epsilon_true", "noise_sigma_true",
+        "replicates_true", "pretrain_lr_true", "lr_inf", "epsilon_nan",
+        "shift_scale_string", "sweep_lr_zero", "sweep_lr_true",
+        "lowrank_rank_true"])
 def test_cli_bad_config_value_exits_2(tmp_path, capsys, verb, raw):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(raw if isinstance(raw, str) else json.dumps(raw))

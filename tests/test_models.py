@@ -6,10 +6,9 @@ import pytest
 from zobench.fo import finite_diff_grad
 from zobench.models import (Batch, BatchSampler, DataGenConfig, StreamSample,
                             accuracy, entropy_objective,
-                            gen_data, gen_shifted_stream, load_dataset,
+                            gen_data, gen_shifted_stream,
                             logistic_regression, make_model, mlp_classifier,
-                            quadratic_bowl, sample_scores, save_dataset,
-                            seq_classifier)
+                            quadratic_bowl, sample_scores, seq_classifier)
 
 
 def test_quadratic_validation():
@@ -33,7 +32,6 @@ def test_batch_validation():
         Batch(np.zeros((3, 2)), np.zeros(2, dtype=int))
     b = Batch(np.zeros((3, 2)), np.zeros(3, dtype=int))
     assert len(b) == 3
-    assert b.without_labels().labels is None
 
 
 @pytest.mark.parametrize("factory,shape", [
@@ -197,18 +195,6 @@ def test_accuracy_of_perfect_separation():
     fo_train(model, BatchSampler(tr, 16, seed=0).draw,
              FOConfig(lr=0.5, steps=200), params)
     assert accuracy(model, params, te) > 0.9
-
-
-def test_dataset_snapshot_roundtrip(tmp_path):
-    cfg = DataGenConfig(task="seq", frames=4, feat_dim=3, classes=2,
-                        n_train=8, seed=2)
-    tr, _ = gen_data(cfg)
-    path = tmp_path / "train.pset"
-    save_dataset(path, tr)
-    back = load_dataset(path)
-    np.testing.assert_array_equal(back.inputs, tr.inputs)
-    np.testing.assert_array_equal(back.labels, tr.labels)
-    assert back.labels.dtype == np.int64
 
 
 def test_make_model_unknown_task():

@@ -58,9 +58,12 @@ def _corrupt(offset, fmt, value):
     (16, "<I", 0),         # q
     (36, "<d", 0.0),       # epsilon
     (36, "<d", -1e-3),     # epsilon
+    (36, "<d", float("nan")),
     (44, "<d", -0.5),      # learning rate
+    (44, "<d", float("inf")),
 ], ids=["elem_width", "pg_width", "sampler", "lowrank_rank0", "combine",
-        "flags", "q", "epsilon_zero", "epsilon_negative", "lr"])
+        "flags", "q", "epsilon_zero", "epsilon_negative", "epsilon_nan", "lr",
+        "lr_inf"])
 def test_unpack_rejects_invalid_fields(offset, fmt, value):
     with pytest.raises(LogFormatError):
         SeedLogHeader.unpack(_corrupt(offset, fmt, value))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from zobench.streams import GaussianStream, gaussian_fill, thread_stream
+from zobench.streams import (GaussianStream, check_int, check_real,
+                             gaussian_fill, thread_stream)
 
 
 def test_same_seed_same_stream():
@@ -121,3 +122,30 @@ def test_thread_stream_is_per_thread_and_rekeyed():
     t.start()
     t.join(timeout=10)
     assert not t.is_alive() and other[0] is not a
+
+
+_NUMBER_CHECKS = {"int": lambda value: check_int("x", value, 0),
+                  "real": lambda value: check_real("x", value)}
+
+
+@pytest.mark.parametrize("check, value, error", [
+    ("int", True, TypeError),
+    ("int", np.bool_(True), TypeError),
+    ("int", "1", TypeError),
+    ("int", np.int64(3), None),
+    ("real", True, TypeError),
+    ("real", np.bool_(True), TypeError),
+    ("real", "1", TypeError),
+    ("real", float("nan"), ValueError),
+    ("real", float("inf"), ValueError),
+    ("real", -float("inf"), ValueError),
+    ("real", np.int64(3), None),
+    ("real", np.float32(0.5), None),
+    ("real", 2, None),
+])
+def test_number_checks_reject_bools_and_non_finite(check, value, error):
+    if error is None:
+        assert _NUMBER_CHECKS[check](value) is None
+    else:
+        with pytest.raises(error):
+            _NUMBER_CHECKS[check](value)
