@@ -380,8 +380,11 @@ def _load_summaries(result_dirs):
     for d in result_dirs:
         for fname in sorted(os.listdir(d)):
             if fname.endswith(".summary.json"):
-                with open(os.path.join(d, fname)) as fh:
+                path = os.path.join(d, fname)
+                with open(path) as fh, _config_errors(path):
                     s = json.load(fh)
+                _require(isinstance(s, dict) and isinstance(s.get("run_id"), str),
+                         path, "must be a JSON object with a string run_id")
                 groups.setdefault(_group_key(s["run_id"]), []).append(s)
     if not groups:
         raise ConfigError("no *.summary.json files found in the given dirs")
@@ -400,7 +403,10 @@ def compare(result_dirs, baseline: str, metric: str = "final_loss") -> list:
             f"baseline {baseline!r} not found; groups: {sorted(groups)}")
 
     def group_mean(name):
-        vals = [float(s[metric]) for s in groups[name]]
+        _require(all(metric in s for s in groups[name]), f"metric {metric!r}",
+                 f"missing from a summary of group {name!r}")
+        with _config_errors(f"metric {metric!r}"):
+            vals = [float(s[metric]) for s in groups[name]]
         return float(np.mean(vals)), (float(np.std(vals, ddof=1))
                                       if len(vals) > 1 else 0.0), len(vals)
 

@@ -265,7 +265,10 @@ def apply_records(params: ParamSet, seeds, proj_grads, coeff: float,
 
     Live stage-2 updates pass coeff = -lr_eff, replay the same over a
     log's records, and revert passes the records reversed with +lr_eff.
-    ``axpy`` is looked up at call time, one call per record.
+    ``axpy`` is looked up at call time, one call per record.  Arrays are
+    iterated as Python scalars: the same values, but cheaper to convert.
     """
-    for seed, g in zip(seeds, proj_grads):
+    seeds = seeds.tolist() if isinstance(seeds, np.ndarray) else seeds
+    pgs = proj_grads.tolist() if isinstance(proj_grads, np.ndarray) else proj_grads
+    for seed, g in zip(seeds, pgs):
         axpy(params, coeff * float(g), PerturbSpec(int(seed), epsilon, kind))

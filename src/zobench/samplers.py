@@ -144,11 +144,6 @@ def sample_lowrank(stream: GaussianStream, m: int, n: int, r: int,
     return z
 
 
-def _wants_lowrank(shape, kind: SamplerKind) -> bool:
-    return (kind.variant == "lowrank" and len(shape) >= 2
-            and shape[0] > 1 and shape[1] > 1)
-
-
 def sample_for_tensor(stream: GaussianStream, shape, kind: SamplerKind,
                       dtype=np.float64) -> np.ndarray:
     """Draw a direction for one tensor, dispatching on shape and kind.
@@ -159,8 +154,10 @@ def sample_for_tensor(stream: GaussianStream, shape, kind: SamplerKind,
     order.  1-D tensors and singleton-dim matrices fall back to the full
     Gaussian, drawn from the same stream.
     """
-    dims = tuple(int(s) for s in shape)
-    if not _wants_lowrank(dims, kind):
+    if kind.variant == "full":
+        return sample_full(stream, shape, dtype=dtype)
+    dims = tuple(map(int, shape))
+    if len(dims) < 2 or dims[0] <= 1 or dims[1] <= 1:
         return sample_full(stream, dims, dtype=dtype)
     m, n = dims[0], dims[1]
     if len(dims) == 2:

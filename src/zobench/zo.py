@@ -43,13 +43,15 @@ _M64 = (1 << 64) - 1
 class NumericError(ArithmeticError):
     """A forward pass returned a non-finite loss.
 
-    Carries the perturbation seed so the failure is reproducible; the
-    failing step leaves the parameters at their pre-step values.
+    Carries the perturbation seed, and the step and query that
+    ``zo_step`` fills in, so the failure is reproducible; the failing
+    step leaves the parameters at their pre-step values.
     """
 
     def __init__(self, message: str, seed: int):
         super().__init__(message)
         self.seed = seed
+        self.step = self.query = None
 
 
 @dataclass
@@ -149,7 +151,11 @@ def zo_step(model, params: ParamSet, batch_source: Callable, config: ZOConfig,
         seed = derive_seed(config.master_seed, t, j)
         spec = PerturbSpec(seed, config.epsilon, config.sampler)
         batch = batch_source(t, j)
-        _, rec = rge_proj_grad(model, params, batch, spec)
+        try:
+            _, rec = rge_proj_grad(model, params, batch, spec)
+        except NumericError as exc:
+            exc.step, exc.query = t, j
+            raise
         queries.append(rec)
     _params.apply_records(params, [rec.seed for rec in queries],
                           [rec.proj_grad for rec in queries],

@@ -1,0 +1,34 @@
+"""The traced benchmark runs and still finds the library calls it wraps.
+
+bench/spans.py patches names such as ``zobench.params.axpy`` where their
+callers look them up; a refactor that moves a call site leaves the shim
+unseen and the per-layer counts wrong.  One short traced run per
+workload catches that here (about 3 s each).
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("workload, axpy_per_op, loss_per_op", [
+    ("checkpoint", 256, 0),
+    ("train-small", 16, 8),
+])
+def test_traced_bench_run(tmp_path, workload, axpy_per_op, loss_per_op):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "run.py"), "--workload",
+         workload, "--seed", "601", "--seconds", "1", "--trace", "1"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    metrics = result["metrics"]
+    assert metrics["params.axpy.count"]["value"] == axpy_per_op
+    assert metrics["models.loss.count"]["value"] == loss_per_op

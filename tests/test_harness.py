@@ -302,6 +302,20 @@ def test_cli_missing_file_exits_2(tmp_path, monkeypatch, capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("summary, metric", [
+    ({"run_id": "exp-seed0", "final_loss": 0.5}, "nope"),
+    ({"run_id": "exp-seed0", "final_loss": 0.5}, "run_id"),
+    ({"final_loss": 0.5}, "final_loss"),
+], ids=["unknown_metric", "non_numeric_metric", "no_run_id"])
+def test_cli_compare_bad_summary_exits_2(tmp_path, capsys, summary, metric):
+    (tmp_path / "exp-seed0.summary.json").write_text(json.dumps(summary))
+    assert cli_main(["compare", str(tmp_path), "--baseline", "exp",
+                     "--metric", metric]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert (metric if "run_id" in summary else "exp-seed0.summary.json") in err
+
+
 @pytest.mark.parametrize("verb, raw", [
     ("train", '{"kind": "train",'),
     ("train", train_config(optimizer={"type": "zo", "lr": "abc"})),

@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from zobench.params import (ParamSet, ParamSetFormatError, SchemaMismatchError,
-                            axpy)
+                            apply_records, axpy)
 from zobench.samplers import FULL, PerturbSpec, SamplerKind
 
 
@@ -258,3 +260,44 @@ def test_concurrent_axpy_matches_sequential():
     assert not any(t.is_alive() for t in threads)
     for g, e in zip(got, expected):
         assert g.equals_bitwise(e)
+
+
+_PINNED_SHA256 = {
+    ("full", "float64", 7):
+        "79e0ad96689f9bcbacdeab4591ae7966b909308abb8ba984328cbb54c9cf7f51",
+    ("full", "float64", 2 ** 64 - 1):
+        "3952a17476ac46f4168952c71b018bf0df326155116da9dd101a995094089ce4",
+    ("full", "float32", 7):
+        "b2490a4571a29ed698a03064eb62b31dfd4808c61a6b49ee3d7c28ca2a128ad1",
+    ("full", "float32", 2 ** 64 - 1):
+        "e083bb117086da9c148f5b8e9d36b60f3b1f3b826696872efc0f1e32a914bc24",
+    ("lowrank", "float64", 7):
+        "27e804139977d11a63e602a864557bfb44c20a7b1fab3e4551baa29966620e6f",
+    ("lowrank", "float64", 2 ** 64 - 1):
+        "d278e6c03309e4a84eb61eccdbd5b76477e0d45269f133c50cd692e8a4637edb",
+    ("lowrank", "float32", 7):
+        "2a01d35a5596f34fd1f1f5f1206ce2ee8b19baa4027b57b4d536d33433b9d403",
+    ("lowrank", "float32", 2 ** 64 - 1):
+        "881016870ad7255f77498f382fdf53fbf70c488abfa63fcd69d44c3564838253",
+}
+
+
+@pytest.mark.parametrize("kind", [FULL, SamplerKind.lowrank(2, normalize=True)],
+                         ids=["full", "lowrank2n"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+@pytest.mark.parametrize("seed", [7, 2 ** 64 - 1], ids=["seed7", "seedmax"])
+def test_update_bytes_are_pinned(kind, dtype, seed):
+    # literal digests of the update kernel's output: a change to how z is
+    # drawn, laid out or scaled changes them, even where every other test
+    # regenerates z through the same changed path
+    p = ParamSet([
+        ("w", np.linspace(-1.0, 1.0, 12).reshape(4, 3).astype(dtype)),
+        ("b", np.linspace(0.5, 2.0, 3).astype(dtype)),
+        ("k", np.linspace(-2.0, 0.0, 12).reshape(3, 2, 2).astype(dtype)),
+    ])
+    axpy(p, 0.25, PerturbSpec(seed, 1e-3, kind))
+    seeds = np.array([seed, 3, 2 ** 63 + 1, 0, seed - 1], dtype=np.uint64)
+    pgs = np.array([0.5, -1.25, 2.0, -0.125, 3.5], dtype=np.float32)
+    apply_records(p, seeds, pgs, -0.01, 1e-3, kind)
+    digest = hashlib.sha256(p.to_bytes()).hexdigest()
+    assert digest == _PINNED_SHA256[(kind.variant, np.dtype(dtype).name, seed)]

@@ -96,7 +96,7 @@ def test_rekey_matches_a_fresh_stream(draw):
     s = GaussianStream(1)
     s.normal((5,), dtype=np.float32)  # an odd count of 32-bit draws
     assert s._gen.bit_generator.state["has_uint32"] == 1
-    for seed, sub in [(12345, 7), (0, 0), (2 ** 64 - 1, 3)]:
+    for seed, sub in [(12345, 7), (0, 0), (2 ** 63 + 5, 0), (2 ** 64 - 1, 3)]:
         got = draw(s.rekey(seed, sub))
         np.testing.assert_array_equal(got, draw(GaussianStream(seed, sub)))
         assert (s.seed, s.substream) == (seed, sub)

@@ -235,8 +235,10 @@ def test_partial_log_survives_aborted_run(tmp_path):
     cfg = ZOConfig(epsilon=1e-3, lr=0.01, q=q, steps=10, master_seed=2)
     path = tmp_path / "run.zolog"
     writer = SeedLogWriter(path, SeedLogHeader.from_config(cfg, params.schema_hash))
-    with pytest.raises(NumericError):
+    with pytest.raises(NumericError) as exc:
         train(model, lambda i: None, cfg, params, log_writer=writer)
+    assert exc.value.step == 4
+    assert exc.value.query == 0
     # the completed steps are on disk before the writer is finalized
     assert path.stat().st_size == 60 + 12 * k * q
     writer.finalize()
