@@ -12,7 +12,7 @@ Run: python3 demos/estimator_basics.py
 import numpy as np
 
 from zobench import quadratic_bowl
-from zobench.samplers import FULL, PerturbSpec, sample_for_tensor
+from zobench.samplers import FULL, sample_for_tensor
 from zobench.streams import GaussianStream
 from zobench.zo import rge_proj_grad
 
@@ -24,8 +24,7 @@ theta = params["theta"].copy()
 
 print("single-draw projections (proj_grad vs theta . z):")
 for seed in range(3):
-    spec = PerturbSpec(seed=seed, epsilon=1e-3)
-    g, _ = rge_proj_grad(model, params, None, spec)
+    g = rge_proj_grad(model, params, None, seed, 1e-3).proj_grad
     z = sample_for_tensor(GaussianStream(seed, substream=0), (D,), FULL)
     print(f"  seed {seed}: proj_grad = {g:+.6f}, theta.z = {theta @ z:+.6f}")
 
@@ -33,7 +32,7 @@ n = 5000
 acc = np.zeros(D)
 for seed in range(n):
     z = sample_for_tensor(GaussianStream(seed, substream=0), (D,), FULL)
-    g, _ = rge_proj_grad(model, params, None, PerturbSpec(seed, 1e-3))
+    g = rge_proj_grad(model, params, None, seed, 1e-3).proj_grad
     acc += g * z
 mc = acc / n
 print(f"\nMonte-Carlo gradient from {n} seeds vs the true gradient:")
@@ -48,7 +47,7 @@ for q in (1, 2, 4, 8):
         for j in range(q):
             seed = t * 64 + j * 8 + q
             z = sample_for_tensor(GaussianStream(seed, substream=0), (D,), FULL)
-            g, _ = rge_proj_grad(model, params, None, PerturbSpec(seed, 1e-3))
+            g = rge_proj_grad(model, params, None, seed, 1e-3).proj_grad
             ghat += g * z
         trials.append(ghat / q)
     var = np.array(trials).var(axis=0).mean()

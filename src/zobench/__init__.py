@@ -16,8 +16,8 @@ from .models import (Batch, BatchSampler, DataGenConfig, Model, StreamSample,
                      seq_classifier)
 from .params import (ParamSet, ParamSetFormatError, SchemaMismatchError,
                      apply_records, axpy)
-from .samplers import (FULL, PerturbSpec, SamplerKind, alloc_tracker,
-                       sample_for_tensor, sample_full, sample_lowrank)
+from .samplers import (FULL, SamplerKind, alloc_tracker, sample_for_tensor,
+                       sample_full, sample_lowrank)
 from .seedlog import (LogFormatError, SeedLog, SeedLogHeader, SeedLogWriter,
                       inspect, read_log, replay, revert)
 from .streams import GaussianStream, gaussian_fill

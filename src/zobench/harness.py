@@ -29,7 +29,7 @@ import numpy as np
 from .fo import FOConfig, fo_train
 from .models import (Batch, BatchSampler, DataGenConfig, accuracy, gen_data,
                      gen_shifted_stream, make_model)
-from .samplers import SamplerKind
+from .samplers import FULL, SamplerKind
 from .seedlog import SeedLogHeader, SeedLogWriter
 from .streams import check_int
 from .tta import AdaptMask, TTAEpisodeConfig, run_stream
@@ -159,7 +159,7 @@ def _data_and_model(cfg: ExperimentConfig, overrides: dict):
 
 def _sampler_kind(spec, rank) -> SamplerKind:
     if spec == "full":
-        return SamplerKind.full()
+        return FULL
     if spec == "lowrank":
         return SamplerKind.lowrank(rank)
     raise ConfigError(f"optimizer.sampler: unknown sampler {spec!r}")

@@ -7,11 +7,12 @@ regenerating z from a stored seed reproduces exactly the same update.
 
 axpy is the one update kernel: the perturbation cycle calls it directly,
 and apply_records runs it once per (seed, proj_grad) record for stage-2
-updates, seed-log replay and revert alike.  It never holds more than one
-tensor-sized temporary at a time; that temporary is what bounds the
-optimizer's transient memory.  It draws z from the calling thread's
-rekeyed stream (see :func:`zobench.streams.thread_stream`), never from a
-newly built one.
+updates, seed-log replay and revert alike.  A direction is named by
+(seed, kind) alone; epsilon only sets the coefficient.  axpy never holds
+more than one tensor-sized temporary at a time; that temporary is what
+bounds the optimizer's transient memory.  It draws z from the calling
+thread's rekeyed stream (see :func:`zobench.streams.thread_stream`),
+never from a newly built one.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import struct
 
 import numpy as np
 
-from .samplers import PerturbSpec, alloc_tracker, sample_for_tensor
+from .samplers import FULL, SamplerKind, alloc_tracker, sample_for_tensor
 # GaussianStream stays a module attribute: bench/spans.py wraps it by this name.
 from .streams import GaussianStream, thread_stream  # noqa: F401
 
@@ -232,16 +233,18 @@ def _schema_hash(entries) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-def axpy(params: ParamSet, coeff: float, spec: PerturbSpec):
-    """params += coeff * z(spec), tensor by tensor, in place.
+def axpy(params: ParamSet, coeff: float, seed: int, kind: SamplerKind = FULL):
+    """params += coeff * z(seed, kind), tensor by tensor, in place.
 
-    Tensor i draws z_i from substream i of spec.seed, so the update is a
-    pure function of (spec, schema, coeff).  Only one z_i exists at a
-    time; it is scaled in place before the add, so the peak temporary is
-    exactly one tensor's worth of floats.
+    Tensor i draws z_i from substream i of ``seed``, so the update is a
+    pure function of (seed, kind, schema, coeff).  Storing the seed (12
+    bytes with its proj_grad) instead of z itself is the whole trick
+    behind seed-replay checkpoints.  Only one z_i exists at a time; it is
+    scaled in place before the add, so the peak temporary is exactly one
+    tensor's worth of floats.
 
     Each z_i comes from the calling thread's one stream, rekeyed to
-    (spec.seed, i), not from a new ``GaussianStream``: building one costs
+    (seed, i), not from a new ``GaussianStream``: building one costs
     an OS-entropy ``SeedSequence`` per tensor per update, several times
     the rekey.  The samples are bit-identical either way, and threads
     never share a stream, so concurrent calls on separate ParamSets are
@@ -251,8 +254,8 @@ def axpy(params: ParamSet, coeff: float, spec: PerturbSpec):
     if coeff == 0.0:
         return
     for i, (name, arr) in enumerate(params.items()):
-        z = sample_for_tensor(thread_stream(spec.seed, i), arr.shape,
-                              spec.kind, dtype=arr.dtype)
+        z = sample_for_tensor(thread_stream(seed, i), arr.shape, kind,
+                              dtype=arr.dtype)
         z *= coeff
         arr += z
         alloc_tracker.free(z.nbytes)
@@ -260,8 +263,8 @@ def axpy(params: ParamSet, coeff: float, spec: PerturbSpec):
 
 
 def apply_records(params: ParamSet, seeds, proj_grads, coeff: float,
-                  epsilon: float, kind):
-    """params += coeff * g_j * z(seed_j) for each record j, in order.
+                  kind: SamplerKind):
+    """params += coeff * g_j * z(seed_j, kind) for each record j, in order.
 
     Live stage-2 updates pass coeff = -lr_eff, replay the same over a
     log's records, and revert passes the records reversed with +lr_eff.
@@ -271,4 +274,4 @@ def apply_records(params: ParamSet, seeds, proj_grads, coeff: float,
     seeds = seeds.tolist() if isinstance(seeds, np.ndarray) else seeds
     pgs = proj_grads.tolist() if isinstance(proj_grads, np.ndarray) else proj_grads
     for seed, g in zip(seeds, pgs):
-        axpy(params, coeff * float(g), PerturbSpec(int(seed), epsilon, kind))
+        axpy(params, coeff * float(g), seed, kind)

@@ -1,7 +1,7 @@
 """Perturbation direction samplers.
 
 Two ways to draw the random direction z for a tensor, both pure functions
-of (seed, shape, kind):
+of (seed, shape, kind); epsilon only scales z, so it never names one:
 
 * full: elementwise standard Gaussian, z ~ N(0, I).
 * low-rank: z = U @ W.T with U (m x r) and W (n x r) standard Gaussian,
@@ -24,7 +24,6 @@ from .streams import GaussianStream, check_int, gaussian_fill
 __all__ = [
     "SamplerKind",
     "FULL",
-    "PerturbSpec",
     "sample_full",
     "sample_lowrank",
     "sample_for_tensor",
@@ -68,7 +67,8 @@ alloc_tracker = AllocationTracker()
 class SamplerKind:
     """Which perturbation distribution to use.
 
-    variant "full" ignores rank; variant "lowrank" requires rank >= 1.
+    variant "full" takes no rank and no normalize; variant "lowrank"
+    requires rank >= 1.
     """
 
     variant: str = "full"
@@ -80,10 +80,8 @@ class SamplerKind:
             raise ValueError(f"unknown sampler variant {self.variant!r}")
         if self.variant == "lowrank" and self.rank < 1:
             raise ValueError("lowrank sampler requires rank >= 1")
-
-    @staticmethod
-    def full() -> "SamplerKind":
-        return SamplerKind("full")
+        if self.variant == "full" and (self.rank != 0 or self.normalize):
+            raise ValueError("full sampler takes no rank or normalize")
 
     @staticmethod
     def lowrank(rank: int, normalize: bool = False) -> "SamplerKind":
@@ -92,24 +90,7 @@ class SamplerKind:
                            normalize=normalize)
 
 
-FULL = SamplerKind.full()
-
-
-@dataclass(frozen=True)
-class PerturbSpec:
-    """Everything needed to regenerate one perturbation direction z.
-
-    Storing this (12 bytes of it, really: the seed plus a scalar) instead
-    of z itself is the whole trick behind seed-replay checkpoints.
-    """
-
-    seed: int
-    epsilon: float
-    kind: SamplerKind = FULL
-
-    def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+FULL = SamplerKind()
 
 
 def sample_full(stream: GaussianStream, shape, dtype=np.float64) -> np.ndarray:

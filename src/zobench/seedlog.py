@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .params import ParamSet, apply_records
-from .samplers import SamplerKind
+from .samplers import FULL, SamplerKind
 from .zo import ZOConfig
 
 __all__ = [
@@ -70,7 +70,7 @@ class SeedLogHeader:
     lr: float
     q: int
     combine: str = "accumulate"
-    sampler: SamplerKind = SamplerKind.full()
+    sampler: SamplerKind = FULL
     elem_width: int = 8
     pg_width: int = 4
     record_count: int = 0
@@ -123,17 +123,17 @@ class SeedLogHeader:
             raise LogFormatError("not a seed log (bad magic)")
         if version != VERSION:
             raise LogFormatError(f"unsupported seed-log version {version}")
+        variants = {v: k for k, v in _SAMPLER_CODES.items()}
         combines = {v: k for k, v in _COMBINE_CODES.items()}
-        if sampler_code not in _SAMPLER_CODES.values():
+        if sampler_code not in variants:
             raise LogFormatError("invalid sampler descriptor in header")
         if combine_code not in combines:
             raise LogFormatError("invalid combine mode in header")
         if flags & ~_FLAG_NORMALIZE:
             raise LogFormatError(f"unknown header flags {flags:#06x}")
-        normalize = bool(flags & _FLAG_NORMALIZE)
-        try:
-            kind = (SamplerKind.lowrank(rank, normalize) if sampler_code
-                    else SamplerKind("full", normalize=normalize))
+        try:  # a full kind with a rank or normalize set is invalid too
+            kind = SamplerKind(variants[sampler_code], rank,
+                               bool(flags & _FLAG_NORMALIZE))
             header = SeedLogHeader(
                 master_seed=master_seed, schema_hash=schema_hash,
                 epsilon=epsilon, lr=lr, q=q, combine=combines[combine_code],
@@ -221,6 +221,8 @@ def read_log(path) -> SeedLog:
         raise LogFormatError(
             f"header promises {header.record_count} records, file has {n}")
     rec = np.frombuffer(body, dtype=header.record_dtype)
+    if not np.isfinite(rec["pg"]).all():
+        raise LogFormatError("non-finite proj_grad in record section")
     return SeedLog(replace(header, record_count=n),
                    rec["seed"].copy(), rec["pg"].copy())
 
@@ -231,7 +233,7 @@ def replay(initial_params: ParamSet, log: SeedLog) -> ParamSet:
     params = initial_params.copy()
     h = log.header
     apply_records(params, log.seeds, log.proj_grads,
-                  -h.to_config().lr_effective, h.epsilon, h.sampler)
+                  -h.to_config().lr_effective, h.sampler)
     return params
 
 
@@ -241,7 +243,7 @@ def revert(adapted_params: ParamSet, log: SeedLog) -> ParamSet:
     params = adapted_params.copy()
     h = log.header
     apply_records(params, log.seeds[::-1], log.proj_grads[::-1],
-                  +h.to_config().lr_effective, h.epsilon, h.sampler)
+                  +h.to_config().lr_effective, h.sampler)
     return params
 
 

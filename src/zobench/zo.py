@@ -4,9 +4,10 @@ One training step runs in two stages.  Stage 1 estimates q projected
 gradients: for each query, the parameters are perturbed in place by
 +eps*z, evaluated, moved to -eps*z, evaluated, and restored, yielding
 g = (l_plus - l_minus) / (2 eps).  Only the seed and the scalar g are
-kept.  Stage 2 regenerates each z from its seed and applies
-theta -= lr_eff * g * z through :func:`zobench.params.apply_records`, the
-same kernel that seed-log replay and revert run.
+kept.  Stage 2 regenerates each z from its seed and the sampler kind and
+applies theta -= lr_eff * g * z through
+:func:`zobench.params.apply_records`, the same kernel that seed-log replay
+and revert run; eps sizes the probes only, so no update reads it.
 
 Every perturbation and update goes through ``params.axpy``, looked up on
 the module at call time, so a wrapper installed there sees every call.
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import params as _params
 from .params import ParamSet
-from .samplers import FULL, PerturbSpec, SamplerKind
+from .samplers import FULL, SamplerKind
 from .streams import check_int, check_real
 
 __all__ = [
@@ -74,6 +75,9 @@ class ZOConfig:
             raise ValueError("lr must be non-negative")
         check_int("q", self.q, 1)
         check_int("steps", self.steps, 0)
+        check_int("master_seed", self.master_seed, 0)
+        if self.master_seed >= 2**64:
+            raise ValueError("master_seed must be below 2**64")
         if self.combine not in ("accumulate", "mean"):
             raise ValueError(f"unknown combine mode {self.combine!r}")
         if self.batch_mode not in ("fresh", "shared"):
@@ -115,26 +119,29 @@ def derive_seed(master_seed: int, step: int, query: int) -> int:
     return _splitmix64(_splitmix64(_splitmix64(master_seed & _M64) ^ step) ^ query)
 
 
-def rge_proj_grad(model, params: ParamSet, batch, spec: PerturbSpec):
-    """One paired-forward projected-gradient estimate.
+def rge_proj_grad(model, params: ParamSet, batch, seed: int, epsilon: float,
+                  kind: SamplerKind = FULL) -> QueryRecord:
+    """One paired-forward projected-gradient estimate along z(seed, kind).
 
-    Returns (proj_grad, QueryRecord).  The parameters go through the
-    in-place +eps / -2 eps / +eps cycle and end within a few ulps of where
-    they started, whatever the losses come out to.
+    Returns the QueryRecord; its ``proj_grad`` is the estimate.  The
+    parameters go through the in-place +eps / -2 eps / +eps cycle and end
+    within a few ulps of where they started, whatever the losses come out
+    to.  Raises ValueError unless epsilon is a finite positive number.
     """
-    eps = spec.epsilon
-    _params.axpy(params, +eps, spec)
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
+    _params.axpy(params, +epsilon, seed, kind)
     loss_plus = float(model.loss(params, batch))
-    _params.axpy(params, -2.0 * eps, spec)
+    _params.axpy(params, -2.0 * epsilon, seed, kind)
     loss_minus = float(model.loss(params, batch))
-    _params.axpy(params, +eps, spec)
+    _params.axpy(params, +epsilon, seed, kind)
     if not (math.isfinite(loss_plus) and math.isfinite(loss_minus)):
         raise NumericError(
-            f"non-finite loss under perturbation seed {spec.seed} "
-            f"(l+={loss_plus}, l-={loss_minus})", seed=spec.seed)
-    g = (loss_plus - loss_minus) / (2.0 * eps)
-    return g, QueryRecord(seed=spec.seed, proj_grad=g, loss_plus=loss_plus,
-                          loss_minus=loss_minus)
+            f"non-finite loss under perturbation seed {seed} "
+            f"(l+={loss_plus}, l-={loss_minus})", seed=seed)
+    g = (loss_plus - loss_minus) / (2.0 * epsilon)
+    return QueryRecord(seed=seed, proj_grad=g, loss_plus=loss_plus,
+                       loss_minus=loss_minus)
 
 
 def zo_step(model, params: ParamSet, batch_source: Callable, config: ZOConfig,
@@ -149,17 +156,17 @@ def zo_step(model, params: ParamSet, batch_source: Callable, config: ZOConfig,
     queries = []
     for j in range(config.q):
         seed = derive_seed(config.master_seed, t, j)
-        spec = PerturbSpec(seed, config.epsilon, config.sampler)
         batch = batch_source(t, j)
         try:
-            _, rec = rge_proj_grad(model, params, batch, spec)
+            rec = rge_proj_grad(model, params, batch, seed, config.epsilon,
+                                config.sampler)
         except NumericError as exc:
             exc.step, exc.query = t, j
             raise
         queries.append(rec)
     _params.apply_records(params, [rec.seed for rec in queries],
                           [rec.proj_grad for rec in queries],
-                          -config.lr_effective, config.epsilon, config.sampler)
+                          -config.lr_effective, config.sampler)
     return StepRecord(step=t, queries=queries)
 
 

@@ -14,8 +14,8 @@ import zobench as z
 
 from conftest import ACCEPTANCE_LINES
 from zobench.params import ParamSet
-from zobench.samplers import (FULL, PerturbSpec, alloc_tracker,
-                              sample_for_tensor, sample_lowrank)
+from zobench.samplers import (FULL, alloc_tracker, sample_for_tensor,
+                              sample_lowrank)
 from zobench.seedlog import HEADER_SIZE, SeedLogHeader, SeedLogWriter
 from zobench.streams import GaussianStream
 from zobench.tta import AdaptMask, TTAEpisodeConfig, run_stream
@@ -42,8 +42,7 @@ def test_criterion_01_estimator_correctness():
     # terms cancel analytically)
     per_draw_ok = True
     for seed in range(200):
-        g, _ = rge_proj_grad(model, params, None,
-                             PerturbSpec(seed=seed, epsilon=1e-3))
+        g = rge_proj_grad(model, params, None, seed, 1e-3).proj_grad
         zdir = sample_for_tensor(GaussianStream(seed, substream=0), (D,), FULL)
         expected = float(theta @ zdir)
         if abs(g - expected) > 1e-8 * max(1.0, abs(expected)):
@@ -58,8 +57,7 @@ def test_criterion_01_estimator_correctness():
     acc2 = np.zeros(D)
     for seed in range(n):
         zdir = sample_for_tensor(GaussianStream(seed, substream=0), (D,), FULL)
-        g, _ = rge_proj_grad(model, params, None,
-                             PerturbSpec(seed=seed, epsilon=1e-3))
+        g = rge_proj_grad(model, params, None, seed, 1e-3).proj_grad
         gz = g * zdir
         acc += gz
         acc2 += gz * gz
@@ -87,8 +85,7 @@ def test_criterion_02_variance_scaling():
             seed = z.derive_seed(17, trial, j * 131 + q)
             zdir = sample_for_tensor(GaussianStream(seed, substream=0),
                                      (D,), FULL)
-            g, _ = rge_proj_grad(model, params, None,
-                                 PerturbSpec(seed=seed, epsilon=1e-3))
+            g = rge_proj_grad(model, params, None, seed, 1e-3).proj_grad
             ghat += g * zdir
         return ghat / q
 
@@ -133,10 +130,9 @@ def test_criterion_03_two_stage_fidelity():
     params = model.init(4)
     before = params.copy()
     eps = 1e-3
-    spec = PerturbSpec(seed=21, epsilon=eps)
-    z.axpy(params, +eps, spec)
-    z.axpy(params, -2 * eps, spec)
-    z.axpy(params, +eps, spec)
+    z.axpy(params, +eps, 21)
+    z.axpy(params, -2 * eps, 21)
+    z.axpy(params, +eps, 21)
     eps_mach = np.finfo(np.float64).eps
     cycle_ok = True
     for i, (name, arr) in enumerate(params.items()):

@@ -5,7 +5,7 @@ import pytest
 
 from zobench.params import (ParamSet, ParamSetFormatError, SchemaMismatchError,
                             apply_records, axpy)
-from zobench.samplers import FULL, PerturbSpec, SamplerKind
+from zobench.samplers import FULL, SamplerKind
 
 
 def small_set():
@@ -174,7 +174,7 @@ def test_max_abs_diff_and_bitwise():
 def test_axpy_zero_coeff_is_bit_exact_noop():
     p = small_set()
     before = p.copy()
-    axpy(p, 0.0, PerturbSpec(seed=1, epsilon=1e-3))
+    axpy(p, 0.0, 1)
     assert p.equals_bitwise(before)
 
 
@@ -184,8 +184,7 @@ def test_axpy_matches_manual_regeneration():
 
     p = small_set()
     before = p.copy()
-    spec = PerturbSpec(seed=99, epsilon=1e-3)
-    axpy(p, 0.25, spec)
+    axpy(p, 0.25, 99)
     for i, (name, arr) in enumerate(before.items()):
         z = sample_for_tensor(GaussianStream(99, substream=i), arr.shape, FULL)
         np.testing.assert_array_equal(p[name], arr + 0.25 * z)
@@ -195,10 +194,9 @@ def test_perturb_cycle_restores_within_ulps():
     p = ParamSet([("w", np.linspace(-2, 2, 1000).reshape(10, 100))])
     before = p.copy()
     eps = 1e-3
-    spec = PerturbSpec(seed=5, epsilon=eps)
-    axpy(p, +eps, spec)
-    axpy(p, -2 * eps, spec)
-    axpy(p, +eps, spec)
+    axpy(p, +eps, 5)
+    axpy(p, -2 * eps, 5)
+    axpy(p, +eps, 5)
     from zobench.streams import GaussianStream
     from zobench.samplers import sample_for_tensor
     z = sample_for_tensor(GaussianStream(5, substream=0), (10, 100), FULL)
@@ -209,17 +207,16 @@ def test_perturb_cycle_restores_within_ulps():
 def test_perturbation_independent_of_other_tensors():
     # tensor "b" sits at index 1 in both sets, so it gets the same z even
     # though the tensor at index 0 differs in shape
-    spec = PerturbSpec(seed=4, epsilon=1e-3)
     p1 = ParamSet([("w", np.zeros((2, 3))), ("b", np.zeros(4))])
     p2 = ParamSet([("v", np.zeros((7, 5))), ("b", np.zeros(4))])
-    axpy(p1, 1.0, spec)
-    axpy(p2, 1.0, spec)
+    axpy(p1, 1.0, 4)
+    axpy(p2, 1.0, 4)
     np.testing.assert_array_equal(p1["b"], p2["b"])
 
 
 def test_axpy_rejects_out_of_range_seed():
     with pytest.raises(ValueError):
-        axpy(small_set(), 0.5, PerturbSpec(seed=2 ** 64, epsilon=1e-3))
+        axpy(small_set(), 0.5, 2 ** 64)
 
 
 def test_concurrent_axpy_matches_sequential():
@@ -233,7 +230,7 @@ def test_concurrent_axpy_matches_sequential():
 
     def run(params, base):
         for k in range(40):
-            axpy(params, 0.1 + k, PerturbSpec(seed=base + k, epsilon=1e-3))
+            axpy(params, 0.1 + k, base + k)
 
     expected = [fresh(), fresh()]
     for params, base in zip(expected, (1000, 2000)):
@@ -295,9 +292,9 @@ def test_update_bytes_are_pinned(kind, dtype, seed):
         ("b", np.linspace(0.5, 2.0, 3).astype(dtype)),
         ("k", np.linspace(-2.0, 0.0, 12).reshape(3, 2, 2).astype(dtype)),
     ])
-    axpy(p, 0.25, PerturbSpec(seed, 1e-3, kind))
+    axpy(p, 0.25, seed, kind)
     seeds = np.array([seed, 3, 2 ** 63 + 1, 0, seed - 1], dtype=np.uint64)
     pgs = np.array([0.5, -1.25, 2.0, -0.125, 3.5], dtype=np.float32)
-    apply_records(p, seeds, pgs, -0.01, 1e-3, kind)
+    apply_records(p, seeds, pgs, -0.01, kind)
     digest = hashlib.sha256(p.to_bytes()).hexdigest()
     assert digest == _PINNED_SHA256[(kind.variant, np.dtype(dtype).name, seed)]

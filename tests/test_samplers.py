@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from zobench.samplers import (FULL, PerturbSpec, SamplerKind, alloc_tracker,
+from zobench.samplers import (FULL, SamplerKind, alloc_tracker,
                               sample_for_tensor, sample_full, sample_lowrank)
 from zobench.streams import GaussianStream
 
@@ -15,11 +15,12 @@ def test_sampler_kind_validation():
     assert SamplerKind.lowrank(4).rank == 4
 
 
-def test_perturb_spec_requires_positive_epsilon():
+def test_full_kind_takes_no_rank_or_normalize():
     with pytest.raises(ValueError):
-        PerturbSpec(seed=0, epsilon=0.0)
+        SamplerKind("full", rank=3)
     with pytest.raises(ValueError):
-        PerturbSpec(seed=0, epsilon=-1e-3)
+        SamplerKind("full", normalize=True)
+    assert SamplerKind() == FULL == SamplerKind("full", rank=0)
 
 
 def test_sample_full_deterministic():

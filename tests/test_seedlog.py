@@ -6,7 +6,7 @@ import pytest
 
 from zobench.models import BatchSampler, DataGenConfig, gen_data, make_model
 from zobench.params import SchemaMismatchError, axpy
-from zobench.samplers import PerturbSpec, SamplerKind
+from zobench.samplers import FULL, SamplerKind
 from zobench.seedlog import (HEADER_SIZE, LogFormatError, SeedLog,
                              SeedLogHeader, SeedLogWriter, inspect, read_log,
                              replay, revert)
@@ -28,11 +28,25 @@ def test_header_size_and_roundtrip():
 
 
 def test_header_roundtrip_keeps_sampler_kind():
-    for kind in (SamplerKind.full(), SamplerKind.lowrank(2),
+    for kind in (FULL, SamplerKind.lowrank(2),
                  SamplerKind.lowrank(2, normalize=True),
                  SamplerKind.lowrank(5, normalize=False)):
         h = make_header(sampler=kind, combine="mean", pg_width=8)
         assert SeedLogHeader.unpack(h.pack()) == h
+
+
+def test_header_bytes_roundtrip():
+    # every header that can be built packs to bytes that unpack to it, and
+    # those bytes pack back unchanged (a full kind with a rank could not)
+    for kind in (FULL, SamplerKind.lowrank(1), SamplerKind.lowrank(3, True)):
+        for pg_width in (4, 8):
+            for elem_width in (4, 8):
+                h = make_header(sampler=kind, pg_width=pg_width,
+                                elem_width=elem_width, record_count=5,
+                                master_seed=2**64 - 1, combine="mean")
+                blob = h.pack()
+                assert SeedLogHeader.unpack(blob) == h
+                assert SeedLogHeader.unpack(blob).pack() == blob
 
 
 def test_header_without_flags_reads_unnormalized():
@@ -61,9 +75,11 @@ def _corrupt(offset, fmt, value):
     (36, "<d", float("nan")),
     (44, "<d", -0.5),      # learning rate
     (44, "<d", float("inf")),
+    (12, "<I", 3),         # full sampler with a rank
+    (10, "<H", 1),         # full sampler with the normalize flag
 ], ids=["elem_width", "pg_width", "sampler", "lowrank_rank0", "combine",
         "flags", "q", "epsilon_zero", "epsilon_negative", "epsilon_nan", "lr",
-        "lr_inf"])
+        "lr_inf", "full_rank", "full_normalize"])
 def test_unpack_rejects_invalid_fields(offset, fmt, value):
     with pytest.raises(LogFormatError):
         SeedLogHeader.unpack(_corrupt(offset, fmt, value))
@@ -183,6 +199,44 @@ def test_read_rejects_truncation(tmp_path):
         read_log(tmp_path / "short.zolog")
 
 
+def _write_raw_log(path, header, records):
+    """A log written without the writer's checks, as a corrupt file is."""
+    body = np.array(records, dtype=header.record_dtype).tobytes()
+    path.write_bytes(replace(header, record_count=len(records)).pack() + body)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")],
+                         ids=["nan", "inf"])
+@pytest.mark.parametrize("pg_width", [4, 8])
+def test_read_rejects_non_finite_proj_grad(tmp_path, pg_width, bad):
+    path = tmp_path / "bad.zolog"
+    _write_raw_log(path, make_header(pg_width=pg_width),
+                   [(1, 0.5), (2, bad), (3, -0.25)])
+    with pytest.raises(LogFormatError):
+        read_log(path)
+    _write_raw_log(path, make_header(pg_width=pg_width), [(1, bad)])
+    with pytest.raises(LogFormatError):
+        inspect(path)
+
+
+def test_cli_replay_rejects_non_finite_proj_grad(tmp_path, capsys):
+    from zobench.cli import main
+    from zobench.params import ParamSet
+
+    params = ParamSet([("w", np.zeros((2, 3)))])
+    params.save(tmp_path / "init.pset")
+    _write_raw_log(tmp_path / "nan.zolog",
+                   make_header(schema_hash=params.schema_hash),
+                   [(1, float("nan")), (2, 0.5)])
+    out = tmp_path / "out.pset"
+    for verb in ("replay", "revert"):
+        assert main([verb, "--log", str(tmp_path / "nan.zolog"),
+                     "--params", str(tmp_path / "init.pset"),
+                     "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_file_size_arithmetic(tmp_path):
     path = tmp_path / "n.zolog"
     n = 257
@@ -192,7 +246,7 @@ def test_file_size_arithmetic(tmp_path):
     assert path.stat().st_size == HEADER_SIZE + 12 * n
 
 
-def trained_run(tmp_path, steps=50, q=4, kind=SamplerKind.full()):
+def trained_run(tmp_path, steps=50, q=4, kind=FULL):
     cfg = DataGenConfig(task="mlp", dim=8, hidden=6, classes=3, n_train=128,
                         seed=0)
     model = make_model(cfg)
@@ -272,18 +326,30 @@ def test_replay_uses_header_hyperparameters(tmp_path):
     assert rebuilt.max_abs_diff(live) < 1e-6
 
 
+@pytest.mark.parametrize("kind", [FULL, SamplerKind.lowrank(2, normalize=True)],
+                         ids=["full", "lowrank2"])
+def test_header_epsilon_does_not_change_updates(tmp_path, kind):
+    # z is named by (seed, kind); epsilon sizes the probes, not the update
+    initial, _, path = trained_run(tmp_path, steps=5, kind=kind)
+    log = read_log(path)
+    other = SeedLog(replace(log.header, epsilon=0.25), log.seeds,
+                    log.proj_grads)
+    rebuilt = replay(initial, log)
+    assert rebuilt.equals_bitwise(replay(initial, other))
+    assert revert(rebuilt, log).equals_bitwise(revert(rebuilt, other))
+
+
 def _reference_updates(params, seeds, proj_grads, coeff, header):
     """The per-record axpy loop every update path must reproduce."""
     out = params.copy()
     for seed, g in zip(seeds, proj_grads):
-        spec = PerturbSpec(int(seed), header.epsilon, header.sampler)
-        axpy(out, coeff * float(g), spec)
+        axpy(out, coeff * float(g), int(seed), header.sampler)
     return out
 
 
 @pytest.mark.parametrize("combine", ["accumulate", "mean"])
 @pytest.mark.parametrize("pg_width", [4, 8])
-@pytest.mark.parametrize("kind", [SamplerKind.full(),
+@pytest.mark.parametrize("kind", [FULL,
                                   SamplerKind.lowrank(2, normalize=True)],
                          ids=["full", "lowrank2"])
 def test_update_paths_match_reference_loop(tmp_path, kind, pg_width, combine):

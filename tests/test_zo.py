@@ -3,7 +3,7 @@ import pytest
 
 from zobench.models import Batch, Model, quadratic_bowl
 from zobench.params import ParamSet, apply_records
-from zobench.samplers import FULL, PerturbSpec, SamplerKind, sample_for_tensor
+from zobench.samplers import FULL, SamplerKind, sample_for_tensor
 from zobench.streams import GaussianStream
 from zobench.zo import (CountingModel, NumericError, ZOConfig, derive_seed,
                         rge_proj_grad, train, zo_step)
@@ -48,8 +48,8 @@ def test_proj_grad_exact_on_quadratic():
     params = model.init(3)
     theta = params["theta"].copy()
     for seed in range(20):
-        spec = PerturbSpec(seed=seed, epsilon=1e-3)
-        g, rec = rge_proj_grad(model, params, None, spec)
+        rec = rge_proj_grad(model, params, None, seed, 1e-3)
+        g = rec.proj_grad
         z = sample_for_tensor(GaussianStream(seed, substream=0), (D,), FULL)
         expected = float(theta @ z)
         assert abs(g - expected) <= 1e-8 * max(1.0, abs(expected))
@@ -60,7 +60,7 @@ def test_proj_grad_zero_for_constant_loss():
     model = Model(name="const", schema=None,
                   loss=lambda p, b: 4.2)
     params = ParamSet([("theta", np.ones(5))])
-    g, _ = rge_proj_grad(model, params, None, PerturbSpec(seed=1, epsilon=1e-3))
+    g = rge_proj_grad(model, params, None, 1, 1e-3).proj_grad
     assert g == 0.0
 
 
@@ -68,8 +68,19 @@ def test_proj_grad_restores_params():
     model = bowl()
     params = model.init(0)
     before = params.copy()
-    rge_proj_grad(model, params, None, PerturbSpec(seed=7, epsilon=1e-3))
+    rge_proj_grad(model, params, None, 7, 1e-3)
     assert params.max_abs_diff(before) < 1e-12
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1e-3, float("nan"), float("inf")],
+                         ids=["zero", "negative", "nan", "inf"])
+def test_proj_grad_rejects_bad_epsilon(epsilon):
+    model = bowl()
+    params = model.init(0)
+    before = params.copy()
+    with pytest.raises(ValueError):
+        rge_proj_grad(model, params, None, 7, epsilon)
+    assert params.equals_bitwise(before)
 
 
 def test_numeric_error_carries_seed_and_restores():
@@ -83,7 +94,7 @@ def test_numeric_error_carries_seed_and_restores():
     params = ParamSet([("theta", np.ones(4))])
     before = params.copy()
     with pytest.raises(NumericError) as exc:
-        rge_proj_grad(model, params, None, PerturbSpec(seed=123, epsilon=1e-3))
+        rge_proj_grad(model, params, None, 123, 1e-3)
     assert exc.value.seed == 123
     # the perturb cycle completed before the raise: params restored
     assert params.max_abs_diff(before) < 1e-12
@@ -98,8 +109,7 @@ def test_estimator_is_unbiased_on_quadratic():
     acc = np.zeros(D)
     for seed in range(n):
         z = sample_for_tensor(GaussianStream(seed, substream=0), (D,), FULL)
-        spec = PerturbSpec(seed=seed, epsilon=1e-3)
-        g, _ = rge_proj_grad(model, params, None, spec)
+        g = rge_proj_grad(model, params, None, seed, 1e-3).proj_grad
         acc += g * z
     est = acc / n
     rel = np.linalg.norm(est - theta) / np.linalg.norm(theta)
@@ -120,7 +130,7 @@ def test_apply_records_matches_manual():
     replayed = params.copy()
     apply_records(replayed, [q.seed for q in rec.queries],
                   [q.proj_grad for q in rec.queries], -cfg.lr_effective,
-                  cfg.epsilon, cfg.sampler)
+                  cfg.sampler)
     assert replayed.max_abs_diff(manual) < 1e-14
 
 
@@ -214,6 +224,11 @@ def test_config_integer_fields():
         ZOConfig(steps="3")
     with pytest.raises(TypeError):
         ZOConfig(q=True)
+    for bad, error in ((-1, ValueError), (1.5, TypeError), (True, TypeError),
+                       (2**64, ValueError)):
+        with pytest.raises(error):
+            ZOConfig(master_seed=bad)
+    assert ZOConfig(master_seed=2**64 - 1).master_seed == 2**64 - 1
     cfg = ZOConfig(q=np.int64(2), steps=np.int32(3))  # numpy ints still work
     assert cfg.lr_effective == cfg.lr
 
