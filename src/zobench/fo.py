@@ -40,6 +40,11 @@ class FOConfig:
             raise ValueError("eps_adam must be positive")
         check_int("steps", self.steps, 0)
 
+    @property
+    def forwards_per_step(self) -> int:
+        """Forward budget charged per step: one, whatever the gradient costs."""
+        return 1
+
 
 def fo_step(model, params: ParamSet, batch, config: FOConfig, state: dict):
     """One SGD or Adam update from the model's analytic gradient.
@@ -83,7 +88,8 @@ def fo_train(model, batch_source, config: FOConfig, params: ParamSet):
         batch = batch_source(t)
         loss = float(model.loss(params, batch))
         fo_step(model, params, batch, config, state)
-        metrics.append({"step": t, "loss": loss, "forwards": 1})
+        metrics.append({"step": t, "loss": loss,
+                        "forwards": config.forwards_per_step})
     return metrics
 
 

@@ -59,10 +59,10 @@ def _require(cond, path, msg):
         raise ConfigError(f"{path}: {msg}")
 
 
-def _check_int(path, value, low=1):
+def _check_int(path, value, low=1, high=None):
     """check_int on a field only the harness reads, raised as ConfigError."""
     try:
-        check_int(path, value, low)
+        check_int(path, value, low, high)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -128,8 +128,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         seeds = list(range(replicates))
     _require(isinstance(seeds, list) and seeds, "seeds", "must be non-empty")
     for seed in seeds:
-        _check_int("seeds", seed, 0)
-        _require(seed < 2**64, "seeds", f"{seed} is not below 2**64")
+        _check_int("seeds", seed, 0, 2**64)
     data = raw.get("data", {})
     _require(isinstance(data, dict), "data", "must be a JSON object")
     _check_int("data.batch_size", data.get("batch_size", 24))
@@ -176,15 +175,13 @@ def _optimizer_config(cfg: ExperimentConfig, overrides: dict, seed: int):
             sampler = _sampler_kind(opt.pop("sampler", "full"),
                                     opt.pop("rank", 4))
             config = ZOConfig(sampler=sampler, master_seed=seed, **opt)
-            step_forwards = 2 * config.q
         else:
             config = FOConfig(optimizer=kind, **opt)
-            step_forwards = 1
     # the library allows lr 0 (a no-op run); an experiment must move
     _require(config.lr > 0, "optimizer.lr", "must be positive")
     if budget is not None:
         # equal-forward-budget runs: the budget fixes the step count
-        config.steps = budget // step_forwards
+        config.steps = budget // config.forwards_per_step
     return config
 
 
@@ -248,7 +245,7 @@ def _train_single(cfg, seed, outdir, run_id, data_cfg, model, opt):
                                seed=seed)
         batch_source = sampler.draw
 
-    summary = {}
+    summary = {"expected_forwards": opt.forwards_per_step * opt.steps}
     t0 = time.perf_counter()
     if isinstance(opt, ZOConfig):
         header = SeedLogHeader.from_config(opt, params.schema_hash)
@@ -256,11 +253,9 @@ def _train_single(cfg, seed, outdir, run_id, data_cfg, model, opt):
         with SeedLogWriter(log_path, header) as writer:
             _, metrics = zo_train(counting, batch_source, opt, params,
                                   log_writer=writer)
-        summary["expected_forwards"] = 2 * opt.q * opt.steps
         summary["seed_log"] = os.path.basename(log_path)
     else:
         metrics = fo_train(counting, batch_source, opt, params)
-        summary["expected_forwards"] = opt.steps
     elapsed = time.perf_counter() - t0
     summary["optimizer_forwards"] = counting.forward_count
     params.save(os.path.join(outdir, f"{run_id}.final.pset"))

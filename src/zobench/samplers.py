@@ -68,7 +68,7 @@ class SamplerKind:
     """Which perturbation distribution to use.
 
     variant "full" takes no rank and no normalize; variant "lowrank"
-    requires rank >= 1.
+    requires 1 <= rank < 2**32.
     """
 
     variant: str = "full"
@@ -78,8 +78,8 @@ class SamplerKind:
     def __post_init__(self):
         if self.variant not in ("full", "lowrank"):
             raise ValueError(f"unknown sampler variant {self.variant!r}")
-        if self.variant == "lowrank" and self.rank < 1:
-            raise ValueError("lowrank sampler requires rank >= 1")
+        if self.variant == "lowrank":
+            check_int("rank", self.rank, 1, 2**32)  # a u32 in the log header
         if self.variant == "full" and (self.rank != 0 or self.normalize):
             raise ValueError("full sampler takes no rank or normalize")
 

@@ -40,6 +40,7 @@ import numpy as np
 
 from .params import ParamSet, apply_records
 from .samplers import FULL, SamplerKind
+from .streams import check_int
 from .zo import ZOConfig
 
 __all__ = [
@@ -76,10 +77,12 @@ class SeedLogHeader:
     record_count: int = 0
 
     def __post_init__(self):
+        """Check every field ``pack`` writes, so a written header reads back."""
         if self.elem_width not in (4, 8) or self.pg_width not in (4, 8):
             raise ValueError("element and proj_grad widths must be 4 or 8 bytes")
-        if self.combine not in _COMBINE_CODES:
-            raise ValueError(f"unknown combine mode {self.combine!r}")
+        self.to_config()  # epsilon, lr, q, master_seed and combine
+        for name in ("schema_hash", "record_count"):
+            check_int(name, getattr(self, name), 0, 2**64)
 
     @property
     def record_dtype(self) -> np.dtype:
@@ -134,15 +137,13 @@ class SeedLogHeader:
         try:  # a full kind with a rank or normalize set is invalid too
             kind = SamplerKind(variants[sampler_code], rank,
                                bool(flags & _FLAG_NORMALIZE))
-            header = SeedLogHeader(
+            return SeedLogHeader(
                 master_seed=master_seed, schema_hash=schema_hash,
                 epsilon=epsilon, lr=lr, q=q, combine=combines[combine_code],
                 sampler=kind, elem_width=elem_w, pg_width=pg_w,
                 record_count=count)
-            header.to_config()  # epsilon, lr and q as training checks them
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise LogFormatError(f"invalid header: {exc}") from exc
-        return header
 
 
 @dataclass
@@ -264,6 +265,7 @@ def inspect(path) -> dict:
         "combine": h.combine,
         "sampler": h.sampler.variant,
         "rank": h.sampler.rank,
+        "normalize": h.sampler.normalize,
         "elem_width": h.elem_width,
         "pg_width": h.pg_width,
         "file_bytes": HEADER_SIZE + len(log) * h.record_size,

@@ -36,12 +36,14 @@ _ZEROS4 = (0, 0, 0, 0)
 _BOOLS = (bool, np.bool_)   # a JSON true is not the number 1
 
 
-def check_int(name: str, value, low: int) -> None:
-    """Raise unless ``value`` is an integer (numpy's too) >= ``low``."""
+def check_int(name: str, value, low: int, high: int = None) -> None:
+    """Raise unless ``value`` is an integer (numpy's too) in [low, high)."""
     if isinstance(value, _BOOLS) or not hasattr(type(value), "__index__"):
         raise TypeError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
+    if high is not None and value >= high:
+        raise ValueError(f"{name} must be below {high}, got {value}")
 
 
 def check_real(name: str, value) -> None:

@@ -3,11 +3,12 @@
 Each sample is adapted independently from the source model: only the
 parameters matched by the adaptation mask (e.g. ``feat.*`` and
 ``norm.*``) are updated, by minimizing the predictive entropy with
-either the zeroth-order optimizer or first-order Adam/SGD.  A ZO
-episode is one ``zo.train`` run, the loop training uses, and emits a
-seed log scoped to the masked parameters, so ``reset_mode="revert"`` can
-recover the source state by reverting the log instead of keeping a
-snapshot.  Episodes report seed-determined values only, no timings.
+either the zeroth-order optimizer or first-order Adam/SGD.  An episode
+adapts the parameters it is given in place; a ZO episode is one
+``zo.train`` run, the loop training uses, and emits a seed log scoped to
+the masked parameters.  After each episode ``run_stream`` copies the
+masked tensors back from the source or, in revert mode, from the
+reverted log.  Episodes report seed-determined values only, no timings.
 """
 
 from __future__ import annotations
@@ -64,9 +65,7 @@ class TTAEpisodeConfig:
 
     def forward_budget(self) -> int:
         """Loss evaluations one episode spends on adaptation."""
-        if isinstance(self.optimizer, ZOConfig):
-            return 2 * self.optimizer.q * self.steps
-        return self.steps
+        return self.optimizer.forwards_per_step * self.steps
 
 
 def _masked_objective(model: Model, full_params: ParamSet, mask_names):
@@ -87,20 +86,17 @@ def _masked_objective(model: Model, full_params: ParamSet, mask_names):
     return Model(name=obj.name + "-masked", schema=None, loss=loss, grad=grad)
 
 
-def adapt_sample(model: Model, source_params: ParamSet, sample: Batch,
-                 mask: AdaptMask, config: TTAEpisodeConfig, episode_seed: int = 0,
-                 work_params: ParamSet = None):
-    """Adapt one unlabeled sample; returns (params, episode log, metrics).
+def adapt_sample(model: Model, params: ParamSet, sample: Batch,
+                 mask: AdaptMask, config: TTAEpisodeConfig, episode_seed: int = 0):
+    """Adapt ``params`` to one unlabeled sample in place; returns (log, metrics).
 
-    A ZO episode is one ``zo.train`` run seeded by ``episode_seed``, whose
-    records are the episode log; an FO episode runs ``fo_step`` and its
-    log is None.  When ``work_params`` is given the episode mutates it in
-    place (the revert-based reset path); otherwise it runs on a private
-    copy of the source parameters.
+    Only the tensors ``mask`` selects are written.  A ZO episode is one
+    ``zo.train`` run seeded by ``episode_seed``, whose records are the
+    episode log; an FO episode runs ``fo_step`` and its log is None.
+    Restoring the source state is the caller's job (see ``run_stream``).
     """
     if sample.labels is not None:
         raise ValueError("adaptation samples must be unlabeled")
-    params = work_params if work_params is not None else source_params.copy()
     mask_names = mask.resolve(params)
     sub = params.subset(mask_names)
     masked = _masked_objective(model, params, mask_names)
@@ -117,7 +113,7 @@ def adapt_sample(model: Model, source_params: ParamSet, sample: Batch,
     else:
         state: dict = {}
         for _ in range(config.steps):
-            objective.forward_count += 1  # FO budget is counted per loss eval
+            objective.forward_count += config.optimizer.forwards_per_step
             fo_step(objective, sub, sample, config.optimizer, state)
         log = None
 
@@ -125,14 +121,17 @@ def adapt_sample(model: Model, source_params: ParamSet, sample: Batch,
         "entropy_before": entropy_before,
         "entropy_after": float(masked.loss(sub, sample)),
         "adapt_forwards": objective.forward_count,
-        "steps": config.steps,
     }
-    return params, log, metrics
+    return log, metrics
 
 
 def run_stream(model: Model, source_params: ParamSet, stream, mask: AdaptMask,
                config: TTAEpisodeConfig, master_seed: int = 0):
     """Adapt every sample in the stream episodically; aggregate accuracy.
+
+    Episodes adapt one working set in place: ``source_params`` itself in
+    revert mode, one copy in snapshot mode.  One loop then copies the
+    masked tensors back, from ``revert_log`` or straight from the source.
 
     Per-sample accuracy follows ``sample_scores``: flat classifiers score
     0/1, the sequence classifier scores the fraction of correct frames
@@ -142,31 +141,23 @@ def run_stream(model: Model, source_params: ParamSet, stream, mask: AdaptMask,
     """
     episodes = []
     use_revert = config.reset_mode == "revert"
-    work = source_params if use_revert else None
-    if use_revert:
-        mask_names = mask.resolve(source_params)
-        sub = source_params.subset(mask_names)
+    work = source_params if use_revert else source_params.copy()
+    mask_names = mask.resolve(work)
+    sub = work.subset(mask_names)
     for sample in stream:
         batch_eval = Batch(sample.inputs[None, ...],
                            np.array([sample.label]))
         zero_score = float(sample_scores(model, source_params, batch_eval)[0])
         episode_seed = derive_seed(master_seed, sample.sample_id, 0)
-        adapted, log, metrics = adapt_sample(
-            model, source_params, sample.batch(), mask, config,
-            episode_seed=episode_seed, work_params=work)
-        adapt_score = float(sample_scores(model, adapted, batch_eval)[0])
-        if use_revert:
-            restored = revert_log(sub, log)
-            for name in mask_names:
-                np.copyto(sub[name], restored[name])
-        episodes.append({
-            "sample_id": sample.sample_id,
-            "zero_shot_score": zero_score,
-            "adapted_score": adapt_score,
-            "entropy_before": metrics["entropy_before"],
-            "entropy_after": metrics["entropy_after"],
-            "adapt_forwards": metrics["adapt_forwards"],
-        })
+        log, metrics = adapt_sample(model, work, sample.batch(), mask, config,
+                                    episode_seed=episode_seed)
+        adapt_score = float(sample_scores(model, work, batch_eval)[0])
+        restored = revert_log(sub, log) if use_revert else source_params
+        for name in mask_names:
+            np.copyto(sub[name], restored[name])
+        episodes.append({"sample_id": sample.sample_id,
+                         "zero_shot_score": zero_score,
+                         "adapted_score": adapt_score, **metrics})
     n = len(episodes)
     zero_scores = np.array([ep["zero_shot_score"] for ep in episodes])
     adapt_scores = np.array([ep["adapted_score"] for ep in episodes])

@@ -73,11 +73,9 @@ class ZOConfig:
             raise ValueError("epsilon must be positive")
         if self.lr < 0:
             raise ValueError("lr must be non-negative")
-        check_int("q", self.q, 1)
+        check_int("q", self.q, 1, 2**32)  # a u32 in the log header
         check_int("steps", self.steps, 0)
-        check_int("master_seed", self.master_seed, 0)
-        if self.master_seed >= 2**64:
-            raise ValueError("master_seed must be below 2**64")
+        check_int("master_seed", self.master_seed, 0, 2**64)
         if self.combine not in ("accumulate", "mean"):
             raise ValueError(f"unknown combine mode {self.combine!r}")
         if self.batch_mode not in ("fresh", "shared"):
@@ -87,6 +85,11 @@ class ZOConfig:
     def lr_effective(self) -> float:
         """Per-query update coefficient before the projected gradient."""
         return self.lr if self.combine == "accumulate" else self.lr / self.q
+
+    @property
+    def forwards_per_step(self) -> int:
+        """Loss evaluations per step: a +eps and a -eps probe per query."""
+        return 2 * self.q
 
 
 @dataclass
@@ -215,6 +218,6 @@ def train(model, batch_source: Callable, config: ZOConfig, params: ParamSet,
         metrics.append({
             "step": t,
             "loss": loss_proxy,
-            "forwards": 2 * config.q,
+            "forwards": config.forwards_per_step,
         })
     return records, metrics

@@ -3,7 +3,8 @@
 bench/spans.py patches names such as ``zobench.params.axpy`` where their
 callers look them up; a refactor that moves a call site leaves the shim
 unseen and the per-layer counts wrong.  One short traced run per
-workload catches that here (about 3 s each).
+workload catches that here (about 3 s each; tta-seq's set-up and each
+run are whole 100-episode streams, about 12 s).
 """
 
 import json
@@ -19,6 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize("workload, axpy_per_op, loss_per_op", [
     ("checkpoint", 256, 0),
     ("train-small", 16, 8),
+    ("tta-seq", 400, 162),
 ])
 def test_traced_bench_run(tmp_path, workload, axpy_per_op, loss_per_op):
     proc = subprocess.run(

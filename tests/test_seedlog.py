@@ -99,6 +99,16 @@ def test_header_validation():
         make_header(elem_width=2)
     with pytest.raises(ValueError):
         make_header(combine="median")
+    # every field pack writes is checked, so a written header reads back
+    for bad in (dict(epsilon=-1.0), dict(master_seed=-1),
+                dict(schema_hash=2**64), dict(record_count=-1),
+                dict(q=2**32)):
+        with pytest.raises(ValueError):
+            make_header(**bad)
+    with pytest.raises(ValueError):  # the rank is a u32 too
+        SamplerKind("lowrank", 2**32)
+    with pytest.raises(TypeError):
+        make_header(schema_hash=1.5)
 
 
 def test_unpack_rejects_bad_magic_and_version():
@@ -314,6 +324,22 @@ def test_inspect_summary(tmp_path):
     assert s["file_bytes"] == HEADER_SIZE + 12 * 40
     assert s["combine"] == "mean"
     assert s["proj_grad_max_abs"] > 0
+
+
+def test_inspect_reports_normalize(tmp_path, capsys):
+    from zobench.cli import main
+
+    summaries = []
+    for normalize in (False, True):
+        run_dir = tmp_path / str(normalize)
+        run_dir.mkdir()
+        _, _, path = trained_run(run_dir, steps=2, q=2,
+                                 kind=SamplerKind.lowrank(2, normalize))
+        summaries.append(inspect(path))
+        assert main(["inspect", "--log", str(path)]) == 0
+        assert f'"normalize": {str(normalize).lower()}' in capsys.readouterr().out
+    assert [s["normalize"] for s in summaries] == [False, True]
+    assert summaries[0] != summaries[1]
 
 
 def test_replay_uses_header_hyperparameters(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from zobench.fo import FOConfig
 from zobench.models import Batch, DataGenConfig, gen_shifted_stream, make_model
 from zobench.tta import AdaptMask, TTAEpisodeConfig, adapt_sample, run_stream
-from zobench.zo import ZOConfig
+from zobench.zo import ZOConfig, derive_seed
 
 
 def seq_setup(frames=8, n=6, sigma=5e-3):
@@ -64,8 +64,9 @@ def test_labeled_sample_rejected():
 def test_mask_isolation_unmasked_bit_identical():
     model, params, stream = seq_setup()
     mask = AdaptMask(["feat.*", "norm.*"])
-    adapted, log, _ = adapt_sample(model, params, stream[0].batch(), mask,
-                                   zo_episode(lr=0.01), episode_seed=3)
+    adapted = params.copy()
+    adapt_sample(model, adapted, stream[0].batch(), mask, zo_episode(lr=0.01),
+                 episode_seed=3)
     for name in ("head.weight", "head.bias"):
         np.testing.assert_array_equal(adapted[name], params[name])
     changed = any(not np.array_equal(adapted[n], params[n])
@@ -76,8 +77,9 @@ def test_mask_isolation_unmasked_bit_identical():
 def test_zero_lr_episode_changes_nothing():
     model, params, stream = seq_setup()
     mask = AdaptMask(["feat.*"])
-    adapted, _, _ = adapt_sample(model, params, stream[0].batch(), mask,
-                                 zo_episode(lr=0.0), episode_seed=3)
+    adapted = params.copy()
+    adapt_sample(model, adapted, stream[0].batch(), mask, zo_episode(lr=0.0),
+                 episode_seed=3)
     # no updates are applied; only few-ulp residue from the perturb cycle
     assert adapted.max_abs_diff(params) < 1e-12
     np.testing.assert_array_equal(adapted["head.weight"], params["head.weight"])
@@ -86,8 +88,8 @@ def test_zero_lr_episode_changes_nothing():
 def test_zo_episode_forward_count_is_2qk():
     model, params, stream = seq_setup()
     cfg = zo_episode(steps=4, q=3)
-    _, _, metrics = adapt_sample(model, params, stream[0].batch(),
-                                 AdaptMask(["feat.*"]), cfg, episode_seed=1)
+    _, metrics = adapt_sample(model, params, stream[0].batch(),
+                              AdaptMask(["feat.*"]), cfg, episode_seed=1)
     assert metrics["adapt_forwards"] == 2 * 3 * 4
 
 
@@ -95,8 +97,8 @@ def test_fo_episode_forward_count():
     model, params, stream = seq_setup()
     cfg = TTAEpisodeConfig(steps=5, optimizer=FOConfig(lr=1e-3,
                                                        optimizer="adam"))
-    _, log, metrics = adapt_sample(model, params, stream[0].batch(),
-                                   AdaptMask(["feat.*"]), cfg, episode_seed=1)
+    log, metrics = adapt_sample(model, params, stream[0].batch(),
+                                AdaptMask(["feat.*"]), cfg, episode_seed=1)
     assert log is None
     assert metrics["adapt_forwards"] == 5
 
@@ -105,8 +107,9 @@ def test_episode_log_replays_adaptation():
     from zobench.seedlog import replay
     model, params, stream = seq_setup()
     mask = AdaptMask(["feat.*", "norm.*"])
-    adapted, log, _ = adapt_sample(model, params, stream[0].batch(), mask,
-                                   zo_episode(lr=0.01), episode_seed=3)
+    adapted = params.copy()
+    log, _ = adapt_sample(model, adapted, stream[0].batch(), mask,
+                          zo_episode(lr=0.01), episode_seed=3)
     rebuilt = replay(params.subset(mask.resolve(params)), log)
     sub = adapted.subset(mask.resolve(adapted))
     # proj_grads are stored at float32 width, so replay is close, not exact
@@ -116,9 +119,42 @@ def test_episode_log_replays_adaptation():
 def test_source_params_untouched_by_snapshot_episodes():
     model, params, stream = seq_setup()
     before = params.copy()
-    adapt_sample(model, params, stream[0].batch(), AdaptMask(["feat.*"]),
-                 zo_episode(lr=0.01), episode_seed=3)
+    run_stream(model, params, stream, AdaptMask(["feat.*", "norm.*"]),
+               zo_episode(lr=0.01), master_seed=3)
     assert params.equals_bitwise(before)
+
+
+@pytest.mark.parametrize("optimizer", [
+    ZOConfig(epsilon=1e-3, lr=0.01, q=2, steps=3),
+    FOConfig(lr=0.01, optimizer="adam"),
+], ids=["zo", "fo_adam"])
+def test_adapt_sample_writes_only_masked_tensors(optimizer):
+    model, params, stream = seq_setup()
+    mask = AdaptMask(["feat.*", "norm.*"])
+    adapted = params.copy()
+    adapt_sample(model, adapted, stream[0].batch(), mask,
+                 TTAEpisodeConfig(steps=3, optimizer=optimizer), episode_seed=3)
+    masked = set(mask.resolve(params))
+    for name in params.names:
+        same = np.array_equal(adapted[name], params[name])
+        assert same == (name not in masked), name
+
+
+@pytest.mark.parametrize("optimizer", [
+    ZOConfig(epsilon=1e-3, lr=0.01, q=2, steps=3),
+    FOConfig(lr=0.01, optimizer="adam"),
+], ids=["zo", "fo_adam"])
+def test_snapshot_episodes_match_fresh_copies(optimizer):
+    # the per-stream copy-back must leave each episode the bits a fresh
+    # copy of the source would give it
+    model, params, stream = seq_setup(n=4)
+    mask = AdaptMask(["feat.*", "norm.*"])
+    cfg = TTAEpisodeConfig(steps=3, optimizer=optimizer)
+    _, episodes = run_stream(model, params, stream, mask, cfg, master_seed=4)
+    for sample, ep in zip(stream, episodes):
+        _, metrics = adapt_sample(model, params.copy(), sample.batch(), mask,
+                                  cfg, derive_seed(4, sample.sample_id, 0))
+        assert {k: ep[k] for k in metrics} == metrics
 
 
 def test_run_stream_aggregate_shape():
@@ -211,8 +247,8 @@ def test_zo_episode_runs_zo_train(monkeypatch):
     real_train = zo.train
     monkeypatch.setattr(zo, "train", spy)
     cfg = zo_episode(steps=3, q=2)
-    _, log, metrics = adapt_sample(model, params, stream[0].batch(),
-                                   AdaptMask(["feat.*"]), cfg, episode_seed=5)
+    log, metrics = adapt_sample(model, params, stream[0].batch(),
+                                AdaptMask(["feat.*"]), cfg, episode_seed=5)
     assert len(calls) == 1
     assert calls[0].steps == 3 and calls[0].master_seed == 5
     assert len(log) == 3 * 2

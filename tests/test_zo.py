@@ -258,3 +258,13 @@ def test_partial_log_survives_aborted_run(tmp_path):
     assert path.stat().st_size == 60 + 12 * k * q
     writer.finalize()
     assert len(read_log(path)) == k * q
+
+
+def test_forwards_per_step():
+    from zobench.fo import FOConfig
+
+    assert ZOConfig(q=3).forwards_per_step == 6
+    assert FOConfig().forwards_per_step == 1
+    for cfg in (ZOConfig(), FOConfig()):
+        with pytest.raises(AttributeError):  # derived, not a settable field
+            cfg.forwards_per_step = 4
