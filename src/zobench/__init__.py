@@ -22,7 +22,7 @@ from .seedlog import (LogFormatError, SeedLog, SeedLogHeader, SeedLogWriter,
                       inspect, read_log, replay, revert)
 from .streams import GaussianStream, gaussian_fill
 from .tta import AdaptMask, TTAEpisodeConfig, adapt_sample, run_stream
-from .zo import (CountingModel, NumericError, StepRecord, ZOConfig,
-                 derive_seed, rge_proj_grad, train, zo_step)
+from .zo import (CountingModel, NumericError, ZOConfig, derive_seed,
+                 rge_proj_grad, train, zo_step)
 
 __version__ = "0.1.0"

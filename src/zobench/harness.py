@@ -111,9 +111,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
              "optimizer.type", "is required")
     _require(opt["type"] in ("zo", "sgd", "adam"),
              "optimizer.type", "must be 'zo', 'sgd' or 'adam'")
-    if "forward_budget" in opt:
-        _require(kind == "train", "optimizer.forward_budget",
-                 "applies to training only; tta.steps sets the episode")
+    if kind == "train" and "forward_budget" in opt:
         _check_int("optimizer.forward_budget", opt["forward_budget"])
     sweep = raw.get("sweep", {})
     for axis in sweep:
@@ -136,6 +134,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         _require(isinstance(raw.get("tta"), dict), "tta", "section required")
         _check_int("tta.samples", raw["tta"].get("samples", 100))
         _require(raw["tta"].get("mask"), "tta.mask", "is required")
+        for key in ("steps", "forward_budget"):
+            _require(key not in opt, f"optimizer.{key}",
+                     "applies to training only; tta.steps sets the episode")
     for key in ("name", "output_dir"):
         _require(isinstance(raw.get(key, ""), str), key, "must be a string")
     return ExperimentConfig(

@@ -6,15 +6,17 @@ against central differences), and ``predict`` where it makes sense.
 
 The sequence classifier is the stand-in for an acoustic model: a per-frame
 affine feature extractor with tanh, a normalization layer with learnable
-gain/bias, mean pooling over frames, and a softmax head.  Its schema is
-partitioned into ``feat.*``, ``norm.*`` and ``head.*`` groups so test-time
+gain/bias, mean pooling over frames, and a softmax head.  Its parameters
+are named in ``feat.*``, ``norm.*`` and ``head.*`` groups so test-time
 adaptation can target the extractor and normalization parameters only.
+A classifier keeps its network as ``Model.core``, whose ``entropy_forward``
+gives one distribution per sample, or per frame for the sequence model.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -56,7 +58,6 @@ class Model:
     """Forward-only loss evaluator with optional analytic-gradient oracle."""
 
     name: str
-    schema: list  # [(param name, shape tuple)]
     loss: Callable[[ParamSet, Batch], float]
     grad: Optional[Callable[[ParamSet, Batch], ParamSet]] = None
     predict: Optional[Callable[[ParamSet, Batch], np.ndarray]] = None
@@ -95,8 +96,7 @@ def quadratic_bowl(eigenvalues, b=None) -> Model:
         t = GaussianStream(seed).normal((d,))
         return ParamSet([("theta", t)])
 
-    return Model(name="quadratic", schema=[("theta", (d,))],
-                 loss=loss, grad=grad, init=init)
+    return Model(name="quadratic", loss=loss, grad=grad, init=init)
 
 
 # ---------------------------------------------------------------------------
@@ -139,11 +139,12 @@ class _SoftmaxCore:
 
     Subclasses implement forward() returning (scores, cache) and
     backward() mapping d(objective)/d(scores) to a gradient ParamSet.
-    Cross-entropy and entropy objectives differ only in dscores.
+    Cross-entropy and entropy objectives differ only in dscores.  The
+    entropy_* pair, over the rows the entropy objective and
+    ``sample_scores`` read, is that same pair unless overridden.
     """
 
     name = "core"
-    schema: list = []
 
     def forward(self, params: ParamSet, x: np.ndarray):
         raise NotImplementedError
@@ -151,6 +152,13 @@ class _SoftmaxCore:
     def backward(self, params: ParamSet, x: np.ndarray,
                  dscores: np.ndarray, cache) -> ParamSet:
         raise NotImplementedError
+
+    def entropy_forward(self, params: ParamSet, x: np.ndarray):
+        return self.forward(params, x)
+
+    def entropy_backward(self, params: ParamSet, x: np.ndarray,
+                         dscores: np.ndarray, cache) -> ParamSet:
+        return self.backward(params, x, dscores, cache)
 
     def init(self, seed: int) -> ParamSet:
         raise NotImplementedError
@@ -160,7 +168,6 @@ class _LogisticCore(_SoftmaxCore):
     def __init__(self, d: int, classes: int):
         self.d, self.classes = d, classes
         self.name = "logistic"
-        self.schema = [("weight", (d, classes)), ("bias", (classes,))]
 
     def forward(self, params, x):
         return x @ params["weight"] + params["bias"], None
@@ -183,10 +190,6 @@ class _MLPCore(_SoftmaxCore):
     def __init__(self, d: int, hidden: int, classes: int):
         self.d, self.hidden, self.classes = d, hidden, classes
         self.name = "mlp"
-        self.schema = [
-            ("layer1.weight", (d, hidden)), ("layer1.bias", (hidden,)),
-            ("head.weight", (hidden, classes)), ("head.bias", (classes,)),
-        ]
 
     def forward(self, params, x):
         h = np.tanh(x @ params["layer1.weight"] + params["layer1.bias"])
@@ -230,11 +233,6 @@ class _SeqCore(_SoftmaxCore):
         self.frames, self.feat_dim = frames, feat_dim
         self.classes, self.hidden = classes, hidden
         self.name = "seq"
-        self.schema = [
-            ("feat.weight", (feat_dim, hidden)), ("feat.bias", (hidden,)),
-            ("norm.gain", (hidden,)), ("norm.bias", (hidden,)),
-            ("head.weight", (hidden, classes)), ("head.bias", (classes,)),
-        ]
 
     def _hidden(self, params, x):
         a = np.tanh(x @ params["feat.weight"] + params["feat.bias"])
@@ -322,8 +320,8 @@ def _model_from_core(core: _SoftmaxCore) -> Model:
         scores, _ = core.forward(params, batch.inputs)
         return _softmax(scores)
 
-    return Model(name=core.name, schema=core.schema, loss=loss, grad=grad,
-                 predict=predict, init=core.init, core=core)
+    return Model(name=core.name, loss=loss, grad=grad, predict=predict,
+                 init=core.init, core=core)
 
 
 def logistic_regression(d: int, classes: int) -> Model:
@@ -352,36 +350,28 @@ def seq_classifier(frames: int, feat_dim: int, classes: int,
 def entropy_objective(model: Model) -> Model:
     """The same network with loss/grad replaced by predictive entropy.
 
-    The loss is the mean Shannon entropy (nats) of the model's predictive
-    distributions: over the frame-level distributions for the sequence
-    classifier, over the per-sample ones for flat classifiers.
+    The loss is the mean Shannon entropy (nats) of the distributions the
+    core's ``entropy_forward`` gives: the frame-level ones for the
+    sequence classifier, the per-sample ones for flat classifiers.
+    Raises ValueError for a model without a core.
     """
     core = model.core
     if core is None:
         raise ValueError(f"model {model.name!r} has no predictive distribution")
-    framewise = hasattr(core, "entropy_forward")
 
     def loss(params, batch):
         if batch.labels is not None:
             raise ValueError("entropy objective expects an unlabeled batch")
-        if framewise:
-            scores, _ = core.entropy_forward(params, batch.inputs)
-        else:
-            scores, _ = core.forward(params, batch.inputs)
+        scores, _ = core.entropy_forward(params, batch.inputs)
         return _entropy_from_scores(scores)
 
     def grad(params, batch):
-        if framewise:
-            scores, cache = core.entropy_forward(params, batch.inputs)
-            return core.entropy_backward(params, batch.inputs,
-                                         _entropy_dscores(scores), cache)
-        scores, cache = core.forward(params, batch.inputs)
-        return core.backward(params, batch.inputs,
-                             _entropy_dscores(scores), cache)
+        scores, cache = core.entropy_forward(params, batch.inputs)
+        return core.entropy_backward(params, batch.inputs,
+                                     _entropy_dscores(scores), cache)
 
-    return Model(name=model.name + "-entropy", schema=model.schema,
-                 loss=loss, grad=grad, predict=model.predict, init=model.init,
-                 core=core)
+    return Model(name=model.name + "-entropy", loss=loss, grad=grad,
+                 predict=model.predict, init=model.init, core=core)
 
 
 def accuracy(model: Model, params: ParamSet, batch: Batch) -> float:
@@ -392,22 +382,17 @@ def accuracy(model: Model, params: ParamSet, batch: Batch) -> float:
 def sample_scores(model: Model, params: ParamSet, batch: Batch) -> np.ndarray:
     """Per-sample accuracy scores in [0, 1], one entry per batch row.
 
-    Flat classifiers score each sample 0 or 1 (argmax against the label).
-    The sequence classifier scores a sample by the fraction of frames
-    whose frame-level prediction matches the label, the desk-scale analog
-    of token-level error rates on an utterance.
+    A sample scores the fraction of its ``entropy_forward`` rows whose
+    argmax matches the label: 0 or 1 for flat classifiers, its fraction
+    of correct frames (the desk-scale analog of token accuracy) for the
+    sequence classifier.  Raises ValueError without labels or a core.
     """
     if batch.labels is None:
         raise ValueError("sample_scores needs labels")
-    core = model.core
-    if core is not None and hasattr(core, "entropy_forward"):
-        flat, _ = core.entropy_forward(params, batch.inputs)
-        b = batch.inputs.shape[0]
-        frame_scores = flat.reshape(b, -1, flat.shape[-1])
-        hits = frame_scores.argmax(axis=-1) == batch.labels[:, None]
-        return hits.mean(axis=1)
-    p = model.predict(params, batch)
-    return (p.argmax(axis=1) == batch.labels).astype(np.float64)
+    core = entropy_objective(model).core   # ValueError without a core
+    flat, _ = core.entropy_forward(params, batch.inputs)
+    rows = flat.reshape(len(batch), -1, flat.shape[-1])
+    return (rows.argmax(axis=-1) == batch.labels[:, None]).mean(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -158,16 +158,12 @@ class SeedLog:
         return len(self.seeds)
 
     @staticmethod
-    def from_records(header: SeedLogHeader, step_records) -> "SeedLog":
-        seeds, pgs = [], []
-        for record in step_records:
-            for rec in record.queries:
-                seeds.append(rec.seed)
-                pgs.append(rec.proj_grad)
+    def from_records(header: SeedLogHeader, records) -> "SeedLog":
+        """The log of ``records``, QueryRecords flat in log order."""
         dtype = header.record_dtype
-        header = replace(header, record_count=len(seeds))
-        return SeedLog(header, np.array(seeds, dtype=dtype["seed"]),
-                       np.array(pgs, dtype=dtype["pg"]))
+        seeds = np.array([rec.seed for rec in records], dtype=dtype["seed"])
+        pgs = np.array([rec.proj_grad for rec in records], dtype=dtype["pg"])
+        return SeedLog(replace(header, record_count=len(seeds)), seeds, pgs)
 
 
 class SeedLogWriter:

@@ -8,7 +8,8 @@ adapts the parameters it is given in place; a ZO episode is one
 ``zo.train`` run, the loop training uses, and emits a seed log scoped to
 the masked parameters.  After each episode ``run_stream`` copies the
 masked tensors back from the source or, in revert mode, from the
-reverted log.  Episodes report seed-determined values only, no timings.
+reverted log, also after an episode that raised NumericError.  Episodes
+report seed-determined values only, no timings.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from .models import Batch, Model, entropy_objective, sample_scores
 from .params import ParamSet
 from .seedlog import SeedLog, SeedLogHeader, revert as revert_log
 from .streams import check_int
+from .zo import CountingModel, NumericError, ZOConfig, derive_seed
 # zo_step stays a module attribute: bench/spans.py wraps it by this name.
-from .zo import CountingModel, ZOConfig, derive_seed, zo_step  # noqa: F401
+from .zo import zo_step  # noqa: F401
 
 __all__ = ["AdaptMask", "TTAEpisodeConfig", "adapt_sample", "run_stream"]
 
@@ -83,7 +85,7 @@ def _masked_objective(model: Model, full_params: ParamSet, mask_names):
     def grad(sub_params, batch):
         return obj.grad(full_params, batch).subset(mask_names)
 
-    return Model(name=obj.name + "-masked", schema=None, loss=loss, grad=grad)
+    return Model(name=obj.name + "-masked", loss=loss, grad=grad)
 
 
 def adapt_sample(model: Model, params: ParamSet, sample: Batch,
@@ -94,6 +96,8 @@ def adapt_sample(model: Model, params: ParamSet, sample: Batch,
     ``zo.train`` run seeded by ``episode_seed``, whose records are the
     episode log; an FO episode runs ``fo_step`` and its log is None.
     Restoring the source state is the caller's job (see ``run_stream``).
+    A NumericError from a ZO episode carries the log of the steps it
+    completed as ``log``.
     """
     if sample.labels is not None:
         raise ValueError("adaptation samples must be unlabeled")
@@ -106,9 +110,13 @@ def adapt_sample(model: Model, params: ParamSet, sample: Batch,
     if isinstance(config.optimizer, ZOConfig):
         episode_cfg = replace(config.optimizer, master_seed=episode_seed,
                               steps=config.steps)
-        records, _ = _zo.train(objective, lambda index: sample, episode_cfg,
-                               sub)
         header = SeedLogHeader.from_config(episode_cfg, sub.schema_hash)
+        try:
+            records, _ = _zo.train(objective, lambda index: sample,
+                                   episode_cfg, sub)
+        except NumericError as exc:
+            exc.log = SeedLog.from_records(header, exc.records)
+            raise
         log = SeedLog.from_records(header, records)
     else:
         state: dict = {}
@@ -132,6 +140,8 @@ def run_stream(model: Model, source_params: ParamSet, stream, mask: AdaptMask,
     Episodes adapt one working set in place: ``source_params`` itself in
     revert mode, one copy in snapshot mode.  One loop then copies the
     masked tensors back, from ``revert_log`` or straight from the source.
+    An episode that raises NumericError is reset the same way, from the
+    log of its completed steps, before the error propagates.
 
     Per-sample accuracy follows ``sample_scores``: flat classifiers score
     0/1, the sequence classifier scores the fraction of correct frames
@@ -144,17 +154,25 @@ def run_stream(model: Model, source_params: ParamSet, stream, mask: AdaptMask,
     work = source_params if use_revert else source_params.copy()
     mask_names = mask.resolve(work)
     sub = work.subset(mask_names)
+
+    def reset(log):
+        restored = revert_log(sub, log) if use_revert else source_params
+        for name in mask_names:
+            np.copyto(sub[name], restored[name])
+
     for sample in stream:
         batch_eval = Batch(sample.inputs[None, ...],
                            np.array([sample.label]))
         zero_score = float(sample_scores(model, source_params, batch_eval)[0])
         episode_seed = derive_seed(master_seed, sample.sample_id, 0)
-        log, metrics = adapt_sample(model, work, sample.batch(), mask, config,
-                                    episode_seed=episode_seed)
+        try:
+            log, metrics = adapt_sample(model, work, sample.batch(), mask,
+                                        config, episode_seed=episode_seed)
+        except NumericError as exc:
+            reset(exc.log)
+            raise
         adapt_score = float(sample_scores(model, work, batch_eval)[0])
-        restored = revert_log(sub, log) if use_revert else source_params
-        for name in mask_names:
-            np.copyto(sub[name], restored[name])
+        reset(log)
         episodes.append({"sample_id": sample.sample_id,
                          "zero_shot_score": zero_score,
                          "adapted_score": adapt_score, **metrics})

@@ -4,10 +4,12 @@ One training step runs in two stages.  Stage 1 estimates q projected
 gradients: for each query, the parameters are perturbed in place by
 +eps*z, evaluated, moved to -eps*z, evaluated, and restored, yielding
 g = (l_plus - l_minus) / (2 eps).  Only the seed and the scalar g are
-kept.  Stage 2 regenerates each z from its seed and the sampler kind and
-applies theta -= lr_eff * g * z through
-:func:`zobench.params.apply_records`, the same kernel that seed-log replay
-and revert run; eps sizes the probes only, so no update reads it.
+kept: ``train`` returns them as QueryRecords flat in log order,
+step-major and query-minor, as a seed log stores them.  Stage 2
+regenerates each z from its seed and the sampler kind and applies
+theta -= lr_eff * g * z through :func:`zobench.params.apply_records`,
+the same kernel that seed-log replay and revert run; eps sizes the
+probes only, so no update reads it.
 
 Every perturbation and update goes through ``params.axpy``, looked up on
 the module at call time, so a wrapper installed there sees every call.
@@ -33,7 +35,7 @@ from .samplers import FULL, SamplerKind
 from .streams import check_int, check_real
 
 __all__ = [
-    "ZOConfig", "StepRecord", "QueryRecord", "NumericError",
+    "ZOConfig", "QueryRecord", "NumericError",
     "derive_seed", "rge_proj_grad", "zo_step", "train",
     "CountingModel",
 ]
@@ -46,13 +48,14 @@ class NumericError(ArithmeticError):
 
     Carries the perturbation seed, and the step and query that
     ``zo_step`` fills in, so the failure is reproducible; the failing
-    step leaves the parameters at their pre-step values.
+    step leaves the parameters at their pre-step values.  ``train`` adds
+    the completed steps' records, in log order, as ``records``.
     """
 
     def __init__(self, message: str, seed: int):
         super().__init__(message)
         self.seed = seed
-        self.step = self.query = None
+        self.step = self.query = self.records = None
 
 
 @dataclass
@@ -100,12 +103,6 @@ class QueryRecord:
     loss_minus: float
 
 
-@dataclass
-class StepRecord:
-    step: int
-    queries: list  # [QueryRecord]
-
-
 def _splitmix64(x: int) -> int:
     x = (x + 0x9E3779B97F4A7C15) & _M64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
@@ -148,18 +145,20 @@ def rge_proj_grad(model, params: ParamSet, batch, seed: int, epsilon: float,
 
 
 def zo_step(model, params: ParamSet, batch_source: Callable, config: ZOConfig,
-            t: int) -> StepRecord:
+            t: int) -> list:
     """One full step: q paired-forward estimates, then q seed-replay updates.
 
-    ``batch_source(t, j)`` supplies the batch for query j of step t; the
-    shared batch mode is handled by the caller fixing j.  On a non-finite
-    loss the step aborts with the parameters already restored and no
-    updates applied.
+    Query j of step t perturbs along ``derive_seed(master_seed, t, j)``
+    and evaluates ``batch_source(t * q + j)`` in fresh batch mode, or
+    ``batch_source(t)`` for every query in shared mode.  Returns the q
+    QueryRecords in query order.  On a non-finite loss the step aborts
+    with the parameters already restored and no updates applied.
     """
     queries = []
     for j in range(config.q):
         seed = derive_seed(config.master_seed, t, j)
-        batch = batch_source(t, j)
+        batch = batch_source(t * config.q + j if config.batch_mode == "fresh"
+                             else t)
         try:
             rec = rge_proj_grad(model, params, batch, seed, config.epsilon,
                                 config.sampler)
@@ -170,7 +169,7 @@ def zo_step(model, params: ParamSet, batch_source: Callable, config: ZOConfig,
     _params.apply_records(params, [rec.seed for rec in queries],
                           [rec.proj_grad for rec in queries],
                           -config.lr_effective, config.sampler)
-    return StepRecord(step=t, queries=queries)
+    return queries
 
 
 class CountingModel:
@@ -190,31 +189,30 @@ class CountingModel:
 
 def train(model, batch_source: Callable, config: ZOConfig, params: ParamSet,
           log_writer=None):
-    """Run the full step budget; returns (step records, per-step metrics).
+    """Run the full step budget; returns (records in log order, metrics).
 
-    ``batch_source(index)`` must be a pure function of its index.  Fresh
-    batch mode uses index t * q + j; shared mode uses index t for every
-    query of step t.  The per-step loss metric is the mean of
-    (l_plus + l_minus) / 2 over the step's queries, so a step costs
-    exactly 2 q forward passes, nothing more.
+    ``batch_source(index)`` must be a pure function of its index; see
+    ``zo_step`` for the index each query reads.  The per-step loss metric
+    is the mean of (l_plus + l_minus) / 2 over the step's queries, so a
+    step costs exactly 2 q forward passes, nothing more.
 
     If ``log_writer`` is given, each completed step is appended and
     flushed, so a partial log survives an aborted run.
     """
     records, metrics = [], []
     for t in range(config.steps):
-        if config.batch_mode == "fresh":
-            source = lambda tt, jj: batch_source(tt * config.q + jj)
-        else:
-            source = lambda tt, jj: batch_source(tt)
-        record = zo_step(model, params, source, config, t)
-        records.append(record)
+        try:
+            queries = zo_step(model, params, batch_source, config, t)
+        except NumericError as exc:
+            exc.records = records
+            raise
+        records.extend(queries)
         if log_writer is not None:
-            for rec in record.queries:
+            for rec in queries:
                 log_writer.append(rec.seed, rec.proj_grad)
             log_writer.flush()
         loss_proxy = float(np.mean([(rec.loss_plus + rec.loss_minus) / 2.0
-                                    for rec in record.queries]))
+                                    for rec in queries]))
         metrics.append({
             "step": t,
             "loss": loss_proxy,

@@ -233,7 +233,7 @@ def test_criterion_07_memory_property():
     alloc_tracker.enabled = True
     alloc_tracker.reset()
     try:
-        zo_step(model, params, lambda t, j: sampler.draw(t * q + j), zcfg, 0)
+        zo_step(model, params, sampler.draw, zcfg, 0)
         peak = alloc_tracker.peak
         leaked = alloc_tracker.active
     finally:

@@ -52,7 +52,7 @@ def test_adam_state_persists():
 
 def test_nonfinite_gradient_aborts_before_update():
     from zobench.models import Model
-    model = Model(name="bad", schema=None, loss=lambda p, b: 0.0,
+    model = Model(name="bad", loss=lambda p, b: 0.0,
                   grad=lambda p, b: ParamSet([("theta", np.array([np.nan]))]))
     params = ParamSet([("theta", np.array([1.0]))])
     with pytest.raises(ArithmeticError):

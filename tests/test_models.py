@@ -102,7 +102,7 @@ def test_entropy_rejects_labeled_batch():
 
 def test_seq_schema_groups():
     model = seq_classifier(4, 3, 2, hidden=6)
-    names = [n for n, _ in model.schema]
+    names = model.init(0).names
     groups = {n.split(".")[0] for n in names}
     assert groups == {"feat", "norm", "head"}
 
@@ -171,8 +171,12 @@ def test_sample_scores_flat_vs_frames():
     cfg = DataGenConfig(task="logistic", dim=4, classes=3, n_train=32, seed=0)
     model = make_model(cfg)
     tr, _ = gen_data(cfg)
-    scores = sample_scores(model, model.init(0), tr)
-    assert set(np.unique(scores)) <= {0.0, 1.0}
+    params = model.init(0)
+    params["weight"][:] = np.random.default_rng(1).normal(size=(4, 3))
+    scores = sample_scores(model, params, tr)
+    assert set(np.unique(scores)) == {0.0, 1.0}
+    hits = model.predict(params, tr).argmax(1) == tr.labels
+    np.testing.assert_array_equal(scores, hits.astype(np.float64))
 
     scfg = DataGenConfig(task="seq", frames=8, feat_dim=4, classes=3,
                          n_train=16, seed=0)
@@ -183,6 +187,13 @@ def test_sample_scores_flat_vs_frames():
     assert np.all((0.0 <= fscores) & (fscores <= 1.0))
     # frame scores are multiples of 1/frames
     np.testing.assert_allclose(fscores * 8, np.round(fscores * 8), atol=1e-12)
+
+
+def test_sample_scores_needs_a_core():
+    model = quadratic_bowl(np.ones(3))
+    batch = Batch(np.zeros((2, 3)), np.zeros(2, dtype=int))
+    with pytest.raises(ValueError, match="no predictive distribution"):
+        sample_scores(model, model.init(0), batch)
 
 
 def test_accuracy_of_perfect_separation():

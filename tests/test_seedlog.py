@@ -273,6 +273,28 @@ def trained_run(tmp_path, steps=50, q=4, kind=FULL):
     return initial, params, path
 
 
+@pytest.mark.parametrize("pg_width", [4, 8])
+def test_from_records_equals_written_log(tmp_path, pg_width):
+    # train returns its records flat in log order: the log its writer wrote
+    cfg = DataGenConfig(task="mlp", dim=8, hidden=6, classes=3, n_train=128,
+                        seed=0)
+    model = make_model(cfg)
+    tr, _ = gen_data(cfg)
+    params = model.init(0)
+    zcfg = ZOConfig(epsilon=1e-3, lr=0.05, q=3, steps=6, master_seed=7)
+    header = SeedLogHeader.from_config(zcfg, params.schema_hash,
+                                       pg_width=pg_width)
+    path = tmp_path / "run.zolog"
+    with SeedLogWriter(path, header) as w:
+        records, _ = train(model, BatchSampler(tr, 16, seed=0).draw, zcfg,
+                           params, log_writer=w)
+    built, written = SeedLog.from_records(header, records), read_log(path)
+    assert built.header == written.header
+    for a, b in ((built.seeds, written.seeds),
+                 (built.proj_grads, written.proj_grads)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def test_replay_reconstructs_live_params(tmp_path):
     initial, live, path = trained_run(tmp_path)
     log = read_log(path)
@@ -393,13 +415,12 @@ def test_update_paths_match_reference_loop(tmp_path, kind, pg_width, combine):
 
     # live stage 2, from the params the perturbation cycles leave behind:
     # the same step at lr=0 runs the cycles and skips the updates
-    source = lambda t, j: sampler.draw(j)
     cycled = initial.copy()
-    zo_step(model, cycled, source, replace(zcfg, lr=0.0), 0)
+    zo_step(model, cycled, sampler.draw, replace(zcfg, lr=0.0), 0)
     live = initial.copy()
-    step = zo_step(model, live, source, zcfg, 0)
-    seeds = [rec.seed for rec in step.queries]
-    pgs = [rec.proj_grad for rec in step.queries]
+    step = zo_step(model, live, sampler.draw, zcfg, 0)
+    seeds = [rec.seed for rec in step]
+    pgs = [rec.proj_grad for rec in step]
     assert live.equals_bitwise(
         _reference_updates(cycled, seeds, pgs, -lr_eff, header))
 

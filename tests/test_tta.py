@@ -3,10 +3,12 @@ import time
 import numpy as np
 import pytest
 
-from zobench.fo import FOConfig
-from zobench.models import Batch, DataGenConfig, gen_shifted_stream, make_model
+from zobench import tta
+from zobench.fo import FOConfig, fo_train
+from zobench.models import (Batch, BatchSampler, DataGenConfig, gen_data,
+                            gen_shifted_stream, make_model)
 from zobench.tta import AdaptMask, TTAEpisodeConfig, adapt_sample, run_stream
-from zobench.zo import ZOConfig, derive_seed
+from zobench.zo import NumericError, ZOConfig, derive_seed
 
 
 def seq_setup(frames=8, n=6, sigma=5e-3):
@@ -198,6 +200,41 @@ def test_revert_reset_matches_snapshot_reset():
     for a, b in zip(eps_snap, eps_rev):
         assert abs(a["adapted_score"] - b["adapted_score"]) < 1e-9
         assert abs(a["entropy_after"] - b["entropy_after"]) < 1e-6
+
+
+def test_raising_revert_episode_leaves_source_restored(monkeypatch):
+    # the entropy loss turns NaN on its 11th call: step 2 of the first
+    # episode, after two steps' updates have reached the source
+    cfg = DataGenConfig(task="seq", frames=8, feat_dim=4, classes=3,
+                        hidden=6, n_train=64, seed=0, noise_sigma=5e-3)
+    model = make_model(cfg)
+    source = model.init(0)
+    tr, _ = gen_data(cfg)
+    fo_train(model, BatchSampler(tr, 16, seed=0).draw,
+             FOConfig(lr=0.05, optimizer="adam", steps=100), source)
+    start = source.copy()
+    calls = []
+
+    def scripted_objective(m):
+        obj = real_objective(m)
+        loss = obj.loss
+
+        def nan_from_11th_call(params, batch):
+            calls.append(None)
+            return float("nan") if len(calls) >= 11 else loss(params, batch)
+
+        obj.loss = nan_from_11th_call
+        return obj
+
+    real_objective = tta.entropy_objective
+    monkeypatch.setattr(tta, "entropy_objective", scripted_objective)
+    config = TTAEpisodeConfig(steps=4, reset_mode="revert", optimizer=ZOConfig(
+        epsilon=1e-3, lr=1e-2, q=2, steps=4))
+    with pytest.raises(NumericError) as exc:
+        run_stream(model, source, gen_shifted_stream(cfg, 2),
+                   AdaptMask(["feat.*", "norm.*"]), config)
+    assert source.max_abs_diff(start) < 1e-6
+    assert exc.value.step == 2 and len(exc.value.log) == 2 * 2
 
 
 def test_adaptation_time_scales_linearly_in_steps():

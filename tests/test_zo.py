@@ -57,8 +57,7 @@ def test_proj_grad_exact_on_quadratic():
 
 
 def test_proj_grad_zero_for_constant_loss():
-    model = Model(name="const", schema=None,
-                  loss=lambda p, b: 4.2)
+    model = Model(name="const", loss=lambda p, b: 4.2)
     params = ParamSet([("theta", np.ones(5))])
     g = rge_proj_grad(model, params, None, 1, 1e-3).proj_grad
     assert g == 0.0
@@ -90,7 +89,7 @@ def test_numeric_error_carries_seed_and_restores():
         calls["n"] += 1
         return float("nan") if calls["n"] == 1 else 0.0
 
-    model = Model(name="nan", schema=None, loss=loss)
+    model = Model(name="nan", loss=loss)
     params = ParamSet([("theta", np.ones(4))])
     before = params.copy()
     with pytest.raises(NumericError) as exc:
@@ -120,16 +119,16 @@ def test_apply_records_matches_manual():
     model = bowl()
     params = model.init(2)
     cfg = ZOConfig(epsilon=1e-3, lr=0.1, q=2, master_seed=5)
-    rec = zo_step(model, params.copy(), lambda t, j: None, cfg, 0)
+    queries = zo_step(model, params.copy(), lambda i: None, cfg, 0)
 
     manual = params.copy()
-    for qrec in rec.queries:
+    for qrec in queries:
         z = sample_for_tensor(GaussianStream(qrec.seed, substream=0), (D,), FULL)
         manual["theta"][:] -= cfg.lr * qrec.proj_grad * z
 
     replayed = params.copy()
-    apply_records(replayed, [q.seed for q in rec.queries],
-                  [q.proj_grad for q in rec.queries], -cfg.lr_effective,
+    apply_records(replayed, [q.seed for q in queries],
+                  [q.proj_grad for q in queries], -cfg.lr_effective,
                   cfg.sampler)
     assert replayed.max_abs_diff(manual) < 1e-14
 
@@ -165,10 +164,12 @@ def test_train_metrics_and_counting():
     params = model.init(0)
     cfg = ZOConfig(epsilon=1e-3, lr=0.01, q=3, steps=7, master_seed=1)
     records, metrics = train(model, lambda i: None, cfg, params)
-    assert len(records) == 7 and len(metrics) == 7
+    assert len(records) == 7 * cfg.q and len(metrics) == 7
     assert all(m["forwards"] == 2 * cfg.q for m in metrics)
     assert model.forward_count == 2 * cfg.q * cfg.steps
-    assert all(len(r.queries) == cfg.q for r in records)
+    # flat in log order: step-major, query-minor
+    assert [r.seed for r in records] == [derive_seed(1, t, j)
+                                         for t in range(7) for j in range(3)]
 
 
 def test_fresh_vs_shared_batch_indexing():
@@ -208,7 +209,7 @@ def test_lowrank_training_descends():
     def loss(p, b):
         return float(0.5 * np.sum(p["theta"] ** 2))
 
-    m = Model(name="q2d", schema=None, loss=loss)
+    m = Model(name="q2d", loss=loss)
     params = ParamSet([("theta", GaussianStream(0).normal((8, 6)))])
     start = loss(params, None)
     cfg = ZOConfig(epsilon=1e-3, lr=0.02, q=4, steps=200, combine="mean",
@@ -245,7 +246,7 @@ def test_partial_log_survives_aborted_run(tmp_path):
         # every loss of step k (0-based) and later is NaN
         return float("nan") if len(calls) > 2 * q * k else inner.loss(p, b)
 
-    model = Model(name="nan-at-k", schema=None, loss=loss)
+    model = Model(name="nan-at-k", loss=loss)
     params = inner.init(0)
     cfg = ZOConfig(epsilon=1e-3, lr=0.01, q=q, steps=10, master_seed=2)
     path = tmp_path / "run.zolog"
