@@ -48,6 +48,7 @@ _SWEEP_AXES = {
     "combine": ("optimizer", "combine"),
     "noise_sigma": ("data", "noise_sigma"),
 }
+_SHIFT_FIELDS = ("noise_sigma", "shift_scale", "shift_bias")
 
 
 class ConfigError(ValueError):
@@ -130,6 +131,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
     data = raw.get("data", {})
     _require(isinstance(data, dict), "data", "must be a JSON object")
     _check_int("data.batch_size", data.get("batch_size", 24))
+    if kind == "train":
+        # only the tta stream is shifted; a train run would ignore these
+        for key in _SHIFT_FIELDS:
+            _require(key not in data, f"data.{key}",
+                     "applies to tta streams only")
+        _require("noise_sigma" not in sweep, "sweep.noise_sigma",
+                 "applies to tta streams only")
     if kind == "tta":
         _require(isinstance(raw.get("tta"), dict), "tta", "section required")
         _check_int("tta.samples", raw["tta"].get("samples", 100))

@@ -5,14 +5,19 @@ iteration order is fixed at construction and is load-bearing: the i-th
 tensor always draws its perturbation from substream i of the seed, so
 regenerating z from a stored seed reproduces exactly the same update.
 
+A set that copies its tensors packs them into one buffer in iteration
+order, and each set plans once how its tensors group into runs: tensors
+adjacent in one buffer, at most the largest tensor's size per run.
+
 axpy is the one update kernel: the perturbation cycle calls it directly,
 and apply_records runs it once per (seed, proj_grad) record for stage-2
 updates, seed-log replay and revert alike.  A direction is named by
-(seed, kind) alone; epsilon only sets the coefficient.  axpy never holds
-more than one tensor-sized temporary at a time; that temporary is what
-bounds the optimizer's transient memory.  It draws z from the calling
-thread's rekeyed stream (see :func:`zobench.streams.thread_stream`),
-never from a newly built one.
+(seed, kind) alone; epsilon only sets the coefficient.  axpy's one
+temporary is a scratch array of the largest tensor's size, which is what
+bounds the optimizer's transient memory: each run's z is drawn into it,
+then scaled and added once per run.  It draws z from the calling thread's
+rekeyed stream (see :func:`zobench.streams.thread_stream`), never from a
+newly built one.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import struct
 
 import numpy as np
 
+from . import samplers
 from .samplers import FULL, SamplerKind, alloc_tracker, sample_for_tensor
 # GaussianStream stays a module attribute: bench/spans.py wraps it by this name.
 from .streams import GaussianStream, thread_stream  # noqa: F401
@@ -47,43 +53,55 @@ class ParamSet:
     """Ordered, named collection of dense real tensors.
 
     All tensors share one element width (float64 by default).  Names are
-    unique; arrays are C-contiguous.  ``copy=False`` shares the caller's
-    arrays, which is how masked views are built.
+    unique; arrays are C-contiguous.  A copying set (``copy=True``,
+    :meth:`copy`, :meth:`from_bytes`) packs its tensors into one buffer in
+    iteration order.  ``copy=False`` shares the caller's arrays, which is
+    how masked views are built.
     """
 
     def __init__(self, entries, copy: bool = True):
-        seen = set()
-        self._entries: list[tuple[str, np.ndarray]] = []
+        self._index: dict[str, np.ndarray] = {}
+        arrays = []
         for name, arr in entries:
-            if name in seen:
+            name = str(name)
+            if name in self._index:
                 raise ValueError(f"duplicate parameter name {name!r}")
-            seen.add(name)
             arr = np.asarray(arr)
             if arr.dtype not in _SUPPORTED_DTYPES:
                 arr = arr.astype(np.float64)
-            elif copy:
-                arr = arr.copy()
             if arr.size == 0:
                 raise ValueError(f"parameter {name!r} is empty")
             if not arr.flags.c_contiguous:
                 arr = np.ascontiguousarray(arr)
-            self._entries.append((str(name), arr))
-        if not self._entries:
+            self._index[name] = arr
+            arrays.append(arr)
+        if not arrays:
             raise ValueError("ParamSet must contain at least one tensor")
-        widths = {arr.dtype.itemsize for _, arr in self._entries}
-        if len(widths) > 1:
+        if len({arr.dtype.itemsize for arr in arrays}) > 1:
             raise ValueError("all tensors in a ParamSet must share one element width")
-        self._schema_hash = _schema_hash(self._entries)
+        if copy:
+            buf = np.empty(sum(arr.size for arr in arrays), arrays[0].dtype)
+            off = 0
+            for name, arr in self._index.items():
+                view = buf[off:off + arr.size].reshape(arr.shape)
+                view[...] = arr
+                self._index[name] = view
+                off += arr.size
+        self._entries = list(self._index.items())
+        self._largest = max(arr.size for arr in arrays)
+        self._runs = self._schema_hash = None   # built on first use
 
     # -- schema ----------------------------------------------------------
 
     @property
     def schema_hash(self) -> int:
+        if self._schema_hash is None:
+            self._schema_hash = _schema_hash(self._entries)
         return self._schema_hash
 
     @property
     def names(self) -> list[str]:
-        return [n for n, _ in self._entries]
+        return list(self._index)
 
     @property
     def dtype(self):
@@ -96,18 +114,15 @@ class ParamSet:
         return len(self._entries)
 
     def __getitem__(self, name: str) -> np.ndarray:
-        for n, arr in self._entries:
-            if n == name:
-                return arr
-        raise KeyError(name)
+        return self._index[name]
 
     def __contains__(self, name: str) -> bool:
-        return any(n == name for n, _ in self._entries)
+        return name in self._index
 
     def check_schema(self, schema_hash: int):
-        if self._schema_hash != schema_hash:
+        if self.schema_hash != schema_hash:
             raise SchemaMismatchError(
-                f"ParamSet schema {self._schema_hash:#018x} does not match "
+                f"ParamSet schema {self.schema_hash:#018x} does not match "
                 f"expected {schema_hash:#018x}")
 
     # -- views and copies --------------------------------------------------
@@ -122,11 +137,36 @@ class ParamSet:
         iteration order, not the order of ``names``.
         """
         wanted = set(names)
-        missing = wanted - set(self.names)
+        missing = wanted - self._index.keys()
         if missing:
             raise KeyError(f"unknown parameter names: {sorted(missing)}")
         picked = [(n, a) for n, a in self._entries if n in wanted]
         return ParamSet(picked, copy=False)
+
+    def runs(self):
+        """The update plan: ``(flat, size, parts)`` per run of tensors.
+
+        A run is a maximal sequence of tensors that sit next to each other
+        in one C-contiguous buffer, in iteration order, holding at most as
+        many elements as the largest tensor; ``flat`` is a 1-D view over
+        it.  ``parts`` gives each tensor's ``(index, start, stop, shape)``
+        within the run.  A packed set's small tensors share runs; arrays
+        from separate allocations are runs of one.  Built once per set.
+        """
+        if self._runs is None:
+            runs, parts = [], []
+            for i, (_, arr) in enumerate(self._entries):
+                owner, flat, start = _flat_owner(arr)
+                if not (parts and owner is run_owner and start == stop
+                        and start + arr.size - first <= self._largest):
+                    if parts:
+                        runs.append((run_flat[first:stop], stop - first, tuple(parts)))
+                    run_owner, run_flat, first, parts = owner, flat, start, []
+                stop = start + arr.size
+                parts.append((i, start - first, stop - first, arr.shape))
+            runs.append((run_flat[first:stop], stop - first, tuple(parts)))
+            self._runs = runs
+        return self._runs
 
     # -- numerics ----------------------------------------------------------
 
@@ -134,7 +174,7 @@ class ParamSet:
         return sum(arr.size for _, arr in self._entries)
 
     def nbytes_largest(self) -> int:
-        return max(arr.nbytes for _, arr in self._entries)
+        return self._largest * self.dtype.itemsize
 
     def max_abs_diff(self, other: "ParamSet") -> float:
         self.check_schema(other.schema_hash)
@@ -142,7 +182,7 @@ class ParamSet:
                    for (_, a), (_, b) in zip(self._entries, other._entries))
 
     def equals_bitwise(self, other: "ParamSet") -> bool:
-        if self._schema_hash != other.schema_hash:
+        if self.schema_hash != other.schema_hash:
             return False
         return all(np.array_equal(a, b)
                    for (_, a), (_, b) in zip(self._entries, other._entries))
@@ -209,12 +249,11 @@ class ParamSet:
             if n == 0:
                 raise ParamSetFormatError("empty tensor in ParamSet data")
             arr = np.frombuffer(take(n * width), dtype=dtype)
-            entries.append((name, arr.reshape(shape).astype(dtype.newbyteorder("="))))
+            entries.append((name, arr.reshape(shape)))
         if off != len(view):
             raise ParamSetFormatError("trailing bytes in ParamSet file")
         try:
-            return cls([(name.decode("utf-8"), arr) for name, arr in entries],
-                       copy=False)
+            return cls([(name.decode("utf-8"), arr) for name, arr in entries])
         except ValueError as exc:  # bad UTF-8, duplicate name, no tensors
             raise ParamSetFormatError(f"invalid ParamSet data: {exc}") from exc
 
@@ -233,33 +272,64 @@ def _schema_hash(entries) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
+def _flat_owner(arr):
+    """(owner, flat, offset) for the buffer ``arr`` lies in.
+
+    ``flat`` is a 1-D view over the owning array and ``offset`` the index
+    of ``arr``'s first element in it.  An array whose base is not a
+    C-contiguous array of its own dtype is its own owner.
+    """
+    base = arr.base
+    if (isinstance(base, np.ndarray) and base.dtype == arr.dtype
+            and base.flags.c_contiguous):
+        gap = (arr.__array_interface__["data"][0]
+               - base.__array_interface__["data"][0])
+        if gap % arr.itemsize == 0:
+            return base, base.reshape(-1), gap // arr.itemsize
+    return arr, arr.reshape(-1), 0
+
+
 def axpy(params: ParamSet, coeff: float, seed: int, kind: SamplerKind = FULL):
-    """params += coeff * z(seed, kind), tensor by tensor, in place.
+    """params += coeff * z(seed, kind), run by run, in place.
 
     Tensor i draws z_i from substream i of ``seed``, so the update is a
     pure function of (seed, kind, schema, coeff).  Storing the seed (12
     bytes with its proj_grad) instead of z itself is the whole trick
-    behind seed-replay checkpoints.  Only one z_i exists at a time; it is
-    scaled in place before the add, so the peak temporary is exactly one
-    tensor's worth of floats.
+    behind seed-replay checkpoints.
 
-    Each z_i comes from the calling thread's one stream, rekeyed to
-    (seed, i), not from a new ``GaussianStream``: building one costs
-    an OS-entropy ``SeedSequence`` per tensor per update, several times
-    the rekey.  The samples are bit-identical either way, and threads
-    never share a stream, so concurrent calls on separate ParamSets are
-    safe.
+    One scratch array of the largest tensor's size is the whole
+    transient.  For each run of adjacent tensors (:meth:`ParamSet.runs`)
+    every z_i is drawn into its slice of the scratch, then the run is
+    scaled once and added once.  Both are element-wise, so the result is
+    bit-identical to scaling and adding tensor by tensor.
+
+    The seed is checked once per call; each z_i comes from the calling
+    thread's one stream, restarted at (seed, i), not from a new
+    ``GaussianStream``: building one costs an OS-entropy ``SeedSequence``,
+    several times the restart.  Threads never share a stream, so
+    concurrent calls on separate ParamSets are safe.
     """
     coeff = float(coeff)
     if coeff == 0.0:
         return
-    for i, (name, arr) in enumerate(params.items()):
-        z = sample_for_tensor(thread_stream(seed, i), arr.shape, kind,
-                              dtype=arr.dtype)
+    stream = thread_stream(seed)
+    dtype = params.dtype
+    scratch = np.empty(params._largest, dtype)
+    alloc_tracker.alloc(scratch.nbytes)
+    full = kind.variant == "full"
+    for run, size, parts in params.runs():
+        z = scratch[:size]
+        for i, start, stop, shape in parts:
+            if i:  # thread_stream keyed substream 0, and 0 comes first
+                stream.restart(i)
+            if full:  # looked up here so bench/spans.py can wrap it
+                samplers.gaussian_fill(stream, None, dtype, out=z[start:stop])
+            else:
+                sample_for_tensor(stream, shape, kind, dtype,
+                                  out=z[start:stop].reshape(shape))
         z *= coeff
-        arr += z
-        alloc_tracker.free(z.nbytes)
-        del z
+        run += z
+    alloc_tracker.free(scratch.nbytes)
 
 
 def apply_records(params: ParamSet, seeds, proj_grads, coeff: float,

@@ -93,20 +93,24 @@ class SamplerKind:
 FULL = SamplerKind()
 
 
-def sample_full(stream: GaussianStream, shape, dtype=np.float64) -> np.ndarray:
-    """Elementwise standard-Gaussian direction."""
-    z = gaussian_fill(stream, shape, dtype=dtype)
-    alloc_tracker.alloc(z.nbytes)
+def sample_full(stream: GaussianStream, shape, dtype=np.float64,
+                out=None) -> np.ndarray:
+    """Elementwise standard-Gaussian direction, written to ``out`` if given."""
+    z = gaussian_fill(stream, shape, dtype=dtype, out=out)
+    if out is None:
+        alloc_tracker.alloc(z.nbytes)
     return z
 
 
 def sample_lowrank(stream: GaussianStream, m: int, n: int, r: int,
-                   dtype=np.float64, normalize: bool = False) -> np.ndarray:
+                   dtype=np.float64, normalize: bool = False,
+                   out=None) -> np.ndarray:
     """Rank-limited direction z = U @ W.T, U (m x r'), W (n x r').
 
     r' = min(r, m, n).  Entries have variance r' unless ``normalize`` is
     set, in which case z is scaled by 1/sqrt(r') for unit entry variance.
-    U is drawn before W, each in row-major order.
+    U is drawn before W, each in row-major order.  z is written to
+    ``out`` (C-contiguous, m x n) if given.
     """
     m, n, r = int(m), int(n), int(r)
     if m < 1 or n < 1 or r < 1:
@@ -116,8 +120,9 @@ def sample_lowrank(stream: GaussianStream, m: int, n: int, r: int,
     alloc_tracker.alloc(u.nbytes)
     w = gaussian_fill(stream, (n, r_eff), dtype=dtype)
     alloc_tracker.alloc(w.nbytes)
-    z = u @ w.T
-    alloc_tracker.alloc(z.nbytes)
+    z = np.matmul(u, w.T, out=out)
+    if out is None:
+        alloc_tracker.alloc(z.nbytes)
     alloc_tracker.free(u.nbytes)
     alloc_tracker.free(w.nbytes)
     if normalize:
@@ -126,27 +131,30 @@ def sample_lowrank(stream: GaussianStream, m: int, n: int, r: int,
 
 
 def sample_for_tensor(stream: GaussianStream, shape, kind: SamplerKind,
-                      dtype=np.float64) -> np.ndarray:
+                      dtype=np.float64, out=None) -> np.ndarray:
     """Draw a direction for one tensor, dispatching on shape and kind.
 
     Low-rank sampling applies to the first two dims; tensors of rank > 2
     are treated as a stack of (shape[0] x shape[1]) matrices over the
     trailing dims, each slice getting its own factors in trailing-index
     order.  1-D tensors and singleton-dim matrices fall back to the full
-    Gaussian, drawn from the same stream.
+    Gaussian, drawn from the same stream.  The direction is written to
+    ``out`` (C-contiguous, of ``shape``) if given.
     """
     if kind.variant == "full":
-        return sample_full(stream, shape, dtype=dtype)
+        return sample_full(stream, shape, dtype=dtype, out=out)
     dims = tuple(map(int, shape))
     if len(dims) < 2 or dims[0] <= 1 or dims[1] <= 1:
-        return sample_full(stream, dims, dtype=dtype)
+        return sample_full(stream, dims, dtype=dtype, out=out)
     m, n = dims[0], dims[1]
     if len(dims) == 2:
         return sample_lowrank(stream, m, n, kind.rank, dtype=dtype,
-                              normalize=kind.normalize)
+                              normalize=kind.normalize, out=out)
     trailing = int(np.prod(dims[2:]))
-    z = np.empty(dims, dtype=dtype)
-    alloc_tracker.alloc(z.nbytes)
+    z = out
+    if z is None:
+        z = np.empty(dims, dtype=dtype)
+        alloc_tracker.alloc(z.nbytes)
     flat = z.reshape(m, n, trailing)
     for idx in range(trailing):
         zi = sample_lowrank(stream, m, n, kind.rank, dtype=dtype,

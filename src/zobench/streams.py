@@ -11,13 +11,15 @@ guards against silent stream changes.
 
 Building a stream costs 10-20 µs, mostly an OS-entropy ``SeedSequence``
 that ``Philox(key=...)`` builds and the key then overrides, and seed
-regeneration needs one stream per tensor per update.  So the hot paths
-call :func:`thread_stream`, which rekeys one stream per thread instead:
-Philox is counter-based, so setting its state to (key=[seed, substream],
-counter=0, empty buffer) restarts exactly the stream a fresh
-``GaussianStream(seed, substream)`` would produce (Salmon et al.,
-"Parallel Random Numbers: As Easy as 1, 2, 3", SC'11).  The state is
-set from Python ints and tuples in ~0.8 µs; given numpy ``uint64``
+regeneration draws from one substream per tensor per update, filling
+each tensor's slice of the update kernel's one scratch array.  So the hot
+paths call :func:`thread_stream`, which rekeys one stream per thread
+instead, and then :meth:`GaussianStream.restart` per tensor, which skips
+the seed check: Philox is counter-based, so setting its state to
+(key=[seed, substream], counter=0, empty buffer) restarts exactly the
+stream a fresh ``GaussianStream(seed, substream)`` would produce (Salmon
+et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11).  The
+state is set from Python ints and tuples in ~0.8 µs; given numpy ``uint64``
 arrays, the setter reads each word as a numpy scalar and takes ~3.3 µs
 (2 cores, Python 3.11, numpy 2.4).
 """
@@ -92,14 +94,18 @@ class GaussianStream:
         seed, then makes one state assignment from Python ints: ~0.8 µs.
         """
         self.seed = _check_seed(seed)
-        self.substream = int(substream)
-        self._state["state"]["key"] = (self.seed, self.substream)
+        return self.restart(int(substream))
+
+    def restart(self, substream: int) -> "GaussianStream":
+        """``rekey(self.seed, substream)`` without checking the seed again."""
+        self.substream = substream
+        self._state["state"]["key"] = (self.seed, substream)
         self._gen.bit_generator.state = self._state
         return self
 
-    def normal(self, shape, dtype=np.float64) -> np.ndarray:
-        """Draw a tensor of standard normals, advancing the stream."""
-        return self._gen.standard_normal(shape, dtype=dtype)
+    def normal(self, shape, dtype=np.float64, out=None) -> np.ndarray:
+        """Draw a tensor of standard normals (into ``out`` if given)."""
+        return self._gen.standard_normal(shape, dtype=dtype, out=out)
 
     def integers(self, low: int, high: int, size=None):
         """Draw uniform integers in [low, high); used for batch indexing."""
@@ -125,16 +131,23 @@ def thread_stream(seed: int, substream: int = 0) -> GaussianStream:
     return stream.rekey(seed, substream)
 
 
-def gaussian_fill(stream: GaussianStream, shape, dtype=np.float64) -> np.ndarray:
+def gaussian_fill(stream: GaussianStream, shape, dtype=np.float64,
+                  out=None) -> np.ndarray:
     """Fill a tensor of the given shape with standard normals from `stream`.
 
-    Samples are laid out in row-major (C) order.  Empty shapes and
-    non-positive dimensions are rejected: a perturbation of nothing is
-    always a caller bug.
+    Samples are laid out in row-major (C) order, so filling a flat slice
+    of n elements gives the same values as any shape of n elements.
+    Empty shapes and non-positive dimensions are rejected: a perturbation
+    of nothing is always a caller bug.  With ``out`` (of ``dtype``) the
+    samples go into that array, which is returned; ``shape=None`` then
+    skips the shape check, which the update kernel's flat slices need not
+    repeat per tensor.
     """
+    if shape is None and out is not None:
+        return stream.normal(None, dtype, out)
     dims = tuple(map(int, shape))
     if not dims:
         raise ValueError("shape must have at least one dimension")
     if min(dims) < 1:
         raise ValueError(f"all dimensions must be >= 1, got {dims}")
-    return stream.normal(dims, dtype=dtype)
+    return stream.normal(dims, dtype=dtype, out=out)

@@ -2,7 +2,9 @@
 
 bench/spans.py patches names such as ``zobench.params.axpy`` where their
 callers look them up; a refactor that moves a call site leaves the shim
-unseen and the per-layer counts wrong.  One short traced run per
+unseen and the per-layer counts wrong.  The counts pinned here (calls,
+Gaussian elements filled and the transient peak, per op) repeat exactly
+from run to run.  One short traced run per
 workload catches that here (about 3 s each; tta-seq's set-up and each
 run are whole 100-episode streams, about 12 s).
 """
@@ -17,12 +19,14 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload, axpy_per_op, loss_per_op", [
-    ("checkpoint", 256, 0),
-    ("train-small", 16, 8),
-    ("tta-seq", 400, 162),
-])
-def test_traced_bench_run(tmp_path, workload, axpy_per_op, loss_per_op):
+@pytest.mark.parametrize(
+    "workload, axpy_per_op, loss_per_op, fill_elems_per_op, transient_bytes", [
+        ("checkpoint", 256, 0, 103_424, 2_560),
+        ("train-small", 16, 8, 6_464, 2_560),
+        ("tta-seq", 400, 162, 35_200, 512),
+    ])
+def test_traced_bench_run(tmp_path, workload, axpy_per_op, loss_per_op,
+                          fill_elems_per_op, transient_bytes):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "run.py"), "--workload",
          workload, "--seed", "601", "--seconds", "1", "--trace", "1"],
@@ -34,3 +38,6 @@ def test_traced_bench_run(tmp_path, workload, axpy_per_op, loss_per_op):
     metrics = result["metrics"]
     assert metrics["params.axpy.count"]["value"] == axpy_per_op
     assert metrics["models.loss.count"]["value"] == loss_per_op
+    # a kernel that bypasses the fill shim or grows its scratch shows here
+    assert metrics["streams.fill.elems"]["value"] == fill_elems_per_op
+    assert metrics["params.transient_peak_bytes"]["value"] == transient_bytes

@@ -357,6 +357,10 @@ def test_cli_compare_bad_summary_exits_2(tmp_path, capsys, summary, metric):
                                       "rank": True, "steps": 2})),
     ("tta", tta_config(optimizer={"type": "zo", "lr": 0.001, "q": 2,
                                   "epsilon": 1e-3, "steps": 50})),
+    ("train", train_config(data={"noise_sigma": 5.0})),
+    ("train", train_config(data={"shift_scale": 2.0})),
+    ("train", train_config(data={"shift_bias": 0.5})),
+    ("train", train_config(sweep={"noise_sigma": [0.0, 5.0]})),
 ], ids=["invalid_json", "lr_string", "tta_steps_string", "q_zero",
         "unknown_optimizer_field", "unknown_task", "mask_string",
         "mask_matches_nothing", "fo_revert_reset", "steps_float", "q_float",
@@ -365,7 +369,8 @@ def test_cli_compare_bad_summary_exits_2(tmp_path, capsys, summary, metric):
         "name_list", "output_dir_int", "epsilon_true", "noise_sigma_true",
         "replicates_true", "pretrain_lr_true", "lr_inf", "epsilon_nan",
         "shift_scale_string", "sweep_lr_zero", "sweep_lr_true",
-        "lowrank_rank_true", "tta_optimizer_steps"])
+        "lowrank_rank_true", "tta_optimizer_steps", "train_noise_sigma",
+        "train_shift_scale", "train_shift_bias", "train_sweep_noise_sigma"])
 def test_cli_bad_config_value_exits_2(tmp_path, capsys, verb, raw):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(raw if isinstance(raw, str) else json.dumps(raw))

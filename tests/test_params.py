@@ -1,11 +1,13 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
+from conftest import layouts, reference_axpy
 from zobench.params import (ParamSet, ParamSetFormatError, SchemaMismatchError,
                             apply_records, axpy)
-from zobench.samplers import FULL, SamplerKind
+from zobench.samplers import FULL, SamplerKind, alloc_tracker
 
 
 def small_set():
@@ -78,6 +80,10 @@ def test_copy_is_deep():
     q = p.copy()
     q["w"][0, 0] = 99.0
     assert p["w"][0, 0] == 0.0
+    for source in (p, p.subset(["b"]), ParamSet(p.items(), copy=False)):
+        copied = source.copy()
+        assert not any(np.shares_memory(a, b) for _, a in source.items()
+                       for _, b in copied.items())
 
 
 def test_subset_shares_storage():
@@ -87,6 +93,10 @@ def test_subset_shares_storage():
     assert p["b"][0] == 7.0
     with pytest.raises(KeyError):
         p.subset(["b", "ghost"])
+    # the kernel's run views write through to the parent as well
+    w = p["w"].copy()
+    axpy(sub, 0.5, 3)
+    assert p["b"][0] != 7.0 and np.array_equal(p["w"], w)
 
 
 def test_subset_preserves_parent_order():
@@ -179,15 +189,37 @@ def test_axpy_zero_coeff_is_bit_exact_noop():
 
 
 def test_axpy_matches_manual_regeneration():
-    from zobench.streams import GaussianStream
-    from zobench.samplers import sample_for_tensor
-
-    p = small_set()
-    before = p.copy()
-    axpy(p, 0.25, 99)
-    for i, (name, arr) in enumerate(before.items()):
-        z = sample_for_tensor(GaussianStream(99, substream=i), arr.shape, FULL)
-        np.testing.assert_array_equal(p[name], arr + 0.25 * z)
+    # every layout's runs give the per-tensor result bit for bit; "split"
+    # caps its small tensors' runs at the largest tensor's 8 elements
+    base = ParamSet([
+        ("w", np.linspace(-1.0, 1.0, 20).reshape(4, 5)),
+        ("b", np.linspace(0.5, 2.0, 5)),
+        ("v", np.linspace(-2.0, 0.0, 6).reshape(2, 3)),
+        ("c", np.linspace(1.0, 3.0, 4)),
+    ])
+    split = ParamSet([(name, np.linspace(-1.0, 1.0, math.prod(shape)).reshape(shape))
+                      for name, shape in [("a", (2, 2, 2)), ("b", (3,)), ("c", (3,)),
+                                          ("d", (2,)), ("e", (5,)), ("f", (1,))]])
+    cases = {**layouts(base), "split": split}
+    run_lengths = {"packed": [1, 3], "separate": [1, 1, 1, 1],
+                   "subset_gap": [1, 1, 2], "f32": [1, 3], "split": [1, 3, 2]}
+    for kind in (FULL, SamplerKind.lowrank(2, normalize=True)):
+        for name, p in cases.items():
+            assert [len(parts) for *_, parts in p.runs()] == run_lengths[name]
+            expected = p.copy()
+            reference_axpy(expected, 0.25, 99, kind)
+            alloc_tracker.enabled = True
+            alloc_tracker.reset()
+            try:
+                axpy(p, 0.25, 99, kind)
+                peak, leaked = alloc_tracker.peak, alloc_tracker.active
+            finally:
+                alloc_tracker.enabled = False
+                alloc_tracker.reset()
+            assert p.equals_bitwise(expected), (kind.variant, name)
+            assert leaked == 0
+            if kind == FULL:
+                assert peak <= p.nbytes_largest(), name
 
 
 def test_perturb_cycle_restores_within_ulps():

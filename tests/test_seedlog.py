@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from zobench.models import BatchSampler, DataGenConfig, gen_data, make_model
-from zobench.params import SchemaMismatchError, axpy
+from conftest import layouts, reference_axpy
+from zobench.params import SchemaMismatchError
 from zobench.samplers import FULL, SamplerKind
 from zobench.seedlog import (HEADER_SIZE, LogFormatError, SeedLog,
                              SeedLogHeader, SeedLogWriter, inspect, read_log,
@@ -388,11 +389,25 @@ def test_header_epsilon_does_not_change_updates(tmp_path, kind):
 
 
 def _reference_updates(params, seeds, proj_grads, coeff, header):
-    """The per-record axpy loop every update path must reproduce."""
+    """The per-record, per-tensor loop every update path must reproduce."""
     out = params.copy()
     for seed, g in zip(seeds, proj_grads):
-        axpy(out, coeff * float(g), int(seed), header.sampler)
+        reference_axpy(out, coeff * float(g), int(seed), header.sampler)
     return out
+
+
+def _layout_cases():
+    """(data config, layout, initial params) for each memory layout.
+
+    mlp 3-4-5 splits its small tensors at the largest tensor's size: its
+    runs are (layer1.weight, layer1.bias), (head.weight,), (head.bias,).
+    """
+    cfg = DataGenConfig(task="mlp", dim=8, hidden=6, classes=3, n_train=128,
+                        seed=0)
+    cases = [(cfg, name, p)
+             for name, p in layouts(make_model(cfg).init(0)).items()]
+    split = replace(cfg, dim=3, hidden=4, classes=5)
+    return cases + [(split, "split", make_model(split).init(0))]
 
 
 @pytest.mark.parametrize("combine", ["accumulate", "mean"])
@@ -401,35 +416,34 @@ def _reference_updates(params, seeds, proj_grads, coeff, header):
                                   SamplerKind.lowrank(2, normalize=True)],
                          ids=["full", "lowrank2"])
 def test_update_paths_match_reference_loop(tmp_path, kind, pg_width, combine):
-    cfg = DataGenConfig(task="mlp", dim=8, hidden=6, classes=3, n_train=128,
-                        seed=0)
-    model = make_model(cfg)
-    tr, _ = gen_data(cfg)
-    sampler = BatchSampler(tr, 16, seed=0)
-    zcfg = ZOConfig(epsilon=1e-3, lr=0.05, q=3, steps=5, combine=combine,
-                    master_seed=7, sampler=kind)
-    initial = model.init(0)
-    header = SeedLogHeader.from_config(zcfg, initial.schema_hash,
-                                       pg_width=pg_width)
-    lr_eff = zcfg.lr_effective
+    for cfg, layout, initial in _layout_cases():
+        model = make_model(cfg)
+        tr, _ = gen_data(cfg)
+        sampler = BatchSampler(tr, 16, seed=0)
+        zcfg = ZOConfig(epsilon=1e-3, lr=0.05, q=3, steps=5, combine=combine,
+                        master_seed=7, sampler=kind)
+        header = SeedLogHeader.from_config(zcfg, initial.schema_hash,
+                                           pg_width=pg_width)
+        lr_eff = zcfg.lr_effective
 
-    # live stage 2, from the params the perturbation cycles leave behind:
-    # the same step at lr=0 runs the cycles and skips the updates
-    cycled = initial.copy()
-    zo_step(model, cycled, sampler.draw, replace(zcfg, lr=0.0), 0)
-    live = initial.copy()
-    step = zo_step(model, live, sampler.draw, zcfg, 0)
-    seeds = [rec.seed for rec in step]
-    pgs = [rec.proj_grad for rec in step]
-    assert live.equals_bitwise(
-        _reference_updates(cycled, seeds, pgs, -lr_eff, header))
+        # live stage 2, from the params the perturbation cycles leave
+        # behind: the same step at lr=0 runs the cycles and skips the updates
+        cycled = initial.copy()
+        zo_step(model, cycled, sampler.draw, replace(zcfg, lr=0.0), 0)
+        live = initial.copy()
+        step = zo_step(model, live, sampler.draw, zcfg, 0)
+        seeds = [rec.seed for rec in step]
+        pgs = [rec.proj_grad for rec in step]
+        assert live.equals_bitwise(
+            _reference_updates(cycled, seeds, pgs, -lr_eff, header)), layout
 
-    path = tmp_path / "run.zolog"
-    with SeedLogWriter(path, header) as w:
-        train(model, sampler.draw, zcfg, initial.copy(), log_writer=w)
-    log = read_log(path)
-    rebuilt = replay(initial, log)
-    assert rebuilt.equals_bitwise(_reference_updates(
-        initial, log.seeds, log.proj_grads, -lr_eff, header))
-    assert revert(rebuilt, log).equals_bitwise(_reference_updates(
-        rebuilt, log.seeds[::-1], log.proj_grads[::-1], +lr_eff, header))
+        path = tmp_path / f"{layout}.zolog"
+        with SeedLogWriter(path, header) as w:
+            train(model, sampler.draw, zcfg, initial.copy(), log_writer=w)
+        log = read_log(path)
+        rebuilt = replay(initial, log)
+        assert rebuilt.equals_bitwise(_reference_updates(
+            initial, log.seeds, log.proj_grads, -lr_eff, header)), layout
+        assert revert(rebuilt, log).equals_bitwise(_reference_updates(
+            rebuilt, log.seeds[::-1], log.proj_grads[::-1], +lr_eff,
+            header)), layout
