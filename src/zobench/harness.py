@@ -257,7 +257,8 @@ def _train_single(cfg, seed, outdir, run_id, data_cfg, model, opt):
     summary = {"expected_forwards": opt.forwards_per_step * opt.steps}
     t0 = time.perf_counter()
     if isinstance(opt, ZOConfig):
-        header = SeedLogHeader.from_config(opt, params.schema_hash)
+        header = SeedLogHeader.from_config(opt, params.schema_hash,
+                                           elem_width=params.dtype.itemsize)
         log_path = os.path.join(outdir, f"{run_id}.zolog")
         with SeedLogWriter(log_path, header) as writer:
             _, metrics = zo_train(counting, batch_source, opt, params,
@@ -363,6 +364,13 @@ def _group_key(run_id: str) -> str:
     return head if head else run_id
 
 
+def _group_stats(vals):
+    """(mean, sd, n) of one group's values; sd is 0.0 for a single value."""
+    vals = np.asarray(vals, dtype=np.float64)
+    sd = float(vals.std(ddof=1)) if len(vals) > 1 else 0.0
+    return float(vals.mean()), sd, len(vals)
+
+
 def _write_sweep_table(cfg, summaries, outdir):
     metric = "final_loss" if cfg.kind == "train" else "adapted_accuracy"
     groups = {}
@@ -370,11 +378,9 @@ def _write_sweep_table(cfg, summaries, outdir):
         groups.setdefault(_group_key(s["run_id"]), []).append(float(s[metric]))
     rows = []
     for name in sorted(groups):
-        vals = np.array(groups[name])
-        rows.append({"group": name, "metric": metric, "n": len(vals),
-                     "mean": repr(float(vals.mean())),
-                     "median": repr(float(np.median(vals))),
-                     "sd": repr(float(vals.std(ddof=1)) if len(vals) > 1 else 0.0)})
+        mean, sd, n = _group_stats(groups[name])
+        rows.append({"group": name, "metric": metric, "n": n, "mean": repr(mean),
+                     "median": repr(float(np.median(groups[name]))), "sd": repr(sd)})
     _write_csv(os.path.join(outdir, "sweep_table.csv"),
                ["group", "metric", "n", "mean", "median", "sd"], rows)
 
@@ -410,9 +416,7 @@ def compare(result_dirs, baseline: str, metric: str = "final_loss") -> list:
         _require(all(metric in s for s in groups[name]), f"metric {metric!r}",
                  f"missing from a summary of group {name!r}")
         with _config_errors(f"metric {metric!r}"):
-            vals = [float(s[metric]) for s in groups[name]]
-        return float(np.mean(vals)), (float(np.std(vals, ddof=1))
-                                      if len(vals) > 1 else 0.0), len(vals)
+            return _group_stats([float(s[metric]) for s in groups[name]])
 
     base_mean, _, _ = group_mean(baseline)
     table = []

@@ -5,9 +5,11 @@ iteration order is fixed at construction and is load-bearing: the i-th
 tensor always draws its perturbation from substream i of the seed, so
 regenerating z from a stored seed reproduces exactly the same update.
 
-A set that copies its tensors packs them into one buffer in iteration
-order, and each set plans once how its tensors group into runs: tensors
-adjacent in one buffer, at most the largest tensor's size per run.
+Every set is one packed 1-D buffer plus a layout of (name, offset,
+shape) entries; its tensors are views into that buffer.  A subset keeps
+the parent's buffer and only the selected entries.  Each set plans once
+how its tensors group into runs: tensors whose offsets follow on from
+each other, at most the largest tensor's size per run.
 
 axpy is the one update kernel: the perturbation cycle calls it directly,
 and apply_records runs it once per (seed, proj_grad) record for stage-2
@@ -52,51 +54,53 @@ class ParamSetFormatError(ValueError):
 class ParamSet:
     """Ordered, named collection of dense real tensors.
 
-    All tensors share one element width (float64 by default).  Names are
-    unique; arrays are C-contiguous.  A copying set (``copy=True``,
-    :meth:`copy`, :meth:`from_bytes`) packs its tensors into one buffer in
-    iteration order.  ``copy=False`` shares the caller's arrays, which is
-    how masked views are built.
+    All tensors share one element width (float64 by default) and names
+    are unique.  ``ParamSet(entries)`` copies the tensors into one new
+    buffer in iteration order, C order within each tensor, so strided
+    input packs too.  :meth:`copy` and :meth:`from_bytes` pack the same
+    way; :meth:`subset` shares the buffer.
     """
 
-    def __init__(self, entries, copy: bool = True):
-        self._index: dict[str, np.ndarray] = {}
-        arrays = []
+    def __init__(self, entries):
+        arrays: dict[str, np.ndarray] = {}
         for name, arr in entries:
             name = str(name)
-            if name in self._index:
+            if name in arrays:
                 raise ValueError(f"duplicate parameter name {name!r}")
             arr = np.asarray(arr)
             if arr.dtype not in _SUPPORTED_DTYPES:
                 arr = arr.astype(np.float64)
             if arr.size == 0:
                 raise ValueError(f"parameter {name!r} is empty")
-            if not arr.flags.c_contiguous:
-                arr = np.ascontiguousarray(arr)
-            self._index[name] = arr
-            arrays.append(arr)
+            arrays[name] = arr
         if not arrays:
             raise ValueError("ParamSet must contain at least one tensor")
-        if len({arr.dtype.itemsize for arr in arrays}) > 1:
+        if len({arr.dtype.itemsize for arr in arrays.values()}) > 1:
             raise ValueError("all tensors in a ParamSet must share one element width")
-        if copy:
-            buf = np.empty(sum(arr.size for arr in arrays), arrays[0].dtype)
-            off = 0
-            for name, arr in self._index.items():
-                view = buf[off:off + arr.size].reshape(arr.shape)
-                view[...] = arr
-                self._index[name] = view
-                off += arr.size
-        self._entries = list(self._index.items())
-        self._largest = max(arr.size for arr in arrays)
+        buf = np.empty(sum(arr.size for arr in arrays.values()),
+                       next(iter(arrays.values())).dtype)
+        layout, index, off = [], {}, 0
+        for name, arr in arrays.items():
+            index[name] = buf[off:off + arr.size].reshape(arr.shape)
+            index[name][...] = arr
+            layout.append((name, off, arr.shape))
+            off += arr.size
+        self._view(buf, layout, index)
+
+    def _view(self, buf, layout, index) -> "ParamSet":
+        """Set this set's state: ``index`` maps each name in ``layout``, a
+        list of ``(name, offset, shape)``, to its view of the 1-D ``buf``."""
+        self._buf, self._layout, self._index = buf, layout, index
+        self._largest = max(arr.size for arr in self._index.values())
         self._runs = self._schema_hash = None   # built on first use
+        return self
 
     # -- schema ----------------------------------------------------------
 
     @property
     def schema_hash(self) -> int:
         if self._schema_hash is None:
-            self._schema_hash = _schema_hash(self._entries)
+            self._schema_hash = _schema_hash(self.items())
         return self._schema_hash
 
     @property
@@ -105,13 +109,13 @@ class ParamSet:
 
     @property
     def dtype(self):
-        return self._entries[0][1].dtype
+        return self._buf.dtype
 
     def items(self):
-        return iter(self._entries)
+        return iter(self._index.items())
 
     def __len__(self):
-        return len(self._entries)
+        return len(self._layout)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._index[name]
@@ -128,7 +132,7 @@ class ParamSet:
     # -- views and copies --------------------------------------------------
 
     def copy(self) -> "ParamSet":
-        return ParamSet(self._entries, copy=True)
+        return ParamSet(self.items())
 
     def subset(self, names) -> "ParamSet":
         """A ParamSet over a subset of entries, sharing storage with self.
@@ -140,38 +144,39 @@ class ParamSet:
         missing = wanted - self._index.keys()
         if missing:
             raise KeyError(f"unknown parameter names: {sorted(missing)}")
-        picked = [(n, a) for n, a in self._entries if n in wanted]
-        return ParamSet(picked, copy=False)
+        layout = [entry for entry in self._layout if entry[0] in wanted]
+        index = {name: self._index[name] for name, _, _ in layout}
+        return ParamSet.__new__(ParamSet)._view(self._buf, layout, index)
 
     def runs(self):
         """The update plan: ``(flat, size, parts)`` per run of tensors.
 
-        A run is a maximal sequence of tensors that sit next to each other
-        in one C-contiguous buffer, in iteration order, holding at most as
-        many elements as the largest tensor; ``flat`` is a 1-D view over
-        it.  ``parts`` gives each tensor's ``(index, start, stop, shape)``
-        within the run.  A packed set's small tensors share runs; arrays
-        from separate allocations are runs of one.  Built once per set.
+        A run is a maximal sequence of tensors, in iteration order, each
+        starting in the buffer where the one before it stops, holding at
+        most as many elements as the largest tensor; ``flat`` is a 1-D
+        view over it.  ``parts`` gives each tensor's ``(index, start,
+        stop, shape)`` within the run.  A subset's tensors on either side
+        of a left-out one fall in separate runs.  Built once per set.
         """
         if self._runs is None:
             runs, parts = [], []
-            for i, (_, arr) in enumerate(self._entries):
-                owner, flat, start = _flat_owner(arr)
-                if not (parts and owner is run_owner and start == stop
-                        and start + arr.size - first <= self._largest):
+            for i, (_, start, shape) in enumerate(self._layout):
+                size = math.prod(shape)
+                if not (parts and start == stop
+                        and start + size - first <= self._largest):
                     if parts:
-                        runs.append((run_flat[first:stop], stop - first, tuple(parts)))
-                    run_owner, run_flat, first, parts = owner, flat, start, []
-                stop = start + arr.size
-                parts.append((i, start - first, stop - first, arr.shape))
-            runs.append((run_flat[first:stop], stop - first, tuple(parts)))
+                        runs.append((self._buf[first:stop], stop - first, tuple(parts)))
+                    first, parts = start, []
+                stop = start + size
+                parts.append((i, start - first, stop - first, shape))
+            runs.append((self._buf[first:stop], stop - first, tuple(parts)))
             self._runs = runs
         return self._runs
 
     # -- numerics ----------------------------------------------------------
 
     def num_elements(self) -> int:
-        return sum(arr.size for _, arr in self._entries)
+        return sum(arr.size for arr in self._index.values())
 
     def nbytes_largest(self) -> int:
         return self._largest * self.dtype.itemsize
@@ -179,13 +184,13 @@ class ParamSet:
     def max_abs_diff(self, other: "ParamSet") -> float:
         self.check_schema(other.schema_hash)
         return max(float(np.max(np.abs(a - b)))
-                   for (_, a), (_, b) in zip(self._entries, other._entries))
+                   for a, b in zip(self._index.values(), other._index.values()))
 
     def equals_bitwise(self, other: "ParamSet") -> bool:
         if self.schema_hash != other.schema_hash:
             return False
         return all(np.array_equal(a, b)
-                   for (_, a), (_, b) in zip(self._entries, other._entries))
+                   for a, b in zip(self._index.values(), other._index.values()))
 
     # -- serialization -----------------------------------------------------
 
@@ -198,8 +203,8 @@ class ParamSet:
         out = bytearray()
         out += _MAGIC
         out += struct.pack("<HBI", _VERSION, self.dtype.itemsize,
-                           len(self._entries))
-        for name, arr in self._entries:
+                           len(self._layout))
+        for name, arr in self.items():
             nb = name.encode("utf-8")
             out += struct.pack("<H", len(nb))
             out += nb
@@ -258,7 +263,7 @@ class ParamSet:
             raise ParamSetFormatError(f"invalid ParamSet data: {exc}") from exc
 
     def __repr__(self):  # pragma: no cover
-        inner = ", ".join(f"{n}{list(a.shape)}" for n, a in self._entries)
+        inner = ", ".join(f"{n}{list(a.shape)}" for n, a in self.items())
         return f"ParamSet({inner})"
 
 
@@ -270,23 +275,6 @@ def _schema_hash(entries) -> int:
         h.update(struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
         h.update(struct.pack("<B", arr.dtype.itemsize))
     return int.from_bytes(h.digest(), "little")
-
-
-def _flat_owner(arr):
-    """(owner, flat, offset) for the buffer ``arr`` lies in.
-
-    ``flat`` is a 1-D view over the owning array and ``offset`` the index
-    of ``arr``'s first element in it.  An array whose base is not a
-    C-contiguous array of its own dtype is its own owner.
-    """
-    base = arr.base
-    if (isinstance(base, np.ndarray) and base.dtype == arr.dtype
-            and base.flags.c_contiguous):
-        gap = (arr.__array_interface__["data"][0]
-               - base.__array_interface__["data"][0])
-        if gap % arr.itemsize == 0:
-            return base, base.reshape(-1), gap // arr.itemsize
-    return arr, arr.reshape(-1), 0
 
 
 def axpy(params: ParamSet, coeff: float, seed: int, kind: SamplerKind = FULL):

@@ -110,7 +110,8 @@ def adapt_sample(model: Model, params: ParamSet, sample: Batch,
     if isinstance(config.optimizer, ZOConfig):
         episode_cfg = replace(config.optimizer, master_seed=episode_seed,
                               steps=config.steps)
-        header = SeedLogHeader.from_config(episode_cfg, sub.schema_hash)
+        header = SeedLogHeader.from_config(episode_cfg, sub.schema_hash,
+                                           elem_width=sub.dtype.itemsize)
         try:
             records, _ = _zo.train(objective, lambda index: sample,
                                    episode_cfg, sub)

@@ -11,21 +11,34 @@ def pytest_terminal_summary(terminalreporter):
 def layouts(params):
     """``params``'s tensors in each memory layout the update kernel plans for.
 
-    packed: one buffer, small tensors share runs; separate: arrays
-    allocated one by one, runs of one; subset_gap: a subset of a packed
-    set with a tensor left out after the second entry; f32: packed, half
-    the width.
+    Every set packs its tensors into one buffer; a subset shares its
+    parent's.  packed: small tensors share runs; strided: packed from
+    transposed and negative-stride views with the same values;
+    subset_gap: a subset of a packed set with a tensor left out after the
+    second entry; subset_of_subset: a subset of a subset of a packed
+    set, where the outer subset keeps a tensor after the third entry and
+    the inner one leaves it out, so the runs follow the root's offsets
+    and break there; f32: packed, half the width.
     """
     import numpy as np
     from zobench.params import ParamSet
 
+    def strided(i, arr):
+        # same values, not C-contiguous: a transposed or a reversed view
+        if i % 2 == 0:
+            return np.ascontiguousarray(arr.T).T
+        return np.ascontiguousarray(arr[::-1])[::-1]
+
     entries = list(params.items())
     gapped = ParamSet(entries[:2] + [("gap", np.zeros(1, params.dtype))]
                       + entries[2:])
+    root = ParamSet(entries[:3] + [("gap", np.zeros(1, params.dtype))]
+                    + entries[3:] + [("tail", np.zeros(1, params.dtype))])
     return {
         "packed": params.copy(),
-        "separate": ParamSet([(n, a.copy()) for n, a in entries], copy=False),
+        "strided": ParamSet([(n, strided(i, a)) for i, (n, a) in enumerate(entries)]),
         "subset_gap": gapped.subset(params.names),
+        "subset_of_subset": root.subset(params.names + ["gap"]).subset(params.names),
         "f32": ParamSet([(n, a.astype(np.float32)) for n, a in entries]),
     }
 

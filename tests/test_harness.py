@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 
@@ -134,6 +136,15 @@ def test_sweep_with_forward_budget(tmp_path):
     table = (tmp_path / "sweep_table.csv").read_text()
     assert "exp-q1" in table and "exp-q4" in table
     assert "median" in table.splitlines()[0]
+    # the table and compare share one rule: mean, n and sd with ddof=1
+    rows = {r["group"]: r for r in csv.DictReader(io.StringIO(table))}
+    for r in compare([str(tmp_path)], baseline="exp-q1"):
+        losses = [s["final_loss"] for s in summaries
+                  if s["run_id"].startswith(r["group"] + "-seed")]
+        row = rows[r["group"]]
+        assert ((row["n"], row["mean"], row["sd"])
+                == (str(r["n"]), repr(r["mean"]), repr(r["sd"])))
+        assert r["n"] == 2 and r["sd"] == float(np.std(losses, ddof=1))
 
 
 def test_fo_forward_budget_sets_steps(tmp_path):

@@ -80,7 +80,7 @@ def test_copy_is_deep():
     q = p.copy()
     q["w"][0, 0] = 99.0
     assert p["w"][0, 0] == 0.0
-    for source in (p, p.subset(["b"]), ParamSet(p.items(), copy=False)):
+    for source in (p, p.subset(["b"])):
         copied = source.copy()
         assert not any(np.shares_memory(a, b) for _, a in source.items()
                        for _, b in copied.items())
@@ -88,15 +88,15 @@ def test_copy_is_deep():
 
 def test_subset_shares_storage():
     p = small_set()
-    sub = p.subset(["b"])
-    sub["b"][0] = 7.0
-    assert p["b"][0] == 7.0
     with pytest.raises(KeyError):
         p.subset(["b", "ghost"])
-    # the kernel's run views write through to the parent as well
-    w = p["w"].copy()
-    axpy(sub, 0.5, 3)
-    assert p["b"][0] != 7.0 and np.array_equal(p["w"], w)
+    for sub in (p.subset(["b"]), p.subset(["w", "b"]).subset(["b"])):
+        sub["b"][0] = 7.0
+        assert p["b"][0] == 7.0
+        # the kernel's run views write through to the root set as well
+        w = p["w"].copy()
+        axpy(sub, 0.5, 3)
+        assert p["b"][0] != 7.0 and np.array_equal(p["w"], w)
 
 
 def test_subset_preserves_parent_order():
@@ -201,8 +201,11 @@ def test_axpy_matches_manual_regeneration():
                       for name, shape in [("a", (2, 2, 2)), ("b", (3,)), ("c", (3,)),
                                           ("d", (2,)), ("e", (5,)), ("f", (1,))]])
     cases = {**layouts(base), "split": split}
-    run_lengths = {"packed": [1, 3], "separate": [1, 1, 1, 1],
-                   "subset_gap": [1, 1, 2], "f32": [1, 3], "split": [1, 3, 2]}
+    run_lengths = {"packed": [1, 3], "strided": [1, 3], "subset_gap": [1, 1, 2],
+                   "subset_of_subset": [1, 2, 1], "f32": [1, 3], "split": [1, 3, 2]}
+    # strided input packs in C order with the values it was given
+    assert cases["strided"].equals_bitwise(base)
+    assert all(arr.flags.c_contiguous for p in cases.values() for _, arr in p.items())
     for kind in (FULL, SamplerKind.lowrank(2, normalize=True)):
         for name, p in cases.items():
             assert [len(parts) for *_, parts in p.runs()] == run_lengths[name]

@@ -7,6 +7,7 @@ from zobench import tta
 from zobench.fo import FOConfig, fo_train
 from zobench.models import (Batch, BatchSampler, DataGenConfig, gen_data,
                             gen_shifted_stream, make_model)
+from zobench.params import ParamSet
 from zobench.tta import AdaptMask, TTAEpisodeConfig, adapt_sample, run_stream
 from zobench.zo import NumericError, ZOConfig, derive_seed
 
@@ -116,6 +117,15 @@ def test_episode_log_replays_adaptation():
     sub = adapted.subset(mask.resolve(adapted))
     # proj_grads are stored at float32 width, so replay is close, not exact
     assert rebuilt.max_abs_diff(sub) < 1e-6
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_episode_log_header_records_element_width(dtype):
+    model, params, stream = seq_setup()
+    params = ParamSet([(n, a.astype(dtype)) for n, a in params.items()])
+    log, _ = adapt_sample(model, params, stream[0].batch(),
+                          AdaptMask(["feat.*"]), zo_episode(), episode_seed=3)
+    assert log.header.elem_width == np.dtype(dtype).itemsize
 
 
 def test_source_params_untouched_by_snapshot_episodes():
