@@ -11,6 +11,13 @@ are named in ``feat.*``, ``norm.*`` and ``head.*`` groups so test-time
 adaptation can target the extractor and normalization parameters only.
 A classifier keeps its network as ``Model.core``, whose ``entropy_forward``
 gives one distribution per sample, or per frame for the sequence model.
+
+Hot-path reductions call ``_mean`` and the ufunc ``.reduce`` methods, not
+the Python wrappers ``np.mean``, ``np.var``, ``np.clip``, ``.max`` and
+``.sum``, which cost more than the arithmetic on these small arrays.  The
+results stay bit-identical to those functions' (``_mean`` sums then divides
+by the count; layer norm centres once and averages the squares, as
+``np.var`` does); ``test_loss_kernels_match_numpy_reference`` pins that.
 """
 
 from __future__ import annotations
@@ -33,6 +40,12 @@ __all__ = [
 ]
 
 _LN_EPS = 1e-5
+
+
+def _mean(a, axis=None, keepdims=False):
+    """``np.mean`` of a float array, summed and divided in the same order."""
+    n = a.size if axis is None else a.shape[axis]
+    return np.add.reduce(a, axis=axis, keepdims=keepdims) / n
 
 
 @dataclass
@@ -104,15 +117,15 @@ def quadratic_bowl(eigenvalues, b=None) -> Model:
 # ---------------------------------------------------------------------------
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
-    s = scores - scores.max(axis=1, keepdims=True)
+    s = scores - np.maximum.reduce(scores, axis=1, keepdims=True)
     e = np.exp(s)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / np.add.reduce(e, axis=1, keepdims=True)
 
 
 def _ce_from_scores(scores: np.ndarray, labels: np.ndarray) -> float:
-    s = scores - scores.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(s).sum(axis=1))
-    return float(np.mean(logz - s[np.arange(len(labels)), labels]))
+    s = scores - np.maximum.reduce(scores, axis=1, keepdims=True)
+    logz = np.log(np.add.reduce(np.exp(s), axis=1))
+    return float(_mean(logz - s[np.arange(len(labels)), labels]))
 
 
 def _ce_dscores(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -121,16 +134,20 @@ def _ce_dscores(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return p / len(labels)
 
 
-def _entropy_from_scores(scores: np.ndarray) -> float:
+def _p_logp(scores: np.ndarray):
+    """Softmax rows and their logs, floored so that 0 * log 0 reads 0."""
     p = _softmax(scores)
-    logp = np.log(np.clip(p, 1e-300, None))
-    return float(np.mean(-(p * logp).sum(axis=1)))
+    return p, np.log(np.maximum(p, 1e-300))
+
+
+def _entropy_from_scores(scores: np.ndarray) -> float:
+    p, logp = _p_logp(scores)
+    return float(_mean(-np.add.reduce(p * logp, axis=1)))
 
 
 def _entropy_dscores(scores: np.ndarray) -> np.ndarray:
-    p = _softmax(scores)
-    logp = np.log(np.clip(p, 1e-300, None))
-    h_row = -(p * logp).sum(axis=1, keepdims=True)
+    p, logp = _p_logp(scores)
+    h_row = -np.add.reduce(p * logp, axis=1, keepdims=True)
     return -p * (logp + h_row) / scores.shape[0]
 
 
@@ -236,18 +253,17 @@ class _SeqCore(_SoftmaxCore):
 
     def _hidden(self, params, x):
         a = np.tanh(x @ params["feat.weight"] + params["feat.bias"])
-        mu = a.mean(axis=-1, keepdims=True)
-        var = a.var(axis=-1, keepdims=True)
-        std = np.sqrt(var + _LN_EPS)
-        xhat = (a - mu) / std
+        d = a - _mean(a, -1, True)
+        std = np.sqrt(_mean(d * d, -1, True) + _LN_EPS)
+        xhat = d / std
         y = params["norm.gain"] * xhat + params["norm.bias"]
         return a, xhat, std, y
 
     def _input_grads(self, params, x, dy, a, xhat, std):
         """Backprop dL/dy through layer norm and tanh to feat/norm grads."""
         dxhat = dy * params["norm.gain"]
-        mean_dx = dxhat.mean(axis=-1, keepdims=True)
-        mean_dxx = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        mean_dx = _mean(dxhat, -1, True)
+        mean_dxx = _mean(dxhat * xhat, -1, True)
         da = (dxhat - mean_dx - xhat * mean_dxx) / std
         dpre = da * (1.0 - a * a)
         return [
@@ -259,7 +275,7 @@ class _SeqCore(_SoftmaxCore):
 
     def forward(self, params, x):
         a, xhat, std, y = self._hidden(params, x)
-        pooled = y.mean(axis=1)
+        pooled = _mean(y, 1)
         scores = pooled @ params["head.weight"] + params["head.bias"]
         return scores, (a, xhat, std, y, pooled)
 

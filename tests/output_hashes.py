@@ -3,7 +3,7 @@
 Usage:
     PYTHONPATH=src python tests/output_hashes.py OUT
 
-Runs eleven small harness configs, each over seeds {0, 1}, into
+Runs twelve small harness configs, each over seeds {0, 1}, into
 ``OUT/<config name>/`` and prints one ``<sha256>  <path>`` line per
 output file, paths relative to OUT and sorted.  ``*.timings.json``
 holds wall-clock times and is skipped.  A refactor that must not change
@@ -27,8 +27,8 @@ ZO_TTA = {"type": "zo", "lr": 0.001, "q": 2, "epsilon": 1e-3}
 LOWRANK = {"sampler": "lowrank", "rank": 2}
 
 
-def train(name, optimizer, **extra):
-    return {"version": 1, "name": name, "kind": "train", "model": MLP,
+def train(name, optimizer, model=MLP, **extra):
+    return {"version": 1, "name": name, "kind": "train", "model": model,
             "data": DATA, "optimizer": optimizer, "seeds": SEEDS, **extra}
 
 
@@ -50,6 +50,8 @@ CONFIGS = [
           sweep={"q": [1, 3], "lr": [0.02, 0.05]}),
     train("shared", {**ZO_MLP, "batch_mode": "shared"}),
     train("sgdbudget", {"type": "sgd", "lr": 0.1, "forward_budget": 40}),
+    # the pooled seq CE forward under ZO perturbations
+    train("seqtrain", {**ZO_MLP, "steps": 5}, model=SEQ),
     tta("revert", reset_mode="revert"),
     tta("lowrankrevert", {**ZO_TTA, **LOWRANK}, reset_mode="revert"),
     tta("adam", {"type": "adam", "lr": 0.01}),

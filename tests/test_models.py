@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from zobench import models
 from zobench.fo import finite_diff_grad
 from zobench.models import (Batch, BatchSampler, DataGenConfig, StreamSample,
                             accuracy, entropy_objective,
                             gen_data, gen_shifted_stream,
                             logistic_regression, make_model, mlp_classifier,
                             quadratic_bowl, sample_scores, seq_classifier)
+from zobench.params import ParamSet
 
 
 def test_quadratic_validation():
@@ -211,3 +213,107 @@ def test_accuracy_of_perfect_separation():
 def test_make_model_unknown_task():
     with pytest.raises(ValueError):
         make_model(DataGenConfig(task="transformer"))
+
+
+# The loss kernels as numpy's Python-level wrappers write them.  models.py
+# calls the ufunc reductions directly; these must give the same bits.
+
+def _ref_mean(a, axis=None, keepdims=False):
+    return np.mean(a, axis=axis, keepdims=keepdims)
+
+
+def _ref_softmax(scores):
+    s = scores - scores.max(axis=1, keepdims=True)
+    e = np.exp(s)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _ref_ce_from_scores(scores, labels):
+    s = scores - scores.max(axis=1, keepdims=True)
+    logz = np.log(np.exp(s).sum(axis=1))
+    return float(np.mean(logz - s[np.arange(len(labels)), labels]))
+
+
+def _ref_entropy_from_scores(scores):
+    p = _ref_softmax(scores)
+    logp = np.log(np.clip(p, 1e-300, None))
+    return float(np.mean(-(p * logp).sum(axis=1)))
+
+
+def _ref_entropy_dscores(scores):
+    p = _ref_softmax(scores)
+    logp = np.log(np.clip(p, 1e-300, None))
+    h_row = -(p * logp).sum(axis=1, keepdims=True)
+    return -p * (logp + h_row) / scores.shape[0]
+
+
+def _ref_hidden(self, params, x):
+    a = np.tanh(x @ params["feat.weight"] + params["feat.bias"])
+    mu = a.mean(axis=-1, keepdims=True)
+    var = a.var(axis=-1, keepdims=True)
+    std = np.sqrt(var + models._LN_EPS)
+    xhat = (a - mu) / std
+    y = params["norm.gain"] * xhat + params["norm.bias"]
+    return a, xhat, std, y
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+def _kernel_outputs(model, params, x, labels):
+    """Every loss, gradient and score the kernels feed, in a fixed order."""
+    labeled, unlabeled = Batch(x, labels), Batch(x)
+    # Batch casts inputs to float64; reset them so float32 runs float32
+    labeled.inputs = unlabeled.inputs = x
+    ent = entropy_objective(model)
+    return [model.loss(params, labeled), model.grad(params, labeled),
+            ent.loss(params, unlabeled), ent.grad(params, unlabeled),
+            sample_scores(model, params, labeled)]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_loss_kernels_match_numpy_reference(dtype, monkeypatch):
+    rng = np.random.default_rng(23)
+    a = rng.normal(size=(5, 7, 3)).astype(dtype)
+    for axis in (None, 0, 1, -1):
+        for keepdims in (False, True):
+            assert _same_bits(models._mean(a, axis, keepdims),
+                              np.mean(a, axis=axis, keepdims=keepdims))
+
+    for trial in range(6):
+        n = int(rng.integers(1, 9))
+        frames = int(rng.integers(1, 33))
+        scale = [1e-2, 1.0, 10.0][trial % 3]
+        for model, shape in [
+            (logistic_regression(5, 4), (n, 5)),
+            (mlp_classifier(5, 6, 4), (n, 5)),
+            (seq_classifier(frames, 5, 4, hidden=6), (n, frames, 5)),
+        ]:
+            # perturbed away from init, which has zero heads
+            params = ParamSet([
+                (name, (arr + 0.5 * rng.normal(size=arr.shape)).astype(dtype))
+                for name, arr in model.init(trial).items()])
+            x = (scale * rng.normal(size=shape)).astype(dtype)
+            labels = rng.integers(0, 4, size=n)
+            live = _kernel_outputs(model, params, x, labels)
+            with monkeypatch.context() as m:
+                for name, ref in [
+                        ("_mean", _ref_mean), ("_softmax", _ref_softmax),
+                        ("_ce_from_scores", _ref_ce_from_scores),
+                        ("_entropy_from_scores", _ref_entropy_from_scores),
+                        ("_entropy_dscores", _ref_entropy_dscores)]:
+                    m.setattr(models, name, ref)
+                m.setattr(models._SeqCore, "_hidden", _ref_hidden)
+                ref = _kernel_outputs(model, params, x, labels)
+            for got, want in zip(live, ref):
+                if isinstance(got, ParamSet):
+                    assert got.names == want.names
+                    for name, arr in got.items():
+                        assert _same_bits(arr, want[name]), (model.name, name)
+                elif isinstance(got, float):
+                    assert got == want, model.name
+                else:
+                    assert _same_bits(got, want), model.name
