@@ -13,13 +13,16 @@ each other, at most the largest tensor's size per run.
 
 axpy is the one update kernel: the perturbation cycle calls it directly,
 and apply_records runs it once per (seed, proj_grad) record for stage-2
-updates, seed-log replay and revert alike.  A direction is named by
-(seed, kind) alone; epsilon only sets the coefficient.  axpy's one
-temporary is a scratch array of the largest tensor's size, which is what
-bounds the optimizer's transient memory: each run's z is drawn into it,
-then scaled and added once per run.  It draws z from the calling thread's
-rekeyed stream (see :func:`zobench.streams.thread_stream`), never from a
-newly built one.
+updates, seed-log replay and revert alike; given a tuple of
+coefficients it applies each in turn from one draw of z, which is how a
+q=1 step's last restore and its update share a regeneration.  A
+direction is named by (seed, kind) alone; epsilon only sets the
+coefficient.  axpy's one temporary is a scratch array of the largest
+tensor's size (rounded up to even for a tuple, whose z and scaled copy
+take half each), which is what bounds the optimizer's transient memory:
+each run's z is drawn into it, then scaled and added once per run.  It
+draws z from the calling thread's rekeyed stream (see
+:func:`zobench.streams.thread_stream`), never from a newly built one.
 """
 
 from __future__ import annotations
@@ -92,7 +95,8 @@ class ParamSet:
         list of ``(name, offset, shape)``, to its view of the 1-D ``buf``."""
         self._buf, self._layout, self._index = buf, layout, index
         self._largest = max(arr.size for arr in self._index.values())
-        self._runs = self._schema_hash = None   # built on first use
+        # built on first use
+        self._runs = self._half_runs = self._schema_hash = None
         return self
 
     # -- schema ----------------------------------------------------------
@@ -159,19 +163,35 @@ class ParamSet:
         of a left-out one fall in separate runs.  Built once per set.
         """
         if self._runs is None:
-            runs, parts = [], []
-            for i, (_, start, shape) in enumerate(self._layout):
-                size = math.prod(shape)
-                if not (parts and start == stop
-                        and start + size - first <= self._largest):
+            self._runs = self._plan(self._largest)
+        return self._runs
+
+    def half_runs(self):
+        """:meth:`runs` capped at half the largest tensor, rounded up.
+
+        A tensor above the cap is cut into pieces of the cap's size; a
+        piece after its tensor's first has index 0 in ``parts``, like
+        tensor 0, as its draw goes on from the piece before it.  Built
+        once per set.
+        """
+        if self._half_runs is None:
+            self._half_runs = self._plan((self._largest + 1) // 2)
+        return self._half_runs
+
+    def _plan(self, cap):
+        runs, parts = [], []
+        for i, (_, start, shape) in enumerate(self._layout):
+            end = start + math.prod(shape)
+            for lo in range(start, end, cap):
+                hi = min(lo + cap, end)
+                if not (parts and lo == stop and hi - first <= cap):
                     if parts:
                         runs.append((self._buf[first:stop], stop - first, tuple(parts)))
-                    first, parts = start, []
-                stop = start + size
-                parts.append((i, start - first, stop - first, shape))
-            runs.append((self._buf[first:stop], stop - first, tuple(parts)))
-            self._runs = runs
-        return self._runs
+                    first, parts = lo, []
+                stop = hi
+                parts.append((i if lo == start else 0, lo - first, hi - first, shape))
+        runs.append((self._buf[first:stop], stop - first, tuple(parts)))
+        return runs
 
     # -- numerics ----------------------------------------------------------
 
@@ -277,7 +297,8 @@ def _schema_hash(entries) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-def axpy(params: ParamSet, coeff: float, seed: int, kind: SamplerKind = FULL):
+def axpy(params: ParamSet, coeff: float | tuple, seed: int,
+         kind: SamplerKind = FULL):
     """params += coeff * z(seed, kind), run by run, in place.
 
     Tensor i draws z_i from substream i of ``seed``, so the update is a
@@ -291,12 +312,23 @@ def axpy(params: ParamSet, coeff: float, seed: int, kind: SamplerKind = FULL):
     scaled once and added once.  Both are element-wise, so the result is
     bit-identical to scaling and adding tensor by tensor.
 
+    ``coeff`` may be a tuple (c1, c2, ...): params += c1 * z, then
+    params += c2 * z, and so on, from one draw of z, with the same bytes
+    as one call per coefficient; a 0.0 is skipped either way.  Under
+    the full kind, z and its scaled copy share the one scratch, so each
+    run of :meth:`ParamSet.half_runs` holds at most half of it, a large
+    tensor drawn piece by piece from its one stream.  A low-rank z is a
+    matmul per tensor that cannot be cut, so it is drawn once per
+    coefficient.
+
     The seed is checked once per call; each z_i comes from the calling
     thread's one stream, restarted at (seed, i), not from a new
     ``GaussianStream``: building one costs an OS-entropy ``SeedSequence``,
     several times the restart.  Threads never share a stream, so
     concurrent calls on separate ParamSets are safe.
     """
+    if type(coeff) is tuple:
+        return _axpy_each(params, coeff, seed, kind)
     coeff = float(coeff)
     if coeff == 0.0:
         return
@@ -317,6 +349,30 @@ def axpy(params: ParamSet, coeff: float, seed: int, kind: SamplerKind = FULL):
                                   out=z[start:stop].reshape(shape))
         z *= coeff
         run += z
+    alloc_tracker.free(scratch.nbytes)
+
+
+def _axpy_each(params: ParamSet, coeffs: tuple, seed: int, kind: SamplerKind):
+    """axpy with a tuple of coefficients, applied in order from one z."""
+    coeffs = [c for c in map(float, coeffs) if c != 0.0]
+    if len(coeffs) < 2 or kind.variant != "full":
+        for c in coeffs:
+            axpy(params, c, seed, kind)
+        return
+    stream = thread_stream(seed)
+    dtype = params.dtype
+    half = (params._largest + 1) // 2
+    scratch = np.empty(2 * half, dtype)
+    alloc_tracker.alloc(scratch.nbytes)
+    for run, size, parts in params.half_runs():
+        z, cz = scratch[:size], scratch[half:half + size]
+        for i, start, stop, _ in parts:
+            if i:  # 0: tensor 0, or a piece going on with its tensor's draw
+                stream.restart(i)
+            samplers.gaussian_fill(stream, None, dtype, out=z[start:stop])
+        for c in coeffs:
+            np.multiply(z, c, out=cz)
+            run += cz
     alloc_tracker.free(scratch.nbytes)
 
 

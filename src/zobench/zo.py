@@ -9,7 +9,10 @@ step-major and query-minor, as a seed log stores them.  Stage 2
 regenerates each z from its seed and the sampler kind and applies
 theta -= lr_eff * g * z through :func:`zobench.params.apply_records`,
 the same kernel that seed-log replay and revert run; eps sizes the
-probes only, so no update reads it.
+probes only, so no update reads it.  At q = 1 stage 2 also takes the
+query's restore: the restore and the update share one z, so one
+``axpy`` call with the coefficients (eps, -lr_eff * g) applies both
+from a single regeneration, with the bytes of two calls.
 
 Every perturbation and update goes through ``params.axpy``, looked up on
 the module at call time, so a wrapper installed there sees every call.
@@ -120,13 +123,17 @@ def derive_seed(master_seed: int, step: int, query: int) -> int:
 
 
 def rge_proj_grad(model, params: ParamSet, batch, seed: int, epsilon: float,
-                  kind: SamplerKind = FULL) -> QueryRecord:
+                  kind: SamplerKind = FULL, *, restore: bool = True
+                  ) -> QueryRecord:
     """One paired-forward projected-gradient estimate along z(seed, kind).
 
     Returns the QueryRecord; its ``proj_grad`` is the estimate.  The
     parameters go through the in-place +eps / -2 eps / +eps cycle and end
     within a few ulps of where they started, whatever the losses come out
-    to.  Raises ValueError unless epsilon is a finite positive number.
+    to.  With ``restore=False`` the final +eps is left to the caller and
+    the parameters end at -eps * z, unless a loss is non-finite: the
+    cycle then completes before NumericError is raised.  Raises
+    ValueError unless epsilon is a finite positive number.
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
@@ -134,8 +141,10 @@ def rge_proj_grad(model, params: ParamSet, batch, seed: int, epsilon: float,
     loss_plus = float(model.loss(params, batch))
     _params.axpy(params, -2.0 * epsilon, seed, kind)
     loss_minus = float(model.loss(params, batch))
-    _params.axpy(params, +epsilon, seed, kind)
-    if not (math.isfinite(loss_plus) and math.isfinite(loss_minus)):
+    finite = math.isfinite(loss_plus) and math.isfinite(loss_minus)
+    if restore or not finite:
+        _params.axpy(params, +epsilon, seed, kind)
+    if not finite:
         raise NumericError(
             f"non-finite loss under perturbation seed {seed} "
             f"(l+={loss_plus}, l-={loss_minus})", seed=seed)
@@ -153,22 +162,31 @@ def zo_step(model, params: ParamSet, batch_source: Callable, config: ZOConfig,
     ``batch_source(t)`` for every query in shared mode.  Returns the q
     QueryRecords in query order.  On a non-finite loss the step aborts
     with the parameters already restored and no updates applied.
+
+    At q = 1 the query leaves its +eps restore to stage 2, where it
+    shares the update's z: one ``axpy`` call with a tuple of
+    coefficients, so the step draws z three times, not four.
     """
+    q = config.q
     queries = []
-    for j in range(config.q):
+    for j in range(q):
         seed = derive_seed(config.master_seed, t, j)
-        batch = batch_source(t * config.q + j if config.batch_mode == "fresh"
-                             else t)
+        batch = batch_source(t * q + j if config.batch_mode == "fresh" else t)
         try:
             rec = rge_proj_grad(model, params, batch, seed, config.epsilon,
-                                config.sampler)
+                                config.sampler, restore=q > 1)
         except NumericError as exc:
             exc.step, exc.query = t, j
             raise
         queries.append(rec)
-    _params.apply_records(params, [rec.seed for rec in queries],
-                          [rec.proj_grad for rec in queries],
-                          -config.lr_effective, config.sampler)
+    coeff = -config.lr_effective
+    if q == 1:
+        _params.axpy(params, (config.epsilon, coeff * rec.proj_grad),
+                     rec.seed, config.sampler)
+    else:
+        _params.apply_records(params, [rec.seed for rec in queries],
+                              [rec.proj_grad for rec in queries],
+                              coeff, config.sampler)
     return queries
 
 

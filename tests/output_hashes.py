@@ -3,7 +3,7 @@
 Usage:
     PYTHONPATH=src python tests/output_hashes.py OUT
 
-Runs twelve small harness configs, each over seeds {0, 1}, into
+Runs fourteen small harness configs, each over seeds {0, 1}, into
 ``OUT/<config name>/`` and prints one ``<sha256>  <path>`` line per
 output file, paths relative to OUT and sorted.  ``*.timings.json``
 holds wall-clock times and is skipped.  A refactor that must not change
@@ -52,7 +52,10 @@ CONFIGS = [
     train("sgdbudget", {"type": "sgd", "lr": 0.1, "forward_budget": 40}),
     # the pooled seq CE forward under ZO perturbations
     train("seqtrain", {**ZO_MLP, "steps": 5}, model=SEQ),
+    # full-kind q=1: a step's last restore and its update share one z
+    train("qone", {**ZO_MLP, "q": 1}),
     tta("revert", reset_mode="revert"),
+    tta("qonerevert", {**ZO_TTA, "q": 1}, reset_mode="revert"),
     tta("lowrankrevert", {**ZO_TTA, **LOWRANK}, reset_mode="revert"),
     tta("adam", {"type": "adam", "lr": 0.01}),
     tta("sgd", {"type": "sgd", "lr": 0.05}),

@@ -5,8 +5,10 @@ callers look them up; a refactor that moves a call site leaves the shim
 unseen and the per-layer counts wrong.  The counts pinned here (calls,
 Gaussian elements filled and the transient peak, per op) repeat exactly
 from run to run.  One short traced run per
-workload catches that here (about 3 s each; tta-seq's set-up and each
-run are whole 100-episode streams, about 12 s).
+workload catches that here (about 3 s each; train-wide's 1.07M-parameter
+set-up and steps take about 7 s, and tta-seq's set-up and each run are
+whole 100-episode streams, about 12 s).  train-wide's q=1 step draws z
+three times, its last restore and its update sharing one ``axpy`` call.
 """
 
 import json
@@ -24,6 +26,7 @@ FILL_AND_TRANSIENT = {
     "checkpoint": (103_424, 2_560),
     "train-small": (6_464, 2_560),
     "tta-seq": (35_200, 512),
+    "train-wide": (3_213_342, 8_388_608),
 }
 
 
@@ -31,6 +34,7 @@ FILL_AND_TRANSIENT = {
     ("checkpoint", 256, 0),
     ("train-small", 16, 8),
     ("tta-seq", 400, 162),
+    ("train-wide", 3, 2),
 ])
 def test_traced_bench_run(tmp_path, workload, axpy_per_op, loss_per_op):
     fill_elems_per_op, transient_bytes = FILL_AND_TRANSIENT[workload]

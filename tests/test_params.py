@@ -188,19 +188,28 @@ def test_axpy_zero_coeff_is_bit_exact_noop():
     assert p.equals_bitwise(before)
 
 
-def test_axpy_matches_manual_regeneration():
-    # every layout's runs give the per-tensor result bit for bit; "split"
-    # caps its small tensors' runs at the largest tensor's 8 elements
+def _ramps(shapes, dtype=np.float64):
+    return ParamSet([(name, np.linspace(-1.0, 1.0, math.prod(shape))
+                      .reshape(shape).astype(dtype)) for name, shape in shapes])
+
+
+def _kernel_cases():
+    """Every layout of a 4-tensor set, plus "split", whose small tensors'
+    runs are capped at the largest tensor's 8 elements."""
     base = ParamSet([
         ("w", np.linspace(-1.0, 1.0, 20).reshape(4, 5)),
         ("b", np.linspace(0.5, 2.0, 5)),
         ("v", np.linspace(-2.0, 0.0, 6).reshape(2, 3)),
         ("c", np.linspace(1.0, 3.0, 4)),
     ])
-    split = ParamSet([(name, np.linspace(-1.0, 1.0, math.prod(shape)).reshape(shape))
-                      for name, shape in [("a", (2, 2, 2)), ("b", (3,)), ("c", (3,)),
-                                          ("d", (2,)), ("e", (5,)), ("f", (1,))]])
-    cases = {**layouts(base), "split": split}
+    split = _ramps([("a", (2, 2, 2)), ("b", (3,)), ("c", (3,)), ("d", (2,)),
+                    ("e", (5,)), ("f", (1,))])
+    return base, {**layouts(base), "split": split}
+
+
+def test_axpy_matches_manual_regeneration():
+    # every layout's runs give the per-tensor result bit for bit
+    base, cases = _kernel_cases()
     run_lengths = {"packed": [1, 3], "strided": [1, 3], "subset_gap": [1, 1, 2],
                    "subset_of_subset": [1, 2, 1], "f32": [1, 3], "split": [1, 3, 2]}
     # strided input packs in C order with the values it was given
@@ -223,6 +232,44 @@ def test_axpy_matches_manual_regeneration():
             assert leaked == 0
             if kind == FULL:
                 assert peak <= p.nbytes_largest(), name
+
+
+# a largest tensor of odd size, cut into pieces of 7 and 6: the second
+# piece shares a half run with "b", and "c" with "d"
+_ODD = [("w", (13,)), ("b", (1,)), ("c", (2, 3)), ("d", (1,))]
+_ONES = [("a", (1,)), ("b", (1,)), ("c", (1, 1))]
+
+
+def test_tuple_axpy_equals_one_call_per_coefficient():
+    # one draw of z per tuple, the bytes of consecutive single calls
+    _, cases = _kernel_cases()
+    for dtype in (np.float64, np.float32):
+        width = np.dtype(dtype).name
+        cases[f"odd_{width}"] = _ramps(_ODD, dtype)
+        cases[f"ones_{width}"] = _ramps(_ONES, dtype)
+    assert [len(parts) for *_, parts in cases["odd_float64"].half_runs()] == [1, 2, 2]
+    coeff_sets = [(0.25, -0.125), (1e-3, -0.5, 2.0), (0.5, 0.0, -0.75),
+                  (0.0, -0.3), (0.0, 0.0)]
+    for kind in (FULL, SamplerKind.lowrank(2, normalize=True)):
+        for name, p in cases.items():
+            for coeffs in coeff_sets:
+                expected = p.copy()
+                for c in coeffs:
+                    axpy(expected, c, 41, kind)
+                got = p.copy()
+                alloc_tracker.enabled = True
+                alloc_tracker.reset()
+                try:
+                    axpy(got, coeffs, 41, kind)
+                    peak, leaked = alloc_tracker.peak, alloc_tracker.active
+                finally:
+                    alloc_tracker.enabled = False
+                    alloc_tracker.reset()
+                case = (kind.variant, name, coeffs)
+                assert got.equals_bitwise(expected), case
+                assert leaked == 0, case
+                if kind == FULL:
+                    assert peak <= p.nbytes_largest() + p.dtype.itemsize, case
 
 
 def test_perturb_cycle_restores_within_ulps():

@@ -1,3 +1,4 @@
+import itertools
 import struct
 from dataclasses import replace
 
@@ -6,7 +7,7 @@ import pytest
 
 from zobench.models import BatchSampler, DataGenConfig, gen_data, make_model
 from conftest import layouts, reference_axpy
-from zobench.params import SchemaMismatchError
+from zobench.params import SchemaMismatchError, axpy
 from zobench.samplers import FULL, SamplerKind
 from zobench.seedlog import (HEADER_SIZE, LogFormatError, SeedLog,
                              SeedLogHeader, SeedLogWriter, inspect, read_log,
@@ -416,18 +417,20 @@ def _layout_cases():
                                   SamplerKind.lowrank(2, normalize=True)],
                          ids=["full", "lowrank2"])
 def test_update_paths_match_reference_loop(tmp_path, kind, pg_width, combine):
-    for cfg, layout, initial in _layout_cases():
+    # q=1 folds the last restore into the update's axpy; q=3 keeps it apart
+    for (cfg, layout, initial), q in itertools.product(_layout_cases(), (1, 3)):
         model = make_model(cfg)
         tr, _ = gen_data(cfg)
         sampler = BatchSampler(tr, 16, seed=0)
-        zcfg = ZOConfig(epsilon=1e-3, lr=0.05, q=3, steps=5, combine=combine,
+        zcfg = ZOConfig(epsilon=1e-3, lr=0.05, q=q, steps=5, combine=combine,
                         master_seed=7, sampler=kind)
         header = SeedLogHeader.from_config(zcfg, initial.schema_hash,
                                            pg_width=pg_width)
         lr_eff = zcfg.lr_effective
 
         # live stage 2, from the params the perturbation cycles leave
-        # behind: the same step at lr=0 runs the cycles and skips the updates
+        # behind: the same step at lr=0 runs the cycles and skips the
+        # updates, as axpy skips a 0.0 coefficient in a tuple too
         cycled = initial.copy()
         zo_step(model, cycled, sampler.draw, replace(zcfg, lr=0.0), 0)
         live = initial.copy()
@@ -435,15 +438,23 @@ def test_update_paths_match_reference_loop(tmp_path, kind, pg_width, combine):
         seeds = [rec.seed for rec in step]
         pgs = [rec.proj_grad for rec in step]
         assert live.equals_bitwise(
-            _reference_updates(cycled, seeds, pgs, -lr_eff, header)), layout
+            _reference_updates(cycled, seeds, pgs, -lr_eff, header)), (layout, q)
+        # and the cycles are the +eps / -2 eps / +eps single calls, each
+        # query's restore applied exactly once
+        eps = zcfg.epsilon
+        expected = initial.copy()
+        for seed in seeds:
+            for coeff in (eps, -2.0 * eps, eps):
+                axpy(expected, coeff, seed, kind)
+        assert cycled.equals_bitwise(expected), (layout, q)
 
-        path = tmp_path / f"{layout}.zolog"
+        path = tmp_path / f"{layout}-q{q}.zolog"
         with SeedLogWriter(path, header) as w:
             train(model, sampler.draw, zcfg, initial.copy(), log_writer=w)
         log = read_log(path)
         rebuilt = replay(initial, log)
         assert rebuilt.equals_bitwise(_reference_updates(
-            initial, log.seeds, log.proj_grads, -lr_eff, header)), layout
+            initial, log.seeds, log.proj_grads, -lr_eff, header)), (layout, q)
         assert revert(rebuilt, log).equals_bitwise(_reference_updates(
             rebuilt, log.seeds[::-1], log.proj_grads[::-1], +lr_eff,
-            header)), layout
+            header)), (layout, q)

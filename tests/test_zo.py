@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from zobench.models import Batch, Model, quadratic_bowl
-from zobench.params import ParamSet, apply_records
+from zobench.params import ParamSet, apply_records, axpy
 from zobench.samplers import FULL, SamplerKind, sample_for_tensor
 from zobench.streams import GaussianStream
 from zobench.zo import (CountingModel, NumericError, ZOConfig, derive_seed,
@@ -97,6 +97,31 @@ def test_numeric_error_carries_seed_and_restores():
     assert exc.value.seed == 123
     # the perturb cycle completed before the raise: params restored
     assert params.max_abs_diff(before) < 1e-12
+
+
+@pytest.mark.parametrize("nan_call", [1, 2], ids=["plus", "minus"])
+def test_numeric_error_at_q1_restores_and_skips_the_update(nan_call):
+    # a q=1 step leaves its last restore to stage 2; a non-finite loss
+    # still ends the cycle where three single calls leave it, no update
+    inner = bowl()
+    calls = []
+
+    def loss(p, b):
+        calls.append(None)
+        return float("nan") if len(calls) == nan_call else inner.loss(p, b)
+
+    model = Model(name="nan-q1", loss=loss)
+    params = inner.init(0)
+    cfg = ZOConfig(epsilon=1e-3, lr=0.1, q=1, steps=4, master_seed=5)
+    seed = derive_seed(5, 3, 0)
+    expected = params.copy()
+    for coeff in (cfg.epsilon, -2.0 * cfg.epsilon, cfg.epsilon):
+        axpy(expected, coeff, seed)
+    with pytest.raises(NumericError) as exc:
+        zo_step(model, params, lambda i: None, cfg, 3)
+    assert (exc.value.step, exc.value.query, exc.value.seed) == (3, 0, seed)
+    assert len(calls) == 2
+    assert params.equals_bitwise(expected)
 
 
 def test_estimator_is_unbiased_on_quadratic():
