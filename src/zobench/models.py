@@ -134,10 +134,16 @@ def _ce_dscores(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return p / len(labels)
 
 
+# p's floor under the log, per width: 1e-300 is 0 in float32, whose
+# smallest normal number takes its place
+_LOG_FLOOR = {np.dtype(np.float64): 1e-300,
+              np.dtype(np.float32): np.finfo(np.float32).tiny}
+
+
 def _p_logp(scores: np.ndarray):
     """Softmax rows and their logs, floored so that 0 * log 0 reads 0."""
     p = _softmax(scores)
-    return p, np.log(np.maximum(p, 1e-300))
+    return p, np.log(np.maximum(p, _LOG_FLOOR[p.dtype]))
 
 
 def _entropy_from_scores(scores: np.ndarray) -> float:

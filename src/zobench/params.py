@@ -12,16 +12,17 @@ how its tensors group into runs: tensors whose offsets follow on from
 each other, at most the largest tensor's size per run.
 
 axpy is the one update kernel: the perturbation cycle calls it directly,
-and apply_records runs it once per (seed, proj_grad) record for stage-2
-updates, seed-log replay and revert alike; given a tuple of
-coefficients it applies each in turn from one draw of z, which is how a
-q=1 step's last restore and its update share a regeneration.  A
-direction is named by (seed, kind) alone; epsilon only sets the
-coefficient.  axpy's one temporary is a scratch array of the largest
-tensor's size (rounded up to even for a tuple, whose z and scaled copy
-take half each), which is what bounds the optimizer's transient memory:
-each run's z is drawn into it, then scaled and added once per run.  It
-draws z from the calling thread's rekeyed stream (see
+and apply_records hands it a batch's (seed, proj_grad) records in one
+call, one term per record, for stage-2 updates, seed-log replay and
+revert alike; a term's tuple of coefficients applies each in turn from
+one draw of z, which is how a q=1 step's last restore and its update
+share a regeneration.  A direction is named by (seed, kind) alone;
+epsilon only sets the coefficient.  axpy's one temporary, set up once
+per call, is a scratch array of the largest tensor's size (rounded up to
+even when a term has two coefficients, whose z and scaled copy take half
+each), which is what bounds the optimizer's transient memory: each
+term's z is drawn into it run by run, then scaled and added once per run
+and coefficient.  It draws z from the calling thread's rekeyed stream (see
 :func:`zobench.streams.thread_stream`), never from a newly built one.
 """
 
@@ -297,7 +298,7 @@ def _schema_hash(entries) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-def axpy(params: ParamSet, coeff: float | tuple, seed: int,
+def axpy(params: ParamSet, coeff: float | tuple | list, seed: int | list,
          kind: SamplerKind = FULL):
     """params += coeff * z(seed, kind), run by run, in place.
 
@@ -312,23 +313,28 @@ def axpy(params: ParamSet, coeff: float | tuple, seed: int,
     scaled once and added once.  Both are element-wise, so the result is
     bit-identical to scaling and adding tensor by tensor.
 
-    ``coeff`` may be a tuple (c1, c2, ...): params += c1 * z, then
-    params += c2 * z, and so on, from one draw of z, with the same bytes
-    as one call per coefficient; a 0.0 is skipped either way.  Under
-    the full kind, z and its scaled copy share the one scratch, so each
-    run of :meth:`ParamSet.half_runs` holds at most half of it, a large
-    tensor drawn piece by piece from its one stream.  A low-rank z is a
-    matmul per tensor that cannot be cut, so it is drawn once per
-    coefficient.
+    ``coeff`` and ``seed`` may also be lists, one term per seed:
+    ``axpy(params, [c_1, ..., c_n], [s_1, ..., s_n])`` has the bytes of
+    n calls in order.  A term's coefficient, or ``coeff`` itself with one
+    seed, may be a tuple (c1, c2, ...): params += c1 * z, then += c2 * z,
+    and so on, from one draw of z.  A 0.0 is skipped; a term of zeros
+    draws nothing.  Every seed is checked before the first write, and
+    the scratch, the stream and the runs' slices of the scratch are set
+    up once per call.  Under the full kind, a term of two or more
+    coefficients keeps z and its scaled copy in the scratch side by side,
+    so the whole call runs on :meth:`ParamSet.half_runs` with a scratch
+    of the largest tensor's size rounded up to even, a larger tensor
+    drawn piece by piece from its one stream.  A low-rank z is a matmul
+    per tensor that cannot be cut, so it is drawn once per coefficient.
 
-    The seed is checked once per call; each z_i comes from the calling
-    thread's one stream, restarted at (seed, i), not from a new
-    ``GaussianStream``: building one costs an OS-entropy ``SeedSequence``,
-    several times the restart.  Threads never share a stream, so
-    concurrent calls on separate ParamSets are safe.
+    Each z_i comes from the calling thread's one stream, restarted at
+    (seed, i), not from a new ``GaussianStream``: building one costs an
+    OS-entropy ``SeedSequence``, several times the restart.  Threads
+    never share a stream, so concurrent calls on separate ParamSets are
+    safe.
     """
-    if type(coeff) is tuple:
-        return _axpy_each(params, coeff, seed, kind)
+    if type(coeff) in (tuple, list):
+        return _axpy_terms(params, coeff, seed, kind)
     coeff = float(coeff)
     if coeff == 0.0:
         return
@@ -352,27 +358,62 @@ def axpy(params: ParamSet, coeff: float | tuple, seed: int,
     alloc_tracker.free(scratch.nbytes)
 
 
-def _axpy_each(params: ParamSet, coeffs: tuple, seed: int, kind: SamplerKind):
-    """axpy with a tuple of coefficients, applied in order from one z."""
-    coeffs = [c for c in map(float, coeffs) if c != 0.0]
-    if len(coeffs) < 2 or kind.variant != "full":
-        for c in coeffs:
-            axpy(params, c, seed, kind)
+def _axpy_terms(params: ParamSet, coeffs, seeds, kind: SamplerKind):
+    """axpy over a list of terms, or over one term with a tuple coeff."""
+    if type(coeffs) is tuple:
+        coeffs, seeds = [coeffs], [seeds]
+    full = kind.variant == "full"
+    terms, paired = [], False
+    for seed, cs in zip(seeds, coeffs, strict=True):
+        seed = int(seed)
+        if not 0 <= seed < 2**64:
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+        if type(cs) is not tuple:
+            cs = float(cs)
+            if cs != 0.0:
+                terms.append((seed, (cs,)))
+            continue
+        cs = [c for c in map(float, cs) if c != 0.0]
+        if not full:  # one draw per coefficient
+            terms += [(seed, (c,)) for c in cs]
+        elif cs:
+            terms.append((seed, cs))
+            paired = paired or len(cs) > 1
+    if not terms:
         return
-    stream = thread_stream(seed)
     dtype = params.dtype
-    half = (params._largest + 1) // 2
-    scratch = np.empty(2 * half, dtype)
+    if paired:  # z and its scaled copy
+        half = (params._largest + 1) // 2
+        plan, scratch = params.half_runs(), np.empty(2 * half, dtype)
+    else:  # each coefficient scales z in place
+        half, plan = 0, params.runs()
+        scratch = np.empty(params._largest, dtype)
     alloc_tracker.alloc(scratch.nbytes)
-    for run, size, parts in params.half_runs():
-        z, cz = scratch[:size], scratch[half:half + size]
-        for i, start, stop, _ in parts:
-            if i:  # 0: tensor 0, or a piece going on with its tensor's draw
-                stream.restart(i)
-            samplers.gaussian_fill(stream, None, dtype, out=z[start:stop])
-        for c in coeffs:
-            np.multiply(z, c, out=cz)
-            run += cz
+    views = []
+    for run, size, parts in plan:
+        # scaled in place, cz is z itself, which spares numpy an overlap check
+        z = scratch[:size]
+        cz = scratch[half:half + size] if half else z
+        outs = [(i, scratch[start:stop] if full
+                 else scratch[start:stop].reshape(shape))
+                for i, start, stop, shape in parts]
+        views.append((run, z, cz, outs))
+    fill = samplers.gaussian_fill  # looked up here so bench/spans.py can wrap it
+    stream = thread_stream(terms[0][0])
+    for seed, cs in terms:
+        stream.seed = seed  # checked above: restart needs no second check
+        stream.restart(0)
+        for run, z, cz, outs in views:
+            for i, out in outs:
+                if i:  # 0: tensor 0, or a piece going on with its tensor's draw
+                    stream.restart(i)
+                if full:
+                    fill(stream, None, dtype, out)
+                else:
+                    sample_for_tensor(stream, out.shape, kind, dtype, out)
+            for c in cs:
+                np.multiply(z, c, cz)
+                run += cz
     alloc_tracker.free(scratch.nbytes)
 
 
@@ -382,10 +423,12 @@ def apply_records(params: ParamSet, seeds, proj_grads, coeff: float,
 
     Live stage-2 updates pass coeff = -lr_eff, replay the same over a
     log's records, and revert passes the records reversed with +lr_eff.
-    ``axpy`` is looked up at call time, one call per record.  Arrays are
-    iterated as Python scalars: the same values, but cheaper to convert.
+    All records go to one ``axpy`` call, looked up at call time, one term
+    per record: its scratch of the largest tensor's size is allocated
+    once per batch, not once per record, and a bad seed anywhere raises
+    before any write.  Arrays are read as Python scalars: the same
+    values, cheaper to convert.
     """
     seeds = seeds.tolist() if isinstance(seeds, np.ndarray) else seeds
     pgs = proj_grads.tolist() if isinstance(proj_grads, np.ndarray) else proj_grads
-    for seed, g in zip(seeds, pgs):
-        axpy(params, coeff * float(g), seed, kind)
+    axpy(params, [coeff * float(g) for g in pgs], seeds, kind)

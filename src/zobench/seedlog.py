@@ -28,11 +28,13 @@ Layout (all little-endian):
     52      8     record count (u64)
     60      --    records: seed (u64) + proj_grad (f32 or f64), as
                   ``SeedLogHeader.record_dtype`` defines them for the
-                  writer, the reader and in-memory logs alike
+                  reader and in-memory logs; the writer packs the same
+                  bytes with one ``struct.Struct`` per width
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, replace
 
@@ -54,6 +56,8 @@ HEADER_SIZE = 60
 _HEADER_FMT = "<4sHBBBBHIIQQddQ"
 assert struct.calcsize(_HEADER_FMT) == HEADER_SIZE
 
+# one record per pg_width, packed as record_dtype lays it out
+_RECORD_STRUCTS = {4: struct.Struct("<Qf"), 8: struct.Struct("<Qd")}
 _SAMPLER_CODES = {"full": 0, "lowrank": 1}
 _COMBINE_CODES = {"accumulate": 0, "mean": 1}
 _FLAG_NORMALIZE = 1
@@ -175,15 +179,28 @@ class SeedLogWriter:
         self._fh.write(replace(header, record_count=0).pack())
         self._count = 0
         self._finalized = False
-        self._dtype = header.record_dtype
+        self._record = _RECORD_STRUCTS[header.pg_width]
 
     def append(self, seed: int, proj_grad: float):
+        """Write one record; a bad seed or proj_grad writes nothing.
+
+        A seed outside [0, 2**64) raises OverflowError; a proj_grad that
+        is not finite, or is not finite at ``pg_width``, raises ValueError.
+        """
         if self._finalized:
             raise LogFormatError("append after finalize")
-        record = np.array((int(seed), proj_grad), dtype=self._dtype)
-        if not np.isfinite(record["pg"]):
+        g = float(proj_grad)
+        if not math.isfinite(g):  # struct packs NaN and inf silently
             raise ValueError("proj_grad must be finite")
-        self._fh.write(record.tobytes())
+        try:
+            record = self._record.pack(int(seed), g)
+        except struct.error as exc:  # the only packing error a seed can raise
+            raise OverflowError(
+                f"seed must be a 64-bit unsigned integer, got {seed}") from exc
+        except OverflowError as exc:  # g beyond float32's range
+            raise ValueError(f"proj_grad {g} overflows a "
+                             f"{self.header.pg_width}-byte float") from exc
+        self._fh.write(record)
         self._count += 1
 
     def flush(self):

@@ -6,9 +6,12 @@ Usage:
 Runs fourteen small harness configs, each over seeds {0, 1}, into
 ``OUT/<config name>/`` and prints one ``<sha256>  <path>`` line per
 output file, paths relative to OUT and sorted.  ``*.timings.json``
-holds wall-clock times and is skipped.  A refactor that must not change
-any output runs the script on both trees (``PYTHONPATH=<tree>/src``)
-and diffs the two listings.
+holds wall-clock times and is skipped.  Each seed log ``<run>.zolog``
+adds two lines, ``<run>.zolog:replay`` and ``<run>.zolog:revert``: the
+bytes of ``replay(<run>.init.pset, log)`` and of
+``revert(<run>.final.pset, log)``, so the checkpoint path is hashed too.
+A refactor that must not change any output runs the script on both
+trees (``PYTHONPATH=<tree>/src``) and diffs the two listings.
 """
 
 import hashlib
@@ -16,6 +19,8 @@ import os
 import sys
 
 from zobench.harness import parse_config, run
+from zobench.params import ParamSet
+from zobench.seedlog import read_log, replay, revert
 
 SEEDS = [0, 1]
 DATA = {"n_train": 64, "n_test": 32, "batch_size": 16}
@@ -72,16 +77,23 @@ def output_hashes(out) -> list:
     """Run every config under ``out``; return the sorted hash lines."""
     for raw in CONFIGS:
         run(parse_config(raw), output_dir=os.path.join(out, raw["name"]))
-    lines = []
+    hashed = {}
     for root, _, files in os.walk(out):
         for fname in files:
             if fname.endswith(".timings.json"):
                 continue
             path = os.path.join(root, fname)
+            name = os.path.relpath(path, out)
             with open(path, "rb") as fh:
-                digest = hashlib.sha256(fh.read()).hexdigest()
-            lines.append(f"{digest}  {os.path.relpath(path, out)}")
-    return sorted(lines, key=lambda line: line.split("  ", 1)[1])
+                hashed[name] = fh.read()
+            if fname.endswith(".zolog"):
+                stem, log = path[:-len(".zolog")], read_log(path)
+                hashed[name + ":replay"] = replay(
+                    ParamSet.load(stem + ".init.pset"), log).to_bytes()
+                hashed[name + ":revert"] = revert(
+                    ParamSet.load(stem + ".final.pset"), log).to_bytes()
+    return [f"{hashlib.sha256(blob).hexdigest()}  {name}"
+            for name, blob in sorted(hashed.items())]
 
 
 if __name__ == "__main__":

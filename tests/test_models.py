@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -245,6 +246,21 @@ def _ref_entropy_dscores(scores):
     logp = np.log(np.clip(p, 1e-300, None))
     h_row = -(p * logp).sum(axis=1, keepdims=True)
     return -p * (logp + h_row) / scores.shape[0]
+
+
+def test_float32_entropy_with_a_vanishing_probability():
+    # exp(-201) is 0 in float32, so a floor of 1e-300 gave log 0 = -inf and
+    # 0 * -inf = nan in both the loss and its gradient
+    scores = np.array([[0.0, -200.0, 1.0]], dtype=np.float32)
+    wide = scores.astype(np.float64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = models._entropy_from_scores(scores)
+        d = models._entropy_dscores(scores)
+    assert math.isfinite(h) and d.dtype == np.float32 and np.isfinite(d).all()
+    assert h == pytest.approx(models._entropy_from_scores(wide), rel=1e-6)
+    np.testing.assert_allclose(d, models._entropy_dscores(wide),
+                               rtol=1e-6, atol=1e-9)
 
 
 def _ref_hidden(self, params, x):

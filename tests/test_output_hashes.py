@@ -2,7 +2,8 @@
 
 Criterion 11 compares two metrics.csv files; this covers every artifact
 of fourteen configs (logs, parameter files, summaries, episode records and
-sweep tables), the listing a refactor diffs against its parent tree.
+sweep tables) and each seed log's replay and revert, the listing a
+refactor diffs against its parent tree.
 """
 
 import os
@@ -25,5 +26,5 @@ def listing(out):
 def test_output_hashes_repeat(tmp_path):
     first = listing(tmp_path / "a")
     assert listing(tmp_path / "b") == first
-    assert len(first) == 137
+    assert len(first) == 169
     assert not any(line.endswith(".timings.json") for line in first)

@@ -193,18 +193,30 @@ def _ramps(shapes, dtype=np.float64):
                       .reshape(shape).astype(dtype)) for name, shape in shapes])
 
 
-def _kernel_cases():
+def _kernel_cases(dtype=np.float64):
     """Every layout of a 4-tensor set, plus "split", whose small tensors'
     runs are capped at the largest tensor's 8 elements."""
     base = ParamSet([
-        ("w", np.linspace(-1.0, 1.0, 20).reshape(4, 5)),
-        ("b", np.linspace(0.5, 2.0, 5)),
-        ("v", np.linspace(-2.0, 0.0, 6).reshape(2, 3)),
-        ("c", np.linspace(1.0, 3.0, 4)),
+        ("w", np.linspace(-1.0, 1.0, 20, dtype=dtype).reshape(4, 5)),
+        ("b", np.linspace(0.5, 2.0, 5, dtype=dtype)),
+        ("v", np.linspace(-2.0, 0.0, 6, dtype=dtype).reshape(2, 3)),
+        ("c", np.linspace(1.0, 3.0, 4, dtype=dtype)),
     ])
     split = _ramps([("a", (2, 2, 2)), ("b", (3,)), ("c", (3,)), ("d", (2,)),
-                    ("e", (5,)), ("f", (1,))])
+                    ("e", (5,)), ("f", (1,))], dtype)
     return base, {**layouts(base), "split": split}
+
+
+def _tracked(fn):
+    """Run ``fn()``; return the transient peak and the bytes left allocated."""
+    alloc_tracker.enabled = True
+    alloc_tracker.reset()
+    try:
+        fn()
+        return alloc_tracker.peak, alloc_tracker.active
+    finally:
+        alloc_tracker.enabled = False
+        alloc_tracker.reset()
 
 
 def test_axpy_matches_manual_regeneration():
@@ -220,14 +232,7 @@ def test_axpy_matches_manual_regeneration():
             assert [len(parts) for *_, parts in p.runs()] == run_lengths[name]
             expected = p.copy()
             reference_axpy(expected, 0.25, 99, kind)
-            alloc_tracker.enabled = True
-            alloc_tracker.reset()
-            try:
-                axpy(p, 0.25, 99, kind)
-                peak, leaked = alloc_tracker.peak, alloc_tracker.active
-            finally:
-                alloc_tracker.enabled = False
-                alloc_tracker.reset()
+            peak, leaked = _tracked(lambda: axpy(p, 0.25, 99, kind))
             assert p.equals_bitwise(expected), (kind.variant, name)
             assert leaked == 0
             if kind == FULL:
@@ -257,19 +262,81 @@ def test_tuple_axpy_equals_one_call_per_coefficient():
                 for c in coeffs:
                     axpy(expected, c, 41, kind)
                 got = p.copy()
-                alloc_tracker.enabled = True
-                alloc_tracker.reset()
-                try:
-                    axpy(got, coeffs, 41, kind)
-                    peak, leaked = alloc_tracker.peak, alloc_tracker.active
-                finally:
-                    alloc_tracker.enabled = False
-                    alloc_tracker.reset()
+                peak, leaked = _tracked(lambda: axpy(got, coeffs, 41, kind))
                 case = (kind.variant, name, coeffs)
                 assert got.equals_bitwise(expected), case
                 assert leaked == 0, case
                 if kind == FULL:
                     assert peak <= p.nbytes_largest() + p.dtype.itemsize, case
+
+
+# (coefficients, seeds): N = 0 and N = 1, zeros mixed in, tuple items
+# mixed with float items, and a seed repeated
+_RECORD_LISTS = [
+    ([], []),
+    ([0.25], [7]),
+    ([(0.5, -0.75)], [7]),
+    ([0.25, 0.0, -0.5, 1e-3], [7, 8, 2 ** 64 - 1, 7]),
+    ([(0.25, -0.125), 0.0, -0.5, (0.0, 0.0), (1e-3, 0.0, 2.0), (0.0, 3.0)],
+     [3, 4, 0, 5, 3, 2 ** 63]),
+]
+
+
+def test_record_list_axpy_equals_one_call_per_record():
+    # one call over n records, the bytes of n single-coefficient calls
+    cases = {}
+    for dtype in (np.float64, np.float32):
+        width = np.dtype(dtype).name
+        _, by_layout = _kernel_cases(dtype)
+        cases.update({f"{name}_{width}": p for name, p in by_layout.items()})
+        cases[f"odd_{width}"] = _ramps(_ODD, dtype)
+    for kind in (FULL, SamplerKind.lowrank(2, normalize=True)):
+        for name, p in cases.items():
+            for coeffs, seeds in _RECORD_LISTS:
+                expected = p.copy()
+                for c, seed in zip(coeffs, seeds):
+                    for ci in (c if type(c) is tuple else (c,)):
+                        axpy(expected, ci, seed, kind)
+                got = p.copy()
+                peak, leaked = _tracked(lambda: axpy(got, coeffs, seeds, kind))
+                case = (kind.variant, name, coeffs)
+                assert got.equals_bitwise(expected), case
+                assert leaked == 0, case
+                if kind == FULL:
+                    paired = any(type(c) is tuple and sum(x != 0.0 for x in c) > 1
+                                 for c in coeffs)
+                    extra = p.dtype.itemsize if paired else 0
+                    assert peak <= p.nbytes_largest() + extra, case
+
+
+def test_record_list_runs_on_the_set_it_is_given():
+    # two sets of one schema, one after the other: each call writes its
+    # own buffer only
+    a, b = small_set(), small_set()
+    b["w"][...] += 1.0
+    want_a, want_b = a.copy(), b.copy()
+    for p in (want_a, want_b):
+        reference_axpy(p, 0.25, 5, FULL)
+        reference_axpy(p, -0.5, 6, FULL)
+    axpy(a, [0.25, -0.5], [5, 6])
+    axpy(b, [0.25, -0.5], [5, 6])
+    assert a.equals_bitwise(want_a) and b.equals_bitwise(want_b)
+
+
+@pytest.mark.parametrize("kind", [FULL, SamplerKind.lowrank(2)],
+                         ids=["full", "lowrank2"])
+def test_record_list_checks_every_seed_before_writing(kind):
+    p = small_set()
+    before = p.copy()
+    for seeds in ([1, 2, 2 ** 64], [1, -1, 2]):
+        with pytest.raises(ValueError):
+            axpy(p, [0.5, 0.25, (0.125, -1.0)], seeds, kind)
+        with pytest.raises(ValueError):
+            apply_records(p, seeds, [0.5, 0.25, -1.0], -0.1, kind)
+        assert p.equals_bitwise(before)
+    with pytest.raises(ValueError):  # one coefficient short
+        axpy(p, [0.5, 0.25], [1, 2, 3], kind)
+    assert p.equals_bitwise(before)
 
 
 def test_perturb_cycle_restores_within_ulps():

@@ -1,5 +1,6 @@
 import itertools
 import struct
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -194,6 +195,20 @@ def test_writer_rejects_out_of_range_seed(tmp_path, seed):
     assert path.stat().st_size == HEADER_SIZE + 12
     log = read_log(path)
     assert log.seeds.tolist() == [7] and log.proj_grads.tolist() == [0.25]
+
+
+def test_writer_rejects_proj_grad_beyond_float32(tmp_path):
+    # 1e39 is finite as a float64 but not as a float32: ValueError, no
+    # overflow warning from a cast, and no bytes written for the record
+    path = tmp_path / "x.zolog"
+    with SeedLogWriter(path, make_header(pg_width=4)) as w:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                w.append(7, 1e39)
+        w.flush()
+        assert path.stat().st_size == HEADER_SIZE
+    assert len(read_log(path)) == 0
 
 
 def test_read_rejects_truncation(tmp_path):
