@@ -11,19 +11,20 @@ the parent's buffer and only the selected entries.  Each set plans once
 how its tensors group into runs: tensors whose offsets follow on from
 each other, at most the largest tensor's size per run.
 
-axpy is the one update kernel: the perturbation cycle calls it directly,
-and apply_records hands it a batch's (seed, proj_grad) records in one
-call, one term per record, for stage-2 updates, seed-log replay and
-revert alike; a term's tuple of coefficients applies each in turn from
-one draw of z, which is how a q=1 step's last restore and its update
-share a regeneration.  A direction is named by (seed, kind) alone;
-epsilon only sets the coefficient.  axpy's one temporary, set up once
-per call, is a scratch array of the largest tensor's size (rounded up to
-even when a term has two coefficients, whose z and scaled copy take half
-each), which is what bounds the optimizer's transient memory: each
-term's z is drawn into it run by run, then scaled and added once per run
-and coefficient.  It draws z from the calling thread's rekeyed stream (see
-:func:`zobench.streams.thread_stream`), never from a newly built one.
+axpy is the one update kernel, with one body: the perturbation cycle
+calls it with one coefficient and one seed, and stage-2 updates, seed-log
+replay and revert with a list of terms, one per (seed, proj_grad)
+record, through apply_records for a log; a term's tuple of coefficients
+applies each in turn from one draw of z, which is how a q=1 step's last
+restore and its update share a regeneration.  A direction is named by
+(seed, kind) alone; epsilon only sets the coefficient.  axpy's one
+temporary, set up once per call, is a scratch array of the largest
+tensor's size (rounded up to even when a term has two coefficients,
+whose z and scaled copy take half each), which is what bounds the
+optimizer's transient memory: each term's z is drawn into it run by run,
+then scaled and added once per run and coefficient.  It draws z from the
+calling thread's rekeyed stream (see :func:`zobench.streams.thread_stream`),
+never from a newly built one.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 from . import samplers
 from .samplers import FULL, SamplerKind, alloc_tracker, sample_for_tensor
 # GaussianStream stays a module attribute: bench/spans.py wraps it by this name.
-from .streams import GaussianStream, thread_stream  # noqa: F401
+from .streams import GaussianStream, check_u64, thread_stream  # noqa: F401
 
 __all__ = ["ParamSet", "SchemaMismatchError", "ParamSetFormatError", "axpy",
            "apply_records"]
@@ -298,7 +299,7 @@ def _schema_hash(entries) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-def axpy(params: ParamSet, coeff: float | tuple | list, seed: int | list,
+def axpy(params: ParamSet, coeff: float | list, seed: int | list,
          kind: SamplerKind = FULL):
     """params += coeff * z(seed, kind), run by run, in place.
 
@@ -307,77 +308,53 @@ def axpy(params: ParamSet, coeff: float | tuple | list, seed: int | list,
     bytes with its proj_grad) instead of z itself is the whole trick
     behind seed-replay checkpoints.
 
-    One scratch array of the largest tensor's size is the whole
-    transient.  For each run of adjacent tensors (:meth:`ParamSet.runs`)
-    every z_i is drawn into its slice of the scratch, then the run is
-    scaled once and added once.  Both are element-wise, so the result is
-    bit-identical to scaling and adding tensor by tensor.
+    Two input forms: ``axpy(params, c, seed)`` with a float ``c``, and
+    ``axpy(params, [c_1, ..., c_n], [s_1, ..., s_n])``, one term per
+    seed, with the bytes of n single calls in order.  A term's
+    coefficient may be a tuple (c1, c2, ...): params += c1 * z, then
+    += c2 * z, and so on, from one draw of z, with the bytes of one call
+    per coefficient.  A 0.0 is skipped; a term of zeros draws nothing.
+    The single form is the one-term case of the list form.
 
-    ``coeff`` and ``seed`` may also be lists, one term per seed:
-    ``axpy(params, [c_1, ..., c_n], [s_1, ..., s_n])`` has the bytes of
-    n calls in order.  A term's coefficient, or ``coeff`` itself with one
-    seed, may be a tuple (c1, c2, ...): params += c1 * z, then += c2 * z,
-    and so on, from one draw of z.  A 0.0 is skipped; a term of zeros
-    draws nothing.  Every seed is checked before the first write, and
-    the scratch, the stream and the runs' slices of the scratch are set
-    up once per call.  Under the full kind, a term of two or more
-    coefficients keeps z and its scaled copy in the scratch side by side,
-    so the whole call runs on :meth:`ParamSet.half_runs` with a scratch
-    of the largest tensor's size rounded up to even, a larger tensor
-    drawn piece by piece from its one stream.  A low-rank z is a matmul
-    per tensor that cannot be cut, so it is drawn once per coefficient.
+    Every seed is checked, by :func:`~zobench.streams.check_u64`, before
+    the first write; the scratch, the stream and the runs' views
+    of the scratch are set up once per call.  The scratch, of the
+    largest tensor's size, is the whole transient: for each run of
+    adjacent tensors (:meth:`ParamSet.runs`) every z_i is drawn into its
+    slice of the scratch, then the run is scaled once and added once per
+    coefficient.  Both are element-wise, so the result is bit-identical
+    to scaling and adding tensor by tensor.  Under the full kind, a term
+    of two or more coefficients keeps z and its scaled copy in the
+    scratch side by side, so the whole call runs on
+    :meth:`ParamSet.half_runs` with a scratch of the largest tensor's
+    size rounded up to even, a larger tensor drawn piece by piece from
+    its one stream.  A low-rank z is a matmul per tensor that cannot be
+    cut, so it is drawn once per coefficient.
 
     Each z_i comes from the calling thread's one stream, restarted at
-    (seed, i), not from a new ``GaussianStream``: building one costs an
-    OS-entropy ``SeedSequence``, several times the restart.  Threads
+    (seed, i), not from a new ``GaussianStream``: building one costs
+    ``SeedSequence`` hashing, several times the restart.  Threads
     never share a stream, so concurrent calls on separate ParamSets are
     safe.
     """
-    if type(coeff) in (tuple, list):
-        return _axpy_terms(params, coeff, seed, kind)
-    coeff = float(coeff)
-    if coeff == 0.0:
-        return
-    stream = thread_stream(seed)
-    dtype = params.dtype
-    scratch = np.empty(params._largest, dtype)
-    alloc_tracker.alloc(scratch.nbytes)
-    full = kind.variant == "full"
-    for run, size, parts in params.runs():
-        z = scratch[:size]
-        for i, start, stop, shape in parts:
-            if i:  # thread_stream keyed substream 0, and 0 comes first
-                stream.restart(i)
-            if full:  # looked up here so bench/spans.py can wrap it
-                samplers.gaussian_fill(stream, None, dtype, out=z[start:stop])
-            else:
-                sample_for_tensor(stream, shape, kind, dtype,
-                                  out=z[start:stop].reshape(shape))
-        z *= coeff
-        run += z
-    alloc_tracker.free(scratch.nbytes)
-
-
-def _axpy_terms(params: ParamSet, coeffs, seeds, kind: SamplerKind):
-    """axpy over a list of terms, or over one term with a tuple coeff."""
-    if type(coeffs) is tuple:
-        coeffs, seeds = [coeffs], [seeds]
+    if type(coeff) is not list:
+        coeff, seed = (float(coeff),), (seed,)
+    elif len(seed) != len(coeff):
+        raise ValueError(f"{len(coeff)} coefficients for {len(seed)} seeds")
     full = kind.variant == "full"
     terms, paired = [], False
-    for seed, cs in zip(seeds, coeffs, strict=True):
-        seed = int(seed)
-        if not 0 <= seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    for s, cs in zip(seed, coeff):
+        s = check_u64("seed", s)
         if type(cs) is not tuple:
             cs = float(cs)
             if cs != 0.0:
-                terms.append((seed, (cs,)))
+                terms.append((s, (cs,)))
             continue
         cs = [c for c in map(float, cs) if c != 0.0]
         if not full:  # one draw per coefficient
-            terms += [(seed, (c,)) for c in cs]
+            terms += [(s, (c,)) for c in cs]
         elif cs:
-            terms.append((seed, cs))
+            terms.append((s, cs))
             paired = paired or len(cs) > 1
     if not terms:
         return
@@ -391,18 +368,21 @@ def _axpy_terms(params: ParamSet, coeffs, seeds, kind: SamplerKind):
     alloc_tracker.alloc(scratch.nbytes)
     views = []
     for run, size, parts in plan:
+        outs = []
+        for i, start, stop, shape in parts:
+            out = scratch[start:stop]
+            outs.append((i, out if full else out.reshape(shape)))
         # scaled in place, cz is z itself, which spares numpy an overlap check
         z = scratch[:size]
-        cz = scratch[half:half + size] if half else z
-        outs = [(i, scratch[start:stop] if full
-                 else scratch[start:stop].reshape(shape))
-                for i, start, stop, shape in parts]
-        views.append((run, z, cz, outs))
+        views.append((run, z, scratch[half:half + size] if half else z, outs))
     fill = samplers.gaussian_fill  # looked up here so bench/spans.py can wrap it
-    stream = thread_stream(terms[0][0])
-    for seed, cs in terms:
-        stream.seed = seed  # checked above: restart needs no second check
-        stream.restart(0)
+    stream = None
+    for s, cs in terms:
+        if stream is None:  # the thread's stream, keyed (s, 0)
+            stream = thread_stream(s)
+        else:  # s was checked above: restart needs no second check
+            stream.seed = s
+            stream.restart(0)
         for run, z, cz, outs in views:
             for i, out in outs:
                 if i:  # 0: tensor 0, or a piece going on with its tensor's draw
@@ -421,13 +401,13 @@ def apply_records(params: ParamSet, seeds, proj_grads, coeff: float,
                   kind: SamplerKind):
     """params += coeff * g_j * z(seed_j, kind) for each record j, in order.
 
-    Live stage-2 updates pass coeff = -lr_eff, replay the same over a
-    log's records, and revert passes the records reversed with +lr_eff.
-    All records go to one ``axpy`` call, looked up at call time, one term
-    per record: its scratch of the largest tensor's size is allocated
-    once per batch, not once per record, and a bad seed anywhere raises
-    before any write.  Arrays are read as Python scalars: the same
-    values, cheaper to convert.
+    Replay passes coeff = -lr_eff over a log's records, as a live step's
+    stage 2 applies them, and revert passes the records reversed with
+    +lr_eff.  All records go to one ``axpy`` call, looked up at call
+    time, one term per record: its scratch of the largest tensor's size
+    is allocated once per batch, not once per record, and a bad seed
+    anywhere raises before any write.  Arrays are read as Python
+    scalars: the same values, cheaper to convert.
     """
     seeds = seeds.tolist() if isinstance(seeds, np.ndarray) else seeds
     pgs = proj_grads.tolist() if isinstance(proj_grads, np.ndarray) else proj_grads

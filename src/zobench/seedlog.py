@@ -184,11 +184,15 @@ class SeedLogWriter:
     def append(self, seed: int, proj_grad: float):
         """Write one record; a bad seed or proj_grad writes nothing.
 
-        A seed outside [0, 2**64) raises OverflowError; a proj_grad that
-        is not finite, or is not finite at ``pg_width``, raises ValueError.
+        A seed that is not an integer (a float or a bool, by
+        :func:`~zobench.streams.check_int`'s rule) raises TypeError, and
+        one outside [0, 2**64) OverflowError; a proj_grad that is not
+        finite, or is not finite at ``pg_width``, raises ValueError.
         """
         if self._finalized:
             raise LogFormatError("append after finalize")
+        if type(seed) is not int:  # struct.pack checks the range
+            check_int("seed", seed)
         g = float(proj_grad)
         if not math.isfinite(g):  # struct packs NaN and inf silently
             raise ValueError("proj_grad must be finite")

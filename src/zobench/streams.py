@@ -9,8 +9,9 @@ compatibility policy.  Seed logs are portable across machines running the
 same numpy major version; the golden-value test in tests/test_streams.py
 guards against silent stream changes.
 
-Building a stream costs 10-20 µs, mostly an OS-entropy ``SeedSequence``
-that ``Philox(key=...)`` builds and the key then overrides, and seed
+Building a stream costs ~11 µs, mostly the ``SeedSequence`` hashing that
+a new ``Philox`` runs before the rekey overrides its whole state (one
+fixed ``SeedSequence`` is shared, so no OS entropy is read), and seed
 regeneration draws from one substream per tensor per update, filling
 each tensor's slice of the update kernel's one scratch array.  So the hot
 paths call :func:`thread_stream`, which rekeys one stream per thread
@@ -35,14 +36,21 @@ import numpy as np
 __all__ = ["GaussianStream", "gaussian_fill", "thread_stream"]
 
 _ZEROS4 = (0, 0, 0, 0)
+# seeds every new Philox, whose state the rekey then sets in full: one
+# built for Philox(key=...) would read OS entropy, twice the cost
+_UNUSED_SEED = np.random.SeedSequence(0)
 _BOOLS = (bool, np.bool_)   # a JSON true is not the number 1
 
 
-def check_int(name: str, value, low: int, high: int = None) -> None:
-    """Raise unless ``value`` is an integer (numpy's too) in [low, high)."""
+def check_int(name: str, value, low: int = None, high: int = None) -> None:
+    """Raise unless ``value`` is an integer (numpy's too) in [low, high).
+
+    A float or a bool raises TypeError, even one with an integral value;
+    a bound left None is not checked.
+    """
     if isinstance(value, _BOOLS) or not hasattr(type(value), "__index__"):
         raise TypeError(f"{name} must be an integer, got {value!r}")
-    if value < low:
+    if low is not None and value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
     if high is not None and value >= high:
         raise ValueError(f"{name} must be below {high}, got {value}")
@@ -56,11 +64,16 @@ def check_real(name: str, value) -> None:
         raise ValueError(f"{name} must be finite, got {value}")
 
 
-def _check_seed(seed) -> int:
-    seed = int(seed)
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    return seed
+def check_u64(name: str, value) -> int:
+    """``value`` as an int, if :func:`check_int` passes it in [0, 2**64).
+
+    A Philox key word: a seed or a substream.  An in-range int takes a
+    fast path with the same outcome.
+    """
+    if type(value) is int and 0 <= value < 2**64:
+        return value
+    check_int(name, value, 0, 2**64)
+    return int(value)
 
 
 class GaussianStream:
@@ -70,31 +83,33 @@ class GaussianStream:
     the second word of the Philox key).  Perturbation code gives each
     parameter tensor its own substream, indexed by position in the
     ParamSet, so a tensor's perturbation depends only on (seed, index) and
-    never on how many samples earlier tensors consumed.
+    never on how many samples earlier tensors consumed.  Both are
+    integers in [0, 2**64), checked by :func:`check_int`'s rule, so a
+    float seed raises instead of naming the stream of its integer part.
     """
 
     def __init__(self, seed: int, substream: int = 0):
-        self.seed = _check_seed(seed)
-        self.substream = int(substream)
-        key = np.array([self.seed, self.substream], dtype=np.uint64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        # keyed by the rekey below, which sets the whole state
+        self._gen = np.random.Generator(np.random.Philox(_UNUSED_SEED))
         # Philox's state setter copies these values, so one dict serves
         # every rekey; only the key tuple changes between them.
         self._state = {"bit_generator": "Philox",
                        "state": {"counter": _ZEROS4, "key": None},
                        "buffer": _ZEROS4, "buffer_pos": 4,
                        "has_uint32": 0, "uinteger": 0}
+        self.rekey(seed, substream)
 
     def rekey(self, seed: int, substream: int = 0) -> "GaussianStream":
         """Restart this stream as ``GaussianStream(seed, substream)`` would.
 
         Sets the Philox key to [seed, substream], the counter to 0 and
         empties both the 64-bit and the 32-bit buffers, so the samples that
-        follow are bit-identical to a freshly built stream's.  Checks the
-        seed, then makes one state assignment from Python ints: ~0.8 µs.
+        follow are bit-identical to a freshly built stream's.  Checks both
+        words as the constructor does, then makes one state assignment
+        from Python ints: ~0.8 µs.
         """
-        self.seed = _check_seed(seed)
-        return self.restart(int(substream))
+        self.seed = check_u64("seed", seed)
+        return self.restart(check_u64("substream", substream))
 
     def restart(self, substream: int) -> "GaussianStream":
         """``rekey(self.seed, substream)`` without checking the seed again."""

@@ -7,12 +7,13 @@ g = (l_plus - l_minus) / (2 eps).  Only the seed and the scalar g are
 kept: ``train`` returns them as QueryRecords flat in log order,
 step-major and query-minor, as a seed log stores them.  Stage 2
 regenerates each z from its seed and the sampler kind and applies
-theta -= lr_eff * g * z through :func:`zobench.params.apply_records`,
-the same kernel that seed-log replay and revert run; eps sizes the
-probes only, so no update reads it.  At q = 1 stage 2 also takes the
-query's restore: the restore and the update share one z, so one
-``axpy`` call with the coefficients (eps, -lr_eff * g) applies both
-from a single regeneration, with the bytes of two calls.
+theta -= lr_eff * g * z in one ``axpy`` call, one term per query, the
+same kernel and the same call form that seed-log replay and revert run
+through :func:`zobench.params.apply_records`; eps sizes the probes
+only, so no update reads it.  At q = 1 stage 2 also takes the query's
+restore: the restore and the update share one z, so the step's one
+term is the tuple (eps, -lr_eff * g), both applied from a single
+regeneration with the bytes of two calls.
 
 Every perturbation and update goes through ``params.axpy``, looked up on
 the module at call time, so a wrapper installed there sees every call.
@@ -163,9 +164,10 @@ def zo_step(model, params: ParamSet, batch_source: Callable, config: ZOConfig,
     QueryRecords in query order.  On a non-finite loss the step aborts
     with the parameters already restored and no updates applied.
 
-    At q = 1 the query leaves its +eps restore to stage 2, where it
-    shares the update's z: one ``axpy`` call with a tuple of
-    coefficients, so the step draws z three times, not four.
+    Stage 2 is one ``axpy`` call, one term per query.  At q = 1 the
+    query leaves its +eps restore to stage 2, where its one term is the
+    tuple (eps, -lr_eff * g): the restore shares the update's z, so the
+    step draws z three times, not four.
     """
     q = config.q
     queries = []
@@ -179,14 +181,10 @@ def zo_step(model, params: ParamSet, batch_source: Callable, config: ZOConfig,
             exc.step, exc.query = t, j
             raise
         queries.append(rec)
-    coeff = -config.lr_effective
-    if q == 1:
-        _params.axpy(params, (config.epsilon, coeff * rec.proj_grad),
-                     rec.seed, config.sampler)
-    else:
-        _params.apply_records(params, [rec.seed for rec in queries],
-                              [rec.proj_grad for rec in queries],
-                              coeff, config.sampler)
+    coeffs = [-config.lr_effective * rec.proj_grad for rec in queries]
+    if q == 1:  # the query's +eps restore, from the update's draw of z
+        coeffs = [(config.epsilon, coeffs[0])]
+    _params.axpy(params, coeffs, [rec.seed for rec in queries], config.sampler)
     return queries
 
 

@@ -245,6 +245,15 @@ _ODD = [("w", (13,)), ("b", (1,)), ("c", (2, 3)), ("d", (1,))]
 _ONES = [("a", (1,)), ("b", (1,)), ("c", (1, 1))]
 
 
+def _reference_terms(params, coeffs, seeds, kind):
+    """The list form by its definition: each nonzero coefficient of each
+    term in order, through :func:`conftest.reference_axpy`."""
+    for c, seed in zip(coeffs, seeds):
+        for ci in (c if type(c) is tuple else (c,)):
+            if ci != 0.0:
+                reference_axpy(params, ci, seed, kind)
+
+
 def test_tuple_axpy_equals_one_call_per_coefficient():
     # one draw of z per tuple, the bytes of consecutive single calls
     _, cases = _kernel_cases()
@@ -259,15 +268,16 @@ def test_tuple_axpy_equals_one_call_per_coefficient():
         for name, p in cases.items():
             for coeffs in coeff_sets:
                 expected = p.copy()
-                for c in coeffs:
-                    axpy(expected, c, 41, kind)
+                _reference_terms(expected, [coeffs], [41], kind)
                 got = p.copy()
-                peak, leaked = _tracked(lambda: axpy(got, coeffs, 41, kind))
+                peak, leaked = _tracked(lambda: axpy(got, [coeffs], [41], kind))
                 case = (kind.variant, name, coeffs)
                 assert got.equals_bitwise(expected), case
                 assert leaked == 0, case
                 if kind == FULL:
                     assert peak <= p.nbytes_largest() + p.dtype.itemsize, case
+    with pytest.raises(TypeError):  # a tuple takes a list of seeds
+        axpy(cases["packed"], (0.25, -0.125), 41)
 
 
 # (coefficients, seeds): N = 0 and N = 1, zeros mixed in, tuple items
@@ -294,9 +304,7 @@ def test_record_list_axpy_equals_one_call_per_record():
         for name, p in cases.items():
             for coeffs, seeds in _RECORD_LISTS:
                 expected = p.copy()
-                for c, seed in zip(coeffs, seeds):
-                    for ci in (c if type(c) is tuple else (c,)):
-                        axpy(expected, ci, seed, kind)
+                _reference_terms(expected, coeffs, seeds, kind)
                 got = p.copy()
                 peak, leaked = _tracked(lambda: axpy(got, coeffs, seeds, kind))
                 case = (kind.variant, name, coeffs)
@@ -328,15 +336,30 @@ def test_record_list_runs_on_the_set_it_is_given():
 def test_record_list_checks_every_seed_before_writing(kind):
     p = small_set()
     before = p.copy()
-    for seeds in ([1, 2, 2 ** 64], [1, -1, 2]):
-        with pytest.raises(ValueError):
+    # a float or a bool is refused, not truncated, even if it is integral
+    for seeds, error in [([1, 2, 2 ** 64], ValueError),
+                         ([1, -1, 2], ValueError),
+                         ([1, 2.9, 3], TypeError),
+                         ([1, 2, 3.0], TypeError),
+                         ([True, 2, 3], TypeError),
+                         ([1, np.bool_(True), 3], TypeError),
+                         ([1, 2, np.float64(3.0)], TypeError)]:
+        with pytest.raises(error):
             axpy(p, [0.5, 0.25, (0.125, -1.0)], seeds, kind)
-        with pytest.raises(ValueError):
+        with pytest.raises(error):
             apply_records(p, seeds, [0.5, 0.25, -1.0], -0.1, kind)
         assert p.equals_bitwise(before)
+    for seed in (1.5, 1.0, True):
+        with pytest.raises(TypeError):
+            axpy(p, 0.5, seed, kind)
     with pytest.raises(ValueError):  # one coefficient short
         axpy(p, [0.5, 0.25], [1, 2, 3], kind)
     assert p.equals_bitwise(before)
+    # numpy integers pass, as the ints they hold
+    want = p.copy()
+    axpy(want, [0.5, (0.25, -1.0)], [7, 2 ** 64 - 1], kind)
+    axpy(p, [0.5, (0.25, -1.0)], [np.int64(7), np.uint64(2 ** 64 - 1)], kind)
+    assert p.equals_bitwise(want)
 
 
 def test_perturb_cycle_restores_within_ulps():
@@ -447,3 +470,43 @@ def test_update_bytes_are_pinned(kind, dtype, seed):
     apply_records(p, seeds, pgs, -0.01, kind)
     digest = hashlib.sha256(p.to_bytes()).hexdigest()
     assert digest == _PINNED_SHA256[(kind.variant, np.dtype(dtype).name, seed)]
+
+
+_PAIRED_SHA256 = {
+    ("full", "float64", 7):
+        "9582c141617873f8eeb7a70b85bc155b8bd993199890f364bd08c8afd082a9a8",
+    ("full", "float64", 2 ** 64 - 1):
+        "8302baf55742df8da09dd447035fd7adf6c6fbd0842e7e629344922a6e28e309",
+    ("full", "float32", 7):
+        "17f6156111e46c6465e148dfe1e7fa7e6d0122fa41cf3bee892025dac56833b3",
+    ("full", "float32", 2 ** 64 - 1):
+        "0986aa2561e4196bf73ab50fd5852216cb6979edb1aa505cd54defb64adc33a8",
+    ("lowrank", "float64", 7):
+        "5d8c6db8b898505e2f699ade6a492ff7fd572c8c8290afd38868ce3f141dec0e",
+    ("lowrank", "float64", 2 ** 64 - 1):
+        "5430870f1a1ea0dfa91b434c4ca0a009f23f63fe9e6d3f7f2fe55192e3289814",
+    ("lowrank", "float32", 7):
+        "eefdcc24301f4323a77066e35ddd984b6bea55d544776df560342a401b69e03f",
+    ("lowrank", "float32", 2 ** 64 - 1):
+        "1608fab1ac7b9cd96e9bf63444ee24593e4b2d2dbf551c5d334819c6631f7704",
+}
+
+
+@pytest.mark.parametrize("kind", [FULL, SamplerKind.lowrank(2, normalize=True)],
+                         ids=["full", "lowrank2n"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+@pytest.mark.parametrize("seed", [7, 2 ** 64 - 1], ids=["seed7", "seedmax"])
+def test_paired_update_bytes_are_pinned(kind, dtype, seed):
+    # the two-coefficient term every q=1 step applies: under the full kind
+    # it runs on half_runs, where the odd 15-element "w" is cut into
+    # pieces of 8 and 7 and its second piece shares a run with "b"
+    p = ParamSet([
+        ("w", np.linspace(-1.0, 1.0, 15).reshape(3, 5).astype(dtype)),
+        ("b", np.array([0.5], dtype)),
+        ("k", np.linspace(-2.0, 0.0, 6).reshape(2, 3).astype(dtype)),
+        ("d", np.array([1.0], dtype)),
+    ])
+    assert [len(parts) for *_, parts in p.half_runs()] == [1, 2, 2]
+    axpy(p, [(0.25, -0.125)], [seed], kind)
+    digest = hashlib.sha256(p.to_bytes()).hexdigest()
+    assert digest == _PAIRED_SHA256[(kind.variant, np.dtype(dtype).name, seed)]

@@ -197,6 +197,22 @@ def test_writer_rejects_out_of_range_seed(tmp_path, seed):
     assert log.seeds.tolist() == [7] and log.proj_grads.tolist() == [0.25]
 
 
+@pytest.mark.parametrize("seed", [1.5, 1.0, np.float64(2.0), True,
+                                  np.bool_(False)],
+                         ids=["float", "integral-float", "np-float", "bool",
+                              "np-bool"])
+def test_writer_refuses_non_integer_seed(tmp_path, seed):
+    # refused by check_int's rule, not packed as int(seed); numpy integers pass
+    path = tmp_path / "x.zolog"
+    with SeedLogWriter(path, make_header()) as w:
+        with pytest.raises(TypeError):
+            w.append(seed, 0.5)
+        w.append(np.uint64(7), 0.25)
+    assert path.stat().st_size == HEADER_SIZE + 12
+    log = read_log(path)
+    assert log.seeds.tolist() == [7] and log.proj_grads.tolist() == [0.25]
+
+
 def test_writer_rejects_proj_grad_beyond_float32(tmp_path):
     # 1e39 is finite as a float64 but not as a float32: ValueError, no
     # overflow warning from a cast, and no bytes written for the record

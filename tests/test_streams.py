@@ -50,11 +50,34 @@ def test_normal_moments():
 
 
 def test_seed_range_validation():
-    with pytest.raises(ValueError):
-        GaussianStream(-1)
-    with pytest.raises(ValueError):
-        GaussianStream(2 ** 64)
-    GaussianStream(2 ** 64 - 1)  # max u64 is fine
+    for bad in (-1, 2 ** 64):
+        with pytest.raises(ValueError):
+            GaussianStream(bad)
+        with pytest.raises(ValueError):  # the substream is a key word too
+            GaussianStream(0, bad)
+        with pytest.raises(ValueError):
+            thread_stream(0, bad)
+    GaussianStream(2 ** 64 - 1, 2 ** 64 - 1)  # max u64 is fine
+    # numpy integers pass, as the ints they hold
+    s = GaussianStream(np.uint64(3), np.int32(1))
+    assert (s.seed, s.substream) == (3, 1)
+    assert type(s.seed) is int and type(s.substream) is int
+    np.testing.assert_array_equal(s.normal(4), GaussianStream(3, 1).normal(4))
+
+
+@pytest.mark.parametrize("seed, substream", [
+    (3.7, 0), (3.0, 0), (np.float64(3.0), 0), (True, 0), (np.bool_(True), 0),
+    (3, 1.5), (3, 1.0), (3, False),
+], ids=["float", "integral-float", "np-float", "bool", "np-bool",
+        "float-sub", "integral-float-sub", "bool-sub"])
+def test_non_integer_key_words_are_refused(seed, substream):
+    # check_int's rule: refused, not truncated to the stream of int(seed)
+    with pytest.raises(TypeError):
+        GaussianStream(seed, substream)
+    with pytest.raises(TypeError):
+        GaussianStream(0).rekey(seed, substream)
+    with pytest.raises(TypeError):
+        thread_stream(seed, substream)
 
 
 def test_gaussian_fill_shapes():
