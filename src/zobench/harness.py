@@ -115,6 +115,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if kind == "train" and "forward_budget" in opt:
         _check_int("optimizer.forward_budget", opt["forward_budget"])
     sweep = raw.get("sweep", {})
+    _require(isinstance(sweep, dict), "sweep", "must be a JSON object")
     for axis in sweep:
         _require(axis in _SWEEP_AXES, f"sweep.{axis}",
                  f"unknown axis; valid: {sorted(_SWEEP_AXES)}")

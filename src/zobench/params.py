@@ -7,9 +7,10 @@ regenerating z from a stored seed reproduces exactly the same update.
 
 Every set is one packed 1-D buffer plus a layout of (name, offset,
 shape) entries; its tensors are views into that buffer.  A subset keeps
-the parent's buffer and only the selected entries.  Each set plans once
-how its tensors group into runs: tensors whose offsets follow on from
-each other, at most the largest tensor's size per run.
+the parent's buffer and only the selected entries.  A set plans how its
+tensors group into runs: tensors whose offsets follow on from each
+other, at most :data:`CHUNK` elements per run under the full kind, a
+tensor above that drawn piece by piece from its one stream.
 
 axpy is the one update kernel, with one body: the perturbation cycle
 calls it with one coefficient and one seed, and stage-2 updates, seed-log
@@ -18,13 +19,15 @@ record, through apply_records for a log; a term's tuple of coefficients
 applies each in turn from one draw of z, which is how a q=1 step's last
 restore and its update share a regeneration.  A direction is named by
 (seed, kind) alone; epsilon only sets the coefficient.  axpy's one
-temporary, set up once per call, is a scratch array of the largest
-tensor's size (rounded up to even when a term has two coefficients,
-whose z and scaled copy take half each), which is what bounds the
-optimizer's transient memory: each term's z is drawn into it run by run,
-then scaled and added once per run and coefficient.  It draws z from the
-calling thread's rekeyed stream (see :func:`zobench.streams.thread_stream`),
-never from a newly built one.
+temporary is a scratch array that lives with the set, built on first
+use with the views onto it: under the full kind it holds at most CHUNK
+elements whatever the model's size (512 KB of float64), which is what
+bounds the optimizer's transient memory.  Each term's z is drawn into it
+run by run, then scaled and added once per run and coefficient.  The
+scratch makes a set single-writer: one set must not be updated from two
+threads at once, while separate sets, subsets and copies each have
+their own.  z comes from the calling thread's rekeyed stream (see
+:func:`zobench.streams.thread_stream`), never from a newly built one.
 """
 
 from __future__ import annotations
@@ -41,7 +44,13 @@ from .samplers import FULL, SamplerKind, alloc_tracker, sample_for_tensor
 from .streams import GaussianStream, check_u64, thread_stream  # noqa: F401
 
 __all__ = ["ParamSet", "SchemaMismatchError", "ParamSetFormatError", "axpy",
-           "apply_records"]
+           "apply_records", "CHUNK"]
+
+# Elements per run of the full kind's update plan, and so the most its
+# scratch holds: 512 KB of float64 stays in a 2 MB L2 cache between a
+# run's fill, scale and add.  Fills are prefix-consistent, so the cap
+# changes no byte of any update.
+CHUNK = 2 ** 16
 
 _MAGIC = b"ZOPS"
 _VERSION = 1
@@ -97,8 +106,9 @@ class ParamSet:
         list of ``(name, offset, shape)``, to its view of the 1-D ``buf``."""
         self._buf, self._layout, self._index = buf, layout, index
         self._largest = max(arr.size for arr in self._index.values())
-        # built on first use
-        self._runs = self._half_runs = self._schema_hash = None
+        # built on first use: axpy's plans by (full kind, paired), and
+        # the scratch the full kind's two plans share
+        self._plans, self._scratch, self._schema_hash = {}, None, None
         return self
 
     # -- schema ----------------------------------------------------------
@@ -155,30 +165,64 @@ class ParamSet:
         return ParamSet.__new__(ParamSet)._view(self._buf, layout, index)
 
     def runs(self):
-        """The update plan: ``(flat, size, parts)`` per run of tensors.
+        """The full kind's plan: ``(flat, size, parts)`` per run of tensors.
 
         A run is a maximal sequence of tensors, in iteration order, each
         starting in the buffer where the one before it stops, holding at
-        most as many elements as the largest tensor; ``flat`` is a 1-D
+        most ``min(largest tensor, CHUNK)`` elements; ``flat`` is a 1-D
         view over it.  ``parts`` gives each tensor's ``(index, start,
-        stop, shape)`` within the run.  A subset's tensors on either side
-        of a left-out one fall in separate runs.  Built once per set.
+        stop, shape)`` within the run.  A tensor above the cap is cut
+        into pieces of the cap's size; a piece after its tensor's first
+        has index 0, like tensor 0, as its draw goes on from the piece
+        before it.  A subset's tensors on either side of a left-out one
+        fall in separate runs.
         """
-        if self._runs is None:
-            self._runs = self._plan(self._largest)
-        return self._runs
+        return self._plan(min(self._largest, CHUNK))
 
     def half_runs(self):
-        """:meth:`runs` capped at half the largest tensor, rounded up.
+        """:meth:`runs` capped at half the largest tensor, rounded up, and
+        at half of CHUNK: a paired term's z and its scaled copy share the
+        scratch."""
+        return self._plan(min((self._largest + 1) // 2, CHUNK // 2))
 
-        A tensor above the cap is cut into pieces of the cap's size; a
-        piece after its tensor's first has index 0 in ``parts``, like
-        tensor 0, as its draw goes on from the piece before it.  Built
-        once per set.
+    def _update_plan(self, full: bool, paired: bool):
+        """axpy's ``(nbytes, views)`` for a kind family, built once.
+
+        ``views`` holds ``(run, z, cz, outs)`` per run: ``z`` and ``cz``
+        are the scratch's views for the run's draw and its scaled copy,
+        one array unless ``paired``, and ``outs`` each part's ``(index,
+        slice of z)``, shaped as its tensor for a low-rank draw.
+        ``nbytes`` is the scratch a call works in.  The full kind's
+        scratch, ``min(largest, CHUNK)`` elements rounded up to even,
+        serves both of its plans; a low-rank z is one matmul per tensor
+        that cannot be cut, so that plan has a scratch of the largest
+        tensor's size.
         """
-        if self._half_runs is None:
-            self._half_runs = self._plan((self._largest + 1) // 2)
-        return self._half_runs
+        plan = self._plans.get((full, paired))
+        if plan is not None:
+            return plan
+        if full:
+            if self._scratch is None:
+                size = min(self._largest + self._largest % 2, CHUNK)
+                self._scratch = np.empty(size, self.dtype)
+            scratch = self._scratch
+            runs = self.half_runs() if paired else self.runs()
+        else:
+            scratch = np.empty(self._largest, self.dtype)
+            runs = self._plan(self._largest)
+        half = scratch.size // 2 if paired else 0
+        views = []
+        for run, size, parts in runs:
+            outs = tuple((i, scratch[start:stop] if full
+                          else scratch[start:stop].reshape(shape))
+                         for i, start, stop, shape in parts)
+            # scaled in place, cz is z itself, which spares numpy an overlap check
+            z = scratch[:size]
+            views.append((run, z, scratch[half:half + size] if half else z, outs))
+        used = scratch.size if paired else max(size for _, size, _ in runs)
+        plan = self._plans[(full, paired)] = (used * self.dtype.itemsize,
+                                              tuple(views))
+        return plan
 
     def _plan(self, cap):
         runs, parts = [], []
@@ -317,25 +361,27 @@ def axpy(params: ParamSet, coeff: float | list, seed: int | list,
     The single form is the one-term case of the list form.
 
     Every seed is checked, by :func:`~zobench.streams.check_u64`, before
-    the first write; the scratch, the stream and the runs' views
-    of the scratch are set up once per call.  The scratch, of the
-    largest tensor's size, is the whole transient: for each run of
-    adjacent tensors (:meth:`ParamSet.runs`) every z_i is drawn into its
-    slice of the scratch, then the run is scaled once and added once per
-    coefficient.  Both are element-wise, so the result is bit-identical
-    to scaling and adding tensor by tensor.  Under the full kind, a term
-    of two or more coefficients keeps z and its scaled copy in the
-    scratch side by side, so the whole call runs on
-    :meth:`ParamSet.half_runs` with a scratch of the largest tensor's
-    size rounded up to even, a larger tensor drawn piece by piece from
-    its one stream.  A low-rank z is a matmul per tensor that cannot be
-    cut, so it is drawn once per coefficient.
+    the first write.  The call then runs on the set's update plan
+    (``ParamSet._update_plan``), built on the set's first call of each
+    kind family and kept with the set: a scratch array, the whole
+    transient, and the views onto it, so a call slices and allocates
+    nothing.  For each run of adjacent tensors (:meth:`ParamSet.runs`)
+    every z_i is drawn into its slice of the scratch, then the run is
+    scaled once and added once per coefficient.  Both are element-wise,
+    so the result is bit-identical to scaling and adding tensor by
+    tensor.  Under the full kind the scratch holds ``min(largest tensor,
+    CHUNK)`` elements, rounded up to even, and a larger tensor is drawn
+    piece by piece from its one stream; a term of two or more
+    coefficients keeps z and its scaled copy in the scratch side by
+    side, so the whole call runs on :meth:`ParamSet.half_runs`.  A
+    low-rank z is a matmul per tensor that cannot be cut, so its scratch
+    is the largest tensor's size, and it is drawn once per coefficient.
 
     Each z_i comes from the calling thread's one stream, restarted at
     (seed, i), not from a new ``GaussianStream``: building one costs
-    ``SeedSequence`` hashing, several times the restart.  Threads
-    never share a stream, so concurrent calls on separate ParamSets are
-    safe.
+    ``SeedSequence`` hashing, several times the restart.  Threads never
+    share a stream, but the scratch lives with the set: concurrent calls
+    are safe on separate sets, subsets and copies, never on one set.
     """
     if type(coeff) is not list:
         coeff, seed = (float(coeff),), (seed,)
@@ -358,29 +404,13 @@ def axpy(params: ParamSet, coeff: float | list, seed: int | list,
             paired = paired or len(cs) > 1
     if not terms:
         return
+    nbytes, views = params._update_plan(full, paired)
+    alloc_tracker.alloc(nbytes)
     dtype = params.dtype
-    if paired:  # z and its scaled copy
-        half = (params._largest + 1) // 2
-        plan, scratch = params.half_runs(), np.empty(2 * half, dtype)
-    else:  # each coefficient scales z in place
-        half, plan = 0, params.runs()
-        scratch = np.empty(params._largest, dtype)
-    alloc_tracker.alloc(scratch.nbytes)
-    views = []
-    for run, size, parts in plan:
-        outs = []
-        for i, start, stop, shape in parts:
-            out = scratch[start:stop]
-            outs.append((i, out if full else out.reshape(shape)))
-        # scaled in place, cz is z itself, which spares numpy an overlap check
-        z = scratch[:size]
-        views.append((run, z, scratch[half:half + size] if half else z, outs))
     fill = samplers.gaussian_fill  # looked up here so bench/spans.py can wrap it
-    stream = None
-    for s, cs in terms:
-        if stream is None:  # the thread's stream, keyed (s, 0)
-            stream = thread_stream(s)
-        else:  # s was checked above: restart needs no second check
+    stream = thread_stream(terms[0][0])  # keyed (seed, 0) for the first term
+    for k, (s, cs) in enumerate(terms):
+        if k:  # s was checked above: restart needs no second check
             stream.seed = s
             stream.restart(0)
         for run, z, cz, outs in views:
@@ -394,7 +424,7 @@ def axpy(params: ParamSet, coeff: float | list, seed: int | list,
             for c in cs:
                 np.multiply(z, c, cz)
                 run += cz
-    alloc_tracker.free(scratch.nbytes)
+    alloc_tracker.free(nbytes)
 
 
 def apply_records(params: ParamSet, seeds, proj_grads, coeff: float,
@@ -404,9 +434,8 @@ def apply_records(params: ParamSet, seeds, proj_grads, coeff: float,
     Replay passes coeff = -lr_eff over a log's records, as a live step's
     stage 2 applies them, and revert passes the records reversed with
     +lr_eff.  All records go to one ``axpy`` call, looked up at call
-    time, one term per record: its scratch of the largest tensor's size
-    is allocated once per batch, not once per record, and a bad seed
-    anywhere raises before any write.  Arrays are read as Python
+    time, one term per record, so a bad seed anywhere raises before any
+    write.  Arrays are read as Python
     scalars: the same values, cheaper to convert.
     """
     seeds = seeds.tolist() if isinstance(seeds, np.ndarray) else seeds

@@ -36,8 +36,10 @@ class AllocationTracker:
 
     Sampler and update code report allocations and releases here so tests
     can assert the peak transient footprint of a step (the desk-scale
-    stand-in for training-at-inference-memory).  Not thread safe; reset
-    before each measured region.
+    stand-in for training-at-inference-memory).  ``axpy`` reports the
+    scratch bytes a call works in, at its entry and exit, although the
+    scratch itself lives with the ParamSet from its first call on.  Not
+    thread safe; reset before each measured region.
     """
 
     def __init__(self):

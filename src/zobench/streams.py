@@ -158,8 +158,8 @@ def gaussian_fill(stream: GaussianStream, shape, dtype=np.float64,
     skips the shape check, which the update kernel's flat slices need not
     repeat per tensor.
     """
-    if shape is None and out is not None:
-        return stream.normal(None, dtype, out)
+    if shape is None and out is not None:  # the generator, one frame fewer
+        return stream._gen.standard_normal(None, dtype, out)
     dims = tuple(map(int, shape))
     if not dims:
         raise ValueError("shape must have at least one dimension")

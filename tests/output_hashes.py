@@ -3,7 +3,7 @@
 Usage:
     PYTHONPATH=src python tests/output_hashes.py OUT
 
-Runs fourteen small harness configs, each over seeds {0, 1}, into
+Runs sixteen small harness configs, each over seeds {0, 1}, into
 ``OUT/<config name>/`` and prints one ``<sha256>  <path>`` line per
 output file, paths relative to OUT and sorted.  ``*.timings.json``
 holds wall-clock times and is skipped.  Each seed log ``<run>.zolog``
@@ -27,6 +27,8 @@ DATA = {"n_train": 64, "n_test": 32, "batch_size": 16}
 ZO_MLP = {"type": "zo", "lr": 0.05, "q": 2, "steps": 15, "epsilon": 1e-3,
           "combine": "mean"}
 MLP = {"task": "mlp", "dim": 8, "hidden": 6, "classes": 3}
+# layer1.weight's 76,800 elements exceed params.CHUNK: drawn in pieces
+WIDE = {"task": "mlp", "dim": 300, "hidden": 256, "classes": 3}
 SEQ = {"task": "seq", "frames": 6, "feat_dim": 4, "classes": 3, "hidden": 6}
 ZO_TTA = {"type": "zo", "lr": 0.001, "q": 2, "epsilon": 1e-3}
 LOWRANK = {"sampler": "lowrank", "rank": 2}
@@ -59,6 +61,8 @@ CONFIGS = [
     train("seqtrain", {**ZO_MLP, "steps": 5}, model=SEQ),
     # full-kind q=1: a step's last restore and its update share one z
     train("qone", {**ZO_MLP, "q": 1}),
+    train("wide", {**ZO_MLP, "steps": 3}, model=WIDE),
+    train("wideqone", {**ZO_MLP, "q": 1, "steps": 3}, model=WIDE),
     tta("revert", reset_mode="revert"),
     tta("qonerevert", {**ZO_TTA, "q": 1}, reset_mode="revert"),
     tta("lowrankrevert", {**ZO_TTA, **LOWRANK}, reset_mode="revert"),

@@ -31,7 +31,7 @@ PER_OP = {
     "checkpoint": (2, 103_424, 2_560),
     "train-small": (13, 6_464, 2_560),
     "tta-seq": (261, 35_200, 512),
-    "train-wide": (3, 3_213_342, 8_388_608),
+    "train-wide": (3, 3_213_342, 524_288),
 }
 
 

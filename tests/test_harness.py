@@ -372,6 +372,8 @@ def test_cli_compare_bad_summary_exits_2(tmp_path, capsys, summary, metric):
     ("train", train_config(data={"shift_scale": 2.0})),
     ("train", train_config(data={"shift_bias": 0.5})),
     ("train", train_config(sweep={"noise_sigma": [0.0, 5.0]})),
+    ("train", train_config(sweep="q")),
+    ("train", train_config(sweep=["q"])),
 ], ids=["invalid_json", "lr_string", "tta_steps_string", "q_zero",
         "unknown_optimizer_field", "unknown_task", "mask_string",
         "mask_matches_nothing", "fo_revert_reset", "steps_float", "q_float",
@@ -381,7 +383,8 @@ def test_cli_compare_bad_summary_exits_2(tmp_path, capsys, summary, metric):
         "replicates_true", "pretrain_lr_true", "lr_inf", "epsilon_nan",
         "shift_scale_string", "sweep_lr_zero", "sweep_lr_true",
         "lowrank_rank_true", "tta_optimizer_steps", "train_noise_sigma",
-        "train_shift_scale", "train_shift_bias", "train_sweep_noise_sigma"])
+        "train_shift_scale", "train_shift_bias", "train_sweep_noise_sigma",
+        "sweep_string", "sweep_list"])
 def test_cli_bad_config_value_exits_2(tmp_path, capsys, verb, raw):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(raw if isinstance(raw, str) else json.dumps(raw))
@@ -390,6 +393,12 @@ def test_cli_bad_config_value_exits_2(tmp_path, capsys, verb, raw):
                      "--output-dir", str(out_dir)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not list(out_dir.glob("*"))
+
+
+@pytest.mark.parametrize("sweep", ["q", ["q"]], ids=["string", "list"])
+def test_non_object_sweep_is_named(sweep):
+    with pytest.raises(ConfigError, match="^sweep: must be a JSON object$"):
+        parse_config(train_config(sweep=sweep))
 
 
 def test_bad_sweep_value_writes_no_file(tmp_path):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import layouts, reference_axpy
-from zobench.params import (ParamSet, ParamSetFormatError, SchemaMismatchError,
-                            apply_records, axpy)
+from zobench.params import (CHUNK, ParamSet, ParamSetFormatError,
+                            SchemaMismatchError, apply_records, axpy)
 from zobench.samplers import FULL, SamplerKind, alloc_tracker
 
 
@@ -392,43 +392,121 @@ def test_axpy_rejects_out_of_range_seed():
 
 
 def test_concurrent_axpy_matches_sequential():
-    # each thread rekeys its own stream, so two threads updating separate
-    # ParamSets at once must give exactly the one-thread result
+    # each thread rekeys its own stream, and each set, subset and copy has
+    # its own scratch, so two threads updating two separate ParamSets, or
+    # two disjoint subsets of one parent, at once must give exactly the
+    # one-thread result
     import sys
     import threading
 
-    def fresh():
-        return ParamSet([("w", np.zeros((64, 256))), ("b", np.zeros(300))])
+    def separate():
+        return [ParamSet([("w", np.zeros((64, 256))), ("b", np.zeros(300))])
+                for _ in range(2)]
+
+    def disjoint():
+        # "v" is above CHUNK, so its subset's runs cut it in pieces
+        parent = ParamSet([("w", np.zeros((64, 256))), ("b", np.zeros(300)),
+                           ("v", np.zeros((300, 256))), ("c", np.zeros(7))])
+        return [parent.subset(["w", "c"]), parent.subset(["b", "v"])]
 
     def run(params, base):
         for k in range(40):
             axpy(params, 0.1 + k, base + k)
 
-    expected = [fresh(), fresh()]
-    for params, base in zip(expected, (1000, 2000)):
-        run(params, base)
-
-    got = [fresh(), fresh()]
-    start = threading.Barrier(2)
-
     def worker(params, base):
         start.wait()
         run(params, base)
 
-    threads = [threading.Thread(target=worker, args=(params, base))
-               for params, base in zip(got, (1000, 2000))]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads inside every axpy
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    for g, e in zip(got, expected):
-        assert g.equals_bitwise(e)
+    for fresh in (separate, disjoint):
+        expected = fresh()
+        for params, base in zip(expected, (1000, 2000)):
+            run(params, base)
+
+        got = fresh()
+        start = threading.Barrier(2)
+        threads = [threading.Thread(target=worker, args=(params, base))
+                   for params, base in zip(got, (1000, 2000))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads inside every axpy
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for g, e in zip(got, expected):
+            assert g.equals_bitwise(e), fresh.__name__
+
+
+def test_update_plan_lives_with_its_set():
+    # a set builds its scratch on first use; copies, subsets and decoded
+    # sets start without one and never share their parent's
+    p = _ramps([("w", (300, 256)), ("b", (256,)), ("c", (3,))])
+    assert [len(parts) for *_, parts in p.runs()] == [1, 3]
+    assert [len(parts) for *_, parts in p.half_runs()] == [1, 1, 3]
+    axpy(p, 0.25, 7)
+    scratch = p._scratch
+    axpy(p, [(0.5, -0.25)], [8])  # the paired plan shares the full scratch
+    assert p._scratch is scratch and scratch.size == CHUNK
+    assert scratch.dtype == np.float64
+    for other in (p.copy(), p.subset(["b"]), p.subset(["w", "c"]),
+                  ParamSet.from_bytes(p.to_bytes())):
+        assert other._plans == {} and other._scratch is None
+        axpy(other, [0.25, (0.5, -0.25)], [7, 8])
+        assert not np.shares_memory(other._scratch, scratch)
+    assert p.subset(["b", "c"]).copy()._scratch is None
+    f32 = _ramps([("w", (3, 5)), ("b", (2,))], np.float32)
+    for kind in (FULL, SamplerKind.lowrank(2)):
+        axpy(f32, 0.25, 7, kind)
+    assert f32._scratch.dtype == np.float32 and f32._scratch.size == 16
+    for _, views in f32._plans.values():
+        assert all(z.dtype == np.float32 for _, z, _, _ in views)
+
+
+# a 3-tensor set with one tensor above CHUNK: runs() cuts "w" in two and
+# half_runs() in three, and the last piece shares its run with "b" and "v"
+_WIDE = [("w", (300, 256), -1.0, 1.0), ("b", (256,), 0.5, 2.0),
+         ("v", (256, 10), -2.0, 0.0)]
+_WIDE_SHA256 = {
+    ("one", "float64"):
+        "d10821d98fbe0fc77c551bd035191cca4ecf46957a6c55b70016a4bb0f36a9e6",
+    ("paired", "float64"):
+        "bc2dcdf4200f934306e21e93b42670dac51a8c342cc2b54aeb1024cede63bb55",
+    ("three", "float64"):
+        "5ab8eaa6c6fb384da3f9c5252aa6fed695329438306925771ad5af9c6ef54db9",
+    ("one", "float32"):
+        "1174be1166273b2665a8ec67ac91c6fe1d5a567b2757cac351f46e5a18b4c368",
+    ("paired", "float32"):
+        "e1b2f3bd4c1edd71ebcc54038c8d7a7227ed7dbf83f81548c30a52885b2e40a5",
+    ("three", "float32"):
+        "4c4f8560d28af9d8df8de8fd46b91a075bce43e35088cf2231a8520d4b32b65f",
+}
+_WIDE_CALLS = {"one": (0.25, 7), "paired": ([(1e-3, -0.5)], [7]),
+               "three": ([0.25, (0.5, -0.125), -2.0], [7, 2 ** 64 - 1, 3])}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+@pytest.mark.parametrize("form", list(_WIDE_CALLS))
+def test_chunked_update_bytes_are_pinned(form, dtype):
+    # digests taken before the full kind's runs were capped at CHUNK:
+    # a tensor drawn in pieces gives the bytes of one draw
+    def wide():
+        return ParamSet([(name, np.linspace(lo, hi, math.prod(shape))
+                          .reshape(shape).astype(dtype))
+                         for name, shape, lo, hi in _WIDE])
+
+    coeff, seed = _WIDE_CALLS[form]
+    p, expected = wide(), wide()
+    assert p.num_elements() > p["w"].size > CHUNK
+    axpy(p, coeff, seed)
+    digest = hashlib.sha256(p.to_bytes()).hexdigest()
+    assert digest == _WIDE_SHA256[(form, np.dtype(dtype).name)]
+    if type(coeff) is not list:
+        coeff, seed = [coeff], [seed]
+    _reference_terms(expected, coeff, seed, FULL)
+    assert p.equals_bitwise(expected)
 
 
 _PINNED_SHA256 = {

@@ -294,3 +294,44 @@ def test_forwards_per_step():
     for cfg in (ZOConfig(), FOConfig()):
         with pytest.raises(AttributeError):  # derived, not a settable field
             cfg.forwards_per_step = 4
+
+
+def test_zo_step_memory_is_one_forward_plus_a_chunk():
+    # tracemalloc sees numpy's data allocations.  Each step starts from a
+    # fresh copy, so the update scratch is first allocated in the measured
+    # region: on this 1.07M-parameter mlp (an 8 MB largest tensor) a ZO
+    # step needs one forward's peak plus CHUNK elements, where an FO SGD
+    # step holds a gradient the size of the parameters
+    import tracemalloc
+
+    from zobench.fo import FOConfig, fo_step
+    from zobench.models import BatchSampler, DataGenConfig, gen_data, make_model
+    from zobench.params import CHUNK
+
+    slack = 65_536  # Python objects; measured ~9.5 KB on numpy 2.4
+    cfg = DataGenConfig(task="mlp", dim=512, hidden=2048, classes=10,
+                        n_train=64, n_test=8, seed=0)
+    model = make_model(cfg)
+    train_set, _ = gen_data(cfg)
+    init = model.init(0)
+    batch = BatchSampler(train_set, 32, seed=0).draw(0)
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fn()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    forward = peak(lambda: model.loss(init, batch))
+    for q in (1, 4):
+        params = init.copy()
+        step = peak(lambda: zo_step(model, params, lambda i: batch,
+                                    ZOConfig(lr=0.01, q=q), 0))
+        assert step <= forward + CHUNK * 8 + slack, (q, step, forward)
+    params = init.copy()
+    sgd = peak(lambda: fo_step(model, params, batch, FOConfig(lr=0.01), {}))
+    assert sgd >= params.num_elements() * params.dtype.itemsize
