@@ -14,8 +14,7 @@ from .models import (Batch, BatchSampler, DataGenConfig, Model, StreamSample,
                      gen_shifted_stream, logistic_regression, make_model,
                      mlp_classifier, quadratic_bowl, sample_scores,
                      seq_classifier)
-from .params import (ParamSet, ParamSetFormatError, SchemaMismatchError,
-                     apply_records, axpy)
+from .params import ParamSet, ParamSetFormatError, SchemaMismatchError, axpy
 from .samplers import (FULL, SamplerKind, alloc_tracker, sample_for_tensor,
                        sample_full, sample_lowrank)
 from .seedlog import (LogFormatError, SeedLog, SeedLogHeader, SeedLogWriter,

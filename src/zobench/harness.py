@@ -116,19 +116,24 @@ def parse_config(raw: dict) -> ExperimentConfig:
         _check_int("optimizer.forward_budget", opt["forward_budget"])
     sweep = raw.get("sweep", {})
     _require(isinstance(sweep, dict), "sweep", "must be a JSON object")
-    for axis in sweep:
+    # a repeated seed or sweep value (by ==) would repeat a run id
+    for axis, values in sweep.items():
         _require(axis in _SWEEP_AXES, f"sweep.{axis}",
                  f"unknown axis; valid: {sorted(_SWEEP_AXES)}")
-        _require(isinstance(sweep[axis], list) and sweep[axis],
+        _require(isinstance(values, list) and values,
                  f"sweep.{axis}", "must be a non-empty list")
+        for i, value in enumerate(values):
+            _require(value not in values[:i], f"sweep.{axis}",
+                     f"repeats {value!r}")
     seeds = raw.get("seeds")
     if seeds is None:
         replicates = raw.get("replicates", 1)
         _check_int("replicates", replicates)
         seeds = list(range(replicates))
     _require(isinstance(seeds, list) and seeds, "seeds", "must be non-empty")
-    for seed in seeds:
+    for i, seed in enumerate(seeds):
         _check_int("seeds", seed, 0, 2**64)
+        _require(seed not in seeds[:i], "seeds", f"repeats {seed}")
     data = raw.get("data", {})
     _require(isinstance(data, dict), "data", "must be a JSON object")
     _check_int("data.batch_size", data.get("batch_size", 24))
@@ -396,7 +401,10 @@ def _load_summaries(result_dirs):
                     s = json.load(fh)
                 _require(isinstance(s, dict) and isinstance(s.get("run_id"), str),
                          path, "must be a JSON object with a string run_id")
-                groups.setdefault(_group_key(s["run_id"]), []).append(s)
+                group = groups.setdefault(_group_key(s["run_id"]), [])
+                _require(all(o["run_id"] != s["run_id"] for o in group), path,
+                         f"repeats run_id {s['run_id']!r}")
+                group.append(s)
     if not groups:
         raise ConfigError("no *.summary.json files found in the given dirs")
     return groups

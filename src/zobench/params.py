@@ -15,9 +15,9 @@ tensor above that drawn piece by piece from its one stream.
 axpy is the one update kernel, with one body: the perturbation cycle
 calls it with one coefficient and one seed, and stage-2 updates, seed-log
 replay and revert with a list of terms, one per (seed, proj_grad)
-record, through apply_records for a log; a term's tuple of coefficients
-applies each in turn from one draw of z, which is how a q=1 step's last
-restore and its update share a regeneration.  A direction is named by
+record, one call per step or log; a term's tuple of coefficients applies
+each in turn from one draw of z, which is how a q=1 step's last restore
+and its update share a regeneration.  A direction is named by
 (seed, kind) alone; epsilon only sets the coefficient.  axpy's one
 temporary is a scratch array that lives with the set, built on first
 use with the views onto it: under the full kind it holds at most CHUNK
@@ -44,7 +44,7 @@ from .samplers import FULL, SamplerKind, alloc_tracker, sample_for_tensor
 from .streams import GaussianStream, check_u64, thread_stream  # noqa: F401
 
 __all__ = ["ParamSet", "SchemaMismatchError", "ParamSetFormatError", "axpy",
-           "apply_records", "CHUNK"]
+           "CHUNK"]
 
 # Elements per run of the full kind's update plan, and so the most its
 # scratch holds: 512 KB of float64 stays in a 2 MB L2 cache between a
@@ -425,19 +425,3 @@ def axpy(params: ParamSet, coeff: float | list, seed: int | list,
                 np.multiply(z, c, cz)
                 run += cz
     alloc_tracker.free(nbytes)
-
-
-def apply_records(params: ParamSet, seeds, proj_grads, coeff: float,
-                  kind: SamplerKind):
-    """params += coeff * g_j * z(seed_j, kind) for each record j, in order.
-
-    Replay passes coeff = -lr_eff over a log's records, as a live step's
-    stage 2 applies them, and revert passes the records reversed with
-    +lr_eff.  All records go to one ``axpy`` call, looked up at call
-    time, one term per record, so a bad seed anywhere raises before any
-    write.  Arrays are read as Python
-    scalars: the same values, cheaper to convert.
-    """
-    seeds = seeds.tolist() if isinstance(seeds, np.ndarray) else seeds
-    pgs = proj_grads.tolist() if isinstance(proj_grads, np.ndarray) else proj_grads
-    axpy(params, [coeff * float(g) for g in pgs], seeds, kind)

@@ -28,8 +28,7 @@ Layout (all little-endian):
     52      8     record count (u64)
     60      --    records: seed (u64) + proj_grad (f32 or f64), as
                   ``SeedLogHeader.record_dtype`` defines them for the
-                  reader and in-memory logs; the writer packs the same
-                  bytes with one ``struct.Struct`` per width
+                  reader, the writer and in-memory logs
 """
 
 from __future__ import annotations
@@ -40,7 +39,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .params import ParamSet, apply_records
+from . import params as _params
+from .params import ParamSet
 from .samplers import FULL, SamplerKind
 from .streams import check_int
 from .zo import ZOConfig
@@ -56,10 +56,9 @@ HEADER_SIZE = 60
 _HEADER_FMT = "<4sHBBBBHIIQQddQ"
 assert struct.calcsize(_HEADER_FMT) == HEADER_SIZE
 
-# one record per pg_width, packed as record_dtype lays it out
-_RECORD_STRUCTS = {4: struct.Struct("<Qf"), 8: struct.Struct("<Qd")}
-_SAMPLER_CODES = {"full": 0, "lowrank": 1}
-_COMBINE_CODES = {"accumulate": 0, "mean": 1}
+# the header's sampler and combine codes index these
+_SAMPLERS = ("full", "lowrank")
+_COMBINES = ("accumulate", "mean")
 _FLAG_NORMALIZE = 1
 
 
@@ -114,8 +113,8 @@ class SeedLogHeader:
     def pack(self) -> bytes:
         return struct.pack(
             _HEADER_FMT, MAGIC, VERSION, self.elem_width, self.pg_width,
-            _SAMPLER_CODES[self.sampler.variant],
-            _COMBINE_CODES[self.combine], int(self.sampler.normalize),
+            _SAMPLERS.index(self.sampler.variant),
+            _COMBINES.index(self.combine), int(self.sampler.normalize),
             self.sampler.rank, self.q, self.master_seed, self.schema_hash,
             self.epsilon, self.lr, self.record_count)
 
@@ -130,20 +129,18 @@ class SeedLogHeader:
             raise LogFormatError("not a seed log (bad magic)")
         if version != VERSION:
             raise LogFormatError(f"unsupported seed-log version {version}")
-        variants = {v: k for k, v in _SAMPLER_CODES.items()}
-        combines = {v: k for k, v in _COMBINE_CODES.items()}
-        if sampler_code not in variants:
+        if sampler_code >= len(_SAMPLERS):
             raise LogFormatError("invalid sampler descriptor in header")
-        if combine_code not in combines:
+        if combine_code >= len(_COMBINES):
             raise LogFormatError("invalid combine mode in header")
         if flags & ~_FLAG_NORMALIZE:
             raise LogFormatError(f"unknown header flags {flags:#06x}")
         try:  # a full kind with a rank or normalize set is invalid too
-            kind = SamplerKind(variants[sampler_code], rank,
+            kind = SamplerKind(_SAMPLERS[sampler_code], rank,
                                bool(flags & _FLAG_NORMALIZE))
             return SeedLogHeader(
                 master_seed=master_seed, schema_hash=schema_hash,
-                epsilon=epsilon, lr=lr, q=q, combine=combines[combine_code],
+                epsilon=epsilon, lr=lr, q=q, combine=_COMBINES[combine_code],
                 sampler=kind, elem_width=elem_w, pg_width=pg_w,
                 record_count=count)
         except (TypeError, ValueError) as exc:
@@ -171,54 +168,62 @@ class SeedLog:
 
 
 class SeedLogWriter:
-    """Streaming writer: header first, then fixed-width records in order."""
+    """Streaming writer: header first, then fixed-width records in order;
+    the records appended since the last ``flush`` reach the file together
+    or not at all, so a log flushed once per step holds whole steps."""
 
     def __init__(self, path, header: SeedLogHeader):
         self.header = header
         self._fh = open(path, "wb")
         self._fh.write(replace(header, record_count=0).pack())
         self._count = 0
-        self._finalized = False
-        self._record = _RECORD_STRUCTS[header.pg_width]
+        self._pending = bytearray()
+        # record_dtype's layout, the seed as "Q": struct packs numpy's
+        # u8 char, "L", in 4 bytes under "<"
+        self._record = struct.Struct("<Q" + header.record_dtype["pg"].char)
 
     def append(self, seed: int, proj_grad: float):
-        """Write one record; a bad seed or proj_grad writes nothing.
+        """Hold one record for the next flush; a refused one drops them all.
 
         A seed that is not an integer (a float or a bool, by
         :func:`~zobench.streams.check_int`'s rule) raises TypeError, and
         one outside [0, 2**64) OverflowError; a proj_grad that is not
         finite, or is not finite at ``pg_width``, raises ValueError.
         """
-        if self._finalized:
+        if self._fh.closed:
             raise LogFormatError("append after finalize")
+        # held out while the record is checked: a refusal leaves none held
+        pending, self._pending = self._pending, bytearray()
         if type(seed) is not int:  # struct.pack checks the range
             check_int("seed", seed)
         g = float(proj_grad)
         if not math.isfinite(g):  # struct packs NaN and inf silently
             raise ValueError("proj_grad must be finite")
         try:
-            record = self._record.pack(int(seed), g)
+            pending += self._record.pack(int(seed), g)
         except struct.error as exc:  # the only packing error a seed can raise
             raise OverflowError(
                 f"seed must be a 64-bit unsigned integer, got {seed}") from exc
         except OverflowError as exc:  # g beyond float32's range
             raise ValueError(f"proj_grad {g} overflows a "
                              f"{self.header.pg_width}-byte float") from exc
-        self._fh.write(record)
-        self._count += 1
+        self._pending = pending
 
     def flush(self):
+        """Write the records held since the last flush, then flush the file."""
+        self._fh.write(self._pending)
+        self._count += len(self._pending) // self._record.size
+        self._pending.clear()
         self._fh.flush()
 
     def finalize(self):
-        """Patch the record count into the header and close the file."""
-        if self._finalized:
+        """Write the held records, patch the count into the header, close."""
+        if self._fh.closed:
             return
-        self._fh.flush()
+        self.flush()
         self._fh.seek(0)
         self._fh.write(replace(self.header, record_count=self._count).pack())
         self._fh.close()
-        self._finalized = True
 
     def __enter__(self):
         return self
@@ -247,21 +252,24 @@ def read_log(path) -> SeedLog:
 
 def replay(initial_params: ParamSet, log: SeedLog) -> ParamSet:
     """Reconstruct trained parameters from the initial ones plus the log."""
-    initial_params.check_schema(log.header.schema_hash)
-    params = initial_params.copy()
-    h = log.header
-    apply_records(params, log.seeds, log.proj_grads,
-                  -h.to_config().lr_effective, h.sampler)
-    return params
+    return _apply_log(initial_params, log, reverse=False)
 
 
 def revert(adapted_params: ParamSet, log: SeedLog) -> ParamSet:
     """Undo the log: apply records in reverse order with negated coefficient."""
-    adapted_params.check_schema(log.header.schema_hash)
-    params = adapted_params.copy()
+    return _apply_log(adapted_params, log, reverse=True)
+
+
+def _apply_log(start: ParamSet, log: SeedLog, reverse: bool) -> ParamSet:
+    """``start`` copied, then one ``params.axpy`` term per record: in order
+    at -lr_eff * g, as stage 2 applies them, or reversed at +lr_eff * g."""
     h = log.header
-    apply_records(params, log.seeds[::-1], log.proj_grads[::-1],
-                  +h.to_config().lr_effective, h.sampler)
+    start.check_schema(h.schema_hash)
+    params = start.copy()
+    lr_eff = h.to_config().lr_effective
+    coeff, step = (lr_eff, -1) if reverse else (-lr_eff, 1)
+    _params.axpy(params, [coeff * g for g in log.proj_grads[::step].tolist()],
+                 log.seeds[::step].tolist(), h.sampler)
     return params
 
 

@@ -8,9 +8,9 @@ kept: ``train`` returns them as QueryRecords flat in log order,
 step-major and query-minor, as a seed log stores them.  Stage 2
 regenerates each z from its seed and the sampler kind and applies
 theta -= lr_eff * g * z in one ``axpy`` call, one term per query, the
-same kernel and the same call form that seed-log replay and revert run
-through :func:`zobench.params.apply_records`; eps sizes the probes
-only, so no update reads it.  At q = 1 stage 2 also takes the query's
+same kernel and call form with which :func:`zobench.seedlog.replay`
+and ``revert`` apply a log; eps sizes the probes only, so no update
+reads it.  At q = 1 stage 2 also takes the query's
 restore: the restore and the update share one z, so the step's one
 term is the tuple (eps, -lr_eff * g), both applied from a single
 regeneration with the bytes of two calls.

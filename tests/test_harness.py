@@ -327,6 +327,15 @@ def test_cli_compare_bad_summary_exits_2(tmp_path, capsys, summary, metric):
     assert (metric if "run_id" in summary else "exp-seed0.summary.json") in err
 
 
+def test_cli_compare_repeated_run_id_exits_2(tmp_path, capsys):
+    # one directory given twice would count each of its runs twice
+    summary = {"run_id": "exp-seed0", "final_loss": 0.5}
+    (tmp_path / "exp-seed0.summary.json").write_text(json.dumps(summary))
+    assert cli_main(["compare", str(tmp_path), str(tmp_path),
+                     "--baseline", "exp"]) == 2
+    assert "repeats run_id 'exp-seed0'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("verb, raw", [
     ("train", '{"kind": "train",'),
     ("train", train_config(optimizer={"type": "zo", "lr": "abc"})),
@@ -374,6 +383,8 @@ def test_cli_compare_bad_summary_exits_2(tmp_path, capsys, summary, metric):
     ("train", train_config(sweep={"noise_sigma": [0.0, 5.0]})),
     ("train", train_config(sweep="q")),
     ("train", train_config(sweep=["q"])),
+    ("train", train_config(seeds=[0, 0])),
+    ("train", train_config(sweep={"q": [1, 1]})),
 ], ids=["invalid_json", "lr_string", "tta_steps_string", "q_zero",
         "unknown_optimizer_field", "unknown_task", "mask_string",
         "mask_matches_nothing", "fo_revert_reset", "steps_float", "q_float",
@@ -384,7 +395,7 @@ def test_cli_compare_bad_summary_exits_2(tmp_path, capsys, summary, metric):
         "shift_scale_string", "sweep_lr_zero", "sweep_lr_true",
         "lowrank_rank_true", "tta_optimizer_steps", "train_noise_sigma",
         "train_shift_scale", "train_shift_bias", "train_sweep_noise_sigma",
-        "sweep_string", "sweep_list"])
+        "sweep_string", "sweep_list", "seeds_repeated", "sweep_repeated"])
 def test_cli_bad_config_value_exits_2(tmp_path, capsys, verb, raw):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(raw if isinstance(raw, str) else json.dumps(raw))

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import layouts, reference_axpy
 from zobench.params import (CHUNK, ParamSet, ParamSetFormatError,
-                            SchemaMismatchError, apply_records, axpy)
+                            SchemaMismatchError, axpy)
 from zobench.samplers import FULL, SamplerKind, alloc_tracker
 
 
@@ -346,8 +346,6 @@ def test_record_list_checks_every_seed_before_writing(kind):
                          ([1, 2, np.float64(3.0)], TypeError)]:
         with pytest.raises(error):
             axpy(p, [0.5, 0.25, (0.125, -1.0)], seeds, kind)
-        with pytest.raises(error):
-            apply_records(p, seeds, [0.5, 0.25, -1.0], -0.1, kind)
         assert p.equals_bitwise(before)
     for seed in (1.5, 1.0, True):
         with pytest.raises(TypeError):
@@ -545,7 +543,7 @@ def test_update_bytes_are_pinned(kind, dtype, seed):
     axpy(p, 0.25, seed, kind)
     seeds = np.array([seed, 3, 2 ** 63 + 1, 0, seed - 1], dtype=np.uint64)
     pgs = np.array([0.5, -1.25, 2.0, -0.125, 3.5], dtype=np.float32)
-    apply_records(p, seeds, pgs, -0.01, kind)
+    axpy(p, [-0.01 * g for g in pgs.tolist()], seeds.tolist(), kind)
     digest = hashlib.sha256(p.to_bytes()).hexdigest()
     assert digest == _PINNED_SHA256[(kind.variant, np.dtype(dtype).name, seed)]
 

@@ -6,14 +6,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from zobench.models import BatchSampler, DataGenConfig, gen_data, make_model
+from zobench.models import (BatchSampler, DataGenConfig, Model, gen_data,
+                            make_model)
 from conftest import layouts, reference_axpy
-from zobench.params import SchemaMismatchError, axpy
+from zobench.params import ParamSet, SchemaMismatchError, axpy
 from zobench.samplers import FULL, SamplerKind
 from zobench.seedlog import (HEADER_SIZE, LogFormatError, SeedLog,
                              SeedLogHeader, SeedLogWriter, inspect, read_log,
                              replay, revert)
-from zobench.zo import ZOConfig, train, zo_step
+from zobench.zo import ZOConfig, derive_seed, train, zo_step
 
 
 def make_header(**kw):
@@ -227,6 +228,44 @@ def test_writer_rejects_proj_grad_beyond_float32(tmp_path):
     assert len(read_log(path)) == 0
 
 
+@pytest.mark.parametrize("pg_width", [4, 8])
+def test_writer_packs_record_dtype(tmp_path, pg_width):
+    # one layout: a seed packed as numpy's u8 char "L" would take 4 bytes
+    records = [(2**64 - 1, 0.5), (0, -2.25), (0x0123456789ABCDEF, -1e-3)]
+    path = tmp_path / "x.zolog"
+    h = make_header(pg_width=pg_width)
+    with SeedLogWriter(path, h) as w:
+        for seed, g in records:
+            w.append(seed, g)
+    assert path.read_bytes() == (replace(h, record_count=3).pack()
+                                 + np.array(records, h.record_dtype).tobytes())
+
+
+def test_refused_record_leaves_whole_steps(tmp_path):
+    # forward 13 is step 1, query 2's l+ (two forwards a query, q=4):
+    # l+ = 1e36 and l- = 0.5 give g = 5e38, finite as a float64 but not as
+    # a float32.  Step 1's first two records were appended before it; the
+    # log keeps step 0's four records only.
+    forwards = []
+
+    def loss(params, batch):
+        forwards.append(None)
+        return 1e36 if len(forwards) == 2 * (4 + 2) + 1 else 0.5
+
+    params = ParamSet([("w", np.zeros(3))])
+    cfg = ZOConfig(epsilon=1e-3, lr=0.01, q=4, steps=3, master_seed=7)
+    path = tmp_path / "run.zolog"
+    header = SeedLogHeader.from_config(cfg, params.schema_hash)
+    with pytest.raises(ValueError, match="overflows a 4-byte float"):
+        with SeedLogWriter(path, header) as w:
+            train(Model(name="overflow", loss=loss), lambda i: None, cfg,
+                  params, log_writer=w)
+    assert path.stat().st_size == HEADER_SIZE + 4 * 12
+    log = read_log(path)
+    assert log.header.record_count == 4
+    assert log.seeds.tolist() == [derive_seed(7, 0, j) for j in range(4)]
+
+
 def test_read_rejects_truncation(tmp_path):
     path = tmp_path / "run.zolog"
     with SeedLogWriter(path, make_header()) as w:
@@ -264,7 +303,6 @@ def test_read_rejects_non_finite_proj_grad(tmp_path, pg_width, bad):
 
 def test_cli_replay_rejects_non_finite_proj_grad(tmp_path, capsys):
     from zobench.cli import main
-    from zobench.params import ParamSet
 
     params = ParamSet([("w", np.zeros((2, 3)))])
     params.save(tmp_path / "init.pset")
@@ -362,7 +400,6 @@ def test_empty_log_is_identity(tmp_path):
 def test_schema_mismatch_rejected(tmp_path):
     initial, _, path = trained_run(tmp_path)
     log = read_log(path)
-    from zobench.params import ParamSet
     other = ParamSet([("x", np.zeros(3))])
     with pytest.raises(SchemaMismatchError):
         replay(other, log)

@@ -1,12 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from conftest import reference_axpy
 from zobench.models import Batch, Model, quadratic_bowl
-from zobench.params import ParamSet, apply_records, axpy
+from zobench.params import ParamSet, axpy
 from zobench.samplers import FULL, SamplerKind, sample_for_tensor
 from zobench.streams import GaussianStream
-from zobench.zo import (CountingModel, NumericError, ZOConfig, derive_seed,
-                        rge_proj_grad, train, zo_step)
+from zobench.seedlog import SeedLog, SeedLogHeader, replay, revert
+from zobench.zo import (CountingModel, NumericError, QueryRecord, ZOConfig,
+                        derive_seed, rge_proj_grad, train, zo_step)
 
 D = 10
 
@@ -140,22 +144,34 @@ def test_estimator_is_unbiased_on_quadratic():
     assert rel < 0.05
 
 
-def test_apply_records_matches_manual():
-    model = bowl()
-    params = model.init(2)
-    cfg = ZOConfig(epsilon=1e-3, lr=0.1, q=2, master_seed=5)
-    queries = zo_step(model, params.copy(), lambda i: None, cfg, 0)
-
-    manual = params.copy()
-    for qrec in queries:
-        z = sample_for_tensor(GaussianStream(qrec.seed, substream=0), (D,), FULL)
-        manual["theta"][:] -= cfg.lr * qrec.proj_grad * z
-
-    replayed = params.copy()
-    apply_records(replayed, [q.seed for q in queries],
-                  [q.proj_grad for q in queries], -cfg.lr_effective,
-                  cfg.sampler)
-    assert replayed.max_abs_diff(manual) < 1e-14
+def test_replay_and_revert_match_reference_axpy():
+    # a log's one axpy call, term by term and bit for bit: replay adds
+    # -lr_eff * g_j * z_j in record order, revert +lr_eff * g_j * z_j in
+    # reverse order
+    rng = np.random.default_rng(0)
+    for kind, dtype, q in itertools.product(
+            [FULL, SamplerKind.lowrank(2, normalize=True)],
+            [np.float64, np.float32], [1, 4]):
+        start = ParamSet([("w", rng.normal(size=(4, 3)).astype(dtype)),
+                          ("b", rng.normal(size=3).astype(dtype))])
+        cfg = ZOConfig(epsilon=1e-3, lr=0.1, q=q, combine="mean",
+                       master_seed=5, sampler=kind)
+        header = SeedLogHeader.from_config(cfg, start.schema_hash,
+                                           elem_width=start.dtype.itemsize)
+        log = SeedLog.from_records(header, [
+            QueryRecord(derive_seed(5, t, j), float(rng.normal()), 0.0, 0.0)
+            for t in range(3) for j in range(q)])
+        records = list(zip(log.seeds.tolist(), log.proj_grads.tolist()))
+        lr_eff = cfg.lr_effective
+        want = start.copy()
+        for seed, g in records:
+            reference_axpy(want, -lr_eff * g, seed, kind)
+        rebuilt = replay(start, log)
+        assert rebuilt.equals_bitwise(want), (kind, dtype, q)
+        want = rebuilt.copy()
+        for seed, g in reversed(records):
+            reference_axpy(want, lr_eff * g, seed, kind)
+        assert revert(rebuilt, log).equals_bitwise(want), (kind, dtype, q)
 
 
 def test_accumulate_equals_mean_with_scaled_lr():
