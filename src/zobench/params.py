@@ -28,6 +28,13 @@ scratch makes a set single-writer: one set must not be updated from two
 threads at once, while separate sets, subsets and copies each have
 their own.  z comes from the calling thread's rekeyed stream (see
 :func:`zobench.streams.thread_stream`), never from a newly built one.
+
+The whole-set helpers keep the same bound: ``max_abs_diff`` and
+``equals_bitwise`` walk the tensors in CHUNK-element pieces through one
+scratch of at most CHUNK elements per call, ``save`` writes each
+tensor's slice of the buffer straight to the file, and ``to_bytes``
+allocates nothing the size of the set but its result.  Only the
+constructor, ``copy``, ``load`` and ``from_bytes`` build a new buffer.
 """
 
 from __future__ import annotations
@@ -248,36 +255,82 @@ class ParamSet:
         return self._largest * self.dtype.itemsize
 
     def max_abs_diff(self, other: "ParamSet") -> float:
+        """The largest ``|self - other|`` over every element, as a float.
+
+        Raises :class:`SchemaMismatchError` unless the schemas match.
+        A NaN difference anywhere (a NaN in either set, or the same
+        infinity in both) gives ``nan``; any other infinite difference
+        gives ``inf``.  Signed zeros differ by 0.0.  The differences are
+        taken in ``CHUNK``-element pieces, in one scratch of at most
+        ``CHUNK`` elements of the set's dtype, whatever the set's size.
+        """
         self.check_schema(other.schema_hash)
-        return max(float(np.max(np.abs(a - b)))
-                   for a, b in zip(self._index.values(), other._index.values()))
+        scratch, worst = np.empty(min(self._largest, CHUNK), self.dtype), 0.0
+        for a, b in self._piece_pairs(other):
+            diff = np.subtract(a, b, scratch[:a.size])
+            largest = float(np.abs(diff, diff).max())
+            if math.isnan(largest):  # max() would drop it against a number
+                return largest
+            worst = max(worst, largest)
+        return worst
 
     def equals_bitwise(self, other: "ParamSet") -> bool:
+        """True when ``other`` has this schema and the same bits.
+
+        Elements compare as unsigned integers of their width, so
+        ``+0.0`` and ``-0.0`` differ and a NaN equals a NaN with the same
+        payload: two sets are equal exactly when their :meth:`to_bytes`
+        are.  The comparison runs in ``CHUNK``-element pieces into one
+        boolean scratch of at most ``CHUNK`` elements and stops at the
+        first piece that differs.
+        """
         if self.schema_hash != other.schema_hash:
             return False
-        return all(np.array_equal(a, b)
-                   for a, b in zip(self._index.values(), other._index.values()))
+        uint = np.dtype(f"u{self.dtype.itemsize}")
+        same = np.empty(min(self._largest, CHUNK), bool)
+        return all(np.equal(a.view(uint), b.view(uint), same[:a.size]).all()
+                   for a, b in self._piece_pairs(other))
+
+    def _piece_pairs(self, other: "ParamSet"):
+        """Each tensor's flat view in self and in ``other``, whose schema
+        matches, cut into pieces of at most ``CHUNK`` elements, as
+        ``(self piece, other piece)`` in iteration order."""
+        for (_, mine, shape), (_, theirs, _) in zip(self._layout, other._layout):
+            size = math.prod(shape)
+            for lo in range(0, size, CHUNK):
+                hi = min(lo + CHUNK, size)
+                yield (self._buf[mine + lo:mine + hi],
+                       other._buf[theirs + lo:theirs + hi])
 
     # -- serialization -----------------------------------------------------
 
     def save(self, path):
-        """Write the fixed binary container (little-endian, uncompressed)."""
+        """Write the fixed binary container (little-endian, uncompressed).
+
+        The pieces of :meth:`to_bytes` go straight to the file, so saving
+        copies no tensor.
+        """
         with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
+            fh.writelines(self._container())
 
     def to_bytes(self) -> bytes:
-        out = bytearray()
-        out += _MAGIC
-        out += struct.pack("<HBI", _VERSION, self.dtype.itemsize,
-                           len(self._layout))
-        for name, arr in self.items():
+        """The container :meth:`save` writes, joined once: the result is
+        the one allocation the size of the set."""
+        return b"".join(self._container())
+
+    def _container(self):
+        """The container's bytes in order: the header, then per tensor
+        its name, rank and shape, and a memoryview of its slice of the
+        buffer (converted to little-endian only on a big-endian host)."""
+        yield _MAGIC + struct.pack("<HBI", _VERSION, self.dtype.itemsize,
+                                   len(self._layout))
+        little = self.dtype.newbyteorder("<")
+        for name, off, shape in self._layout:
             nb = name.encode("utf-8")
-            out += struct.pack("<H", len(nb))
-            out += nb
-            out += struct.pack("<B", arr.ndim)
-            out += struct.pack(f"<{arr.ndim}I", *arr.shape)
-            out += arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes()
-        return bytes(out)
+            yield struct.pack(f"<H{len(nb)}sB{len(shape)}I",
+                              len(nb), nb, len(shape), *shape)
+            flat = self._buf[off:off + math.prod(shape)]
+            yield memoryview(flat.astype(little, copy=False))
 
     @classmethod
     def load(cls, path) -> "ParamSet":

@@ -181,6 +181,48 @@ def test_max_abs_diff_and_bitwise():
     assert abs(a.max_abs_diff(b) - 1e-9) < 1e-15
 
 
+@pytest.mark.parametrize("where", ["t0", "t2"])
+def test_max_abs_diff_sees_nan_and_inf_in_any_tensor(where):
+    # the first and last tensors span two pieces; the bad value sits in
+    # the second, and the middle tensor holds a finite difference of 2
+    a = ParamSet([(f"t{i}", np.zeros(n))
+                  for i, n in enumerate((CHUNK + 3, 4, CHUNK + 3))])
+    b = a.copy()
+    b["t1"][0] = 2.0
+    assert a.max_abs_diff(b) == 2.0
+    b[where][CHUNK + 1] = -np.inf
+    assert a.max_abs_diff(b) == np.inf
+    b[where][CHUNK + 1] = np.nan
+    assert math.isnan(a.max_abs_diff(b)) and math.isnan(b.max_abs_diff(a))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_equals_bitwise_compares_bits(dtype):
+    p = ParamSet([("w", np.ones(3, dtype)), ("b", np.zeros(CHUNK + 2, dtype))])
+    q = p.copy()
+    assert p.equals_bitwise(q)
+    q["b"][-1] = -0.0
+    assert p.to_bytes() != q.to_bytes()
+    assert not p.equals_bitwise(q) and not q.equals_bitwise(p)
+    q["b"][-1] = np.nan
+    assert q.equals_bitwise(q.copy())
+    assert q.equals_bitwise(ParamSet.from_bytes(q.to_bytes()))
+    assert not q.equals_bitwise(p)
+
+
+@pytest.mark.parametrize("case", ["f64", "f32", "subset_gap"])
+def test_save_writes_to_bytes(case, tmp_path):
+    entries = [("w", np.arange(6.0).reshape(2, 3)), ("gap", np.full(4, -1.0)),
+               ("b", np.array([0.5, -0.5]))]
+    p = {"f64": ParamSet(entries),
+         "f32": ParamSet([(n, a.astype(np.float32)) for n, a in entries]),
+         "subset_gap": ParamSet(entries).subset(["w", "b"])}[case]
+    p.save(tmp_path / "p.pset")
+    blob = (tmp_path / "p.pset").read_bytes()
+    assert blob == p.to_bytes()
+    assert ParamSet.from_bytes(blob).equals_bitwise(p)
+
+
 def test_axpy_zero_coeff_is_bit_exact_noop():
     p = small_set()
     before = p.copy()

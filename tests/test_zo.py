@@ -312,42 +312,71 @@ def test_forwards_per_step():
             cfg.forwards_per_step = 4
 
 
-def test_zo_step_memory_is_one_forward_plus_a_chunk():
-    # tracemalloc sees numpy's data allocations.  Each step starts from a
-    # fresh copy, so the update scratch is first allocated in the measured
-    # region: on this 1.07M-parameter mlp (an 8 MB largest tensor) a ZO
-    # step needs one forward's peak plus CHUNK elements, where an FO SGD
-    # step holds a gradient the size of the parameters
+_SLACK = 65_536  # Python objects; measured ~9.5 KB on numpy 2.4
+
+
+def _traced_peak(fn):
+    """Most bytes tracemalloc saw live at once while ``fn`` ran, above
+    what was live before; tracemalloc sees numpy's data allocations."""
     import tracemalloc
 
-    from zobench.fo import FOConfig, fo_step
-    from zobench.models import BatchSampler, DataGenConfig, gen_data, make_model
-    from zobench.params import CHUNK
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
-    slack = 65_536  # Python objects; measured ~9.5 KB on numpy 2.4
+
+def _wide_mlp():
+    """The 1.07M-parameter mlp 512-2048-10 (an 8 MB largest tensor)."""
+    from zobench.models import DataGenConfig, make_model
+
     cfg = DataGenConfig(task="mlp", dim=512, hidden=2048, classes=10,
                         n_train=64, n_test=8, seed=0)
-    model = make_model(cfg)
+    return cfg, make_model(cfg)
+
+
+def test_zo_step_memory_is_one_forward_plus_a_chunk():
+    # Each step starts from a fresh copy, so the update scratch is first
+    # allocated in the measured region: on the wide mlp a ZO step needs
+    # one forward's peak plus CHUNK elements, where an FO SGD step holds
+    # a gradient the size of the parameters
+    from zobench.fo import FOConfig, fo_step
+    from zobench.models import BatchSampler, gen_data
+    from zobench.params import CHUNK
+
+    cfg, model = _wide_mlp()
     train_set, _ = gen_data(cfg)
     init = model.init(0)
     batch = BatchSampler(train_set, 32, seed=0).draw(0)
 
-    def peak(fn):
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            fn()
-            return tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-
-    forward = peak(lambda: model.loss(init, batch))
+    forward = _traced_peak(lambda: model.loss(init, batch))
     for q in (1, 4):
         params = init.copy()
-        step = peak(lambda: zo_step(model, params, lambda i: batch,
-                                    ZOConfig(lr=0.01, q=q), 0))
-        assert step <= forward + CHUNK * 8 + slack, (q, step, forward)
+        step = _traced_peak(lambda: zo_step(model, params, lambda i: batch,
+                                            ZOConfig(lr=0.01, q=q), 0))
+        assert step <= forward + CHUNK * 8 + _SLACK, (q, step, forward)
     params = init.copy()
-    sgd = peak(lambda: fo_step(model, params, batch, FOConfig(lr=0.01), {}))
+    sgd = _traced_peak(lambda: fo_step(model, params, batch, FOConfig(lr=0.01), {}))
     assert sgd >= params.num_elements() * params.dtype.itemsize
+
+
+@pytest.mark.parametrize("helper", ["max_abs_diff", "equals_bitwise", "save",
+                                    "to_bytes"])
+def test_whole_set_helper_works_in_one_chunk(helper, tmp_path):
+    # on the wide mlp's 8 MB set a whole-set helper allocates at most one
+    # CHUNK-element scratch, besides to_bytes's result
+    from zobench.params import CHUNK
+
+    params = _wide_mlp()[1].init(0)
+    other = params.copy()
+    call = {"max_abs_diff": lambda: params.max_abs_diff(other),
+            "equals_bitwise": lambda: params.equals_bitwise(other),
+            "save": lambda: params.save(tmp_path / "wide.pset"),
+            "to_bytes": params.to_bytes}[helper]
+    result = params.num_elements() * params.dtype.itemsize if helper == "to_bytes" else 0
+    peak = _traced_peak(call)
+    assert peak <= result + CHUNK * 8 + _SLACK, peak
