@@ -4,6 +4,15 @@ These exist as the comparison arm for every zeroth-order experiment and
 as the independent check on the models' analytic gradients.  They share
 the seed derivation and batch sampling of the ZO path, so a comparison
 run differs only in the optimizer.
+
+A step is one forward: ``fo_step`` takes the loss and the gradient from
+one ``model.loss_and_grad`` call and returns that loss, which is what
+``fo_train`` records.  Both optimizers are element-wise, so a step walks
+the packed parameter and gradient buffers in pieces of at most
+:data:`~zobench.params.CHUNK` elements, with Adam's moments as two flat
+arrays beside them, rather than tensor by tensor; each element goes
+through the operations of the per-tensor update in the same order, so
+the bytes are the same.
 """
 
 from __future__ import annotations
@@ -42,53 +51,58 @@ class FOConfig:
 
     @property
     def forwards_per_step(self) -> int:
-        """Forward budget charged per step: one, whatever the gradient costs."""
+        """Forwards per step: one, the ``loss_and_grad`` call."""
         return 1
 
 
-def fo_step(model, params: ParamSet, batch, config: FOConfig, state: dict):
-    """One SGD or Adam update from the model's analytic gradient.
+def fo_step(model, params: ParamSet, batch, config: FOConfig,
+            state: dict) -> float:
+    """One SGD or Adam update from ``model.loss_and_grad``; returns the
+    loss, taken at the parameters before the update.
 
-    ``state`` persists Adam moments across steps; pass the same dict for
-    the whole run.  Non-finite gradients abort before touching params.
+    ``state`` persists Adam's step count ``"t"`` and its moments ``"m"``
+    and ``"v"``, flat arrays over the set's elements in iteration order;
+    pass the same dict for the whole run.  A non-finite gradient aborts,
+    naming its tensor, before any parameter is touched.
     """
-    grads = model.grad(params, batch)
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise ArithmeticError(f"non-finite gradient for {name!r}")
+    loss, grads = model.loss_and_grad(params, batch)
+    pieces = list(params._piece_pairs(grads))
+    if not all(np.isfinite(g).all() for _, g in pieces):
+        name = next(n for n, g in grads.items() if not np.isfinite(g).all())
+        raise ArithmeticError(f"non-finite gradient for {name!r}")
+    lr = config.lr
     if config.optimizer == "sgd":
-        for (name, p), (_, g) in zip(params.items(), grads.items()):
-            p -= config.lr * g
-        return
+        for p, g in pieces:
+            p -= lr * g
+        return loss
     # Adam with bias correction
-    t = state.get("t", 0) + 1
-    state["t"] = t
-    m = state.setdefault("m", {})
-    v = state.setdefault("v", {})
+    t = state["t"] = state.get("t", 0) + 1
+    if "m" not in state:
+        dtype = np.result_type(params.dtype, grads.dtype)
+        state["m"] = np.zeros(params.num_elements(), dtype)
+        state["v"] = np.zeros_like(state["m"])
     b1, b2 = config.beta1, config.beta2
-    for (name, p), (_, g) in zip(params.items(), grads.items()):
-        mi = m.get(name)
-        vi = v.get(name)
-        if mi is None:
-            mi = np.zeros_like(p)
-            vi = np.zeros_like(p)
-        mi = b1 * mi + (1 - b1) * g
-        vi = b2 * vi + (1 - b2) * g * g
-        m[name], v[name] = mi, vi
-        mhat = mi / (1 - b1 ** t)
-        vhat = vi / (1 - b2 ** t)
-        p -= config.lr * mhat / (np.sqrt(vhat) + config.eps_adam)
+    c1, c2 = 1 - b1 ** t, 1 - b2 ** t
+    lo = 0
+    for p, g in pieces:
+        m, v = state["m"][lo:lo + g.size], state["v"][lo:lo + g.size]
+        lo += g.size
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + config.eps_adam)
+    return loss
 
 
 def fo_train(model, batch_source, config: FOConfig, params: ParamSet):
-    """Run the step budget; returns per-step metrics (loss evaluated once)."""
+    """Run the step budget; returns per-step metrics (loss evaluated once,
+    by the step's one forward, before its update)."""
     state: dict = {}
     metrics = []
     for t in range(config.steps):
-        batch = batch_source(t)
-        loss = float(model.loss(params, batch))
-        fo_step(model, params, batch, config, state)
-        metrics.append({"step": t, "loss": loss,
+        loss = fo_step(model, params, batch_source(t), config, state)
+        metrics.append({"step": t, "loss": float(loss),
                         "forwards": config.forwards_per_step})
     return metrics
 

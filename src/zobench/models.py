@@ -1,8 +1,11 @@
 """Toy model zoo: forward-only losses, analytic gradients, synthetic data.
 
 Every model exposes ``loss`` (all a zeroth-order optimizer needs),
-an analytic ``grad`` (for first-order baselines and for oracle checks
-against central differences), and ``predict`` where it makes sense.
+an analytic ``loss_and_grad`` (for first-order baselines and for oracle
+checks against central differences), and ``predict`` where it makes
+sense.  ``loss_and_grad`` takes both from one forward, and its loss
+has the bits of ``loss``'s: its kernels share the softmax's pieces
+between loss and gradient only where the arithmetic stays the same.
 
 The sequence classifier is the stand-in for an acoustic model: a per-frame
 affine feature extractor with tanh, a normalization layer with learnable
@@ -68,11 +71,14 @@ class Batch:
 
 @dataclass
 class Model:
-    """Forward-only loss evaluator with optional analytic-gradient oracle."""
+    """Forward-only loss evaluator with an optional analytic gradient:
+    ``loss_and_grad(params, batch)`` gives ``(loss, grads)`` from one
+    forward."""
 
     name: str
     loss: Callable[[ParamSet, Batch], float]
-    grad: Optional[Callable[[ParamSet, Batch], ParamSet]] = None
+    loss_and_grad: Optional[
+        Callable[[ParamSet, Batch], tuple[float, ParamSet]]] = None
     predict: Optional[Callable[[ParamSet, Batch], np.ndarray]] = None
     init: Optional[Callable[[int], ParamSet]] = None
     # the softmax network behind a classifier; None for other losses
@@ -101,15 +107,17 @@ def quadratic_bowl(eigenvalues, b=None) -> Model:
         t = params["theta"]
         return float(0.5 * t @ (eig * t) - bvec @ t)
 
-    def grad(params: ParamSet, batch: Batch = None) -> ParamSet:
+    def loss_and_grad(params: ParamSet, batch: Batch = None):
         t = params["theta"]
-        return ParamSet([("theta", eig * t - bvec)])
+        at = eig * t
+        return float(0.5 * t @ at - bvec @ t), ParamSet([("theta", at - bvec)])
 
     def init(seed: int) -> ParamSet:
         t = GaussianStream(seed).normal((d,))
         return ParamSet([("theta", t)])
 
-    return Model(name="quadratic", loss=loss, grad=grad, init=init)
+    return Model(name="quadratic", loss=loss, loss_and_grad=loss_and_grad,
+                 init=init)
 
 
 # ---------------------------------------------------------------------------
@@ -128,10 +136,16 @@ def _ce_from_scores(scores: np.ndarray, labels: np.ndarray) -> float:
     return float(_mean(logz - s[np.arange(len(labels)), labels]))
 
 
-def _ce_dscores(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    p = _softmax(scores)
-    p[np.arange(len(labels)), labels] -= 1.0
-    return p / len(labels)
+def _ce_and_dscores(scores: np.ndarray, labels: np.ndarray):
+    """``_ce_from_scores`` and its gradient, softmax rows from one exp."""
+    s = scores - np.maximum.reduce(scores, axis=1, keepdims=True)
+    e = np.exp(s)
+    z = np.add.reduce(e, axis=1, keepdims=True)
+    rows = np.arange(len(labels))
+    loss = float(_mean(np.log(z[:, 0]) - s[rows, labels]))
+    p = e / z
+    p[rows, labels] -= 1.0
+    return loss, p / len(labels)
 
 
 # p's floor under the log, per width: 1e-300 is 0 in float32, whose
@@ -151,10 +165,11 @@ def _entropy_from_scores(scores: np.ndarray) -> float:
     return float(_mean(-np.add.reduce(p * logp, axis=1)))
 
 
-def _entropy_dscores(scores: np.ndarray) -> np.ndarray:
+def _entropy_and_dscores(scores: np.ndarray):
+    """``_entropy_from_scores`` and its gradient from one softmax."""
     p, logp = _p_logp(scores)
     h_row = -np.add.reduce(p * logp, axis=1, keepdims=True)
-    return -p * (logp + h_row) / scores.shape[0]
+    return float(_mean(h_row[:, 0])), -p * (logp + h_row) / scores.shape[0]
 
 
 class _SoftmaxCore:
@@ -333,17 +348,17 @@ def _model_from_core(core: _SoftmaxCore) -> Model:
         scores, _ = core.forward(params, batch.inputs)
         return _ce_from_scores(scores, batch.labels)
 
-    def grad(params, batch):
+    def loss_and_grad(params, batch):
         scores, cache = core.forward(params, batch.inputs)
-        return core.backward(params, batch.inputs,
-                             _ce_dscores(scores, batch.labels), cache)
+        loss, dscores = _ce_and_dscores(scores, batch.labels)
+        return loss, core.backward(params, batch.inputs, dscores, cache)
 
     def predict(params, batch):
         scores, _ = core.forward(params, batch.inputs)
         return _softmax(scores)
 
-    return Model(name=core.name, loss=loss, grad=grad, predict=predict,
-                 init=core.init, core=core)
+    return Model(name=core.name, loss=loss, loss_and_grad=loss_and_grad,
+                 predict=predict, init=core.init, core=core)
 
 
 def logistic_regression(d: int, classes: int) -> Model:
@@ -370,7 +385,7 @@ def seq_classifier(frames: int, feat_dim: int, classes: int,
 # ---------------------------------------------------------------------------
 
 def entropy_objective(model: Model) -> Model:
-    """The same network with loss/grad replaced by predictive entropy.
+    """The same network with loss/loss_and_grad replaced by predictive entropy.
 
     The loss is the mean Shannon entropy (nats) of the distributions the
     core's ``entropy_forward`` gives: the frame-level ones for the
@@ -387,13 +402,16 @@ def entropy_objective(model: Model) -> Model:
         scores, _ = core.entropy_forward(params, batch.inputs)
         return _entropy_from_scores(scores)
 
-    def grad(params, batch):
+    def loss_and_grad(params, batch):
+        if batch.labels is not None:
+            raise ValueError("entropy objective expects an unlabeled batch")
         scores, cache = core.entropy_forward(params, batch.inputs)
-        return core.entropy_backward(params, batch.inputs,
-                                     _entropy_dscores(scores), cache)
+        loss, dscores = _entropy_and_dscores(scores)
+        return loss, core.entropy_backward(params, batch.inputs, dscores, cache)
 
-    return Model(name=model.name + "-entropy", loss=loss, grad=grad,
-                 predict=model.predict, init=model.init, core=core)
+    return Model(name=model.name + "-entropy", loss=loss,
+                 loss_and_grad=loss_and_grad, predict=model.predict,
+                 init=model.init, core=core)
 
 
 def accuracy(model: Model, params: ParamSet, batch: Batch) -> float:

@@ -34,12 +34,15 @@ The whole-set helpers keep the same bound: ``max_abs_diff`` and
 scratch of at most CHUNK elements per call, ``save`` writes each
 tensor's slice of the buffer straight to the file, and ``to_bytes``
 allocates nothing the size of the set but its result.  Only the
-constructor, ``copy``, ``load`` and ``from_bytes`` build a new buffer.
+constructor, ``copy``, ``load`` and ``from_bytes`` build a new buffer;
+the last two share one decoder, which reads each tensor's bytes
+straight into it, so loading allocates nothing else the set's size.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import math
 import struct
 
@@ -265,7 +268,7 @@ class ParamSet:
         ``CHUNK`` elements of the set's dtype, whatever the set's size.
         """
         self.check_schema(other.schema_hash)
-        scratch, worst = np.empty(min(self._largest, CHUNK), self.dtype), 0.0
+        scratch, worst = np.empty(min(self.num_elements(), CHUNK), self.dtype), 0.0
         for a, b in self._piece_pairs(other):
             diff = np.subtract(a, b, scratch[:a.size])
             largest = float(np.abs(diff, diff).max())
@@ -287,16 +290,25 @@ class ParamSet:
         if self.schema_hash != other.schema_hash:
             return False
         uint = np.dtype(f"u{self.dtype.itemsize}")
-        same = np.empty(min(self._largest, CHUNK), bool)
+        same = np.empty(min(self.num_elements(), CHUNK), bool)
         return all(np.equal(a.view(uint), b.view(uint), same[:a.size]).all()
                    for a, b in self._piece_pairs(other))
 
     def _piece_pairs(self, other: "ParamSet"):
-        """Each tensor's flat view in self and in ``other``, whose schema
-        matches, cut into pieces of at most ``CHUNK`` elements, as
-        ``(self piece, other piece)`` in iteration order."""
+        """Flat views of self and of ``other``, whose tensors match self's
+        in order and size, as ``(self piece, other piece)`` in iteration
+        order.  Tensors that follow on from each other in both buffers
+        merge into one span, and each span is cut into pieces of at most
+        ``CHUNK`` elements; a tensor left out of either set between two
+        kept ones ends a span."""
+        spans = []
         for (_, mine, shape), (_, theirs, _) in zip(self._layout, other._layout):
             size = math.prod(shape)
+            if spans and mine - spans[-1][0] == theirs - spans[-1][1] == spans[-1][2]:
+                spans[-1][2] += size
+            else:
+                spans.append([mine, theirs, size])
+        for mine, theirs, size in spans:
             for lo in range(0, size, CHUNK):
                 hi = min(lo + CHUNK, size)
                 yield (self._buf[mine + lo:mine + hi],
@@ -334,8 +346,11 @@ class ParamSet:
 
     @classmethod
     def load(cls, path) -> "ParamSet":
+        """Decode the file :meth:`save` writes, as :meth:`from_bytes`
+        does; each tensor is read straight into the new set's buffer, so
+        the set is the one allocation its size."""
         with open(path, "rb") as fh:
-            return cls.from_bytes(fh.read())
+            return cls._decode(fh)
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "ParamSet":
@@ -345,15 +360,24 @@ class ParamSet:
         truncated or overwritten file never reaches ``struct`` or numpy
         with too few bytes.
         """
-        view = memoryview(blob)
-        off = 0
+        return cls._decode(io.BytesIO(blob))
+
+    @classmethod
+    def _decode(cls, fh) -> "ParamSet":
+        """The decoder behind :meth:`load` and :meth:`from_bytes`, over a
+        seekable binary file: one pass checks every header and skips the
+        data, then each tensor's data is read into its slice of the new
+        set's buffer."""
+        end = fh.seek(0, io.SEEK_END)
+        fh.seek(0)
+
+        def check(n):  # n bytes follow
+            if fh.tell() + n > end:
+                raise ParamSetFormatError("truncated ParamSet data")
+            return n
 
         def take(n):
-            nonlocal off
-            if off + n > len(view):
-                raise ParamSetFormatError("truncated ParamSet data")
-            off += n
-            return view[off - n:off]
+            return fh.read(check(n))
 
         if take(4) != _MAGIC:
             raise ParamSetFormatError("not a ParamSet file (bad magic)")
@@ -362,24 +386,34 @@ class ParamSet:
             raise ParamSetFormatError(f"unsupported ParamSet version {version}")
         if width not in (4, 8):
             raise ParamSetFormatError(f"unsupported element width {width}")
-        dtype = np.dtype(f"<f{width}")
-        entries = []
+        entries = []  # (name, shape, position of the data in fh)
         for _ in range(count):
             (nlen,) = struct.unpack("<H", take(2))
-            name = bytes(take(nlen))
+            name = take(nlen)
             (rank,) = struct.unpack("<B", take(1))
             shape = struct.unpack(f"<{rank}I", take(4 * rank))
             n = math.prod(shape)
             if n == 0:
                 raise ParamSetFormatError("empty tensor in ParamSet data")
-            arr = np.frombuffer(take(n * width), dtype=dtype)
-            entries.append((name, arr.reshape(shape)))
-        if off != len(view):
+            entries.append((name, shape, fh.tell()))
+            fh.seek(check(n * width), io.SEEK_CUR)
+        if fh.tell() != end:
             raise ParamSetFormatError("trailing bytes in ParamSet file")
+        # zero-strided placeholders: the constructor checks the names and
+        # lays the buffer out, and the data is read into it only once
+        zero = np.zeros((), np.dtype(f"f{width}"))
         try:
-            return cls([(name.decode("utf-8"), arr) for name, arr in entries])
+            params = cls([(name.decode("utf-8"), np.broadcast_to(zero, shape))
+                          for name, shape, _ in entries])
         except ValueError as exc:  # bad UTF-8, duplicate name, no tensors
             raise ParamSetFormatError(f"invalid ParamSet data: {exc}") from exc
+        for (_, _, pos), (_, arr) in zip(entries, params.items()):
+            fh.seek(pos)
+            if fh.readinto(arr) != arr.nbytes:
+                raise ParamSetFormatError("truncated ParamSet data")
+        if params.dtype != params.dtype.newbyteorder("<"):  # big-endian host
+            params._buf.byteswap(inplace=True)
+        return params
 
     def __repr__(self):  # pragma: no cover
         inner = ", ".join(f"{n}{list(a.shape)}" for n, a in self.items())

@@ -82,10 +82,12 @@ def _masked_objective(model: Model, full_params: ParamSet, mask_names):
     def loss(sub_params, batch):
         return obj.loss(full_params, batch)
 
-    def grad(sub_params, batch):
-        return obj.grad(full_params, batch).subset(mask_names)
+    def loss_and_grad(sub_params, batch):
+        loss, grads = obj.loss_and_grad(full_params, batch)
+        return loss, grads.subset(mask_names)
 
-    return Model(name=obj.name + "-masked", loss=loss, grad=grad)
+    return Model(name=obj.name + "-masked", loss=loss,
+                 loss_and_grad=loss_and_grad)
 
 
 def adapt_sample(model: Model, params: ParamSet, sample: Batch,
@@ -122,7 +124,6 @@ def adapt_sample(model: Model, params: ParamSet, sample: Batch,
     else:
         state: dict = {}
         for _ in range(config.steps):
-            objective.forward_count += config.optimizer.forwards_per_step
             fo_step(objective, sub, sample, config.optimizer, state)
         log = None
 

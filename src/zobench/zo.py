@@ -189,7 +189,9 @@ def zo_step(model, params: ParamSet, batch_source: Callable, config: ZOConfig,
 
 
 class CountingModel:
-    """Model wrapper counting loss evaluations (the forward-pass budget)."""
+    """Model wrapper counting forward passes (the budget): one per
+    ``loss`` call, and one per ``loss_and_grad`` call, which takes the
+    loss and the gradient from a single forward."""
 
     def __init__(self, model):
         self._model = model
@@ -201,6 +203,10 @@ class CountingModel:
     def loss(self, params, batch):
         self.forward_count += 1
         return self._model.loss(params, batch)
+
+    def loss_and_grad(self, params, batch):
+        self.forward_count += 1
+        return self._model.loss_and_grad(params, batch)
 
 
 def train(model, batch_source: Callable, config: ZOConfig, params: ParamSet,

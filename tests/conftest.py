@@ -53,3 +53,32 @@ def reference_axpy(params, coeff, seed, kind):
                               kind, dtype=arr.dtype)
         z *= coeff
         arr += z
+
+
+def reference_fo_step(grads, params, config, state):
+    """An SGD or Adam update by its definition, tensor by tensor, with
+    Adam's moments in per-name dicts: the loop ``fo.fo_step`` ran before
+    it walked the packed buffers, and whose bytes it must give."""
+    import numpy as np
+
+    if config.optimizer == "sgd":
+        for (name, p), (_, g) in zip(params.items(), grads.items()):
+            p -= config.lr * g
+        return
+    t = state.get("t", 0) + 1
+    state["t"] = t
+    m = state.setdefault("m", {})
+    v = state.setdefault("v", {})
+    b1, b2 = config.beta1, config.beta2
+    for (name, p), (_, g) in zip(params.items(), grads.items()):
+        mi = m.get(name)
+        vi = v.get(name)
+        if mi is None:
+            mi = np.zeros_like(p)
+            vi = np.zeros_like(p)
+        mi = b1 * mi + (1 - b1) * g
+        vi = b2 * vi + (1 - b2) * g * g
+        m[name], v[name] = mi, vi
+        mhat = mi / (1 - b1 ** t)
+        vhat = vi / (1 - b2 ** t)
+        p -= config.lr * mhat / (np.sqrt(vhat) + config.eps_adam)

@@ -3,7 +3,7 @@
 Usage:
     PYTHONPATH=src python tests/output_hashes.py OUT
 
-Runs sixteen small harness configs, each over seeds {0, 1}, into
+Runs nineteen small harness configs, each over seeds {0, 1}, into
 ``OUT/<config name>/`` and prints one ``<sha256>  <path>`` line per
 output file, paths relative to OUT and sorted.  ``*.timings.json``
 holds wall-clock times and is skipped.  Each seed log ``<run>.zolog``
@@ -57,6 +57,8 @@ CONFIGS = [
           sweep={"q": [1, 3], "lr": [0.02, 0.05]}),
     train("shared", {**ZO_MLP, "batch_mode": "shared"}),
     train("sgdbudget", {"type": "sgd", "lr": 0.1, "forward_budget": 40}),
+    train("adamtrain", {"type": "adam", "lr": 0.01, "steps": 20}),
+    train("seqadam", {"type": "adam", "lr": 0.01, "steps": 20}, model=SEQ),
     # the pooled seq CE forward under ZO perturbations
     train("seqtrain", {**ZO_MLP, "steps": 5}, model=SEQ),
     # full-kind q=1: a step's last restore and its update share one z
@@ -67,6 +69,8 @@ CONFIGS = [
     tta("qonerevert", {**ZO_TTA, "q": 1}, reset_mode="revert"),
     tta("lowrankrevert", {**ZO_TTA, **LOWRANK}, reset_mode="revert"),
     tta("adam", {"type": "adam", "lr": 0.01}),
+    # feat.bias left out: the adapted subset has a gap in the buffer
+    tta("adamgap", {"type": "adam", "lr": 0.01}, mask=["feat.weight", "norm.*"]),
     tta("sgd", {"type": "sgd", "lr": 0.05}),
     tta("mlp", {**ZO_TTA, "lr": 0.5},
         model={"task": "mlp", "dim": 6, "hidden": 5, "classes": 3},

@@ -12,6 +12,7 @@ from zobench.models import (Batch, BatchSampler, DataGenConfig, StreamSample,
                             logistic_regression, make_model, mlp_classifier,
                             quadratic_bowl, sample_scores, seq_classifier)
 from zobench.params import ParamSet
+from zobench.tta import _masked_objective
 
 
 def test_quadratic_validation():
@@ -22,12 +23,23 @@ def test_quadratic_validation():
 
 
 def test_quadratic_loss_and_grad():
-    model = quadratic_bowl(np.array([2.0, 4.0]), b=np.array([2.0, 4.0]))
-    from zobench.params import ParamSet
+    eig, b = np.array([2.0, 4.0]), np.array([2.0, 4.0])
+    model = quadratic_bowl(eig, b=b)
     params = ParamSet([("theta", np.array([1.0, 1.0]))])
     # L = 0.5 (2 + 4) - (2 + 4) = -3 at theta = (1, 1), the minimizer
     assert model.loss(params, None) == -3.0
-    np.testing.assert_array_equal(model.grad(params, None)["theta"], [0.0, 0.0])
+    loss, grads = model.loss_and_grad(params, None)
+    assert loss == -3.0
+    np.testing.assert_array_equal(grads["theta"], [0.0, 0.0])
+    # elsewhere, in both widths, the one forward sharing eig * theta gives
+    # loss's bits and those of eig * theta - b
+    rng = np.random.default_rng(5)
+    for dtype in (np.float64, np.float32):
+        params = ParamSet([("theta", rng.normal(size=2).astype(dtype))])
+        loss, grads = model.loss_and_grad(params, None)
+        assert loss == model.loss(params, None)
+        want = eig * params["theta"] - b
+        assert grads["theta"].tobytes() == want.tobytes()
 
 
 def test_batch_validation():
@@ -64,7 +76,7 @@ def test_analytic_grad_matches_finite_differences(factory, shape):
         arr += 0.05 * np.random.default_rng(2).normal(size=arr.shape)
     rng = np.random.default_rng(3)
     batch = Batch(rng.normal(size=shape), rng.integers(0, 3, size=shape[0]))
-    ana = model.grad(params, batch)
+    ana = model.loss_and_grad(params, batch)[1]
     num = finite_diff_grad(model, params, batch, h=1e-6)
     for name, g in ana.items():
         scale = max(1.0, float(np.abs(num[name]).max()))
@@ -79,7 +91,7 @@ def test_entropy_grad_matches_finite_differences():
         arr += 0.05 * np.random.default_rng(2).normal(size=arr.shape)
     batch = Batch(np.random.default_rng(3).normal(size=(4, 3, 4)))
     obj = entropy_objective(model)
-    ana = obj.grad(params, batch)
+    ana = obj.loss_and_grad(params, batch)[1]
     num = finite_diff_grad(obj, params, batch, h=1e-6)
     for name, g in ana.items():
         np.testing.assert_allclose(g, num[name], rtol=1e-4, atol=1e-7)
@@ -101,6 +113,8 @@ def test_entropy_rejects_labeled_batch():
     batch = Batch(np.zeros((2, 4)), np.zeros(2, dtype=int))
     with pytest.raises(ValueError):
         entropy_objective(model).loss(model.init(0), batch)
+    with pytest.raises(ValueError):
+        entropy_objective(model).loss_and_grad(model.init(0), batch)
 
 
 def test_seq_schema_groups():
@@ -241,6 +255,12 @@ def _ref_entropy_from_scores(scores):
     return float(np.mean(-(p * logp).sum(axis=1)))
 
 
+def _ref_ce_dscores(scores, labels):
+    p = _ref_softmax(scores)
+    p[np.arange(len(labels)), labels] -= 1.0
+    return p / len(labels)
+
+
 def _ref_entropy_dscores(scores):
     p = _ref_softmax(scores)
     logp = np.log(np.clip(p, 1e-300, None))
@@ -256,10 +276,10 @@ def test_float32_entropy_with_a_vanishing_probability():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         h = models._entropy_from_scores(scores)
-        d = models._entropy_dscores(scores)
+        d = models._entropy_and_dscores(scores)[1]
     assert math.isfinite(h) and d.dtype == np.float32 and np.isfinite(d).all()
     assert h == pytest.approx(models._entropy_from_scores(wide), rel=1e-6)
-    np.testing.assert_allclose(d, models._entropy_dscores(wide),
+    np.testing.assert_allclose(d, models._entropy_and_dscores(wide)[1],
                                rtol=1e-6, atol=1e-9)
 
 
@@ -280,14 +300,29 @@ def _same_bits(a, b):
 
 
 def _kernel_outputs(model, params, x, labels):
-    """Every loss, gradient and score the kernels feed, in a fixed order."""
+    """Every loss, gradient and score the kernels feed, in a fixed order:
+    each ``loss_and_grad`` pair follows the ``loss`` it must repeat."""
     labeled, unlabeled = Batch(x, labels), Batch(x)
     # Batch casts inputs to float64; reset them so float32 runs float32
     labeled.inputs = unlabeled.inputs = x
     ent = entropy_objective(model)
-    return [model.loss(params, labeled), model.grad(params, labeled),
-            ent.loss(params, unlabeled), ent.grad(params, unlabeled),
+    # every other tensor: the masked subset has a gap
+    kept = params.names[::2]
+    masked, sub = _masked_objective(model, params, kept), params.subset(kept)
+    return [model.loss(params, labeled), *model.loss_and_grad(params, labeled),
+            ent.loss(params, unlabeled), *ent.loss_and_grad(params, unlabeled),
+            masked.loss(sub, unlabeled), *masked.loss_and_grad(sub, unlabeled),
             sample_scores(model, params, labeled)]
+
+
+def _ref_ce_and_dscores(scores, labels):
+    # the two kernels the separate loss and grad forwards ran; the forward
+    # is a pure function, so one forward's scores serve both
+    return _ref_ce_from_scores(scores, labels), _ref_ce_dscores(scores, labels)
+
+
+def _ref_entropy_and_dscores(scores):
+    return _ref_entropy_from_scores(scores), _ref_entropy_dscores(scores)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -315,12 +350,15 @@ def test_loss_kernels_match_numpy_reference(dtype, monkeypatch):
             x = (scale * rng.normal(size=shape)).astype(dtype)
             labels = rng.integers(0, 4, size=n)
             live = _kernel_outputs(model, params, x, labels)
+            for k in (0, 3, 6):  # loss_and_grad's loss is loss's, bitwise
+                assert live[k] == live[k + 1], (model.name, k)
             with monkeypatch.context() as m:
                 for name, ref in [
                         ("_mean", _ref_mean), ("_softmax", _ref_softmax),
                         ("_ce_from_scores", _ref_ce_from_scores),
+                        ("_ce_and_dscores", _ref_ce_and_dscores),
                         ("_entropy_from_scores", _ref_entropy_from_scores),
-                        ("_entropy_dscores", _ref_entropy_dscores)]:
+                        ("_entropy_and_dscores", _ref_entropy_and_dscores)]:
                     m.setattr(models, name, ref)
                 m.setattr(models._SeqCore, "_hidden", _ref_hidden)
                 ref = _kernel_outputs(model, params, x, labels)

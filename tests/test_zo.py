@@ -365,18 +365,23 @@ def test_zo_step_memory_is_one_forward_plus_a_chunk():
 
 
 @pytest.mark.parametrize("helper", ["max_abs_diff", "equals_bitwise", "save",
-                                    "to_bytes"])
+                                    "to_bytes", "load"])
 def test_whole_set_helper_works_in_one_chunk(helper, tmp_path):
     # on the wide mlp's 8 MB set a whole-set helper allocates at most one
-    # CHUNK-element scratch, besides to_bytes's result
-    from zobench.params import CHUNK
+    # CHUNK-element scratch, besides the set's bytes to_bytes and load return
+    from zobench.params import CHUNK, ParamSet
 
     params = _wide_mlp()[1].init(0)
     other = params.copy()
+    path = tmp_path / "wide.pset"
+    if helper == "load":
+        params.save(path)
     call = {"max_abs_diff": lambda: params.max_abs_diff(other),
             "equals_bitwise": lambda: params.equals_bitwise(other),
-            "save": lambda: params.save(tmp_path / "wide.pset"),
-            "to_bytes": params.to_bytes}[helper]
-    result = params.num_elements() * params.dtype.itemsize if helper == "to_bytes" else 0
+            "save": lambda: params.save(path),
+            "to_bytes": params.to_bytes,
+            "load": lambda: ParamSet.load(path)}[helper]
+    result = (params.num_elements() * params.dtype.itemsize
+              if helper in ("to_bytes", "load") else 0)
     peak = _traced_peak(call)
     assert peak <= result + CHUNK * 8 + _SLACK, peak
