@@ -8,7 +8,7 @@ an episodic test-time-adaptation loop, first-order reference optimizers,
 and an experiment harness with a CLI.
 """
 
-from .fo import FOConfig, finite_diff_grad, fo_step, fo_train
+from .fo import FOConfig, fo_step, fo_train
 from .models import (Batch, BatchSampler, DataGenConfig, Model, StreamSample,
                      accuracy, entropy_objective, gen_data,
                      gen_shifted_stream, logistic_regression, make_model,

@@ -1,9 +1,10 @@
-"""First-order baselines (SGD, Adam) and a finite-difference gradient oracle.
+"""First-order baselines (SGD, Adam).
 
-These exist as the comparison arm for every zeroth-order experiment and
-as the independent check on the models' analytic gradients.  They share
-the seed derivation and batch sampling of the ZO path, so a comparison
-run differs only in the optimizer.
+These exist as the comparison arm for every zeroth-order experiment.
+They share the seed derivation and batch sampling of the ZO path, so a
+comparison run differs only in the optimizer.  The finite-difference
+oracle that checks the models' analytic gradients is a test helper,
+``finite_diff_grad`` in ``tests/conftest.py``.
 
 A step is one forward: ``fo_step`` takes the loss and the gradient from
 one ``model.loss_and_grad`` call and returns that loss, which is what
@@ -24,7 +25,7 @@ import numpy as np
 from .params import ParamSet
 from .streams import check_int, check_real
 
-__all__ = ["FOConfig", "fo_step", "fo_train", "finite_diff_grad"]
+__all__ = ["FOConfig", "fo_step", "fo_train"]
 
 
 @dataclass
@@ -105,28 +106,3 @@ def fo_train(model, batch_source, config: FOConfig, params: ParamSet):
         metrics.append({"step": t, "loss": float(loss),
                         "forwards": config.forwards_per_step})
     return metrics
-
-
-def finite_diff_grad(model, params: ParamSet, batch, h: float) -> ParamSet:
-    """Central-difference gradient, element by element.
-
-    Deliberately brute force: this is the oracle the analytic gradients
-    are judged against, so it shares no code with them.
-    """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    out = []
-    for name, p in params.items():
-        g = np.zeros_like(p)
-        flat_p = p.reshape(-1)
-        flat_g = g.reshape(-1)
-        for i in range(flat_p.size):
-            orig = flat_p[i]
-            flat_p[i] = orig + h
-            lp = model.loss(params, batch)
-            flat_p[i] = orig - h
-            lm = model.loss(params, batch)
-            flat_p[i] = orig
-            flat_g[i] = (lp - lm) / (2.0 * h)
-        out.append((name, g))
-    return ParamSet(out)

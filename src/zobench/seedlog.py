@@ -192,25 +192,31 @@ class SeedLogWriter:
         """
         if self._fh.closed:
             raise LogFormatError("append after finalize")
-        # held out while the record is checked: a refusal leaves none held
-        pending, self._pending = self._pending, bytearray()
-        if type(seed) is not int:  # struct.pack checks the range
-            check_int("seed", seed)
-        g = float(proj_grad)
-        if not math.isfinite(g):  # struct packs NaN and inf silently
-            raise ValueError("proj_grad must be finite")
         try:
-            pending += self._record.pack(int(seed), g)
-        except struct.error as exc:  # the only packing error a seed can raise
-            raise OverflowError(
-                f"seed must be a 64-bit unsigned integer, got {seed}") from exc
-        except OverflowError as exc:  # g beyond float32's range
-            raise ValueError(f"proj_grad {g} overflows a "
-                             f"{self.header.pg_width}-byte float") from exc
-        self._pending = pending
+            if type(seed) is not int:  # struct.pack checks the range
+                check_int("seed", seed)
+            g = float(proj_grad)
+            if not math.isfinite(g):  # struct packs NaN and inf silently
+                raise ValueError("proj_grad must be finite")
+            try:
+                self._pending += self._record.pack(int(seed), g)
+            except struct.error as exc:  # the only packing error a seed raises
+                raise OverflowError("seed must be a 64-bit unsigned "
+                                    f"integer, got {seed}") from exc
+            except OverflowError as exc:  # g beyond float32's range
+                raise ValueError(f"proj_grad {g} overflows a "
+                                 f"{self.header.pg_width}-byte float") from exc
+        except BaseException:  # a refused record drops the held ones
+            self._pending.clear()
+            raise
 
     def flush(self):
-        """Write the records held since the last flush, then flush the file."""
+        """Write the records held since the last flush, then flush the file.
+
+        After ``finalize`` this raises LogFormatError, as ``append`` does.
+        """
+        if self._fh.closed:
+            raise LogFormatError("flush after finalize")
         self._fh.write(self._pending)
         self._count += len(self._pending) // self._record.size
         self._pending.clear()

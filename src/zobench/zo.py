@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import index as _index
 from typing import Callable
 
 import numpy as np
@@ -114,13 +116,22 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+@lru_cache(maxsize=1)
+def _step_key(master_seed: int, step: int) -> int:
+    return _splitmix64(_splitmix64(master_seed & _M64) ^ step)
+
+
 def derive_seed(master_seed: int, step: int, query: int) -> int:
     """Deterministic per-query seed from (master_seed, step, query).
 
     splitmix64 mixing: full-run trajectories are reproducible from the
-    master seed alone and recorded seed logs stay portable.
+    master seed alone and recorded seed logs stay portable.  The step
+    key, two rounds over (master_seed, step), is computed once per step
+    and held for the last pair only, so a step's q queries cost q + 2
+    rounds.  Numpy integers give the Python-int seeds Python ints give.
     """
-    return _splitmix64(_splitmix64(_splitmix64(master_seed & _M64) ^ step) ^ query)
+    key = _step_key(_index(master_seed), _index(step))
+    return _splitmix64(key ^ _index(query))
 
 
 def rge_proj_grad(model, params: ParamSet, batch, seed: int, epsilon: float,

@@ -55,6 +55,34 @@ def reference_axpy(params, coeff, seed, kind):
         arr += z
 
 
+def finite_diff_grad(model, params, batch, h):
+    """Central-difference gradient, element by element.
+
+    Deliberately brute force: this is the oracle the analytic gradients
+    are judged against, so it shares no code with them.
+    """
+    import numpy as np
+    from zobench.params import ParamSet
+
+    if h <= 0:
+        raise ValueError("h must be positive")
+    out = []
+    for name, p in params.items():
+        g = np.zeros_like(p)
+        flat_p = p.reshape(-1)
+        flat_g = g.reshape(-1)
+        for i in range(flat_p.size):
+            orig = flat_p[i]
+            flat_p[i] = orig + h
+            lp = model.loss(params, batch)
+            flat_p[i] = orig - h
+            lm = model.loss(params, batch)
+            flat_p[i] = orig
+            flat_g[i] = (lp - lm) / (2.0 * h)
+        out.append((name, g))
+    return ParamSet(out)
+
+
 def reference_fo_step(grads, params, config, state):
     """An SGD or Adam update by its definition, tensor by tensor, with
     Adam's moments in per-name dicts: the loop ``fo.fo_step`` ran before

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import layouts, reference_fo_step
-from zobench.fo import FOConfig, finite_diff_grad, fo_step, fo_train
+from conftest import finite_diff_grad, layouts, reference_fo_step
+from zobench.fo import FOConfig, fo_step, fo_train
 from zobench.models import (Batch, BatchSampler, DataGenConfig,
                             entropy_objective, gen_data, make_model,
                             mlp_classifier, quadratic_bowl, seq_classifier)

@@ -4,8 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import finite_diff_grad
 from zobench import models
-from zobench.fo import finite_diff_grad
 from zobench.models import (Batch, BatchSampler, DataGenConfig, StreamSample,
                             accuracy, entropy_objective,
                             gen_data, gen_shifted_stream,

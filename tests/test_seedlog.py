@@ -153,6 +153,17 @@ def test_writer_append_after_finalize_raises(tmp_path):
         w.append(2, 0.2)
 
 
+def test_writer_flush_after_finalize_raises(tmp_path):
+    path = tmp_path / "run.zolog"
+    w = SeedLogWriter(path, make_header())
+    w.append(1, 0.1)
+    w.finalize()
+    with pytest.raises(LogFormatError, match="flush after finalize"):
+        w.flush()
+    w.finalize()  # still a no-op
+    assert len(read_log(path)) == 1
+
+
 def test_writer_rejects_nonfinite_proj_grad(tmp_path):
     w = SeedLogWriter(tmp_path / "x.zolog", make_header())
     with pytest.raises(ValueError):

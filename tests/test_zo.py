@@ -1,9 +1,11 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import reference_axpy
+from zobench import zo
 from zobench.models import Batch, Model, quadratic_bowl
 from zobench.params import ParamSet, axpy
 from zobench.samplers import FULL, SamplerKind, sample_for_tensor
@@ -43,6 +45,78 @@ def test_derive_seed_golden_and_range():
     seeds = {derive_seed(0, t, j) for t in range(50) for j in range(8)}
     assert len(seeds) == 400  # no collisions over a run's worth of queries
     assert all(0 <= s < 2 ** 64 for s in seeds)
+
+
+def reference_derive_seed(master_seed, step, query):
+    """derive_seed by its definition: three splitmix64 rounds, no memo."""
+    m64 = 2**64 - 1
+
+    def mix(x):
+        x = (x + 0x9E3779B97F4A7C15) & m64
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & m64
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & m64
+        return x ^ (x >> 31)
+
+    return mix(mix(mix(int(master_seed) & m64) ^ int(step)) ^ int(query))
+
+
+def test_derive_seed_memo_is_never_stale():
+    # the step key is held for the last (master_seed, step) only: switch
+    # masters, go back to earlier steps, and cross the 64-bit edges
+    TOP = 2**64 - 1
+    calls = [(3, 0, 0), (4, 0, 0), (3, 0, 1), (3, 1, 0), (3, 0, 2),
+             (4, 0, 1), (4, 0, 1), (TOP, TOP, TOP), (TOP, TOP - 1, 0),
+             (TOP, TOP, 0), (0, TOP, TOP), (TOP, 0, TOP), (3, 1, TOP),
+             (np.int64(3), np.int32(1), np.uint8(2)), (3, 1, 2),
+             (np.uint64(TOP), np.uint64(TOP), np.uint64(TOP)),
+             (np.int64(4), 0, np.int64(1)), (3, 0, 0)]
+    for _ in range(2):
+        for call in calls:
+            seed = derive_seed(*call)
+            assert type(seed) is int, call
+            assert seed == reference_derive_seed(*call), call
+
+
+def test_derive_seed_mixes_each_step_key_once(monkeypatch):
+    rounds = []
+    mix = zo._splitmix64
+
+    def counting(x):
+        rounds.append(x)
+        return mix(x)
+
+    derive_seed(12, 0, 0)  # leaves another pair in the memo
+    monkeypatch.setattr(zo, "_splitmix64", counting)
+    q = 4
+    seeds = [derive_seed(11, 7, j) for j in range(q)]
+    assert len(rounds) == q + 2
+    assert seeds == [reference_derive_seed(11, 7, j) for j in range(q)]
+    derive_seed(11, 7, 0)
+    assert len(rounds) == q + 3  # a repeated pair costs one round
+    # a training run mixes each step's key once, then one round a query
+    rounds.clear()
+    model = bowl()
+    cfg = ZOConfig(epsilon=1e-3, lr=0.01, q=3, steps=5, master_seed=13)
+    train(model, lambda i: None, cfg, model.init(0))
+    assert len(rounds) == cfg.steps * (cfg.q + 2)
+
+
+@pytest.mark.parametrize("master_seed", [np.int64(5), np.uint64(5)],
+                         ids=["int64", "uint64"])
+def test_numpy_master_seed_trains_like_an_int(master_seed):
+    def run(seed):
+        model = bowl()
+        params = model.init(0)
+        cfg = ZOConfig(epsilon=1e-3, lr=0.01, q=2, steps=3, master_seed=seed)
+        return train(model, lambda i: None, cfg, params)[0], params
+
+    expected, expected_params = run(5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        records, params = run(master_seed)
+    assert records == expected
+    assert all(type(rec.seed) is int for rec in records)
+    assert params.equals_bitwise(expected_params)
 
 
 def test_proj_grad_exact_on_quadratic():
