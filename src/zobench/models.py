@@ -6,6 +6,10 @@ checks against central differences), and ``predict`` where it makes
 sense.  ``loss_and_grad`` takes both from one forward, and its loss
 has the bits of ``loss``'s: its kernels share the softmax's pieces
 between loss and gradient only where the arithmetic stays the same.
+Its gradient is one zeroed set in the parameters' layout, in the
+backward's dtype (``ParamSet.zeros``), which the backward fills tensor
+by tensor through ``out=``: the gradient is held once, never packed
+from per-tensor arrays.
 
 The sequence classifier is the stand-in for an acoustic model: a per-frame
 affine feature extractor with tanh, a normalization layer with learnable
@@ -110,7 +114,9 @@ def quadratic_bowl(eigenvalues, b=None) -> Model:
     def loss_and_grad(params: ParamSet, batch: Batch = None):
         t = params["theta"]
         at = eig * t
-        return float(0.5 * t @ at - bvec @ t), ParamSet([("theta", at - bvec)])
+        grads = params.zeros(at.dtype)
+        np.subtract(at, bvec, out=grads["theta"])
+        return float(0.5 * t @ at - bvec @ t), grads
 
     def init(seed: int) -> ParamSet:
         t = GaussianStream(seed).normal((d,))
@@ -176,9 +182,13 @@ class _SoftmaxCore:
     """Shared machinery: scores + hand-coded backprop to parameter grads.
 
     Subclasses implement forward() returning (scores, cache) and
-    backward() mapping d(objective)/d(scores) to a gradient ParamSet.
-    Cross-entropy and entropy objectives differ only in dscores.  The
-    entropy_* pair, over the rows the entropy objective and
+    backward(), which maps d(objective)/d(scores) to the parameters'
+    gradients and writes each into its tensor of ``grads``, a zeroed set
+    in the parameters' layout (``ParamSet.zeros``) that the caller builds
+    in dscores' dtype, through the ``out=`` of ``np.matmul``,
+    ``np.einsum`` or ``np.add.reduce``: no gradient array is built apart
+    from it.  Cross-entropy and entropy objectives differ only in
+    dscores.  The entropy_* pair, over the rows the entropy objective and
     ``sample_scores`` read, is that same pair unless overridden.
     """
 
@@ -188,15 +198,15 @@ class _SoftmaxCore:
         raise NotImplementedError
 
     def backward(self, params: ParamSet, x: np.ndarray,
-                 dscores: np.ndarray, cache) -> ParamSet:
+                 dscores: np.ndarray, cache, grads: ParamSet):
         raise NotImplementedError
 
     def entropy_forward(self, params: ParamSet, x: np.ndarray):
         return self.forward(params, x)
 
     def entropy_backward(self, params: ParamSet, x: np.ndarray,
-                         dscores: np.ndarray, cache) -> ParamSet:
-        return self.backward(params, x, dscores, cache)
+                         dscores: np.ndarray, cache, grads: ParamSet):
+        self.backward(params, x, dscores, cache, grads)
 
     def init(self, seed: int) -> ParamSet:
         raise NotImplementedError
@@ -210,11 +220,9 @@ class _LogisticCore(_SoftmaxCore):
     def forward(self, params, x):
         return x @ params["weight"] + params["bias"], None
 
-    def backward(self, params, x, dscores, cache):
-        return ParamSet([
-            ("weight", x.T @ dscores),
-            ("bias", dscores.sum(axis=0)),
-        ])
+    def backward(self, params, x, dscores, cache, grads):
+        np.matmul(x.T, dscores, out=grads["weight"])
+        np.add.reduce(dscores, axis=0, out=grads["bias"])
 
     def init(self, seed):
         # zero init: uniform predictive distribution before training
@@ -234,16 +242,14 @@ class _MLPCore(_SoftmaxCore):
         scores = h @ params["head.weight"] + params["head.bias"]
         return scores, h
 
-    def backward(self, params, x, dscores, cache):
+    def backward(self, params, x, dscores, cache, grads):
         h = cache
         dh = dscores @ params["head.weight"].T
         dpre = dh * (1.0 - h * h)
-        return ParamSet([
-            ("layer1.weight", x.T @ dpre),
-            ("layer1.bias", dpre.sum(axis=0)),
-            ("head.weight", h.T @ dscores),
-            ("head.bias", dscores.sum(axis=0)),
-        ])
+        np.matmul(x.T, dpre, out=grads["layer1.weight"])
+        np.add.reduce(dpre, axis=0, out=grads["layer1.bias"])
+        np.matmul(h.T, dscores, out=grads["head.weight"])
+        np.add.reduce(dscores, axis=0, out=grads["head.bias"])
 
     def init(self, seed):
         s = GaussianStream(seed)
@@ -280,19 +286,18 @@ class _SeqCore(_SoftmaxCore):
         y = params["norm.gain"] * xhat + params["norm.bias"]
         return a, xhat, std, y
 
-    def _input_grads(self, params, x, dy, a, xhat, std):
-        """Backprop dL/dy through layer norm and tanh to feat/norm grads."""
+    def _input_grads(self, params, x, dy, a, xhat, std, grads):
+        """Backprop dL/dy through layer norm and tanh into grads' feat/norm
+        tensors."""
         dxhat = dy * params["norm.gain"]
         mean_dx = _mean(dxhat, -1, True)
         mean_dxx = _mean(dxhat * xhat, -1, True)
         da = (dxhat - mean_dx - xhat * mean_dxx) / std
         dpre = da * (1.0 - a * a)
-        return [
-            ("feat.weight", np.einsum("bfd,bfh->dh", x, dpre)),
-            ("feat.bias", dpre.sum(axis=(0, 1))),
-            ("norm.gain", (dy * xhat).sum(axis=(0, 1))),
-            ("norm.bias", dy.sum(axis=(0, 1))),
-        ]
+        np.einsum("bfd,bfh->dh", x, dpre, out=grads["feat.weight"])
+        np.add.reduce(dpre, axis=(0, 1), out=grads["feat.bias"])
+        np.add.reduce(dy * xhat, axis=(0, 1), out=grads["norm.gain"])
+        np.add.reduce(dy, axis=(0, 1), out=grads["norm.bias"])
 
     def forward(self, params, x):
         a, xhat, std, y = self._hidden(params, x)
@@ -300,17 +305,14 @@ class _SeqCore(_SoftmaxCore):
         scores = pooled @ params["head.weight"] + params["head.bias"]
         return scores, (a, xhat, std, y, pooled)
 
-    def backward(self, params, x, dscores, cache):
+    def backward(self, params, x, dscores, cache, grads):
         a, xhat, std, y, pooled = cache
         dpooled = dscores @ params["head.weight"].T
         dy = np.broadcast_to(dpooled[:, None, :] / self.frames,
                              y.shape).copy()
-        entries = self._input_grads(params, x, dy, a, xhat, std)
-        entries += [
-            ("head.weight", pooled.T @ dscores),
-            ("head.bias", dscores.sum(axis=0)),
-        ]
-        return ParamSet(entries)
+        self._input_grads(params, x, dy, a, xhat, std, grads)
+        np.matmul(pooled.T, dscores, out=grads["head.weight"])
+        np.add.reduce(dscores, axis=0, out=grads["head.bias"])
 
     def entropy_forward(self, params, x):
         """Frame-level scores, one softmax distribution per (sample, frame)."""
@@ -319,16 +321,13 @@ class _SeqCore(_SoftmaxCore):
         b, f, c = frame_scores.shape
         return frame_scores.reshape(b * f, c), (a, xhat, std, y)
 
-    def entropy_backward(self, params, x, dflat, cache):
+    def entropy_backward(self, params, x, dflat, cache, grads):
         a, xhat, std, y = cache
         ds = dflat.reshape(y.shape[0], self.frames, -1)
         dy = ds @ params["head.weight"].T
-        entries = self._input_grads(params, x, dy, a, xhat, std)
-        entries += [
-            ("head.weight", np.einsum("bfh,bfc->hc", y, ds)),
-            ("head.bias", ds.sum(axis=(0, 1))),
-        ]
-        return ParamSet(entries)
+        self._input_grads(params, x, dy, a, xhat, std, grads)
+        np.einsum("bfh,bfc->hc", y, ds, out=grads["head.weight"])
+        np.add.reduce(ds, axis=(0, 1), out=grads["head.bias"])
 
     def init(self, seed):
         s = GaussianStream(seed)
@@ -351,7 +350,9 @@ def _model_from_core(core: _SoftmaxCore) -> Model:
     def loss_and_grad(params, batch):
         scores, cache = core.forward(params, batch.inputs)
         loss, dscores = _ce_and_dscores(scores, batch.labels)
-        return loss, core.backward(params, batch.inputs, dscores, cache)
+        grads = params.zeros(dscores.dtype)
+        core.backward(params, batch.inputs, dscores, cache, grads)
+        return loss, grads
 
     def predict(params, batch):
         scores, _ = core.forward(params, batch.inputs)
@@ -384,6 +385,13 @@ def seq_classifier(frames: int, feat_dim: int, classes: int,
 # entropy objective (unlabeled adaptation)
 # ---------------------------------------------------------------------------
 
+def _core(model: Model) -> "_SoftmaxCore":
+    """``model.core``; ValueError for a model without one."""
+    if model.core is None:
+        raise ValueError(f"model {model.name!r} has no predictive distribution")
+    return model.core
+
+
 def entropy_objective(model: Model) -> Model:
     """The same network with loss/loss_and_grad replaced by predictive entropy.
 
@@ -392,9 +400,7 @@ def entropy_objective(model: Model) -> Model:
     sequence classifier, the per-sample ones for flat classifiers.
     Raises ValueError for a model without a core.
     """
-    core = model.core
-    if core is None:
-        raise ValueError(f"model {model.name!r} has no predictive distribution")
+    core = _core(model)
 
     def loss(params, batch):
         if batch.labels is not None:
@@ -407,7 +413,9 @@ def entropy_objective(model: Model) -> Model:
             raise ValueError("entropy objective expects an unlabeled batch")
         scores, cache = core.entropy_forward(params, batch.inputs)
         loss, dscores = _entropy_and_dscores(scores)
-        return loss, core.entropy_backward(params, batch.inputs, dscores, cache)
+        grads = params.zeros(dscores.dtype)
+        core.entropy_backward(params, batch.inputs, dscores, cache, grads)
+        return loss, grads
 
     return Model(name=model.name + "-entropy", loss=loss,
                  loss_and_grad=loss_and_grad, predict=model.predict,
@@ -429,8 +437,7 @@ def sample_scores(model: Model, params: ParamSet, batch: Batch) -> np.ndarray:
     """
     if batch.labels is None:
         raise ValueError("sample_scores needs labels")
-    core = entropy_objective(model).core   # ValueError without a core
-    flat, _ = core.entropy_forward(params, batch.inputs)
+    flat, _ = _core(model).entropy_forward(params, batch.inputs)
     rows = flat.reshape(len(batch), -1, flat.shape[-1])
     return (rows.argmax(axis=-1) == batch.labels[:, None]).mean(axis=1)
 

@@ -34,9 +34,9 @@ The whole-set helpers keep the same bound: ``max_abs_diff`` and
 scratch of at most CHUNK elements per call, ``save`` writes each
 tensor's slice of the buffer straight to the file, and ``to_bytes``
 allocates nothing the size of the set but its result.  Only the
-constructor, ``copy``, ``load`` and ``from_bytes`` build a new buffer;
-the last two share one decoder, which reads each tensor's bytes
-straight into it, so loading allocates nothing else the set's size.
+constructor, ``copy``, ``zeros``, ``load`` and ``from_bytes`` build a
+new buffer; the last two share one decoder, which reads each tensor's
+bytes straight into it, so loading allocates nothing else the set's size.
 """
 
 from __future__ import annotations
@@ -101,15 +101,27 @@ class ParamSet:
             raise ValueError("ParamSet must contain at least one tensor")
         if len({arr.dtype.itemsize for arr in arrays.values()}) > 1:
             raise ValueError("all tensors in a ParamSet must share one element width")
-        buf = np.empty(sum(arr.size for arr in arrays.values()),
-                       next(iter(arrays.values())).dtype)
+        self._pack(arrays, next(iter(arrays.values())).dtype, copy=True)
+
+    def zeros(self, dtype) -> "ParamSet":
+        """A new set of zeros of ``dtype`` with this set's names and shapes,
+        packed in iteration order: a backward writes its gradient into it."""
+        return ParamSet.__new__(ParamSet)._pack(self._index, dtype, copy=False)
+
+    def _pack(self, arrays, dtype, copy: bool) -> "ParamSet":
+        """View this set onto one new buffer of ``dtype`` that lays out
+        ``arrays``, a dict of name to array, in order: their values
+        copied in, or zeros unless ``copy``."""
+        buf = (np.empty if copy else np.zeros)(
+            sum(arr.size for arr in arrays.values()), dtype)
         layout, index, off = [], {}, 0
         for name, arr in arrays.items():
             index[name] = buf[off:off + arr.size].reshape(arr.shape)
-            index[name][...] = arr
+            if copy:
+                index[name][...] = arr
             layout.append((name, off, arr.shape))
             off += arr.size
-        self._view(buf, layout, index)
+        return self._view(buf, layout, index)
 
     def _view(self, buf, layout, index) -> "ParamSet":
         """Set this set's state: ``index`` maps each name in ``layout``, a

@@ -4,12 +4,13 @@ Each sample is adapted independently from the source model: only the
 parameters matched by the adaptation mask (e.g. ``feat.*`` and
 ``norm.*``) are updated, by minimizing the predictive entropy with
 either the zeroth-order optimizer or first-order Adam/SGD.  An episode
-adapts the parameters it is given in place; a ZO episode is one
-``zo.train`` run, the loop training uses, and emits a seed log scoped to
-the masked parameters.  After each episode ``run_stream`` copies the
-masked tensors back from the source or, in revert mode, from the
-reverted log, also after an episode that raised NumericError.  Episodes
-report seed-determined values only, no timings.
+adapts the parameters it is given in place in one run of the loop
+training uses: ``zo.train`` for a ZO episode, which emits a seed log
+scoped to the masked parameters, ``fo.fo_train`` for an FO one.  After
+each episode ``run_stream`` copies the masked tensors back from the
+source or, in revert mode, from the reverted log, also after an episode
+that raised NumericError.  Episodes report seed-determined values only,
+no timings.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Union
 import numpy as np
 
 from . import zo as _zo
-from .fo import FOConfig, fo_step
+from .fo import FOConfig, fo_train
 from .models import Batch, Model, entropy_objective, sample_scores
 from .params import ParamSet
 from .seedlog import SeedLog, SeedLogHeader, revert as revert_log
@@ -96,7 +97,8 @@ def adapt_sample(model: Model, params: ParamSet, sample: Batch,
 
     Only the tensors ``mask`` selects are written.  A ZO episode is one
     ``zo.train`` run seeded by ``episode_seed``, whose records are the
-    episode log; an FO episode runs ``fo_step`` and its log is None.
+    episode log; an FO episode is one ``fo_train`` run of
+    ``config.steps`` steps on the sample, and its log is None.
     Restoring the source state is the caller's job (see ``run_stream``).
     A NumericError from a ZO episode carries the log of the steps it
     completed as ``log``.
@@ -122,9 +124,8 @@ def adapt_sample(model: Model, params: ParamSet, sample: Batch,
             raise
         log = SeedLog.from_records(header, records)
     else:
-        state: dict = {}
-        for _ in range(config.steps):
-            fo_step(objective, sub, sample, config.optimizer, state)
+        fo_train(objective, lambda index: sample,
+                 replace(config.optimizer, steps=config.steps), sub)
         log = None
 
     metrics = {

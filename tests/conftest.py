@@ -110,3 +110,67 @@ def reference_fo_step(grads, params, config, state):
         mhat = mi / (1 - b1 ** t)
         vhat = vi / (1 - b2 ** t)
         p -= config.lr * mhat / (np.sqrt(vhat) + config.eps_adam)
+
+
+def reference_loss_and_grad(model, params, batch):
+    """``(loss, grads)`` of a classifier's cross-entropy on a labelled
+    batch, or of its predictive entropy on an unlabelled one, with each
+    gradient built as its own array by the formulas below and packed by
+    ``ParamSet(entries)``: the backward the cores ran before they wrote
+    into one zeroed gradient set, whose bytes and dtype they must give.
+    The forward and the d(objective)/d(scores) kernels are the live ones.
+    """
+    import numpy as np
+    from zobench import models
+    from zobench.params import ParamSet
+
+    core, x = model.core, batch.inputs
+    if batch.labels is not None:
+        scores, cache = core.forward(params, x)
+        loss, dscores = models._ce_and_dscores(scores, batch.labels)
+    else:
+        scores, cache = core.entropy_forward(params, x)
+        loss, dscores = models._entropy_and_dscores(scores)
+    if core.name == "logistic":
+        return loss, ParamSet([
+            ("weight", x.T @ dscores),
+            ("bias", dscores.sum(axis=0)),
+        ])
+    if core.name == "mlp":
+        h = cache
+        dh = dscores @ params["head.weight"].T
+        dpre = dh * (1.0 - h * h)
+        return loss, ParamSet([
+            ("layer1.weight", x.T @ dpre),
+            ("layer1.bias", dpre.sum(axis=0)),
+            ("head.weight", h.T @ dscores),
+            ("head.bias", dscores.sum(axis=0)),
+        ])
+    if batch.labels is not None:  # seq, pooled scores
+        a, xhat, std, y, pooled = cache
+        dpooled = dscores @ params["head.weight"].T
+        dy = np.broadcast_to(dpooled[:, None, :] / core.frames,
+                             y.shape).copy()
+        head = [
+            ("head.weight", pooled.T @ dscores),
+            ("head.bias", dscores.sum(axis=0)),
+        ]
+    else:  # seq, frame scores
+        a, xhat, std, y = cache
+        ds = dscores.reshape(y.shape[0], core.frames, -1)
+        dy = ds @ params["head.weight"].T
+        head = [
+            ("head.weight", np.einsum("bfh,bfc->hc", y, ds)),
+            ("head.bias", ds.sum(axis=(0, 1))),
+        ]
+    dxhat = dy * params["norm.gain"]
+    mean_dx = models._mean(dxhat, -1, True)
+    mean_dxx = models._mean(dxhat * xhat, -1, True)
+    da = (dxhat - mean_dx - xhat * mean_dxx) / std
+    dpre = da * (1.0 - a * a)
+    return loss, ParamSet([
+        ("feat.weight", np.einsum("bfd,bfh->dh", x, dpre)),
+        ("feat.bias", dpre.sum(axis=(0, 1))),
+        ("norm.gain", (dy * xhat).sum(axis=(0, 1))),
+        ("norm.bias", dy.sum(axis=(0, 1))),
+    ] + head)

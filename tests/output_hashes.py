@@ -3,7 +3,7 @@
 Usage:
     PYTHONPATH=src python tests/output_hashes.py OUT
 
-Runs nineteen small harness configs, each over seeds {0, 1}, into
+Runs twenty-four small harness configs, each over seeds {0, 1}, into
 ``OUT/<config name>/`` and prints one ``<sha256>  <path>`` line per
 output file, paths relative to OUT and sorted.  ``*.timings.json``
 holds wall-clock times and is skipped.  Each seed log ``<run>.zolog``
@@ -30,6 +30,9 @@ MLP = {"task": "mlp", "dim": 8, "hidden": 6, "classes": 3}
 # layer1.weight's 76,800 elements exceed params.CHUNK: drawn in pieces
 WIDE = {"task": "mlp", "dim": 300, "hidden": 256, "classes": 3}
 SEQ = {"task": "seq", "frames": 6, "feat_dim": 4, "classes": 3, "hidden": 6}
+SMALL_MLP = {"task": "mlp", "dim": 6, "hidden": 5, "classes": 3}
+LOGISTIC = {"task": "logistic", "dim": 6, "classes": 3}
+QUADRATIC = {"task": "quadratic", "dim": 8}
 ZO_TTA = {"type": "zo", "lr": 0.001, "q": 2, "epsilon": 1e-3}
 LOWRANK = {"sampler": "lowrank", "rank": 2}
 
@@ -72,12 +75,19 @@ CONFIGS = [
     # feat.bias left out: the adapted subset has a gap in the buffer
     tta("adamgap", {"type": "adam", "lr": 0.01}, mask=["feat.weight", "norm.*"]),
     tta("sgd", {"type": "sgd", "lr": 0.05}),
-    tta("mlp", {**ZO_TTA, "lr": 0.5},
-        model={"task": "mlp", "dim": 6, "hidden": 5, "classes": 3},
-        mask=["layer1.*"], noise_sigma=3.0),
-    tta("logistic", {**ZO_TTA, "lr": 0.5},
-        model={"task": "logistic", "dim": 6, "classes": 3},
+    tta("mlp", {**ZO_TTA, "lr": 0.5}, model=SMALL_MLP, mask=["layer1.*"],
+        noise_sigma=3.0),
+    tta("logistic", {**ZO_TTA, "lr": 0.5}, model=LOGISTIC, mask=["weight"],
+        noise_sigma=3.0),
+    # first-order backwards the configs above leave out
+    train("logsgd", {"type": "sgd", "lr": 0.1, "steps": 20}, model=LOGISTIC),
+    train("logadam", {"type": "adam", "lr": 0.01, "steps": 20}, model=LOGISTIC),
+    train("quadadam", {"type": "adam", "lr": 0.05, "steps": 20},
+          model=QUADRATIC),
+    tta("logisticadam", {"type": "adam", "lr": 0.01}, model=LOGISTIC,
         mask=["weight"], noise_sigma=3.0),
+    tta("mlpsgd", {"type": "sgd", "lr": 0.05}, model=SMALL_MLP,
+        mask=["layer1.*"], noise_sigma=3.0),
 ]
 
 

@@ -181,21 +181,15 @@ def test_quadratic_task_runs(tmp_path):
 
 
 def test_tta_run_outputs(tmp_path):
-    raw = {
-        "version": 1,
-        "name": "adapt",
-        "kind": "tta",
-        "model": {"task": "seq", "frames": 6, "feat_dim": 4, "classes": 3,
-                  "hidden": 6},
-        "data": {"n_train": 64, "n_test": 32, "batch_size": 16,
-                 "noise_sigma": 0.005},
-        "optimizer": {"type": "zo", "lr": 0.001, "q": 2, "epsilon": 1e-3},
-        "tta": {"steps": 2, "mask": ["feat.*", "norm.*"], "samples": 4,
-                "pretrain": {"steps": 40, "lr": 0.05}},
-        "seeds": [0],
-    }
-    cfg = parse_config(raw)
-    s = run(cfg, output_dir=str(tmp_path))[0]
+    cfg = parse_config(tta_config(sweep={"noise_sigma": [0.0, 3.0]}))
+    summaries = run(cfg, output_dir=str(tmp_path))
+    # a noise_sigma sweep overrides the data section: each run records
+    # its value and adapts on its own stream
+    assert [s["noise_sigma"] for s in summaries] == [0.0, 3.0]
+    streams = [(tmp_path / f"{s['run_id']}.episodes.jsonl").read_text()
+               for s in summaries]
+    assert streams[0] != streams[1]
+    s = summaries[0]
     assert s["kind"] == "tta"
     assert 0.0 <= s["adapted_accuracy"] <= 1.0
     assert s["forwards_per_episode"] == 2 * 2 * 2
@@ -226,7 +220,12 @@ def test_compare_relative_percent(tmp_path):
 
 def test_compare_unknown_baseline(tmp_path):
     os.makedirs(tmp_path / "r", exist_ok=True)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^no \*\.summary\.json files found"):
+        compare([str(tmp_path / "r")], baseline="nope")
+    with open(tmp_path / "r" / "cand-seed0.summary.json", "w") as fh:
+        json.dump({"run_id": "cand-seed0", "final_loss": 1.0}, fh)
+    with pytest.raises(ConfigError, match=r"^baseline 'nope' not found; "
+                                          r"groups: \['cand'\]$"):
         compare([str(tmp_path / "r")], baseline="nope")
 
 
@@ -385,6 +384,8 @@ def test_cli_compare_repeated_run_id_exits_2(tmp_path, capsys):
     ("train", train_config(sweep=["q"])),
     ("train", train_config(seeds=[0, 0])),
     ("train", train_config(sweep={"q": [1, 1]})),
+    ("train", train_config(optimizer={"type": "zo", "sampler": "sparse",
+                                      "steps": 2})),
 ], ids=["invalid_json", "lr_string", "tta_steps_string", "q_zero",
         "unknown_optimizer_field", "unknown_task", "mask_string",
         "mask_matches_nothing", "fo_revert_reset", "steps_float", "q_float",
@@ -395,7 +396,8 @@ def test_cli_compare_repeated_run_id_exits_2(tmp_path, capsys):
         "shift_scale_string", "sweep_lr_zero", "sweep_lr_true",
         "lowrank_rank_true", "tta_optimizer_steps", "train_noise_sigma",
         "train_shift_scale", "train_shift_bias", "train_sweep_noise_sigma",
-        "sweep_string", "sweep_list", "seeds_repeated", "sweep_repeated"])
+        "sweep_string", "sweep_list", "seeds_repeated", "sweep_repeated",
+        "sampler_unknown"])
 def test_cli_bad_config_value_exits_2(tmp_path, capsys, verb, raw):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(raw if isinstance(raw, str) else json.dumps(raw))

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import finite_diff_grad
+from conftest import finite_diff_grad, reference_loss_and_grad
 from zobench import models
 from zobench.models import (Batch, BatchSampler, DataGenConfig, StreamSample,
                             accuracy, entropy_objective,
@@ -39,6 +39,7 @@ def test_quadratic_loss_and_grad():
         loss, grads = model.loss_and_grad(params, None)
         assert loss == model.loss(params, None)
         want = eig * params["theta"] - b
+        assert grads.dtype == want.dtype == np.float64
         assert grads["theta"].tobytes() == want.tobytes()
 
 
@@ -95,6 +96,45 @@ def test_entropy_grad_matches_finite_differences():
     num = finite_diff_grad(obj, params, batch, h=1e-6)
     for name, g in ana.items():
         np.testing.assert_allclose(g, num[name], rtol=1e-4, atol=1e-7)
+
+
+@pytest.mark.parametrize("x_dtype", [np.float64, np.float32],
+                         ids=["x64", "x32"])
+@pytest.mark.parametrize("p_dtype", [np.float64, np.float32],
+                         ids=["p64", "p32"])
+@pytest.mark.parametrize("objective", ["ce", "entropy", "masked"])
+def test_loss_and_grad_matches_reference_backward(objective, p_dtype,
+                                                  x_dtype):
+    # each core writes into one zeroed gradient set; its bytes and dtype
+    # (the backward's own: float32 only when params and inputs both are)
+    # are those of the per-tensor arrays conftest's reference packs
+    rng = np.random.default_rng(29)
+    for model, shape in [
+        (logistic_regression(5, 4), (3, 5)),
+        (mlp_classifier(5, 6, 4), (3, 5)),
+        (seq_classifier(7, 5, 4, hidden=6), (3, 7, 5)),
+    ]:
+        params = ParamSet([
+            (name, (arr + 0.5 * rng.normal(size=arr.shape)).astype(p_dtype))
+            for name, arr in model.init(0).items()])
+        labels = rng.integers(0, 4, size=3) if objective == "ce" else None
+        batch = Batch(rng.normal(size=shape), labels)
+        batch.inputs = batch.inputs.astype(x_dtype)  # Batch casts to float64
+        live, sub = model, params
+        if objective != "ce":
+            live = entropy_objective(model)
+        if objective == "masked":  # every other tensor: a gap in the subset
+            kept = params.names[::2]
+            live, sub = (_masked_objective(model, params, kept),
+                         params.subset(kept))
+        loss, grads = live.loss_and_grad(sub, batch)
+        want_loss, want = reference_loss_and_grad(model, params, batch)
+        if objective == "masked":
+            want = want.subset(kept)
+        assert loss == want_loss, model.name
+        assert grads.dtype == want.dtype == np.result_type(p_dtype, x_dtype)
+        assert grads.names == want.names, model.name
+        assert grads.equals_bitwise(want), model.name
 
 
 def test_entropy_trivial_values():

@@ -1,7 +1,7 @@
 """Every byte-reproducible file of tests/output_hashes.py's runs repeats.
 
 Criterion 11 compares two metrics.csv files; this covers every artifact
-of nineteen configs (logs, parameter files, summaries, episode records and
+of twenty-four configs (logs, parameter files, summaries, episode records and
 sweep tables) and each seed log's replay and revert, the listing a
 refactor diffs against its parent tree.
 """
@@ -26,5 +26,5 @@ def listing(out):
 def test_output_hashes_repeat(tmp_path):
     first = listing(tmp_path / "a")
     assert listing(tmp_path / "b") == first
-    assert len(first) == 219
+    assert len(first) == 255
     assert not any(line.endswith(".timings.json") for line in first)

@@ -208,6 +208,11 @@ def test_equals_bitwise_compares_bits(dtype):
     assert q.equals_bitwise(q.copy())
     assert q.equals_bitwise(ParamSet.from_bytes(q.to_bytes()))
     assert not q.equals_bitwise(p)
+    # another schema (a tensor fewer, or the other width) is unequal
+    other_width = np.float32 if dtype == np.float64 else np.float64
+    for other in (p.subset(["w"]),
+                  ParamSet([(n, a.astype(other_width)) for n, a in p.items()])):
+        assert not p.equals_bitwise(other) and not other.equals_bitwise(p)
 
 
 @pytest.mark.parametrize("case", ["f64", "f32", "subset_gap"])

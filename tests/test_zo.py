@@ -438,6 +438,29 @@ def test_zo_step_memory_is_one_forward_plus_a_chunk():
     assert sgd >= params.num_elements() * params.dtype.itemsize
 
 
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+def test_fo_step_memory_is_one_gradient(optimizer):
+    # the backward writes straight into one gradient set, so on the wide
+    # mlp an SGD step, or an Adam step once its moments exist, holds that
+    # set, the backward's activations (within two forwards' peak) and one
+    # CHUNK-element piece of the update: no second copy of the gradient
+    from zobench.fo import FOConfig, fo_step
+    from zobench.models import BatchSampler, gen_data
+    from zobench.params import CHUNK
+
+    cfg, model = _wide_mlp()
+    train_set, _ = gen_data(cfg)
+    params = model.init(0)
+    batch = BatchSampler(train_set, 32, seed=0).draw(0)
+    forward = _traced_peak(lambda: model.loss(params, batch))
+    config, state = FOConfig(lr=0.01, optimizer=optimizer), {}
+    if optimizer == "adam":
+        fo_step(model, params, batch, config, state)
+    step = _traced_peak(lambda: fo_step(model, params, batch, config, state))
+    grads = params.num_elements() * params.dtype.itemsize
+    assert step <= grads + 2 * forward + CHUNK * 8 + _SLACK, (step, forward)
+
+
 @pytest.mark.parametrize("helper", ["max_abs_diff", "equals_bitwise", "save",
                                     "to_bytes", "load"])
 def test_whole_set_helper_works_in_one_chunk(helper, tmp_path):
