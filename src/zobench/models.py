@@ -9,7 +9,10 @@ between loss and gradient only where the arithmetic stays the same.
 Its gradient is one zeroed set in the parameters' layout, in the
 backward's dtype (``ParamSet.zeros``), which the backward fills tensor
 by tensor through ``out=``: the gradient is held once, never packed
-from per-tensor arrays.
+from per-tensor arrays.  Every ``init`` builds its set the same way,
+one zeroed set laid out by ``ParamSet.from_shapes`` with each random
+tensor drawn and scaled in its view, so it allocates nothing else the
+set's size.
 
 The sequence classifier is the stand-in for an acoustic model: a per-frame
 affine feature extractor with tanh, a normalization layer with learnable
@@ -119,8 +122,10 @@ def quadratic_bowl(eigenvalues, b=None) -> Model:
         return float(0.5 * t @ at - bvec @ t), grads
 
     def init(seed: int) -> ParamSet:
-        t = GaussianStream(seed).normal((d,))
-        return ParamSet([("theta", t)])
+        """theta ~ N(0, I), drawn straight into the set's buffer."""
+        params = ParamSet.from_shapes([("theta", (d,))])
+        GaussianStream(seed).normal((d,), out=params["theta"])
+        return params
 
     return Model(name="quadratic", loss=loss, loss_and_grad=loss_and_grad,
                  init=init)
@@ -225,41 +230,64 @@ class _LogisticCore(_SoftmaxCore):
         np.add.reduce(dscores, axis=0, out=grads["bias"])
 
     def init(self, seed):
-        # zero init: uniform predictive distribution before training
-        return ParamSet([
-            ("weight", np.zeros((self.d, self.classes))),
-            ("bias", np.zeros(self.classes)),
-        ])
+        """Zeros: a uniform predictive distribution before training."""
+        return ParamSet.from_shapes([("weight", (self.d, self.classes)),
+                                     ("bias", (self.classes,))])
+
+
+def _draw_affine(params: ParamSet, seed: int, weight: str, bias: str):
+    """Draw ``params[weight]`` then ``params[bias]`` from one stream of
+    ``seed``, each into its view: the weight's normals divided by the
+    square root of its fan-in, the bias's times 0.1, both in place."""
+    s = GaussianStream(seed)
+    w, b = params[weight], params[bias]
+    s.normal(w.shape, out=w)
+    w /= math.sqrt(w.shape[0])
+    s.normal(b.shape, out=b)
+    b *= 0.1
 
 
 class _MLPCore(_SoftmaxCore):
+    """One tanh hidden layer, then a softmax head.
+
+    ``forward`` holds one batch x hidden array, ``h``, built in place
+    (matmul, then bias, then tanh) and kept as the cache, and one array
+    of scores, the bias added in place; ``backward`` builds ``dpre`` in
+    one array beside ``dh``.  Each in-place step is the elementwise
+    operation of ``tanh(x @ W1 + b1)`` and ``dh * (1 - h * h)``, so the
+    bytes are theirs.
+    """
+
     def __init__(self, d: int, hidden: int, classes: int):
         self.d, self.hidden, self.classes = d, hidden, classes
         self.name = "mlp"
 
     def forward(self, params, x):
-        h = np.tanh(x @ params["layer1.weight"] + params["layer1.bias"])
-        scores = h @ params["head.weight"] + params["head.bias"]
+        h = x @ params["layer1.weight"]
+        h += params["layer1.bias"]
+        np.tanh(h, out=h)
+        scores = h @ params["head.weight"]
+        scores += params["head.bias"]
         return scores, h
 
     def backward(self, params, x, dscores, cache, grads):
         h = cache
         dh = dscores @ params["head.weight"].T
-        dpre = dh * (1.0 - h * h)
+        dpre = h * h
+        np.subtract(1.0, dpre, out=dpre)
+        np.multiply(dh, dpre, out=dpre)
         np.matmul(x.T, dpre, out=grads["layer1.weight"])
         np.add.reduce(dpre, axis=0, out=grads["layer1.bias"])
         np.matmul(h.T, dscores, out=grads["head.weight"])
         np.add.reduce(dscores, axis=0, out=grads["head.bias"])
 
     def init(self, seed):
-        s = GaussianStream(seed)
-        w1 = s.normal((self.d, self.hidden)) / math.sqrt(self.d)
-        b1 = s.normal((self.hidden,)) * 0.1
-        return ParamSet([
-            ("layer1.weight", w1), ("layer1.bias", b1),
-            ("head.weight", np.zeros((self.hidden, self.classes))),
-            ("head.bias", np.zeros(self.classes)),
-        ])
+        """layer1 drawn in place (:func:`_draw_affine`), the head zeros."""
+        d, h, c = self.d, self.hidden, self.classes
+        params = ParamSet.from_shapes([("layer1.weight", (d, h)), ("layer1.bias", (h,)),
+                                       ("head.weight", (h, c)), ("head.bias", (c,))])
+        _draw_affine(params, seed, "layer1.weight", "layer1.bias")
+        return params
 
 
 class _SeqCore(_SoftmaxCore):
@@ -330,16 +358,15 @@ class _SeqCore(_SoftmaxCore):
         np.add.reduce(ds, axis=(0, 1), out=grads["head.bias"])
 
     def init(self, seed):
-        s = GaussianStream(seed)
-        wf = s.normal((self.feat_dim, self.hidden)) / math.sqrt(self.feat_dim)
-        bf = s.normal((self.hidden,)) * 0.1
-        return ParamSet([
-            ("feat.weight", wf), ("feat.bias", bf),
-            ("norm.gain", np.ones(self.hidden)),
-            ("norm.bias", np.zeros(self.hidden)),
-            ("head.weight", np.zeros((self.hidden, self.classes))),
-            ("head.bias", np.zeros(self.classes)),
-        ])
+        """feat drawn in place (:func:`_draw_affine`), the norm gain
+        ones, the norm bias and head zeros."""
+        f, h, c = self.feat_dim, self.hidden, self.classes
+        params = ParamSet.from_shapes([
+            ("feat.weight", (f, h)), ("feat.bias", (h,)), ("norm.gain", (h,)),
+            ("norm.bias", (h,)), ("head.weight", (h, c)), ("head.bias", (c,))])
+        _draw_affine(params, seed, "feat.weight", "feat.bias")
+        params["norm.gain"][...] = 1.0
+        return params
 
 
 def _model_from_core(core: _SoftmaxCore) -> Model:

@@ -33,10 +33,13 @@ The whole-set helpers keep the same bound: ``max_abs_diff`` and
 ``equals_bitwise`` walk the tensors in CHUNK-element pieces through one
 scratch of at most CHUNK elements per call, ``save`` writes each
 tensor's slice of the buffer straight to the file, and ``to_bytes``
-allocates nothing the size of the set but its result.  Only the
-constructor, ``copy``, ``zeros``, ``load`` and ``from_bytes`` build a
-new buffer; the last two share one decoder, which reads each tensor's
-bytes straight into it, so loading allocates nothing else the set's size.
+allocates nothing the size of the set but its result.  Every new
+buffer is laid out, zeroed, by :meth:`ParamSet.from_shapes`: the
+constructor and ``copy`` copy their tensors into it, ``zeros`` hands it
+to a backward, a model's ``init`` draws each tensor into its view, and
+``load`` and ``from_bytes`` share one decoder, which reads each
+tensor's bytes straight into it.  None of them allocates anything else
+the set's size.
 """
 
 from __future__ import annotations
@@ -81,47 +84,65 @@ class ParamSet:
     All tensors share one element width (float64 by default) and names
     are unique.  ``ParamSet(entries)`` copies the tensors into one new
     buffer in iteration order, C order within each tensor, so strided
-    input packs too.  :meth:`copy` and :meth:`from_bytes` pack the same
-    way; :meth:`subset` shares the buffer.
+    input packs too; an integer tensor is cast to float64, while a
+    complex or bool one raises TypeError.  :meth:`copy` and
+    :meth:`from_bytes` pack the same way, into the layout
+    :meth:`from_shapes` builds; :meth:`subset` shares the buffer.
     """
 
     def __init__(self, entries):
-        arrays: dict[str, np.ndarray] = {}
+        arrays = []
         for name, arr in entries:
-            name = str(name)
-            if name in arrays:
-                raise ValueError(f"duplicate parameter name {name!r}")
             arr = np.asarray(arr)
-            if arr.dtype not in _SUPPORTED_DTYPES:
-                arr = arr.astype(np.float64)
-            if arr.size == 0:
-                raise ValueError(f"parameter {name!r} is empty")
-            arrays[name] = arr
-        if not arrays:
-            raise ValueError("ParamSet must contain at least one tensor")
-        if len({arr.dtype.itemsize for arr in arrays.values()}) > 1:
+            if arr.dtype.kind in "bc":  # astype would drop the imaginary part
+                raise TypeError(f"parameter {name!r} must be real, got {arr.dtype}")
+            arrays.append((name, arr if arr.dtype in _SUPPORTED_DTYPES
+                           else arr.astype(np.float64)))
+        if len({arr.dtype.itemsize for _, arr in arrays}) > 1:
             raise ValueError("all tensors in a ParamSet must share one element width")
-        self._pack(arrays, next(iter(arrays.values())).dtype, copy=True)
+        self._lay_out([(name, arr.shape) for name, arr in arrays],
+                      arrays[0][1].dtype if arrays else np.float64)
+        for (_, arr), view in zip(arrays, self._index.values()):
+            view[...] = arr
+
+    @classmethod
+    def from_shapes(cls, shapes, dtype=np.float64) -> "ParamSet":
+        """A set of zeros of ``dtype`` laid out from ``(name, shape)``
+        pairs, in order, in one ``np.zeros`` buffer.
+
+        The one layout every set is built with: the constructor copies
+        its tensors into it, a model's ``init`` draws each tensor
+        straight into its view, :meth:`zeros` gives a backward its
+        gradient and the decoder reads each tensor's bytes into it.
+        Raises ValueError for a duplicate name, an empty tensor or no
+        tensors, before anything is allocated.
+        """
+        return cls.__new__(cls)._lay_out(shapes, dtype)
 
     def zeros(self, dtype) -> "ParamSet":
         """A new set of zeros of ``dtype`` with this set's names and shapes,
         packed in iteration order: a backward writes its gradient into it."""
-        return ParamSet.__new__(ParamSet)._pack(self._index, dtype, copy=False)
+        return ParamSet.from_shapes(
+            ((name, arr.shape) for name, arr in self.items()), dtype)
 
-    def _pack(self, arrays, dtype, copy: bool) -> "ParamSet":
-        """View this set onto one new buffer of ``dtype`` that lays out
-        ``arrays``, a dict of name to array, in order: their values
-        copied in, or zeros unless ``copy``."""
-        buf = (np.empty if copy else np.zeros)(
-            sum(arr.size for arr in arrays.values()), dtype)
-        layout, index, off = [], {}, 0
-        for name, arr in arrays.items():
-            index[name] = buf[off:off + arr.size].reshape(arr.shape)
-            if copy:
-                index[name][...] = arr
-            layout.append((name, off, arr.shape))
-            off += arr.size
-        return self._view(buf, layout, index)
+    def _lay_out(self, shapes, dtype) -> "ParamSet":
+        """View this set onto one new zeroed buffer of ``dtype`` that lays
+        out ``shapes``, ``(name, shape)`` pairs, in order."""
+        layout, off = {}, 0
+        for name, shape in shapes:
+            name, shape = str(name), tuple(shape)
+            if name in layout:
+                raise ValueError(f"duplicate parameter name {name!r}")
+            if min(shape, default=1) < 1:
+                raise ValueError(f"parameter {name!r} is empty")
+            layout[name] = (name, off, shape)
+            off += math.prod(shape)
+        if not layout:
+            raise ValueError("ParamSet must contain at least one tensor")
+        buf = np.zeros(off, dtype)
+        index = {name: buf[start:start + math.prod(shape)].reshape(shape)
+                 for name, start, shape in layout.values()}
+        return self._view(buf, list(layout.values()), index)
 
     def _view(self, buf, layout, index) -> "ParamSet":
         """Set this set's state: ``index`` maps each name in ``layout``, a
@@ -176,13 +197,17 @@ class ParamSet:
         """A ParamSet over a subset of entries, sharing storage with self.
 
         Mutating the subset mutates this set.  Order follows this set's
-        iteration order, not the order of ``names``.
+        iteration order, not the order of ``names``.  An unknown name
+        raises KeyError and an empty selection ValueError.
         """
         wanted = set(names)
         missing = wanted - self._index.keys()
         if missing:
             raise KeyError(f"unknown parameter names: {sorted(missing)}")
         layout = [entry for entry in self._layout if entry[0] in wanted]
+        if not layout:
+            raise ValueError("subset of an empty selection of names: a "
+                             "ParamSet must contain at least one tensor")
         index = {name: self._index[name] for name, _, _ in layout}
         return ParamSet.__new__(ParamSet)._view(self._buf, layout, index)
 
@@ -404,20 +429,15 @@ class ParamSet:
             name = take(nlen)
             (rank,) = struct.unpack("<B", take(1))
             shape = struct.unpack(f"<{rank}I", take(4 * rank))
-            n = math.prod(shape)
-            if n == 0:
-                raise ParamSetFormatError("empty tensor in ParamSet data")
             entries.append((name, shape, fh.tell()))
-            fh.seek(check(n * width), io.SEEK_CUR)
+            fh.seek(check(math.prod(shape) * width), io.SEEK_CUR)
         if fh.tell() != end:
             raise ParamSetFormatError("trailing bytes in ParamSet file")
-        # zero-strided placeholders: the constructor checks the names and
-        # lays the buffer out, and the data is read into it only once
-        zero = np.zeros((), np.dtype(f"f{width}"))
         try:
-            params = cls([(name.decode("utf-8"), np.broadcast_to(zero, shape))
-                          for name, shape, _ in entries])
-        except ValueError as exc:  # bad UTF-8, duplicate name, no tensors
+            params = cls.from_shapes([(name.decode("utf-8"), shape)
+                                      for name, shape, _ in entries],
+                                     np.dtype(f"f{width}"))
+        except ValueError as exc:  # bad UTF-8, duplicate name, empty tensor, none
             raise ParamSetFormatError(f"invalid ParamSet data: {exc}") from exc
         for (_, _, pos), (_, arr) in zip(entries, params.items()):
             fh.seek(pos)

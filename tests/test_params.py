@@ -57,6 +57,25 @@ def test_integer_input_upcast_to_float64():
     assert p.dtype == np.float64
 
 
+def test_complex_and_bool_tensors_rejected():
+    # a cast would drop the imaginary part or turn flags into 0.0 / 1.0
+    for arr in (np.array([1.0 + 2.0j, 3.0]), np.array([True, False])):
+        with pytest.raises(TypeError, match="must be real"):
+            ParamSet([("a", np.ones(2)), ("b", arr)])
+
+
+def test_from_shapes_lays_out_zeros():
+    p = ParamSet.from_shapes([("w", (2, 3)), ("b", (2,))], np.float32)
+    assert p.names == ["w", "b"] and p.dtype == np.float32
+    assert p["w"].shape == (2, 3) and not p["w"].any() and not p["b"].any()
+    assert p.schema_hash == small_set().zeros(np.float32).schema_hash
+    p["b"][...] = 1.0  # each view writes its own slice of the buffer
+    assert not p["w"].any()
+    for shapes in ([("a", (2,)), ("a", (3,))], [("a", (0, 3))], []):
+        with pytest.raises(ValueError):
+            ParamSet.from_shapes(shapes)
+
+
 def test_schema_hash_sensitivity():
     a = small_set()
     b = small_set()
@@ -103,6 +122,11 @@ def test_subset_preserves_parent_order():
     p = small_set()
     sub = p.subset(["b", "w"])
     assert sub.names == ["w", "b"]
+
+
+def test_subset_of_nothing_rejected():
+    with pytest.raises(ValueError, match="empty selection"):
+        small_set().subset([])
 
 
 def test_roundtrip_bytes():

@@ -413,6 +413,27 @@ def _wide_mlp():
     return cfg, make_model(cfg)
 
 
+def test_init_memory_is_the_set():
+    # init lays out one zeroed buffer and draws each tensor into its
+    # view: no drawn, scaled or packed copy of a tensor beside the set
+    _, model = _wide_mlp()
+    params = model.init(0)
+    peak = _traced_peak(lambda: model.init(0))
+    assert peak <= params.num_elements() * params.dtype.itemsize + _SLACK, peak
+
+
+def test_mlp_loss_memory_is_one_hidden_activation():
+    # the forward builds its batch x hidden activation in place, so a
+    # loss holds one such array (and the batch x classes scores)
+    from zobench.models import BatchSampler, gen_data
+
+    cfg, model = _wide_mlp()
+    params = model.init(0)
+    batch = BatchSampler(gen_data(cfg)[0], 32, seed=0).draw(0)
+    peak = _traced_peak(lambda: model.loss(params, batch))
+    assert peak <= 1.5 * 32 * cfg.hidden * 8, peak
+
+
 def test_zo_step_memory_is_one_forward_plus_a_chunk():
     # Each step starts from a fresh copy, so the update scratch is first
     # allocated in the measured region: on the wide mlp a ZO step needs
