@@ -15,16 +15,16 @@ tensor above that drawn piece by piece from its one stream.
 axpy is the one update kernel, with one body: the perturbation cycle
 calls it with one coefficient and one seed, and stage-2 updates, seed-log
 replay and revert with a list of terms, one per (seed, proj_grad)
-record, one call per step or log; a term's tuple of coefficients applies
-each in turn from one draw of z, which is how a q=1 step's last restore
-and its update share a regeneration.  A direction is named by
-(seed, kind) alone; epsilon only sets the coefficient.  axpy's one
-temporary is a scratch array that lives with the set, built on first
-use with the views onto it: under the full kind it holds at most CHUNK
-elements whatever the model's size (512 KB of float64), which is what
-bounds the optimizer's transient memory.  Each term's z is drawn into it
-run by run, then scaled and added once per run and coefficient.  The
-scratch makes a set single-writer: one set must not be updated from two
+record, one call per step or log.  Adjacent terms of one seed share a
+draw of z under the full kind, which is how a q=1 step's restore and
+its update share a regeneration.  A direction is named by (seed, kind)
+alone; epsilon only sets the coefficient.  axpy's one temporary is a
+scratch array that lives with the set, built on first use with the
+views onto it: under the full kind it holds at most CHUNK elements
+whatever the model's size (512 KB of float64), which is what bounds the
+optimizer's transient memory.  Each draw of z goes into it run by run,
+then is scaled and added once per run and coefficient.  The scratch
+makes a set single-writer: one set must not be updated from two
 threads at once, while separate sets, subsets and copies each have
 their own.  z comes from the calling thread's rekeyed stream (see
 :func:`zobench.streams.thread_stream`), never from a newly built one.
@@ -228,8 +228,8 @@ class ParamSet:
 
     def half_runs(self):
         """:meth:`runs` capped at half the largest tensor, rounded up, and
-        at half of CHUNK: a paired term's z and its scaled copy share the
-        scratch."""
+        at half of CHUNK: the z that adjacent terms of one seed share and
+        its scaled copy share the scratch."""
         return self._plan(min((self._largest + 1) // 2, CHUNK // 2))
 
     def _update_plan(self, full: bool, paired: bool):
@@ -473,11 +473,12 @@ def axpy(params: ParamSet, coeff: float | list, seed: int | list,
 
     Two input forms: ``axpy(params, c, seed)`` with a float ``c``, and
     ``axpy(params, [c_1, ..., c_n], [s_1, ..., s_n])``, one term per
-    seed, with the bytes of n single calls in order.  A term's
-    coefficient may be a tuple (c1, c2, ...): params += c1 * z, then
-    += c2 * z, and so on, from one draw of z, with the bytes of one call
-    per coefficient.  A 0.0 is skipped; a term of zeros draws nothing.
-    The single form is the one-term case of the list form.
+    seed, with the bytes of n single calls in order.  The single form is
+    the one-term case of the list form.  A coefficient is a float; a
+    tuple raises TypeError.  Under the full kind, adjacent terms of one
+    seed are applied from one draw of z, each coefficient in turn, with
+    the bytes of one call per term: a q=1 step's restore and update are
+    two such terms.  A 0.0 is skipped before terms are grouped.
 
     Every seed is checked, by :func:`~zobench.streams.check_u64`, before
     the first write.  The call then runs on the set's update plan
@@ -490,11 +491,11 @@ def axpy(params: ParamSet, coeff: float | list, seed: int | list,
     so the result is bit-identical to scaling and adding tensor by
     tensor.  Under the full kind the scratch holds ``min(largest tensor,
     CHUNK)`` elements, rounded up to even, and a larger tensor is drawn
-    piece by piece from its one stream; a term of two or more
-    coefficients keeps z and its scaled copy in the scratch side by
-    side, so the whole call runs on :meth:`ParamSet.half_runs`.  A
-    low-rank z is a matmul per tensor that cannot be cut, so its scratch
-    is the largest tensor's size, and it is drawn once per coefficient.
+    piece by piece from its one stream; when a draw serves two or more
+    terms, z and its scaled copy sit in the scratch side by side, so the
+    whole call runs on :meth:`ParamSet.half_runs`.  A low-rank z is a
+    matmul per tensor that cannot be cut, so its scratch is the largest
+    tensor's size, and it is drawn once per term.
 
     Each z_i comes from the calling thread's one stream, restarted at
     (seed, i), not from a new ``GaussianStream``: building one costs
@@ -503,24 +504,20 @@ def axpy(params: ParamSet, coeff: float | list, seed: int | list,
     are safe on separate sets, subsets and copies, never on one set.
     """
     if type(coeff) is not list:
-        coeff, seed = (float(coeff),), (seed,)
+        coeff, seed = [coeff], [seed]
     elif len(seed) != len(coeff):
         raise ValueError(f"{len(coeff)} coefficients for {len(seed)} seeds")
     full = kind.variant == "full"
-    terms, paired = [], False
-    for s, cs in zip(seed, coeff):
-        s = check_u64("seed", s)
-        if type(cs) is not tuple:
-            cs = float(cs)
-            if cs != 0.0:
-                terms.append((s, (cs,)))
+    terms, paired = [], False  # (seed, coefficients drawn from one z)
+    for s, c in zip(seed, coeff):
+        s, c = check_u64("seed", s), float(c)
+        if c == 0.0:
             continue
-        cs = [c for c in map(float, cs) if c != 0.0]
-        if not full:  # one draw per coefficient
-            terms += [(s, (c,)) for c in cs]
-        elif cs:
-            terms.append((s, cs))
-            paired = paired or len(cs) > 1
+        if full and terms and terms[-1][0] == s:
+            terms[-1][1].append(c)
+            paired = True
+        else:
+            terms.append((s, [c]))
     if not terms:
         return
     nbytes, views = params._update_plan(full, paired)

@@ -10,10 +10,9 @@ regenerates each z from its seed and the sampler kind and applies
 theta -= lr_eff * g * z in one ``axpy`` call, one term per query, the
 same kernel and call form with which :func:`zobench.seedlog.replay`
 and ``revert`` apply a log; eps sizes the probes only, so no update
-reads it.  At q = 1 stage 2 also takes the query's
-restore: the restore and the update share one z, so the step's one
-term is the tuple (eps, -lr_eff * g), both applied from a single
-regeneration with the bytes of two calls.
+reads it.  The last query's +eps restore opens that call: at q = 1 it
+is adjacent to the update of its own seed, so the two share one draw
+of z, with the bytes of two calls.
 
 Every perturbation and update goes through ``params.axpy``, looked up on
 the module at call time, so a wrapper installed there sees every call.
@@ -175,10 +174,11 @@ def zo_step(model, params: ParamSet, batch_source: Callable, config: ZOConfig,
     QueryRecords in query order.  On a non-finite loss the step aborts
     with the parameters already restored and no updates applied.
 
-    Stage 2 is one ``axpy`` call, one term per query.  At q = 1 the
-    query leaves its +eps restore to stage 2, where its one term is the
-    tuple (eps, -lr_eff * g): the restore shares the update's z, so the
-    step draws z three times, not four.
+    Stage 2 is one ``axpy`` call: the last query's +eps restore, then
+    one term per query, on seeds ``[s_q, s_1, ..., s_q]``.  A step makes
+    3q calls.  At q = 1 the restore and the update are adjacent terms of
+    one seed and share a draw of z, so the step draws z three times, not
+    four.
     """
     q = config.q
     queries = []
@@ -187,15 +187,14 @@ def zo_step(model, params: ParamSet, batch_source: Callable, config: ZOConfig,
         batch = batch_source(t * q + j if config.batch_mode == "fresh" else t)
         try:
             rec = rge_proj_grad(model, params, batch, seed, config.epsilon,
-                                config.sampler, restore=q > 1)
+                                config.sampler, restore=j < q - 1)
         except NumericError as exc:
             exc.step, exc.query = t, j
             raise
         queries.append(rec)
     coeffs = [-config.lr_effective * rec.proj_grad for rec in queries]
-    if q == 1:  # the query's +eps restore, from the update's draw of z
-        coeffs = [(config.epsilon, coeffs[0])]
-    _params.axpy(params, coeffs, [rec.seed for rec in queries], config.sampler)
+    _params.axpy(params, [config.epsilon, *coeffs],
+                 [rec.seed for rec in (queries[-1], *queries)], config.sampler)
     return queries
 
 

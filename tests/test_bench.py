@@ -10,9 +10,10 @@ set-up and steps take about 7 s, and tta-seq's set-up and each run are
 whole 100-episode streams, about 12 s).  A case id's middle number is
 the draws of z per op: each draw fills the whole set once, so the pinned
 fill count is draws times the set's size.  ``axpy`` takes a batch of
-records in one call, so replay, revert and each q > 1 stage-2 update
-count once; train-wide's q=1 step draws z three times, its last restore
-and its update sharing one call.
+records in one call, so replay, revert and each stage-2 update count
+once, and a ZO step makes 3q calls: stage 2 takes the last query's
+restore.  Train-wide's q=1 step draws z three times, its restore and its
+update sharing one draw.
 """
 
 import json
@@ -29,8 +30,8 @@ ROOT = Path(__file__).resolve().parents[1]
 # by workload
 PER_OP = {
     "checkpoint": (2, 103_424, 2_560),
-    "train-small": (13, 6_464, 2_560),
-    "tta-seq": (261, 35_200, 512),
+    "train-small": (12, 6_464, 2_560),
+    "tta-seq": (241, 35_200, 512),
     "train-wide": (3, 3_213_342, 524_288),
 }
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import layouts, reference_axpy
+from zobench import samplers
 from zobench.params import (CHUNK, ParamSet, ParamSetFormatError,
                             SchemaMismatchError, axpy)
 from zobench.samplers import FULL, SamplerKind, alloc_tracker
@@ -317,49 +318,92 @@ _ONES = [("a", (1,)), ("b", (1,)), ("c", (1, 1))]
 
 
 def _reference_terms(params, coeffs, seeds, kind):
-    """The list form by its definition: each nonzero coefficient of each
-    term in order, through :func:`conftest.reference_axpy`."""
+    """The list form by its definition: each nonzero coefficient in
+    order, through :func:`conftest.reference_axpy`."""
     for c, seed in zip(coeffs, seeds):
-        for ci in (c if type(c) is tuple else (c,)):
-            if ci != 0.0:
-                reference_axpy(params, ci, seed, kind)
+        if c != 0.0:
+            reference_axpy(params, c, seed, kind)
 
 
-def test_tuple_axpy_equals_one_call_per_coefficient():
-    # one draw of z per tuple, the bytes of consecutive single calls
+# (coefficients, seeds, draws of z under the full kind): a run of
+# adjacent terms of one seed draws once and skips its 0.0s, the same
+# seed after another draws again, and a skipped term of another seed
+# does not end a run
+_ADJACENT = [
+    ([0.25, -0.125], [41, 41], 1),
+    ([1e-3, -0.5, 2.0], [41, 41, 41], 1),
+    ([0.5, 0.0, -0.75], [41, 41, 41], 1),
+    ([0.0, -0.3], [41, 41], 1),
+    ([0.0, 0.0], [41, 41], 0),
+    ([0.25, -0.5, 0.125], [41, 9, 41], 3),
+    ([0.25, 0.0, 0.125], [41, 9, 41], 1),
+    ([0.25, -0.125, -0.5, 0.0, 1.0], [41, 41, 9, 9, 9], 2),
+]
+
+
+def _merges(coeffs, seeds):
+    """Whether two nonzero terms of one seed follow each other once the
+    0.0 terms are skipped: axpy then runs on the paired plan."""
+    kept = [s for c, s in zip(coeffs, seeds) if c != 0.0]
+    return any(a == b for a, b in zip(kept, kept[1:]))
+
+
+def test_adjacent_terms_of_one_seed_share_a_draw(monkeypatch):
+    # one draw of z per run of a seed (per term under low-rank), with the
+    # bytes of one call per term
+    fills = []  # elements per gaussian_fill call
+
+    def counted(*args, **kwargs):
+        z = real_fill(*args, **kwargs)
+        fills.append(z.size)
+        return z
+
+    real_fill = samplers.gaussian_fill
+    monkeypatch.setattr(samplers, "gaussian_fill", counted)
     _, cases = _kernel_cases()
     for dtype in (np.float64, np.float32):
         width = np.dtype(dtype).name
         cases[f"odd_{width}"] = _ramps(_ODD, dtype)
         cases[f"ones_{width}"] = _ramps(_ONES, dtype)
     assert [len(parts) for *_, parts in cases["odd_float64"].half_runs()] == [1, 2, 2]
-    coeff_sets = [(0.25, -0.125), (1e-3, -0.5, 2.0), (0.5, 0.0, -0.75),
-                  (0.0, -0.3), (0.0, 0.0)]
     for kind in (FULL, SamplerKind.lowrank(2, normalize=True)):
         for name, p in cases.items():
-            for coeffs in coeff_sets:
+            fills.clear()
+            axpy(p.copy(), 1.0, 41, kind)
+            single = (len(fills), sum(fills))
+            for coeffs, seeds, draws in _ADJACENT:
+                per_draw = single
+                if kind != FULL:
+                    draws = sum(c != 0.0 for c in coeffs)
+                elif _merges(coeffs, seeds):  # runs of half the size
+                    per_draw = (sum(len(parts) for *_, parts in p.half_runs()),
+                                p.num_elements())
                 expected = p.copy()
-                _reference_terms(expected, [coeffs], [41], kind)
+                _reference_terms(expected, coeffs, seeds, kind)
                 got = p.copy()
-                peak, leaked = _tracked(lambda: axpy(got, [coeffs], [41], kind))
-                case = (kind.variant, name, coeffs)
+                fills.clear()
+                peak, leaked = _tracked(lambda: axpy(got, coeffs, seeds, kind))
+                case = (kind.variant, name, coeffs, seeds)
+                assert (len(fills), sum(fills)) == (draws * per_draw[0],
+                                                    draws * per_draw[1]), case
                 assert got.equals_bitwise(expected), case
                 assert leaked == 0, case
                 if kind == FULL:
                     assert peak <= p.nbytes_largest() + p.dtype.itemsize, case
-    with pytest.raises(TypeError):  # a tuple takes a list of seeds
-        axpy(cases["packed"], (0.25, -0.125), 41)
+    for coeff, seed in [((0.25, -0.125), 41), ([(0.25, -0.125)], [41])]:
+        with pytest.raises(TypeError):  # a tuple coefficient is refused
+            axpy(cases["packed"], coeff, seed)
 
 
-# (coefficients, seeds): N = 0 and N = 1, zeros mixed in, tuple items
-# mixed with float items, and a seed repeated
+# (coefficients, seeds): N = 0 and N = 1, zeros mixed in, runs of one
+# seed mixed with single terms, and a seed repeated
 _RECORD_LISTS = [
     ([], []),
     ([0.25], [7]),
-    ([(0.5, -0.75)], [7]),
+    ([0.5, -0.75], [7, 7]),
     ([0.25, 0.0, -0.5, 1e-3], [7, 8, 2 ** 64 - 1, 7]),
-    ([(0.25, -0.125), 0.0, -0.5, (0.0, 0.0), (1e-3, 0.0, 2.0), (0.0, 3.0)],
-     [3, 4, 0, 5, 3, 2 ** 63]),
+    ([0.25, -0.125, 0.0, -0.5, 0.0, 0.0, 1e-3, 0.0, 2.0, 0.0, 3.0],
+     [3, 3, 4, 0, 5, 5, 3, 3, 3, 2 ** 63, 2 ** 63]),
 ]
 
 
@@ -382,9 +426,7 @@ def test_record_list_axpy_equals_one_call_per_record():
                 assert got.equals_bitwise(expected), case
                 assert leaked == 0, case
                 if kind == FULL:
-                    paired = any(type(c) is tuple and sum(x != 0.0 for x in c) > 1
-                                 for c in coeffs)
-                    extra = p.dtype.itemsize if paired else 0
+                    extra = p.dtype.itemsize if _merges(coeffs, seeds) else 0
                     assert peak <= p.nbytes_largest() + extra, case
 
 
@@ -416,7 +458,7 @@ def test_record_list_checks_every_seed_before_writing(kind):
                          ([1, np.bool_(True), 3], TypeError),
                          ([1, 2, np.float64(3.0)], TypeError)]:
         with pytest.raises(error):
-            axpy(p, [0.5, 0.25, (0.125, -1.0)], seeds, kind)
+            axpy(p, [0.5, 0.25, 0.125, -1.0], seeds + seeds[-1:], kind)
         assert p.equals_bitwise(before)
     for seed in (1.5, 1.0, True):
         with pytest.raises(TypeError):
@@ -426,8 +468,9 @@ def test_record_list_checks_every_seed_before_writing(kind):
     assert p.equals_bitwise(before)
     # numpy integers pass, as the ints they hold
     want = p.copy()
-    axpy(want, [0.5, (0.25, -1.0)], [7, 2 ** 64 - 1], kind)
-    axpy(p, [0.5, (0.25, -1.0)], [np.int64(7), np.uint64(2 ** 64 - 1)], kind)
+    axpy(want, [0.5, 0.25, -1.0], [7, 2 ** 64 - 1, 2 ** 64 - 1], kind)
+    axpy(p, [0.5, 0.25, -1.0], [np.int64(7), np.uint64(2 ** 64 - 1),
+                                np.uint64(2 ** 64 - 1)], kind)
     assert p.equals_bitwise(want)
 
 
@@ -517,13 +560,13 @@ def test_update_plan_lives_with_its_set():
     assert [len(parts) for *_, parts in p.half_runs()] == [1, 1, 3]
     axpy(p, 0.25, 7)
     scratch = p._scratch
-    axpy(p, [(0.5, -0.25)], [8])  # the paired plan shares the full scratch
+    axpy(p, [0.5, -0.25], [8, 8])  # the paired plan shares the full scratch
     assert p._scratch is scratch and scratch.size == CHUNK
     assert scratch.dtype == np.float64
     for other in (p.copy(), p.subset(["b"]), p.subset(["w", "c"]),
                   ParamSet.from_bytes(p.to_bytes())):
         assert other._plans == {} and other._scratch is None
-        axpy(other, [0.25, (0.5, -0.25)], [7, 8])
+        axpy(other, [0.25, 0.5, -0.25], [7, 8, 8])
         assert not np.shares_memory(other._scratch, scratch)
     assert p.subset(["b", "c"]).copy()._scratch is None
     f32 = _ramps([("w", (3, 5)), ("b", (2,))], np.float32)
@@ -552,8 +595,9 @@ _WIDE_SHA256 = {
     ("three", "float32"):
         "4c4f8560d28af9d8df8de8fd46b91a075bce43e35088cf2231a8520d4b32b65f",
 }
-_WIDE_CALLS = {"one": (0.25, 7), "paired": ([(1e-3, -0.5)], [7]),
-               "three": ([0.25, (0.5, -0.125), -2.0], [7, 2 ** 64 - 1, 3])}
+_WIDE_CALLS = {"one": (0.25, 7), "paired": ([1e-3, -0.5], [7, 7]),
+               "three": ([0.25, 0.5, -0.125, -2.0],
+                         [7, 2 ** 64 - 1, 2 ** 64 - 1, 3])}
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
@@ -644,9 +688,10 @@ _PAIRED_SHA256 = {
 @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
 @pytest.mark.parametrize("seed", [7, 2 ** 64 - 1], ids=["seed7", "seedmax"])
 def test_paired_update_bytes_are_pinned(kind, dtype, seed):
-    # the two-coefficient term every q=1 step applies: under the full kind
-    # it runs on half_runs, where the odd 15-element "w" is cut into
-    # pieces of 8 and 7 and its second piece shares a run with "b"
+    # the two adjacent terms of one seed every q=1 step applies: under
+    # the full kind they run on half_runs, where the odd 15-element "w"
+    # is cut into pieces of 8 and 7 and its second piece shares a run
+    # with "b"
     p = ParamSet([
         ("w", np.linspace(-1.0, 1.0, 15).reshape(3, 5).astype(dtype)),
         ("b", np.array([0.5], dtype)),
@@ -654,6 +699,6 @@ def test_paired_update_bytes_are_pinned(kind, dtype, seed):
         ("d", np.array([1.0], dtype)),
     ])
     assert [len(parts) for *_, parts in p.half_runs()] == [1, 2, 2]
-    axpy(p, [(0.25, -0.125)], [seed], kind)
+    axpy(p, [0.25, -0.125], [seed, seed], kind)
     digest = hashlib.sha256(p.to_bytes()).hexdigest()
     assert digest == _PAIRED_SHA256[(kind.variant, np.dtype(dtype).name, seed)]

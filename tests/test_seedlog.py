@@ -509,7 +509,7 @@ def test_update_paths_match_reference_loop(tmp_path, kind, pg_width, combine):
 
         # live stage 2, from the params the perturbation cycles leave
         # behind: the same step at lr=0 runs the cycles and skips the
-        # updates, as axpy skips a 0.0 coefficient in a tuple too
+        # updates, as axpy skips a 0.0 coefficient
         cycled = initial.copy()
         zo_step(model, cycled, sampler.draw, replace(zcfg, lr=0.0), 0)
         live = initial.copy()

@@ -386,7 +386,45 @@ def test_forwards_per_step():
             cfg.forwards_per_step = 4
 
 
-_SLACK = 65_536  # Python objects; measured ~9.5 KB on numpy 2.4
+@pytest.mark.parametrize("q", [1, 2, 4])
+def test_step_makes_3q_axpy_calls(monkeypatch, q):
+    # every query but the last restores itself, and the last restore
+    # opens stage 2's one call: at q = 1 it shares the update's draw of z
+    from zobench import params as params_mod, samplers
+
+    calls, fills = [], []
+
+    def counted_axpy(*args, **kwargs):
+        calls.append(args)
+        return real_axpy(*args, **kwargs)
+
+    def counted_fill(*args, **kwargs):
+        z = real_fill(*args, **kwargs)
+        fills.append(z.size)
+        return z
+
+    real_axpy, real_fill = params_mod.axpy, samplers.gaussian_fill
+    monkeypatch.setattr(params_mod, "axpy", counted_axpy)
+    monkeypatch.setattr(samplers, "gaussian_fill", counted_fill)
+    model = bowl()
+    params = model.init(0)
+    cfg = ZOConfig(epsilon=1e-3, lr=0.01, q=q, master_seed=3)
+    queries = zo_step(model, params, lambda i: None, cfg, 0)
+    assert len(calls) == 3 * q
+    assert sum(fills) == (4 * q - (q == 1)) * params.num_elements()
+    # with the bytes of a +eps / -2 eps / +eps cycle per query, then one
+    # update per query, each a single call
+    monkeypatch.undo()
+    expected = model.init(0)
+    for rec in queries:
+        for coeff in (cfg.epsilon, -2.0 * cfg.epsilon, cfg.epsilon):
+            axpy(expected, coeff, rec.seed)
+    for rec in queries:
+        axpy(expected, -cfg.lr_effective * rec.proj_grad, rec.seed)
+    assert params.equals_bitwise(expected)
+
+
+_SLACK =65_536  # Python objects; measured ~9.5 KB on numpy 2.4
 
 
 def _traced_peak(fn):
