@@ -16,7 +16,7 @@ from .models import (Batch, BatchSampler, DataGenConfig, Model, StreamSample,
                      seq_classifier)
 from .params import ParamSet, ParamSetFormatError, SchemaMismatchError, axpy
 from .samplers import (FULL, SamplerKind, alloc_tracker, sample_for_tensor,
-                       sample_full, sample_lowrank)
+                       sample_lowrank)
 from .seedlog import (LogFormatError, SeedLog, SeedLogHeader, SeedLogWriter,
                       inspect, read_log, replay, revert)
 from .streams import GaussianStream, gaussian_fill

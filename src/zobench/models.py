@@ -543,7 +543,7 @@ def _draw_split(cfg: DataGenConfig, protos, stream: GaussianStream,
                 n: int) -> Batch:
     labels = stream.integers(0, cfg.classes, size=n)
     within = _SEQ_WITHIN_SD if cfg.task == "seq" else 1.0
-    x = protos[labels] + within * stream.normal(protos[labels].shape)
+    x = protos[labels] + within * stream.normal((n,) + protos.shape[1:])
     return Batch(x, labels)
 
 

@@ -3,13 +3,16 @@
 Two ways to draw the random direction z for a tensor, both pure functions
 of (seed, shape, kind); epsilon only scales z, so it never names one:
 
-* full: elementwise standard Gaussian, z ~ N(0, I).
+* full: elementwise standard Gaussian, z ~ N(0, I), drawn by
+  :func:`~zobench.streams.gaussian_fill`.
 * low-rank: z = U @ W.T with U (m x r) and W (n x r) standard Gaussian,
   so every draw has rank <= r.  Entry variance is r (unnormalized); pass
   ``normalize=True`` to SamplerKind for unit entry variance.
 
-Tensors that are not genuinely 2-D (vectors, or matrices with a singleton
-leading dim) fall back to full Gaussian sampling under the low-rank kind.
+Tensors that are not genuinely 2-D (scalars, vectors, or matrices with a
+singleton leading dim) fall back to full Gaussian sampling under the
+low-rank kind.  Each draw reports its transients to ``alloc_tracker`` and
+frees them before it returns.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from .streams import GaussianStream, check_int, gaussian_fill
 __all__ = [
     "SamplerKind",
     "FULL",
-    "sample_full",
     "sample_lowrank",
     "sample_for_tensor",
     "alloc_tracker",
@@ -36,10 +38,13 @@ class AllocationTracker:
 
     Sampler and update code report allocations and releases here so tests
     can assert the peak transient footprint of a step (the desk-scale
-    stand-in for training-at-inference-memory).  ``axpy`` reports the
-    scratch bytes a call works in, at its entry and exit, although the
-    scratch itself lives with the ParamSet from its first call on.  Not
-    thread safe; reset before each measured region.
+    stand-in for training-at-inference-memory).  It counts transients
+    only: a call reports the scratch it works in and frees it before it
+    returns, so ``active`` is 0 between calls, and an array a call returns
+    is the caller's, not a transient.  ``axpy`` reports its scratch at its
+    entry and exit, although the scratch itself lives with the ParamSet
+    from its first call on.  Not thread safe; reset before each measured
+    region.
     """
 
     def __init__(self):
@@ -95,15 +100,6 @@ class SamplerKind:
 FULL = SamplerKind()
 
 
-def sample_full(stream: GaussianStream, shape, dtype=np.float64,
-                out=None) -> np.ndarray:
-    """Elementwise standard-Gaussian direction, written to ``out`` if given."""
-    z = gaussian_fill(stream, shape, dtype=dtype, out=out)
-    if out is None:
-        alloc_tracker.alloc(z.nbytes)
-    return z
-
-
 def sample_lowrank(stream: GaussianStream, m: int, n: int, r: int,
                    dtype=np.float64, normalize: bool = False,
                    out=None) -> np.ndarray:
@@ -119,14 +115,11 @@ def sample_lowrank(stream: GaussianStream, m: int, n: int, r: int,
         raise ValueError(f"m, n, r must be >= 1, got ({m}, {n}, {r})")
     r_eff = min(r, m, n)
     u = gaussian_fill(stream, (m, r_eff), dtype=dtype)
-    alloc_tracker.alloc(u.nbytes)
     w = gaussian_fill(stream, (n, r_eff), dtype=dtype)
-    alloc_tracker.alloc(w.nbytes)
+    factors = u.nbytes + w.nbytes
+    alloc_tracker.alloc(factors)
     z = np.matmul(u, w.T, out=out)
-    if out is None:
-        alloc_tracker.alloc(z.nbytes)
-    alloc_tracker.free(u.nbytes)
-    alloc_tracker.free(w.nbytes)
+    alloc_tracker.free(factors)
     if normalize:
         z /= np.sqrt(r_eff, dtype=dtype)
     return z
@@ -139,28 +132,25 @@ def sample_for_tensor(stream: GaussianStream, shape, kind: SamplerKind,
     Low-rank sampling applies to the first two dims; tensors of rank > 2
     are treated as a stack of (shape[0] x shape[1]) matrices over the
     trailing dims, each slice getting its own factors in trailing-index
-    order.  1-D tensors and singleton-dim matrices fall back to the full
-    Gaussian, drawn from the same stream.  The direction is written to
-    ``out`` (C-contiguous, of ``shape``) if given.
+    order, drawn into one (shape[0] x shape[1]) scratch.  Scalars, 1-D
+    tensors and singleton-dim matrices fall back to the full Gaussian,
+    drawn from the same stream.  The direction is written to ``out``
+    (C-contiguous, of ``shape``) if given.
     """
-    if kind.variant == "full":
-        return sample_full(stream, shape, dtype=dtype, out=out)
     dims = tuple(map(int, shape))
-    if len(dims) < 2 or dims[0] <= 1 or dims[1] <= 1:
-        return sample_full(stream, dims, dtype=dtype, out=out)
+    if kind.variant == "full" or len(dims) < 2 or min(dims[:2]) <= 1:
+        return gaussian_fill(stream, dims, dtype, out)
     m, n = dims[0], dims[1]
     if len(dims) == 2:
         return sample_lowrank(stream, m, n, kind.rank, dtype=dtype,
                               normalize=kind.normalize, out=out)
     trailing = int(np.prod(dims[2:]))
-    z = out
-    if z is None:
-        z = np.empty(dims, dtype=dtype)
-        alloc_tracker.alloc(z.nbytes)
+    z = np.empty(dims, dtype=dtype) if out is None else out
     flat = z.reshape(m, n, trailing)
+    scratch = np.empty((m, n), dtype=dtype)
+    alloc_tracker.alloc(scratch.nbytes)
     for idx in range(trailing):
-        zi = sample_lowrank(stream, m, n, kind.rank, dtype=dtype,
-                            normalize=kind.normalize)
-        flat[:, :, idx] = zi
-        alloc_tracker.free(zi.nbytes)
+        flat[:, :, idx] = sample_lowrank(stream, m, n, kind.rank, dtype=dtype,
+                                         normalize=kind.normalize, out=scratch)
+    alloc_tracker.free(scratch.nbytes)
     return z

@@ -242,14 +242,14 @@ def read_log(path) -> SeedLog:
     with open(path, "rb") as fh:
         blob = fh.read()
     header = SeedLogHeader.unpack(blob)
-    body = blob[HEADER_SIZE:]
-    if len(body) % header.record_size != 0:
+    n, rest = divmod(len(blob) - HEADER_SIZE, header.record_size)
+    if rest:
         raise LogFormatError("truncated record section")
-    n = len(body) // header.record_size
     if header.record_count and n != header.record_count:
         raise LogFormatError(
             f"header promises {header.record_count} records, file has {n}")
-    rec = np.frombuffer(body, dtype=header.record_dtype)
+    # decoded in place: a copy of the record section would double the peak
+    rec = np.frombuffer(blob, dtype=header.record_dtype, offset=HEADER_SIZE)
     if not np.isfinite(rec["pg"]).all():
         raise LogFormatError("non-finite proj_grad in record section")
     return SeedLog(replace(header, record_count=n),

@@ -151,18 +151,17 @@ def gaussian_fill(stream: GaussianStream, shape, dtype=np.float64,
     """Fill a tensor of the given shape with standard normals from `stream`.
 
     Samples are laid out in row-major (C) order, so filling a flat slice
-    of n elements gives the same values as any shape of n elements.
-    Empty shapes and non-positive dimensions are rejected: a perturbation
-    of nothing is always a caller bug.  With ``out`` (of ``dtype``) the
-    samples go into that array, which is returned; ``shape=None`` then
-    skips the shape check, which the update kernel's flat slices need not
-    repeat per tensor.
+    of n elements gives the same values as any shape of n elements.  A
+    scalar, shape ``()``, is one draw: the stream's first value.
+    Non-positive dimensions are rejected: a perturbation of nothing is
+    always a caller bug.  With ``out`` (of ``dtype``) the samples go into
+    that array, which is returned; ``shape=None`` then skips the shape
+    check, which the update kernel's flat slices need not repeat per
+    tensor.
     """
     if shape is None and out is not None:  # the generator, one frame fewer
         return stream._gen.standard_normal(None, dtype, out)
     dims = tuple(map(int, shape))
-    if not dims:
-        raise ValueError("shape must have at least one dimension")
-    if min(dims) < 1:
+    if min(dims, default=1) < 1:
         raise ValueError(f"all dimensions must be >= 1, got {dims}")
     return stream.normal(dims, dtype=dtype, out=out)

@@ -1,5 +1,6 @@
 import itertools
 import struct
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -397,6 +398,44 @@ def test_revert_of_replay_is_near_identity(tmp_path):
     log = read_log(path)
     round_trip = revert(replay(initial, log), log)
     assert round_trip.max_abs_diff(initial) < 1e-6
+
+
+@pytest.mark.parametrize("kind", [FULL, SamplerKind.lowrank(2)],
+                         ids=["full", "lowrank"])
+def test_scalar_tensor_set_updates_and_round_trips(kind):
+    # a 0-d tensor is one draw under either kind, its low-rank fallback too
+    params = ParamSet([("s", np.array(0.5)),
+                       ("w", np.linspace(-1, 1, 12).reshape(3, 4)),
+                       ("k", np.linspace(0, 2, 24).reshape(2, 3, 4))])
+    expected = params.copy()
+    reference_axpy(expected, 0.25, 11, kind)
+    updated = params.copy()
+    axpy(updated, 0.25, 11, kind)
+    assert updated.equals_bitwise(expected)
+    log = SeedLog(make_header(schema_hash=params.schema_hash, sampler=kind),
+                  np.array([3, 4, 3], dtype=np.uint64),
+                  np.array([0.5, -1.0, 2.0], dtype=np.float32))
+    assert revert(replay(params, log), log).max_abs_diff(params) < 1e-6
+
+
+def test_read_log_decodes_without_copying_the_records(tmp_path):
+    # the file's bytes, then the seeds and proj_grads copied out of them
+    n = 50_000
+    h = make_header(record_count=n)
+    rec = np.zeros(n, dtype=h.record_dtype)
+    rec["seed"] = np.arange(n)
+    rec["pg"] = 0.5
+    path = tmp_path / "big.zolog"
+    path.write_bytes(h.pack() + rec.tobytes())
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        log = read_log(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(log) == n and log.seeds[-1] == n - 1
+    assert peak <= 2.1 * size
 
 
 def test_empty_log_is_identity(tmp_path):

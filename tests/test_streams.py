@@ -91,11 +91,20 @@ def test_gaussian_fill_shapes():
 def test_gaussian_fill_rejects_degenerate_shapes():
     s = GaussianStream(0)
     with pytest.raises(ValueError):
-        gaussian_fill(s, ())
-    with pytest.raises(ValueError):
         gaussian_fill(s, (0, 3))
     with pytest.raises(ValueError):
         gaussian_fill(s, (3, -1))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+def test_scalar_shape_is_one_draw(dtype):
+    # a 0-d tensor is a parameter too: its z is the stream's first value
+    first = gaussian_fill(GaussianStream(4), (1,), dtype=dtype)[0]
+    z = gaussian_fill(GaussianStream(4), (), dtype=dtype)
+    assert z.shape == () and z.tobytes() == first.tobytes()
+    out = np.empty((), dtype)
+    assert gaussian_fill(GaussianStream(4), (), dtype, out) is out
+    assert out.tobytes() == first.tobytes()
 
 
 def test_single_element_tensor_allowed():
