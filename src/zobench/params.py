@@ -15,19 +15,18 @@ tensor above that drawn piece by piece from its one stream.
 axpy is the one update kernel, with one body: the perturbation cycle
 calls it with one coefficient and one seed, and stage-2 updates, seed-log
 replay and revert with a list of terms, one per (seed, proj_grad)
-record, one call per step or log.  Adjacent terms of one seed share a
-draw of z under the full kind, which is how a q=1 step's restore and
-its update share a regeneration.  A direction is named by (seed, kind)
-alone; epsilon only sets the coefficient.  axpy's one temporary is a
-scratch array that lives with the set, built on first use with the
-views onto it: under the full kind it holds at most CHUNK elements
-whatever the model's size (512 KB of float64), which is what bounds the
-optimizer's transient memory.  Each draw of z goes into it run by run,
-then is scaled and added once per run and coefficient.  The scratch
-makes a set single-writer: one set must not be updated from two
-threads at once, while separate sets, subsets and copies each have
-their own.  z comes from the calling thread's rekeyed stream (see
-:func:`zobench.streams.thread_stream`), never from a newly built one.
+record, one call per step or log.  Each term draws its own z.  A
+direction is named by (seed, kind) alone; epsilon only sets the
+coefficient.  axpy's one temporary is a scratch array that lives with
+the set's update plan, built on first use with the views onto it: under
+the full kind it holds at most CHUNK elements whatever the model's size
+(512 KB of float64), which is what bounds the optimizer's transient
+memory.  Each draw of z goes into it run by run, then is scaled and
+added once per run.  The scratch makes a set single-writer: one set
+must not be updated from two threads at once, while separate sets,
+subsets and copies each have their own.  z comes from the calling
+thread's rekeyed stream (see :func:`zobench.streams.thread_stream`),
+never from a newly built one.
 
 The whole-set helpers keep the same bound: ``max_abs_diff`` and
 ``equals_bitwise`` walk the tensors in CHUNK-element pieces through one
@@ -149,9 +148,8 @@ class ParamSet:
         list of ``(name, offset, shape)``, to its view of the 1-D ``buf``."""
         self._buf, self._layout, self._index = buf, layout, index
         self._largest = max(arr.size for arr in self._index.values())
-        # built on first use: axpy's plans by (full kind, paired), and
-        # the scratch the full kind's two plans share
-        self._plans, self._scratch, self._schema_hash = {}, None, None
+        # axpy's plan per kind family (full or not), built on first use
+        self._plans, self._schema_hash = {}, None
         return self
 
     # -- schema ----------------------------------------------------------
@@ -226,49 +224,28 @@ class ParamSet:
         """
         return self._plan(min(self._largest, CHUNK))
 
-    def half_runs(self):
-        """:meth:`runs` capped at half the largest tensor, rounded up, and
-        at half of CHUNK: the z that adjacent terms of one seed share and
-        its scaled copy share the scratch."""
-        return self._plan(min((self._largest + 1) // 2, CHUNK // 2))
-
-    def _update_plan(self, full: bool, paired: bool):
+    def _update_plan(self, full: bool):
         """axpy's ``(nbytes, views)`` for a kind family, built once.
 
-        ``views`` holds ``(run, z, cz, outs)`` per run: ``z`` and ``cz``
-        are the scratch's views for the run's draw and its scaled copy,
-        one array unless ``paired``, and ``outs`` each part's ``(index,
-        slice of z)``, shaped as its tensor for a low-rank draw.
-        ``nbytes`` is the scratch a call works in.  The full kind's
-        scratch, ``min(largest, CHUNK)`` elements rounded up to even,
-        serves both of its plans; a low-rank z is one matmul per tensor
-        that cannot be cut, so that plan has a scratch of the largest
-        tensor's size.
+        The plan owns its scratch, of ``nbytes``: ``min(largest, CHUNK)``
+        elements under the full kind, whose runs are :meth:`runs`; a
+        low-rank z is one matmul per tensor that cannot be cut, so that
+        plan's runs and scratch are capped at the largest tensor's size.
+        ``views`` holds ``(run, z, outs)`` per run: ``z`` is the
+        scratch's view for the run's draw and ``outs`` each part's
+        ``(index, slice of z)``, shaped as its tensor for a low-rank draw.
         """
-        plan = self._plans.get((full, paired))
-        if plan is not None:
-            return plan
-        if full:
-            if self._scratch is None:
-                size = min(self._largest + self._largest % 2, CHUNK)
-                self._scratch = np.empty(size, self.dtype)
-            scratch = self._scratch
-            runs = self.half_runs() if paired else self.runs()
-        else:
-            scratch = np.empty(self._largest, self.dtype)
-            runs = self._plan(self._largest)
-        half = scratch.size // 2 if paired else 0
-        views = []
-        for run, size, parts in runs:
-            outs = tuple((i, scratch[start:stop] if full
-                          else scratch[start:stop].reshape(shape))
-                         for i, start, stop, shape in parts)
-            # scaled in place, cz is z itself, which spares numpy an overlap check
-            z = scratch[:size]
-            views.append((run, z, scratch[half:half + size] if half else z, outs))
-        used = scratch.size if paired else max(size for _, size, _ in runs)
-        plan = self._plans[(full, paired)] = (used * self.dtype.itemsize,
-                                              tuple(views))
+        plan = self._plans.get(full)
+        if plan is None:
+            cap = min(self._largest, CHUNK) if full else self._largest
+            scratch = np.empty(cap, self.dtype)
+            views = tuple(
+                (run, scratch[:size],
+                 tuple((i, scratch[start:stop] if full
+                        else scratch[start:stop].reshape(shape))
+                       for i, start, stop, shape in parts))
+                for run, size, parts in self._plan(cap))
+            plan = self._plans[full] = (scratch.nbytes, views)
         return plan
 
     def _plan(self, cap):
@@ -475,27 +452,23 @@ def axpy(params: ParamSet, coeff: float | list, seed: int | list,
     ``axpy(params, [c_1, ..., c_n], [s_1, ..., s_n])``, one term per
     seed, with the bytes of n single calls in order.  The single form is
     the one-term case of the list form.  A coefficient is a float; a
-    tuple raises TypeError.  Under the full kind, adjacent terms of one
-    seed are applied from one draw of z, each coefficient in turn, with
-    the bytes of one call per term: a q=1 step's restore and update are
-    two such terms.  A 0.0 is skipped before terms are grouped.
+    tuple raises TypeError.  A 0.0 is skipped, and every other term
+    draws its own z, even when the term before it has the same seed.
 
     Every seed is checked, by :func:`~zobench.streams.check_u64`, before
     the first write.  The call then runs on the set's update plan
     (``ParamSet._update_plan``), built on the set's first call of each
     kind family and kept with the set: a scratch array, the whole
     transient, and the views onto it, so a call slices and allocates
-    nothing.  For each run of adjacent tensors (:meth:`ParamSet.runs`)
-    every z_i is drawn into its slice of the scratch, then the run is
-    scaled once and added once per coefficient.  Both are element-wise,
-    so the result is bit-identical to scaling and adding tensor by
-    tensor.  Under the full kind the scratch holds ``min(largest tensor,
-    CHUNK)`` elements, rounded up to even, and a larger tensor is drawn
-    piece by piece from its one stream; when a draw serves two or more
-    terms, z and its scaled copy sit in the scratch side by side, so the
-    whole call runs on :meth:`ParamSet.half_runs`.  A low-rank z is a
-    matmul per tensor that cannot be cut, so its scratch is the largest
-    tensor's size, and it is drawn once per term.
+    nothing.  For each term and each run of adjacent tensors
+    (:meth:`ParamSet.runs`) every z_i is drawn into its slice of the
+    scratch, then the run is scaled and added once.  Both are
+    element-wise, so the result is bit-identical to scaling and adding
+    tensor by tensor.  Under the full kind the scratch holds
+    ``min(largest tensor, CHUNK)`` elements, and a larger tensor is
+    drawn piece by piece from its one stream.  A low-rank z is a matmul
+    per tensor that cannot be cut, so its scratch is the largest
+    tensor's size.
 
     Each z_i comes from the calling thread's one stream, restarted at
     (seed, i), not from a new ``GaussianStream``: building one costs
@@ -507,29 +480,24 @@ def axpy(params: ParamSet, coeff: float | list, seed: int | list,
         coeff, seed = [coeff], [seed]
     elif len(seed) != len(coeff):
         raise ValueError(f"{len(coeff)} coefficients for {len(seed)} seeds")
-    full = kind.variant == "full"
-    terms, paired = [], False  # (seed, coefficients drawn from one z)
+    terms = []  # (seed, coefficient), the 0.0s left out
     for s, c in zip(seed, coeff):
         s, c = check_u64("seed", s), float(c)
-        if c == 0.0:
-            continue
-        if full and terms and terms[-1][0] == s:
-            terms[-1][1].append(c)
-            paired = True
-        else:
-            terms.append((s, [c]))
+        if c != 0.0:
+            terms.append((s, c))
     if not terms:
         return
-    nbytes, views = params._update_plan(full, paired)
+    full = kind.variant == "full"
+    nbytes, views = params._update_plan(full)
     alloc_tracker.alloc(nbytes)
     dtype = params.dtype
     fill = samplers.gaussian_fill  # looked up here so bench/spans.py can wrap it
     stream = thread_stream(terms[0][0])  # keyed (seed, 0) for the first term
-    for k, (s, cs) in enumerate(terms):
+    for k, (s, c) in enumerate(terms):
         if k:  # s was checked above: restart needs no second check
             stream.seed = s
             stream.restart(0)
-        for run, z, cz, outs in views:
+        for run, z, outs in views:
             for i, out in outs:
                 if i:  # 0: tensor 0, or a piece going on with its tensor's draw
                     stream.restart(i)
@@ -537,7 +505,6 @@ def axpy(params: ParamSet, coeff: float | list, seed: int | list,
                     fill(stream, None, dtype, out)
                 else:
                     sample_for_tensor(stream, out.shape, kind, dtype, out)
-            for c in cs:
-                np.multiply(z, c, cz)
-                run += cz
+            np.multiply(z, c, z)
+            run += z
     alloc_tracker.free(nbytes)

@@ -9,10 +9,10 @@ step-major and query-minor, as a seed log stores them.  Stage 2
 regenerates each z from its seed and the sampler kind and applies
 theta -= lr_eff * g * z in one ``axpy`` call, one term per query, the
 same kernel and call form with which :func:`zobench.seedlog.replay`
-and ``revert`` apply a log; eps sizes the probes only, so no update
-reads it.  The last query's +eps restore opens that call: at q = 1 it
-is adjacent to the update of its own seed, so the two share one draw
-of z, with the bytes of two calls.
+and ``revert`` apply a log; eps sizes the probes only, so replay and
+revert never read it.  The last query's +eps restore is folded into
+that query's own update coefficient, -lr_eff * g_q + eps, so its z is
+drawn once for both.
 
 Every perturbation and update goes through ``params.axpy``, looked up on
 the module at call time, so a wrapper installed there sees every call.
@@ -174,11 +174,10 @@ def zo_step(model, params: ParamSet, batch_source: Callable, config: ZOConfig,
     QueryRecords in query order.  On a non-finite loss the step aborts
     with the parameters already restored and no updates applied.
 
-    Stage 2 is one ``axpy`` call: the last query's +eps restore, then
-    one term per query, on seeds ``[s_q, s_1, ..., s_q]``.  A step makes
-    3q calls.  At q = 1 the restore and the update are adjacent terms of
-    one seed and share a draw of z, so the step draws z three times, not
-    four.
+    Stage 2 is one ``axpy`` call, one term per query on seeds ``[s_1,
+    ..., s_q]`` with coefficients ``-lr_eff * g_j``, the last query's
+    +eps restore added to its own: ``-lr_eff * g_q + eps``.  A step
+    makes 3q calls and draws z 4q - 1 times.
     """
     q = config.q
     queries = []
@@ -193,8 +192,8 @@ def zo_step(model, params: ParamSet, batch_source: Callable, config: ZOConfig,
             raise
         queries.append(rec)
     coeffs = [-config.lr_effective * rec.proj_grad for rec in queries]
-    _params.axpy(params, [config.epsilon, *coeffs],
-                 [rec.seed for rec in (queries[-1], *queries)], config.sampler)
+    coeffs[-1] += config.epsilon
+    _params.axpy(params, coeffs, [rec.seed for rec in queries], config.sampler)
     return queries
 
 

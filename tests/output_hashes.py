@@ -1,7 +1,7 @@
 """Print the SHA-256 of each byte-reproducible file a fixed set of runs writes.
 
 Usage:
-    PYTHONPATH=src python tests/output_hashes.py OUT
+    PYTHONPATH=src python tests/output_hashes.py OUT [--against LISTING]
 
 Runs twenty-four small harness configs, each over seeds {0, 1}, into
 ``OUT/<config name>/`` and prints one ``<sha256>  <path>`` line per
@@ -12,11 +12,20 @@ bytes of ``replay(<run>.init.pset, log)`` and of
 ``revert(<run>.final.pset, log)``, so the checkpoint path is hashed too.
 A refactor that must not change any output runs the script on both
 trees (``PYTHONPATH=<tree>/src``) and diffs the two listings.
+
+With ``--against LISTING``, a listing this script printed before, it
+prints only the lines that differ: each line of this run whose path is
+missing from LISTING or hashed differently there, then ``removed
+<path>`` for each path of LISTING this run did not write, then one
+``# <config>: <changed> of <lines> lines changed`` per config.  That is
+the record of a change that is meant to move some outputs and not
+others.
 """
 
+import argparse
 import hashlib
 import os
-import sys
+from collections import Counter
 
 from zobench.harness import parse_config, run
 from zobench.params import ParamSet
@@ -64,7 +73,7 @@ CONFIGS = [
     train("seqadam", {"type": "adam", "lr": 0.01, "steps": 20}, model=SEQ),
     # the pooled seq CE forward under ZO perturbations
     train("seqtrain", {**ZO_MLP, "steps": 5}, model=SEQ),
-    # full-kind q=1: a step's last restore and its update share one z
+    # full-kind q=1: a step's one update carries its query's +eps restore
     train("qone", {**ZO_MLP, "q": 1}),
     train("wide", {**ZO_MLP, "steps": 3}, model=WIDE),
     train("wideqone", {**ZO_MLP, "q": 1, "steps": 3}, model=WIDE),
@@ -114,7 +123,31 @@ def output_hashes(out) -> list:
             for name, blob in sorted(hashed.items())]
 
 
+def changed_lines(lines, old_lines) -> list:
+    """What ``--against`` prints: ``lines`` against ``old_lines``."""
+    def path(line):
+        return line.split("  ", 1)[1]
+
+    def config(line):
+        return path(line).split(os.sep, 1)[0]
+
+    old, new_paths = set(old_lines), {path(line) for line in lines}
+    changed = [line for line in lines if line not in old]
+    gone = [line for line in old_lines if path(line) not in new_paths]
+    totals = Counter(config(line) for line in lines + gone)
+    hits = Counter(config(line) for line in changed + gone)
+    return (changed + [f"removed  {path(line)}" for line in gone]
+            + [f"# {name}: {hits[name]} of {n} lines changed"
+               for name, n in sorted(totals.items())])
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit("usage: output_hashes.py OUT")
-    print("\n".join(output_hashes(sys.argv[1])))
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("out", metavar="OUT")
+    parser.add_argument("--against", metavar="LISTING")
+    args = parser.parse_args()
+    lines = output_hashes(args.out)
+    if args.against is not None:
+        with open(args.against) as fh:
+            lines = changed_lines(lines, fh.read().splitlines())
+    print("\n".join(lines))

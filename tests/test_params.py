@@ -311,8 +311,7 @@ def test_axpy_matches_manual_regeneration():
                 assert peak <= p.nbytes_largest(), name
 
 
-# a largest tensor of odd size, cut into pieces of 7 and 6: the second
-# piece shares a half run with "b", and "c" with "d"
+# a largest tensor of odd size, and tensors of one element
 _ODD = [("w", (13,)), ("b", (1,)), ("c", (2, 3)), ("d", (1,))]
 _ONES = [("a", (1,)), ("b", (1,)), ("c", (1, 1))]
 
@@ -325,32 +324,23 @@ def _reference_terms(params, coeffs, seeds, kind):
             reference_axpy(params, c, seed, kind)
 
 
-# (coefficients, seeds, draws of z under the full kind): a run of
-# adjacent terms of one seed draws once and skips its 0.0s, the same
-# seed after another draws again, and a skipped term of another seed
-# does not end a run
+# (coefficients, seeds): adjacent terms of one seed, with 0.0s between
+# and around them, and another seed between two of them
 _ADJACENT = [
-    ([0.25, -0.125], [41, 41], 1),
-    ([1e-3, -0.5, 2.0], [41, 41, 41], 1),
-    ([0.5, 0.0, -0.75], [41, 41, 41], 1),
-    ([0.0, -0.3], [41, 41], 1),
-    ([0.0, 0.0], [41, 41], 0),
-    ([0.25, -0.5, 0.125], [41, 9, 41], 3),
-    ([0.25, 0.0, 0.125], [41, 9, 41], 1),
-    ([0.25, -0.125, -0.5, 0.0, 1.0], [41, 41, 9, 9, 9], 2),
+    ([0.25, -0.125], [41, 41]),
+    ([1e-3, -0.5, 2.0], [41, 41, 41]),
+    ([0.5, 0.0, -0.75], [41, 41, 41]),
+    ([0.0, -0.3], [41, 41]),
+    ([0.0, 0.0], [41, 41]),
+    ([0.25, -0.5, 0.125], [41, 9, 41]),
+    ([0.25, 0.0, 0.125], [41, 9, 41]),
+    ([0.25, -0.125, -0.5, 0.0, 1.0], [41, 41, 9, 9, 9]),
 ]
 
 
-def _merges(coeffs, seeds):
-    """Whether two nonzero terms of one seed follow each other once the
-    0.0 terms are skipped: axpy then runs on the paired plan."""
-    kept = [s for c, s in zip(coeffs, seeds) if c != 0.0]
-    return any(a == b for a, b in zip(kept, kept[1:]))
-
-
-def test_adjacent_terms_of_one_seed_share_a_draw(monkeypatch):
-    # one draw of z per run of a seed (per term under low-rank), with the
-    # bytes of one call per term
+def test_adjacent_terms_of_one_seed_draw_z_each(monkeypatch):
+    # every nonzero term draws its own z, under either kind, even where
+    # the term before it has the same seed: the bytes of one call per term
     fills = []  # elements per gaussian_fill call
 
     def counted(*args, **kwargs):
@@ -365,19 +355,13 @@ def test_adjacent_terms_of_one_seed_share_a_draw(monkeypatch):
         width = np.dtype(dtype).name
         cases[f"odd_{width}"] = _ramps(_ODD, dtype)
         cases[f"ones_{width}"] = _ramps(_ONES, dtype)
-    assert [len(parts) for *_, parts in cases["odd_float64"].half_runs()] == [1, 2, 2]
     for kind in (FULL, SamplerKind.lowrank(2, normalize=True)):
         for name, p in cases.items():
             fills.clear()
             axpy(p.copy(), 1.0, 41, kind)
-            single = (len(fills), sum(fills))
-            for coeffs, seeds, draws in _ADJACENT:
-                per_draw = single
-                if kind != FULL:
-                    draws = sum(c != 0.0 for c in coeffs)
-                elif _merges(coeffs, seeds):  # runs of half the size
-                    per_draw = (sum(len(parts) for *_, parts in p.half_runs()),
-                                p.num_elements())
+            per_draw = (len(fills), sum(fills))
+            for coeffs, seeds in _ADJACENT:
+                draws = sum(c != 0.0 for c in coeffs)
                 expected = p.copy()
                 _reference_terms(expected, coeffs, seeds, kind)
                 got = p.copy()
@@ -389,7 +373,7 @@ def test_adjacent_terms_of_one_seed_share_a_draw(monkeypatch):
                 assert got.equals_bitwise(expected), case
                 assert leaked == 0, case
                 if kind == FULL:
-                    assert peak <= p.nbytes_largest() + p.dtype.itemsize, case
+                    assert peak <= p.nbytes_largest(), case
     for coeff, seed in [((0.25, -0.125), 41), ([(0.25, -0.125)], [41])]:
         with pytest.raises(TypeError):  # a tuple coefficient is refused
             axpy(cases["packed"], coeff, seed)
@@ -426,8 +410,7 @@ def test_record_list_axpy_equals_one_call_per_record():
                 assert got.equals_bitwise(expected), case
                 assert leaked == 0, case
                 if kind == FULL:
-                    extra = p.dtype.itemsize if _merges(coeffs, seeds) else 0
-                    assert peak <= p.nbytes_largest() + extra, case
+                    assert peak <= p.nbytes_largest(), case
 
 
 def test_record_list_runs_on_the_set_it_is_given():
@@ -552,33 +535,44 @@ def test_concurrent_axpy_matches_sequential():
             assert g.equals_bitwise(e), fresh.__name__
 
 
+def _scratch(p, full):
+    """The scratch array of ``p``'s update plan for a kind family."""
+    _, views = p._plans[full]
+    return views[0][1].base
+
+
 def test_update_plan_lives_with_its_set():
-    # a set builds its scratch on first use; copies, subsets and decoded
-    # sets start without one and never share their parent's
+    # a set builds one plan per kind family on first use, each with its
+    # own scratch; copies, subsets and decoded sets start without one and
+    # never share their parent's
     p = _ramps([("w", (300, 256)), ("b", (256,)), ("c", (3,))])
     assert [len(parts) for *_, parts in p.runs()] == [1, 3]
-    assert [len(parts) for *_, parts in p.half_runs()] == [1, 1, 3]
     axpy(p, 0.25, 7)
-    scratch = p._scratch
-    axpy(p, [0.5, -0.25], [8, 8])  # the paired plan shares the full scratch
-    assert p._scratch is scratch and scratch.size == CHUNK
-    assert scratch.dtype == np.float64
+    plan = p._plans[True]
+    scratch = _scratch(p, True)
+    axpy(p, [0.5, -0.25], [8, 8])  # a later call reuses the plan
+    assert list(p._plans) == [True] and p._plans[True] is plan
+    assert scratch.size == CHUNK and scratch.dtype == np.float64
+    assert plan[0] == scratch.nbytes
     for other in (p.copy(), p.subset(["b"]), p.subset(["w", "c"]),
                   ParamSet.from_bytes(p.to_bytes())):
-        assert other._plans == {} and other._scratch is None
+        assert other._plans == {}
         axpy(other, [0.25, 0.5, -0.25], [7, 8, 8])
-        assert not np.shares_memory(other._scratch, scratch)
-    assert p.subset(["b", "c"]).copy()._scratch is None
+        assert not np.shares_memory(_scratch(other, True), scratch)
+    assert p.subset(["b", "c"]).copy()._plans == {}
     f32 = _ramps([("w", (3, 5)), ("b", (2,))], np.float32)
     for kind in (FULL, SamplerKind.lowrank(2)):
         axpy(f32, 0.25, 7, kind)
-    assert f32._scratch.dtype == np.float32 and f32._scratch.size == 16
+    full, lowrank = _scratch(f32, True), _scratch(f32, False)
+    assert not np.shares_memory(full, lowrank)
+    for arr in (full, lowrank):  # min(largest, CHUNK), not rounded up
+        assert arr.dtype == np.float32 and arr.size == 15
     for _, views in f32._plans.values():
-        assert all(z.dtype == np.float32 for _, z, _, _ in views)
+        assert all(z.dtype == np.float32 for _, z, _ in views)
 
 
-# a 3-tensor set with one tensor above CHUNK: runs() cuts "w" in two and
-# half_runs() in three, and the last piece shares its run with "b" and "v"
+# a 3-tensor set with one tensor above CHUNK: runs() cuts "w" in two,
+# and the second piece shares its run with "b" and "v"
 _WIDE = [("w", (300, 256), -1.0, 1.0), ("b", (256,), 0.5, 2.0),
          ("v", (256, 10), -2.0, 0.0)]
 _WIDE_SHA256 = {
@@ -688,17 +682,14 @@ _PAIRED_SHA256 = {
 @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
 @pytest.mark.parametrize("seed", [7, 2 ** 64 - 1], ids=["seed7", "seedmax"])
 def test_paired_update_bytes_are_pinned(kind, dtype, seed):
-    # the two adjacent terms of one seed every q=1 step applies: under
-    # the full kind they run on half_runs, where the odd 15-element "w"
-    # is cut into pieces of 8 and 7 and its second piece shares a run
-    # with "b"
+    # two adjacent terms of one seed, each drawing its own z: digests
+    # taken when the two shared one draw, with the bytes of two calls
     p = ParamSet([
         ("w", np.linspace(-1.0, 1.0, 15).reshape(3, 5).astype(dtype)),
         ("b", np.array([0.5], dtype)),
         ("k", np.linspace(-2.0, 0.0, 6).reshape(2, 3).astype(dtype)),
         ("d", np.array([1.0], dtype)),
     ])
-    assert [len(parts) for *_, parts in p.half_runs()] == [1, 2, 2]
     axpy(p, [0.25, -0.125], [seed, seed], kind)
     digest = hashlib.sha256(p.to_bytes()).hexdigest()
     assert digest == _PAIRED_SHA256[(kind.variant, np.dtype(dtype).name, seed)]

@@ -535,7 +535,7 @@ def _layout_cases():
                                   SamplerKind.lowrank(2, normalize=True)],
                          ids=["full", "lowrank2"])
 def test_update_paths_match_reference_loop(tmp_path, kind, pg_width, combine):
-    # q=1 folds the last restore into the update's axpy; q=3 keeps it apart
+    # the last query's restore rides on its update term, at q=1 and q=3
     for (cfg, layout, initial), q in itertools.product(_layout_cases(), (1, 3)):
         model = make_model(cfg)
         tr, _ = gen_data(cfg)
@@ -544,27 +544,24 @@ def test_update_paths_match_reference_loop(tmp_path, kind, pg_width, combine):
                         master_seed=7, sampler=kind)
         header = SeedLogHeader.from_config(zcfg, initial.schema_hash,
                                            pg_width=pg_width)
-        lr_eff = zcfg.lr_effective
+        lr_eff, eps = zcfg.lr_effective, zcfg.epsilon
 
-        # live stage 2, from the params the perturbation cycles leave
-        # behind: the same step at lr=0 runs the cycles and skips the
-        # updates, as axpy skips a 0.0 coefficient
-        cycled = initial.copy()
-        zo_step(model, cycled, sampler.draw, replace(zcfg, lr=0.0), 0)
         live = initial.copy()
         step = zo_step(model, live, sampler.draw, zcfg, 0)
         seeds = [rec.seed for rec in step]
         pgs = [rec.proj_grad for rec in step]
-        assert live.equals_bitwise(
-            _reference_updates(cycled, seeds, pgs, -lr_eff, header)), (layout, q)
-        # and the cycles are the +eps / -2 eps / +eps single calls, each
-        # query's restore applied exactly once
-        eps = zcfg.epsilon
-        expected = initial.copy()
-        for seed in seeds:
-            for coeff in (eps, -2.0 * eps, eps):
-                axpy(expected, coeff, seed, kind)
-        assert cycled.equals_bitwise(expected), (layout, q)
+        # the perturbation cycles as +eps / -2 eps / +eps single calls,
+        # the last query's +eps left out ...
+        cycled = initial.copy()
+        for j, seed in enumerate(seeds):
+            for coeff in (eps, -2.0 * eps, eps)[:2 if j == q - 1 else 3]:
+                axpy(cycled, coeff, seed, kind)
+        # ... then stage 2 per record and tensor, the last coefficient
+        # -lr_eff * g_q + eps
+        expected = _reference_updates(cycled, seeds[:-1], pgs[:-1], -lr_eff,
+                                      header)
+        reference_axpy(expected, (-lr_eff * pgs[-1]) + eps, seeds[-1], kind)
+        assert live.equals_bitwise(expected), (layout, q)
 
         path = tmp_path / f"{layout}-q{q}.zolog"
         with SeedLogWriter(path, header) as w:

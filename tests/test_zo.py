@@ -388,8 +388,8 @@ def test_forwards_per_step():
 
 @pytest.mark.parametrize("q", [1, 2, 4])
 def test_step_makes_3q_axpy_calls(monkeypatch, q):
-    # every query but the last restores itself, and the last restore
-    # opens stage 2's one call: at q = 1 it shares the update's draw of z
+    # every query but the last restores itself, and the last restore is
+    # folded into its query's update coefficient in stage 2's one call
     from zobench import params as params_mod, samplers
 
     calls, fills = [], []
@@ -411,16 +411,19 @@ def test_step_makes_3q_axpy_calls(monkeypatch, q):
     cfg = ZOConfig(epsilon=1e-3, lr=0.01, q=q, master_seed=3)
     queries = zo_step(model, params, lambda i: None, cfg, 0)
     assert len(calls) == 3 * q
-    assert sum(fills) == (4 * q - (q == 1)) * params.num_elements()
-    # with the bytes of a +eps / -2 eps / +eps cycle per query, then one
-    # update per query, each a single call
+    assert sum(fills) == (4 * q - 1) * params.num_elements()
+    # with the bytes of a +eps / -2 eps / +eps cycle per query, the last
+    # +eps left out, then one update per query, each a single call, the
+    # last one's coefficient carrying that +eps
     monkeypatch.undo()
     expected = model.init(0)
-    for rec in queries:
-        for coeff in (cfg.epsilon, -2.0 * cfg.epsilon, cfg.epsilon):
+    eps = cfg.epsilon
+    for j, rec in enumerate(queries):
+        for coeff in (eps, -2.0 * eps, eps)[:2 if j == q - 1 else 3]:
             axpy(expected, coeff, rec.seed)
-    for rec in queries:
-        axpy(expected, -cfg.lr_effective * rec.proj_grad, rec.seed)
+    for j, rec in enumerate(queries):
+        coeff = -cfg.lr_effective * rec.proj_grad
+        axpy(expected, (coeff + eps) if j == q - 1 else coeff, rec.seed)
     assert params.equals_bitwise(expected)
 
 
