@@ -1,8 +1,8 @@
 """zobench: zeroth-order optimization with seed-replay checkpoints.
 
 A numpy library implementing gradient-free training via paired-forward
-randomized gradient estimation (q queries per step), memory-frugal
-in-place perturbation with seed regeneration, full-Gaussian and low-rank
+randomized gradient estimation (q queries per step), read-only
+perturbation probes with seed regeneration, full-Gaussian and low-rank
 perturbation samplers, binary seed-log checkpoints with replay/revert,
 an episodic test-time-adaptation loop, first-order reference optimizers,
 and an experiment harness with a CLI.

@@ -3,8 +3,11 @@
 Every model exposes ``loss`` (all a zeroth-order optimizer needs),
 an analytic ``loss_and_grad`` (for first-order baselines and for oracle
 checks against central differences), and ``predict`` where it makes
-sense.  ``loss_and_grad`` takes both from one forward, and its loss
-has the bits of ``loss``'s: its kernels share the softmax's pieces
+sense.  A forward reads a weight it multiplies as ``params.matmul(x,
+name)``, which is ``x @ params[name]`` on a ParamSet and lets a ZO
+probe answer without building the perturbed weight.
+``loss_and_grad`` takes both from one forward, and its loss has the
+bits of ``loss``'s: its kernels share the softmax's pieces
 between loss and gradient only where the arithmetic stays the same.
 Its gradient is one zeroed set in the parameters' layout, in the
 backward's dtype (``ParamSet.zeros``), which the backward fills tensor
@@ -223,7 +226,7 @@ class _LogisticCore(_SoftmaxCore):
         self.name = "logistic"
 
     def forward(self, params, x):
-        return x @ params["weight"] + params["bias"], None
+        return params.matmul(x, "weight") + params["bias"], None
 
     def backward(self, params, x, dscores, cache, grads):
         np.matmul(x.T, dscores, out=grads["weight"])
@@ -263,10 +266,10 @@ class _MLPCore(_SoftmaxCore):
         self.name = "mlp"
 
     def forward(self, params, x):
-        h = x @ params["layer1.weight"]
+        h = params.matmul(x, "layer1.weight")
         h += params["layer1.bias"]
         np.tanh(h, out=h)
-        scores = h @ params["head.weight"]
+        scores = params.matmul(h, "head.weight")
         scores += params["head.bias"]
         return scores, h
 
@@ -307,7 +310,7 @@ class _SeqCore(_SoftmaxCore):
         self.name = "seq"
 
     def _hidden(self, params, x):
-        a = np.tanh(x @ params["feat.weight"] + params["feat.bias"])
+        a = np.tanh(params.matmul(x, "feat.weight") + params["feat.bias"])
         d = a - _mean(a, -1, True)
         std = np.sqrt(_mean(d * d, -1, True) + _LN_EPS)
         xhat = d / std
@@ -330,7 +333,7 @@ class _SeqCore(_SoftmaxCore):
     def forward(self, params, x):
         a, xhat, std, y = self._hidden(params, x)
         pooled = _mean(y, 1)
-        scores = pooled @ params["head.weight"] + params["head.bias"]
+        scores = params.matmul(pooled, "head.weight") + params["head.bias"]
         return scores, (a, xhat, std, y, pooled)
 
     def backward(self, params, x, dscores, cache, grads):
@@ -345,7 +348,7 @@ class _SeqCore(_SoftmaxCore):
     def entropy_forward(self, params, x):
         """Frame-level scores, one softmax distribution per (sample, frame)."""
         a, xhat, std, y = self._hidden(params, x)
-        frame_scores = y @ params["head.weight"] + params["head.bias"]
+        frame_scores = params.matmul(y, "head.weight") + params["head.bias"]
         b, f, c = frame_scores.shape
         return frame_scores.reshape(b * f, c), (a, xhat, std, y)
 

@@ -1,4 +1,4 @@
-"""Named parameter tensors and in-place seeded perturbation.
+"""Named parameter tensors, seeded updates and read-only probes.
 
 A ParamSet is an ordered, named collection of dense float arrays.  The
 iteration order is fixed at construction and is load-bearing: the i-th
@@ -12,10 +12,10 @@ tensors group into runs: tensors whose offsets follow on from each
 other, at most :data:`CHUNK` elements per run under the full kind, a
 tensor above that drawn piece by piece from its one stream.
 
-axpy is the one update kernel, with one body: the perturbation cycle
-calls it with one coefficient and one seed, and stage-2 updates, seed-log
-replay and revert with a list of terms, one per (seed, proj_grad)
-record, one call per step or log.  Each term draws its own z.  A
+axpy is the one update kernel, with one body and the only writer of a
+set's tensors: stage-2 updates, seed-log replay and revert call it with
+a list of terms, one per (seed, proj_grad) record, one call per step or
+log.  Each term draws its own z.  A
 direction is named by (seed, kind) alone; epsilon only sets the
 coefficient.  axpy's one temporary is a scratch array that lives with
 the set's update plan, built on first use with the views onto it: under
@@ -27,6 +27,15 @@ must not be updated from two threads at once, while separate sets,
 subsets and copies each have their own.  z comes from the calling
 thread's rekeyed stream (see :func:`zobench.streams.thread_stream`),
 never from a newly built one.
+
+A query perturbs nothing in place: :meth:`ParamSet.probes` gives two
+read-only :class:`Probe` views, theta + eps z and theta - eps z, with
+the z axpy adds.  A probe builds a tensor the model indexes,
+``params[name]``, from eps z_i drawn once for both probes, and answers
+``params.matmul(x, name)`` with ``x @ theta_i`` plus or minus ``eps (x
+@ z_i)``, drawing that z in pieces of at most :data:`PIECE` elements
+and never building the weight.  A probe's transients are those pieces
+and the kept eps z_i; its products are activations, like the forward's.
 
 The whole-set helpers keep the same bound: ``max_abs_diff`` and
 ``equals_bitwise`` walk the tensors in CHUNK-element pieces through one
@@ -47,6 +56,7 @@ import hashlib
 import io
 import math
 import struct
+import weakref
 
 import numpy as np
 
@@ -55,14 +65,22 @@ from .samplers import FULL, SamplerKind, alloc_tracker, sample_for_tensor
 # GaussianStream stays a module attribute: bench/spans.py wraps it by this name.
 from .streams import GaussianStream, check_u64, thread_stream  # noqa: F401
 
-__all__ = ["ParamSet", "SchemaMismatchError", "ParamSetFormatError", "axpy",
-           "CHUNK"]
+__all__ = ["ParamSet", "Probe", "SchemaMismatchError", "ParamSetFormatError",
+           "axpy", "CHUNK"]
 
 # Elements per run of the full kind's update plan, and so the most its
 # scratch holds: 512 KB of float64 stays in a 2 MB L2 cache between a
 # run's fill, scale and add.  Fills are prefix-consistent, so the cap
 # changes no byte of any update.
 CHUNK = 2 ** 16
+# A probe draws the z of a weight it multiplies in pieces of at most PIECE
+# elements: whole rows, at most PIECE_ROWS of them (so a narrow weight's
+# pieces stay small), or a slice of one row wider than PIECE.  Its partial
+# products go through one scratch of at most PIECE elements too, so a
+# product costs two 128 KB buffers of float64 beside its result, which is
+# an activation.
+PIECE = 2 ** 14
+PIECE_ROWS = 256
 
 _MAGIC = b"ZOPS"
 _VERSION = 1
@@ -147,6 +165,8 @@ class ParamSet:
         """Set this set's state: ``index`` maps each name in ``layout``, a
         list of ``(name, offset, shape)``, to its view of the 1-D ``buf``."""
         self._buf, self._layout, self._index = buf, layout, index
+        # the substream each tensor draws its z from: its place in the set
+        self._position = {name: i for i, (name, _, _) in enumerate(layout)}
         self._largest = max(arr.size for arr in self._index.values())
         # axpy's plan per kind family (full or not), built on first use
         self._plans, self._schema_hash = {}, None
@@ -185,6 +205,31 @@ class ParamSet:
             raise SchemaMismatchError(
                 f"ParamSet schema {self.schema_hash:#018x} does not match "
                 f"expected {schema_hash:#018x}")
+
+    def matmul(self, x, name: str) -> np.ndarray:
+        """``x @ self[name]``: how a model reads a weight it multiplies.
+
+        A :class:`Probe` answers the same call without building its
+        perturbed tensor.  A model that only indexes ``params[name]``
+        works on a probe too; the probe then builds that tensor per call.
+        """
+        return x @ self._index[name]
+
+    def over(self, base: "ParamSet") -> "ParamSet":
+        """This set's tensors as read through ``base``, a set that holds
+        them (one this set is a subset of): ``base`` itself, since the two
+        share storage.  A :class:`Probe` lays its perturbation over it."""
+        return base
+
+    def probes(self, seed: int, epsilon: float, kind: SamplerKind = FULL):
+        """The read-only pair ``(theta + eps z, theta - eps z)``, z = z(seed, kind).
+
+        Use as ``with params.probes(seed, eps, kind) as (plus, minus):``.
+        Both are :class:`Probe` views over one query's draws, valid inside
+        the block; this set is never written.  z is the one ``axpy`` adds:
+        tensor i from substream i of ``seed``.
+        """
+        return _Draws(self, check_u64("seed", seed), float(epsilon), kind)
 
     # -- views and copies --------------------------------------------------
 
@@ -427,6 +472,148 @@ class ParamSet:
     def __repr__(self):  # pragma: no cover
         inner = ", ".join(f"{n}{list(a.shape)}" for n, a in self.items())
         return f"ParamSet({inner})"
+
+
+class Probe:
+    """A read-only view of ``theta + sign * eps * z(seed, kind)``.
+
+    :meth:`ParamSet.probes` builds one per sign over one query's draws; a
+    model reads it as it reads a ParamSet, and the set is never written.
+    ``probe[name]`` builds the tensor new, theta_i + eps z_i or theta_i -
+    eps z_i, from an eps z_i drawn once per query and kept for the other
+    probe.  ``probe.matmul(x, name)`` never builds a 2-D weight: it
+    returns ``x @ theta_i`` plus or minus ``eps (x @ z_i)``, the product
+    drawn first, piece by piece, and kept for the other probe while x is
+    the same array.  A probe laid :meth:`over` a larger set reads that
+    set's other tensors unperturbed.  A model reads a probe through
+    these three calls only.
+    """
+
+    def __init__(self, draws: "_Draws", sign: int, base: ParamSet):
+        self._draws, self._sign, self._base = draws, sign, base
+        self._probed = draws.params._index  # the perturbed tensors, by name
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        theta = self._probed.get(name)
+        if theta is None:
+            return self._base[name]
+        ez = self._draws.scaled(name, theta)
+        return theta + ez if self._sign > 0 else theta - ez
+
+    def matmul(self, x, name: str) -> np.ndarray:
+        theta = self._probed.get(name)
+        if theta is None:
+            return self._base.matmul(x, name)
+        x = np.asarray(x)
+        if theta.ndim != 2 or x.ndim == 0 or x.shape[-1] != len(theta):
+            return x @ self[name]
+        # the product first: its draw buffers are freed before y exists
+        ez = self._draws.product(x, name, theta)
+        y = x @ theta
+        return np.add(y, ez, y) if self._sign > 0 else np.subtract(y, ez, y)
+
+    def over(self, base: ParamSet) -> "Probe":
+        """This probe's perturbation laid over ``base``, a set that holds
+        the probed tensors (one the probed set is a subset of)."""
+        return Probe(self._draws, self._sign, base)
+
+
+class _Draws:
+    """One query's draws of eps z(seed, kind) over ``params``, shared by
+    its two probes, and the context that hands them out.
+
+    ``scaled`` keeps eps z_i per indexed tensor; ``product`` keeps eps (x
+    @ z_i) per multiplied weight with a weak reference to x, so a freed
+    input, or a new array in its place, is never taken for it.  Each
+    draw comes from the calling thread's stream restarted at (seed, i),
+    as ``axpy``'s does.  The kept eps z_i are reported to
+    ``alloc_tracker`` until the context exits, a product's z while it is
+    drawn; the products themselves are activations.
+    """
+
+    def __init__(self, params: ParamSet, seed: int, epsilon: float,
+                 kind: SamplerKind):
+        self.params, self.seed, self.eps, self.kind = params, seed, epsilon, kind
+        self.full = kind.variant == "full"
+        self._scaled, self._products, self._kept = {}, {}, 0
+
+    def __enter__(self):
+        return Probe(self, +1, self.params), Probe(self, -1, self.params)
+
+    def __exit__(self, *exc):
+        alloc_tracker.free(self._kept)
+        self._scaled, self._products, self._kept = {}, {}, 0
+
+    def _draw(self, name: str, z: np.ndarray) -> np.ndarray:
+        """z_i of tensor ``name``, drawn whole into ``z`` (of its shape)."""
+        stream = thread_stream(self.seed, self.params._position[name])
+        if self.full:
+            samplers.gaussian_fill(stream, None, z.dtype, z)
+        else:
+            sample_for_tensor(stream, z.shape, self.kind, z.dtype, z)
+        return z
+
+    def scaled(self, name: str, theta: np.ndarray) -> np.ndarray:
+        ez = self._scaled.get(name)
+        if ez is None:
+            ez = self._draw(name, np.empty(theta.shape, theta.dtype))
+            ez *= self.eps
+            self._scaled[name] = ez
+            self._kept += ez.nbytes
+            alloc_tracker.alloc(ez.nbytes)
+        return ez
+
+    def product(self, x: np.ndarray, name: str, theta: np.ndarray) -> np.ndarray:
+        kept = self._products.get(name)
+        if kept is not None and kept[0]() is x:
+            return kept[1]
+        rows, cols = theta.shape
+        x2 = x if x.ndim == 2 else x.reshape(-1, rows)
+        if self.full and (theta.size > PIECE or rows > PIECE_ROWS):
+            stream = thread_stream(self.seed, self.params._position[name])
+            ez = _pieced_product(stream, x2, rows, cols, theta.dtype)
+        else:  # one piece, or a low-rank z, which cannot be cut: drawn whole
+            z = np.empty(theta.shape, theta.dtype)
+            alloc_tracker.alloc(z.nbytes)
+            ez = x2 @ self._draw(name, z)
+            alloc_tracker.free(z.nbytes)
+        ez *= self.eps
+        if x.ndim != 2:
+            ez = ez.reshape(x.shape[:-1] + (cols,))
+        self._products[name] = (weakref.ref(x), ez)
+        return ez
+
+
+def _pieced_product(stream, x2: np.ndarray, rows: int, cols: int,
+                    dtype) -> np.ndarray:
+    """``x2 @ z`` for the full kind's z of a ``rows x cols`` weight.
+
+    z is drawn in stream order, in pieces of at most :data:`PIECE`
+    elements: at most :data:`PIECE_ROWS` whole rows, or a slice of one
+    row wider than ``PIECE``.  Each piece's product is added to the
+    result a block of result rows at a time, through one scratch of at
+    most ``PIECE`` elements.
+    """
+    step = max(1, min(rows, PIECE_ROWS, PIECE // cols))
+    width = min(cols, PIECE)
+    m, block = x2.shape[0], max(1, PIECE // width)
+    out = np.zeros((m, cols), np.result_type(x2, dtype))
+    partial = np.empty(min(m, block) * width, out.dtype)
+    z = np.empty(step * width, dtype)
+    alloc_tracker.alloc(z.nbytes)
+    fill = samplers.gaussian_fill  # looked up here so bench/spans.py can wrap it
+    for r0 in range(0, rows, step):
+        xp = x2[:, r0:r0 + step]
+        for c0 in range(0, cols, width):
+            zp = z[:xp.shape[1] * min(width, cols - c0)].reshape(xp.shape[1], -1)
+            fill(stream, None, dtype, zp)
+            w = zp.shape[1]
+            for i0 in range(0, m, block):
+                xb = xp[i0:i0 + block]
+                out[i0:i0 + block, c0:c0 + w] += np.matmul(
+                    xb, zp, out=partial[:len(xb) * w].reshape(len(xb), w))
+    alloc_tracker.free(z.nbytes)
+    return out
 
 
 def _schema_hash(entries) -> int:

@@ -43,7 +43,9 @@ class AllocationTracker:
     returns, so ``active`` is 0 between calls, and an array a call returns
     is the caller's, not a transient.  ``axpy`` reports its scratch at its
     entry and exit, although the scratch itself lives with the ParamSet
-    from its first call on.  Not thread safe; reset before each measured
+    from its first call on; a probe pair reports each piece of z it draws
+    while it draws it, and the eps z_i it keeps for both probes until its
+    ``with`` block ends.  Not thread safe; reset before each measured
     region.
     """
 

@@ -74,14 +74,16 @@ class TTAEpisodeConfig:
 def _masked_objective(model: Model, full_params: ParamSet, mask_names):
     """Entropy objective seen through the masked parameter subset.
 
-    The subset shares storage with ``full_params``: the optimizer mutates
+    The subset shares storage with ``full_params``: the optimizer updates
     the subset, the forward pass reads the full set, and the unmasked
-    tensors are never touched.
+    tensors are never touched.  A probe of the subset is laid over the
+    full set (``over``), so the forward reads the masked tensors
+    perturbed and the rest as they are.
     """
     obj = entropy_objective(model)
 
     def loss(sub_params, batch):
-        return obj.loss(full_params, batch)
+        return obj.loss(sub_params.over(full_params), batch)
 
     def loss_and_grad(sub_params, batch):
         loss, grads = obj.loss_and_grad(full_params, batch)

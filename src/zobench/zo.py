@@ -1,21 +1,20 @@
 """Two-stage zeroth-order SGD with seed-replay updates.
 
 One training step runs in two stages.  Stage 1 estimates q projected
-gradients: for each query, the parameters are perturbed in place by
-+eps*z, evaluated, moved to -eps*z, evaluated, and restored, yielding
-g = (l_plus - l_minus) / (2 eps).  Only the seed and the scalar g are
-kept: ``train`` returns them as QueryRecords flat in log order,
-step-major and query-minor, as a seed log stores them.  Stage 2
-regenerates each z from its seed and the sampler kind and applies
-theta -= lr_eff * g * z in one ``axpy`` call, one term per query, the
-same kernel and call form with which :func:`zobench.seedlog.replay`
-and ``revert`` apply a log; eps sizes the probes only, so replay and
-revert never read it.  The last query's +eps restore is folded into
-that query's own update coefficient, -lr_eff * g_q + eps, so its z is
-drawn once for both.
+gradients: for each query, the model evaluates two read-only probes of
+the parameters, theta + eps*z and theta - eps*z (``ParamSet.probes``),
+yielding g = (l_plus - l_minus) / (2 eps); theta is not written.  Only
+the seed and the scalar g are kept: ``train`` returns them as
+QueryRecords flat in log order, step-major and query-minor, as a seed
+log stores them.  Stage 2 regenerates each z from its seed and the
+sampler kind and applies theta -= lr_eff * g * z in one ``axpy`` call,
+one term per query, the same kernel and call form with which
+:func:`zobench.seedlog.replay` and ``revert`` apply a log.  So theta
+changes only through the terms replay applies, and eps sizes the probes
+only: replay and revert never read it.
 
-Every perturbation and update goes through ``params.axpy``, looked up on
-the module at call time, so a wrapper installed there sees every call.
+Every update goes through ``params.axpy``, looked up on the module at
+call time, so a wrapper installed there sees every call.
 
 Query estimates are combined either by plain accumulation (the default:
 each query contributes lr * g, so the effective step grows with q) or by
@@ -52,8 +51,9 @@ class NumericError(ArithmeticError):
     """A forward pass returned a non-finite loss.
 
     Carries the perturbation seed, and the step and query that
-    ``zo_step`` fills in, so the failure is reproducible; the failing
-    step leaves the parameters at their pre-step values.  ``train`` adds
+    ``zo_step`` fills in, so the failure is reproducible; the probes
+    never write the parameters, so the failing step leaves them
+    bit-identical to their pre-step values.  ``train`` adds
     the completed steps' records, in log order, as ``records``.
     """
 
@@ -134,28 +134,22 @@ def derive_seed(master_seed: int, step: int, query: int) -> int:
 
 
 def rge_proj_grad(model, params: ParamSet, batch, seed: int, epsilon: float,
-                  kind: SamplerKind = FULL, *, restore: bool = True
-                  ) -> QueryRecord:
+                  kind: SamplerKind = FULL) -> QueryRecord:
     """One paired-forward projected-gradient estimate along z(seed, kind).
 
     Returns the QueryRecord; its ``proj_grad`` is the estimate.  The
-    parameters go through the in-place +eps / -2 eps / +eps cycle and end
-    within a few ulps of where they started, whatever the losses come out
-    to.  With ``restore=False`` the final +eps is left to the caller and
-    the parameters end at -eps * z, unless a loss is non-finite: the
-    cycle then completes before NumericError is raised.  Raises
-    ValueError unless epsilon is a finite positive number.
+    model's ``loss`` runs once on each of the read-only probes theta +
+    eps * z and theta - eps * z (``ParamSet.probes``), so the parameters
+    are never written, whatever the losses come out to.  Raises
+    ValueError unless epsilon is a finite positive number, and
+    NumericError if either loss is non-finite.
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
-    _params.axpy(params, +epsilon, seed, kind)
-    loss_plus = float(model.loss(params, batch))
-    _params.axpy(params, -2.0 * epsilon, seed, kind)
-    loss_minus = float(model.loss(params, batch))
-    finite = math.isfinite(loss_plus) and math.isfinite(loss_minus)
-    if restore or not finite:
-        _params.axpy(params, +epsilon, seed, kind)
-    if not finite:
+    with params.probes(seed, epsilon, kind) as (plus, minus):
+        loss_plus = float(model.loss(plus, batch))
+        loss_minus = float(model.loss(minus, batch))
+    if not (math.isfinite(loss_plus) and math.isfinite(loss_minus)):
         raise NumericError(
             f"non-finite loss under perturbation seed {seed} "
             f"(l+={loss_plus}, l-={loss_minus})", seed=seed)
@@ -172,12 +166,11 @@ def zo_step(model, params: ParamSet, batch_source: Callable, config: ZOConfig,
     and evaluates ``batch_source(t * q + j)`` in fresh batch mode, or
     ``batch_source(t)`` for every query in shared mode.  Returns the q
     QueryRecords in query order.  On a non-finite loss the step aborts
-    with the parameters already restored and no updates applied.
+    before its update, the parameters unwritten.
 
-    Stage 2 is one ``axpy`` call, one term per query on seeds ``[s_1,
-    ..., s_q]`` with coefficients ``-lr_eff * g_j``, the last query's
-    +eps restore added to its own: ``-lr_eff * g_q + eps``.  A step
-    makes 3q calls and draws z 4q - 1 times.
+    Stage 2 is the step's one write: one ``axpy`` call over seeds ``[s_1,
+    ..., s_q]`` with coefficients ``-lr_eff * g_j``, the terms replay
+    applies for the step's records.
     """
     q = config.q
     queries = []
@@ -186,14 +179,14 @@ def zo_step(model, params: ParamSet, batch_source: Callable, config: ZOConfig,
         batch = batch_source(t * q + j if config.batch_mode == "fresh" else t)
         try:
             rec = rge_proj_grad(model, params, batch, seed, config.epsilon,
-                                config.sampler, restore=j < q - 1)
+                                config.sampler)
         except NumericError as exc:
             exc.step, exc.query = t, j
             raise
         queries.append(rec)
-    coeffs = [-config.lr_effective * rec.proj_grad for rec in queries]
-    coeffs[-1] += config.epsilon
-    _params.axpy(params, coeffs, [rec.seed for rec in queries], config.sampler)
+    lr_eff = config.lr_effective
+    _params.axpy(params, [-lr_eff * rec.proj_grad for rec in queries],
+                 [rec.seed for rec in queries], config.sampler)
     return queries
 
 

@@ -7,16 +7,20 @@ calls, Gaussian elements filled and the transient peak, per op) repeat
 exactly from run to run.  One short traced run per
 workload catches that here (about 3 s each; train-wide's 1.07M-parameter
 set-up and steps take about 7 s, and tta-seq's set-up and each run are
-whole 100-episode streams, about 12 s).  Each draw of z fills the whole
-set once, so the pinned fill count is the draws of z per op times the
-set's size.  ``axpy`` takes a batch of records in one call, so replay,
-revert and each stage-2 update count once.  A ZO step makes 3q calls
-and draws z 4q - 1 times: each query's +eps / -2 eps / +eps cycle, the
-last query's +eps folded into its update term, then one draw per
-query's update.  So a checkpoint op (replay and revert of 128 records)
-draws z 256 times, a train-small step (q=4) 15 times, a train-wide step
-(q=1) 3 times and a tta-seq episode (20 steps at q=4) 300, plus the 80
-of its revert reset.
+whole 100-episode streams, about 12 s).  ``axpy`` takes a batch of
+records in one call, so replay, revert and each step's update count
+once: a ZO step writes theta once, and a tta-seq episode makes 20
+steps' calls and its revert reset's one.  Each update term fills the
+whole set once.  A query's probes draw a tensor the model indexes once,
+and a weight it multiplies once per distinct input array: once for a
+first layer, whose input is the batch, twice for a head, whose input
+differs between the probes.  So on the mlp (404 elements, 64 in its
+head's weight) a train-small step (q=4) fills 4 * (404 + 64) + 4 * 404
+= 3,488 elements, a train-wide step (q=1, 20,480 in the head's weight)
+2 * 1,071,114 + 20,480 = 2,162,708, a checkpoint op (replay and revert
+of 128 records) 256 * 404 = 103,424, and a tta-seq episode, whose
+masked 88 elements hold no head, 80 * 88 for its probes, 80 * 88 for its
+updates and 80 * 88 for its reset: 21,120.
 """
 
 import json
@@ -29,13 +33,13 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-# per-op axpy calls, draws of z, set size and transient peak bytes, by
-# workload
+# per-op axpy calls, Gaussian elements filled and transient peak bytes,
+# by workload
 PER_OP = {
-    "checkpoint": (2, 256, 404, 2_560),
-    "train-small": (12, 15, 404, 2_560),
-    "tta-seq": (241, 380, 88, 512),
-    "train-wide": (3, 3, 1_071_114, 524_288),
+    "checkpoint": (2, 103_424, 2_560),
+    "train-small": (1, 3_488, 2_560),
+    "tta-seq": (21, 21_120, 512),
+    "train-wide": (1, 2_162_708, 524_288),
 }
 
 
@@ -47,7 +51,7 @@ PER_OP = {
     pytest.param("train-wide", 2, id="train-wide-3-2"),
 ])
 def test_traced_bench_run(tmp_path, workload, loss_per_op):
-    axpy_per_op, draws_per_op, set_size, transient_bytes = PER_OP[workload]
+    axpy_per_op, fills_per_op, transient_bytes = PER_OP[workload]
     proc = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "run.py"), "--workload",
          workload, "--seed", "601", "--seconds", "1", "--trace", "1"],
@@ -60,6 +64,5 @@ def test_traced_bench_run(tmp_path, workload, loss_per_op):
     assert metrics["params.axpy.count"]["value"] == axpy_per_op
     assert metrics["models.loss.count"]["value"] == loss_per_op
     # a kernel that bypasses the fill shim or grows its scratch shows here
-    assert metrics["streams.fill.elems"]["value"] == draws_per_op * set_size, (
-        f"expected {draws_per_op} draws of z per op")
+    assert metrics["streams.fill.elems"]["value"] == fills_per_op
     assert metrics["params.transient_peak_bytes"]["value"] == transient_bytes

@@ -356,6 +356,30 @@ def trained_run(tmp_path, steps=50, q=4, kind=FULL):
     return initial, params, path
 
 
+@pytest.mark.parametrize("combine", ["accumulate", "mean"])
+@pytest.mark.parametrize("q", [1, 4])
+@pytest.mark.parametrize("kind", [FULL, SamplerKind.lowrank(2, normalize=True)],
+                         ids=["full", "lowrank2"])
+def test_replay_of_a_full_width_log_is_the_live_run(tmp_path, kind, q, combine):
+    # the probes never write theta, so a live run changes it only through
+    # stage 2's axpy terms; a log that stores each g at full width holds
+    # exactly those terms, and replay equals the live run bit for bit
+    cfg = DataGenConfig(task="mlp", dim=20, hidden=16, classes=4, n_train=128,
+                        seed=0)
+    model = make_model(cfg)
+    tr, _ = gen_data(cfg)
+    initial = model.init(0)
+    live = initial.copy()
+    zcfg = ZOConfig(epsilon=1e-3, lr=0.05, q=q, steps=50, combine=combine,
+                    master_seed=7, sampler=kind)
+    header = SeedLogHeader.from_config(zcfg, initial.schema_hash, pg_width=8)
+    path = tmp_path / "run.zolog"
+    with SeedLogWriter(path, header) as w:
+        train(model, BatchSampler(tr, 16, seed=0).draw, zcfg, live,
+              log_writer=w)
+    assert replay(initial, read_log(path)).equals_bitwise(live)
+
+
 @pytest.mark.parametrize("pg_width", [4, 8])
 def test_from_records_equals_written_log(tmp_path, pg_width):
     # train returns its records flat in log order: the log its writer wrote
@@ -535,7 +559,8 @@ def _layout_cases():
                                   SamplerKind.lowrank(2, normalize=True)],
                          ids=["full", "lowrank2"])
 def test_update_paths_match_reference_loop(tmp_path, kind, pg_width, combine):
-    # the last query's restore rides on its update term, at q=1 and q=3
+    # the probes write nothing, so a step is its update terms: the
+    # reference loop over that step's records, at q=1 and q=3
     for (cfg, layout, initial), q in itertools.product(_layout_cases(), (1, 3)):
         model = make_model(cfg)
         tr, _ = gen_data(cfg)
@@ -544,23 +569,13 @@ def test_update_paths_match_reference_loop(tmp_path, kind, pg_width, combine):
                         master_seed=7, sampler=kind)
         header = SeedLogHeader.from_config(zcfg, initial.schema_hash,
                                            pg_width=pg_width)
-        lr_eff, eps = zcfg.lr_effective, zcfg.epsilon
+        lr_eff = zcfg.lr_effective
 
         live = initial.copy()
         step = zo_step(model, live, sampler.draw, zcfg, 0)
-        seeds = [rec.seed for rec in step]
-        pgs = [rec.proj_grad for rec in step]
-        # the perturbation cycles as +eps / -2 eps / +eps single calls,
-        # the last query's +eps left out ...
-        cycled = initial.copy()
-        for j, seed in enumerate(seeds):
-            for coeff in (eps, -2.0 * eps, eps)[:2 if j == q - 1 else 3]:
-                axpy(cycled, coeff, seed, kind)
-        # ... then stage 2 per record and tensor, the last coefficient
-        # -lr_eff * g_q + eps
-        expected = _reference_updates(cycled, seeds[:-1], pgs[:-1], -lr_eff,
-                                      header)
-        reference_axpy(expected, (-lr_eff * pgs[-1]) + eps, seeds[-1], kind)
+        expected = _reference_updates(initial, [rec.seed for rec in step],
+                                      [rec.proj_grad for rec in step],
+                                      -lr_eff, header)
         assert live.equals_bitwise(expected), (layout, q)
 
         path = tmp_path / f"{layout}-q{q}.zolog"

@@ -83,9 +83,8 @@ def test_zero_lr_episode_changes_nothing():
     adapted = params.copy()
     adapt_sample(model, adapted, stream[0].batch(), mask, zo_episode(lr=0.0),
                  episode_seed=3)
-    # no updates are applied; only few-ulp residue from the perturb cycle
-    assert adapted.max_abs_diff(params) < 1e-12
-    np.testing.assert_array_equal(adapted["head.weight"], params["head.weight"])
+    # the probes write nothing and every update term is 0, so skipped
+    assert adapted.equals_bitwise(params)
 
 
 def test_zo_episode_forward_count_is_2qk():

@@ -142,11 +142,83 @@ def test_proj_grad_zero_for_constant_loss():
 
 
 def test_proj_grad_restores_params():
+    # the probes are read-only: the parameters are never written
     model = bowl()
     params = model.init(0)
     before = params.copy()
     rge_proj_grad(model, params, None, 7, 1e-3)
-    assert params.max_abs_diff(before) < 1e-12
+    assert params.equals_bitwise(before)
+
+
+def _probe_cases():
+    """(name, loss of a probe, loss of a set, params, probed subset, batch)
+    per probe read path."""
+    from zobench.models import (BatchSampler, DataGenConfig, entropy_objective,
+                                gen_data, gen_shifted_stream,
+                                logistic_regression, make_model)
+    from zobench.tta import AdaptMask, _masked_objective
+
+    def labeled(model_cfg, batch=16):
+        model = make_model(model_cfg)
+        params = model.init(1)
+        params._buf += 0.05 * np.random.default_rng(0).normal(
+            size=params.num_elements())  # a head that is not all zeros
+        return model, params, BatchSampler(gen_data(model_cfg)[0], batch,
+                                           seed=0).draw(0)
+
+    cases = []
+    # layer1.weight is 300 x 257 (77,100 elements, above CHUNK): drawn in
+    # pieces of 63 rows, its head whole; then one whose rows are wider
+    # than PIECE, drawn in slices of a row
+    for dim, hidden in ((300, 257), (5, 17_000)):
+        model, params, batch = labeled(DataGenConfig(
+            task="mlp", dim=dim, hidden=hidden, classes=3, n_train=64, seed=0))
+        cases.append((f"mlp{dim}x{hidden}", model.loss, model.loss, params,
+                      params, batch))
+    logistic = logistic_regression(6, 3)
+    _, lparams, lbatch = labeled(DataGenConfig(task="logistic", dim=6,
+                                               classes=3, n_train=64, seed=0))
+    cases.append(("logistic", logistic.loss, logistic.loss, lparams, lparams,
+                  lbatch))
+    quad = bowl()
+    qparams = quad.init(2)
+    cases.append(("quadratic", quad.loss, quad.loss, qparams, qparams, None))
+    # a model that indexes a 2-D weight instead of multiplying it
+    w = ParamSet([("w", np.linspace(-1.0, 1.0, 12).reshape(4, 3))])
+
+    def indexed(p, b):
+        return float(np.tanh(b @ p["w"]).sum())
+
+    cases.append(("indexed", indexed, indexed, w, w,
+                  np.linspace(0.5, 2.0, 8).reshape(2, 4)))
+    # TTA: the masked seq subset's probe laid over the full set
+    seq_cfg = DataGenConfig(task="seq", frames=6, feat_dim=5, classes=3,
+                            hidden=7, n_train=32, seed=0)
+    model, params, _ = labeled(seq_cfg)
+    names = AdaptMask(["feat.*", "norm.*"]).resolve(params)
+    sub = params.subset(names)
+    sample = gen_shifted_stream(seq_cfg, 1)[0].batch()
+    cases.append(("tta-seq", _masked_objective(model, params, names).loss,
+                  entropy_objective(model).loss, params, sub, sample))
+    return cases
+
+
+@pytest.mark.parametrize("kind", [FULL, SamplerKind.lowrank(2, normalize=True)],
+                         ids=["full", "lowrank2"])
+def test_probes_match_an_axpy_reference(kind):
+    # l+ and l- of the read-only probes agree with the losses of a copy
+    # moved by axpy to +eps z and -eps z, and the probed set is untouched
+    eps, seed = 1e-3, 11
+    for name, loss, set_loss, params, probed, batch in _probe_cases():
+        before = params.copy()
+        with probed.probes(seed, eps, kind) as probes:
+            got = [loss(probe, batch) for probe in probes]
+        assert params.equals_bitwise(before), name
+        for sign, value in zip((+1, -1), got):
+            moved = params.copy()
+            axpy(moved.subset(probed.names), sign * eps, seed, kind)
+            want = set_loss(moved, batch)
+            assert abs(value - want) <= 1e-12 * abs(want), (name, sign)
 
 
 @pytest.mark.parametrize("epsilon", [0.0, -1e-3, float("nan"), float("inf")],
@@ -173,14 +245,14 @@ def test_numeric_error_carries_seed_and_restores():
     with pytest.raises(NumericError) as exc:
         rge_proj_grad(model, params, None, 123, 1e-3)
     assert exc.value.seed == 123
-    # the perturb cycle completed before the raise: params restored
-    assert params.max_abs_diff(before) < 1e-12
+    # the probes never wrote the parameters
+    assert params.equals_bitwise(before)
 
 
 @pytest.mark.parametrize("nan_call", [1, 2], ids=["plus", "minus"])
 def test_numeric_error_at_q1_restores_and_skips_the_update(nan_call):
-    # a q=1 step leaves its last restore to stage 2; a non-finite loss
-    # still ends the cycle where three single calls leave it, no update
+    # a non-finite loss aborts the step before its one write: the
+    # parameters end bit-identical to their pre-step values
     inner = bowl()
     calls = []
 
@@ -193,8 +265,6 @@ def test_numeric_error_at_q1_restores_and_skips_the_update(nan_call):
     cfg = ZOConfig(epsilon=1e-3, lr=0.1, q=1, steps=4, master_seed=5)
     seed = derive_seed(5, 3, 0)
     expected = params.copy()
-    for coeff in (cfg.epsilon, -2.0 * cfg.epsilon, cfg.epsilon):
-        axpy(expected, coeff, seed)
     with pytest.raises(NumericError) as exc:
         zo_step(model, params, lambda i: None, cfg, 3)
     assert (exc.value.step, exc.value.query, exc.value.seed) == (3, 0, seed)
@@ -387,16 +457,18 @@ def test_forwards_per_step():
 
 
 @pytest.mark.parametrize("q", [1, 2, 4])
-def test_step_makes_3q_axpy_calls(monkeypatch, q):
-    # every query but the last restores itself, and the last restore is
-    # folded into its query's update coefficient in stage 2's one call
+def test_step_makes_one_axpy_call(monkeypatch, q):
+    # the probes only read theta: a step's one write is stage 2's axpy
+    # call, which finds theta bit-identical to its pre-step value.  The
+    # quadratic's one tensor is indexed, so a query draws it once, and the
+    # update once per query
     from zobench import params as params_mod, samplers
 
     calls, fills = [], []
 
-    def counted_axpy(*args, **kwargs):
-        calls.append(args)
-        return real_axpy(*args, **kwargs)
+    def counted_axpy(params, *args, **kwargs):
+        calls.append(params.equals_bitwise(before))
+        return real_axpy(params, *args, **kwargs)
 
     def counted_fill(*args, **kwargs):
         z = real_fill(*args, **kwargs)
@@ -408,22 +480,16 @@ def test_step_makes_3q_axpy_calls(monkeypatch, q):
     monkeypatch.setattr(samplers, "gaussian_fill", counted_fill)
     model = bowl()
     params = model.init(0)
+    before = params.copy()
     cfg = ZOConfig(epsilon=1e-3, lr=0.01, q=q, master_seed=3)
     queries = zo_step(model, params, lambda i: None, cfg, 0)
-    assert len(calls) == 3 * q
-    assert sum(fills) == (4 * q - 1) * params.num_elements()
-    # with the bytes of a +eps / -2 eps / +eps cycle per query, the last
-    # +eps left out, then one update per query, each a single call, the
-    # last one's coefficient carrying that +eps
+    assert calls == [True]
+    assert sum(fills) == 2 * q * params.num_elements()
+    # with the bytes of one single call per query's update
     monkeypatch.undo()
     expected = model.init(0)
-    eps = cfg.epsilon
-    for j, rec in enumerate(queries):
-        for coeff in (eps, -2.0 * eps, eps)[:2 if j == q - 1 else 3]:
-            axpy(expected, coeff, rec.seed)
-    for j, rec in enumerate(queries):
-        coeff = -cfg.lr_effective * rec.proj_grad
-        axpy(expected, (coeff + eps) if j == q - 1 else coeff, rec.seed)
+    for rec in queries:
+        axpy(expected, -cfg.lr_effective * rec.proj_grad, rec.seed)
     assert params.equals_bitwise(expected)
 
 
@@ -476,10 +542,12 @@ def test_mlp_loss_memory_is_one_hidden_activation():
 
 
 def test_zo_step_memory_is_one_forward_plus_a_chunk():
-    # Each step starts from a fresh copy, so the update scratch is first
-    # allocated in the measured region: on the wide mlp a ZO step needs
-    # one forward's peak plus CHUNK elements, where an FO SGD step holds
-    # a gradient the size of the parameters
+    # On the wide mlp a ZO step needs one forward's peak plus CHUNK
+    # elements, where an FO SGD step holds a gradient the size of the
+    # parameters.  The probes hold a forward and the kept eps (x @ z) of
+    # layer1, one batch x hidden activation of CHUNK elements; the
+    # update, after them, holds its CHUNK-element scratch, first
+    # allocated here as each step starts from a fresh copy
     from zobench.fo import FOConfig, fo_step
     from zobench.models import BatchSampler, gen_data
     from zobench.params import CHUNK
