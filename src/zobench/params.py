@@ -28,6 +28,20 @@ subsets and copies each have their own.  z comes from the calling
 thread's rekeyed stream (see :func:`zobench.streams.thread_stream`),
 never from a newly built one.
 
+A full-kind update of a set above CHUNK elements may take two threads:
+where the machine has a second CPU and numpy's OpenBLAS is found, so
+that ``zo.train`` can hold OpenBLAS at one thread meanwhile.  The set
+splits at its middle element.  A query's probes draw each tensor's z in
+stream order, and mark where the seed's stream is at that element: one
+place per query, kept with the set until its next axpy call takes it.
+When every term of a call has its place, the calling thread adds every
+term, in order, over the elements before the split, and the module's
+one worker thread, starting each term at its place, over the rest, each
+in its half of the set's one scratch.  Every element gets the same
+additions in the same order as on one thread, so no byte moves.  Replay,
+revert, low-rank kinds and any call with an unmarked term run on the
+calling thread alone.
+
 A query perturbs nothing in place: :meth:`ParamSet.probes` gives two
 read-only :class:`Probe` views, theta + eps z and theta - eps z, with
 the z axpy adds.  A probe builds a tensor the model indexes,
@@ -52,11 +66,17 @@ the set's size.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import hashlib
 import io
 import math
+import os
 import struct
+import threading
 import weakref
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -81,6 +101,9 @@ CHUNK = 2 ** 16
 # an activation.
 PIECE = 2 ** 14
 PIECE_ROWS = 256
+# A set keeps the places of at most this many queries for its next update
+# (see _Draws): probing it without updating it drops them all at this count.
+_MARKS = 64
 
 _MAGIC = b"ZOPS"
 _VERSION = 1
@@ -168,8 +191,12 @@ class ParamSet:
         # the substream each tensor draws its z from: its place in the set
         self._position = {name: i for i, (name, _, _) in enumerate(layout)}
         self._largest = max(arr.size for arr in self._index.values())
-        # axpy's plan per kind family (full or not), built on first use
+        # axpy's plan per kind family (full or not, or "split"), built on
+        # first use
         self._plans, self._schema_hash = {}, None
+        # (tensor, offset) of the element a full-kind update may split at,
+        # and each probed seed's stream place there (see _Draws)
+        self._split, self._marks = _split_point(layout), {}
         return self
 
     # -- schema ----------------------------------------------------------
@@ -269,8 +296,10 @@ class ParamSet:
         """
         return self._plan(min(self._largest, CHUNK))
 
-    def _update_plan(self, full: bool):
-        """axpy's ``(nbytes, views)`` for a kind family, built once.
+    def _update_plan(self, key):
+        """axpy's ``(nbytes, views)`` for a key, built once: ``True`` for
+        the full kind, ``False`` for a low-rank one, ``"split"`` for the
+        full kind's update on two threads.
 
         The plan owns its scratch, of ``nbytes``: ``min(largest, CHUNK)``
         elements under the full kind, whose runs are :meth:`runs`; a
@@ -279,33 +308,53 @@ class ParamSet:
         ``views`` holds ``(run, z, outs)`` per run: ``z`` is the
         scratch's view for the run's draw and ``outs`` each part's
         ``(index, slice of z)``, shaped as its tensor for a low-rank draw.
+        The split plan has no scratch of its own: its ``views`` are two
+        such tuples, one per thread, over the set's elements before and
+        from its middle one, each run in its half of the full plan's
+        scratch.
         """
-        plan = self._plans.get(full)
+        plan = self._plans.get(key)
         if plan is None:
-            cap = min(self._largest, CHUNK) if full else self._largest
-            scratch = np.empty(cap, self.dtype)
-            views = tuple(
-                (run, scratch[:size],
-                 tuple((i, scratch[start:stop] if full
-                        else scratch[start:stop].reshape(shape))
-                       for i, start, stop, shape in parts))
-                for run, size, parts in self._plan(cap))
-            plan = self._plans[full] = (scratch.nbytes, views)
+            if key == "split":
+                nbytes, views = self._update_plan(True)
+                scratch = views[0][1].base  # each run's z is a view of it
+                cap, middle = scratch.size // 2, self.num_elements() // 2
+                plan = (nbytes, (self._views(scratch[:cap], True, 0, middle),
+                                 self._views(scratch[cap:2 * cap], True, middle)))
+            else:
+                scratch = np.empty(min(self._largest, CHUNK) if key
+                                   else self._largest, self.dtype)
+                plan = (scratch.nbytes, self._views(scratch, key))
+            self._plans[key] = plan
         return plan
 
-    def _plan(self, cap):
-        runs, parts = [], []
+    def _views(self, scratch, full, first=0, last=math.inf):
+        """``(run, z, outs)`` per run of :meth:`_plan` over ``scratch``."""
+        return tuple(
+            (run, scratch[:size],
+             tuple((i, scratch[start:stop] if full
+                    else scratch[start:stop].reshape(shape))
+                   for i, start, stop, shape in parts))
+            for run, size, parts in self._plan(scratch.size, first, last))
+
+    def _plan(self, cap, first=0, last=math.inf):
+        """Runs of at most ``cap`` elements over the set's elements from
+        ``first`` to before ``last``, counted in iteration order.  A part
+        at its tensor's start has the tensor's index; any other, 0."""
+        runs, parts, pos = [], [], 0
         for i, (_, start, shape) in enumerate(self._layout):
-            end = start + math.prod(shape)
-            for lo in range(start, end, cap):
-                hi = min(lo + cap, end)
-                if not (parts and lo == stop and hi - first <= cap):
+            size = math.prod(shape)
+            a, b = max(first - pos, 0), min(last - pos, size)
+            pos += size
+            for off in range(a, b, cap):
+                lo, hi = start + off, start + min(off + cap, b)
+                if not (parts and lo == stop and hi - head <= cap):
                     if parts:
-                        runs.append((self._buf[first:stop], stop - first, tuple(parts)))
-                    first, parts = lo, []
+                        runs.append((self._buf[head:stop], stop - head, tuple(parts)))
+                    head, parts = lo, []
                 stop = hi
-                parts.append((i if lo == start else 0, lo - first, hi - first, shape))
-        runs.append((self._buf[first:stop], stop - first, tuple(parts)))
+                parts.append((i if off == 0 else 0, lo - head, hi - head, shape))
+        runs.append((self._buf[head:stop], stop - head, tuple(parts)))
         return runs
 
     # -- numerics ----------------------------------------------------------
@@ -528,7 +577,11 @@ class _Draws:
     draw comes from the calling thread's stream restarted at (seed, i),
     as ``axpy``'s does.  The kept eps z_i are reported to
     ``alloc_tracker`` until the context exits, a product's z while it is
-    drawn; the products themselves are activations.
+    drawn; the products themselves are activations.  Under the full kind,
+    the draw of the tensor that holds the set's split point marks the
+    stream's place there, by seed, in the set's marks for its next
+    update (all dropped when ``_MARKS`` are held); a block that raises
+    clears them, as its step will not update.
     """
 
     def __init__(self, params: ParamSet, seed: int, epsilon: float,
@@ -540,18 +593,40 @@ class _Draws:
     def __enter__(self):
         return Probe(self, +1, self.params), Probe(self, -1, self.params)
 
-    def __exit__(self, *exc):
+    def __exit__(self, failed, *exc):
         alloc_tracker.free(self._kept)
         self._scaled, self._products, self._kept = {}, {}, 0
+        if failed:  # the step aborts: no update will take the marks
+            self.params._marks.clear()
 
     def _draw(self, name: str, z: np.ndarray) -> np.ndarray:
         """z_i of tensor ``name``, drawn whole into ``z`` (of its shape)."""
-        stream = thread_stream(self.seed, self.params._position[name])
-        if self.full:
-            samplers.gaussian_fill(stream, None, z.dtype, z)
-        else:
+        i = self.params._position[name]
+        stream = thread_stream(self.seed, i)
+        if not self.full:
             sample_for_tensor(stream, z.shape, self.kind, z.dtype, z)
+        elif self.params._split is not None and self.params._split[0] == i:
+            self._fill(stream, i, z, 0)
+        else:
+            samplers.gaussian_fill(stream, None, z.dtype, z)
         return z
+
+    def _fill(self, stream, i: int, z: np.ndarray, pos: int):
+        """Fill ``z``, C-contiguous, with z_i's elements from ``pos`` on.
+        If the set's split point is among them, the fill stops there for
+        the stream's place to be marked: fills are prefix-consistent, so
+        no byte moves."""
+        fill = samplers.gaussian_fill  # looked up here so bench/spans.py can wrap it
+        split = self.params._split
+        if split is not None and split[0] == i and 0 <= split[1] - pos < z.size:
+            z, cut, marks = z.reshape(-1), split[1] - pos, self.params._marks
+            if cut:
+                fill(stream, None, z.dtype, z[:cut])
+            if len(marks) >= _MARKS:
+                marks.clear()
+            marks[self.seed] = stream.tell()
+            z = z[cut:]
+        fill(stream, None, z.dtype, z)
 
     def scaled(self, name: str, theta: np.ndarray) -> np.ndarray:
         ez = self._scaled.get(name)
@@ -570,8 +645,10 @@ class _Draws:
         rows, cols = theta.shape
         x2 = x if x.ndim == 2 else x.reshape(-1, rows)
         if self.full and (theta.size > PIECE or rows > PIECE_ROWS):
-            stream = thread_stream(self.seed, self.params._position[name])
-            ez = _pieced_product(stream, x2, rows, cols, theta.dtype)
+            i = self.params._position[name]
+            stream = thread_stream(self.seed, i)
+            ez = _pieced_product(lambda flat, pos: self._fill(stream, i, flat, pos),
+                                 x2, rows, cols, theta.dtype)
         else:  # one piece, or a low-rank z, which cannot be cut: drawn whole
             z = np.empty(theta.shape, theta.dtype)
             alloc_tracker.alloc(z.nbytes)
@@ -584,15 +661,16 @@ class _Draws:
         return ez
 
 
-def _pieced_product(stream, x2: np.ndarray, rows: int, cols: int,
+def _pieced_product(fill, x2: np.ndarray, rows: int, cols: int,
                     dtype) -> np.ndarray:
     """``x2 @ z`` for the full kind's z of a ``rows x cols`` weight.
 
-    z is drawn in stream order, in pieces of at most :data:`PIECE`
-    elements: at most :data:`PIECE_ROWS` whole rows, or a slice of one
-    row wider than ``PIECE``.  Each piece's product is added to the
-    result a block of result rows at a time, through one scratch of at
-    most ``PIECE`` elements.
+    z is drawn in stream order, ``fill(piece, pos)`` filling its elements
+    from ``pos`` on, in pieces of at most :data:`PIECE` elements: at most
+    :data:`PIECE_ROWS` whole rows, or a slice of one row wider than
+    ``PIECE``.  Each piece's product is added to the result a block of
+    result rows at a time, through one scratch of at most ``PIECE``
+    elements.
     """
     step = max(1, min(rows, PIECE_ROWS, PIECE // cols))
     width = min(cols, PIECE)
@@ -601,12 +679,12 @@ def _pieced_product(stream, x2: np.ndarray, rows: int, cols: int,
     partial = np.empty(min(m, block) * width, out.dtype)
     z = np.empty(step * width, dtype)
     alloc_tracker.alloc(z.nbytes)
-    fill = samplers.gaussian_fill  # looked up here so bench/spans.py can wrap it
     for r0 in range(0, rows, step):
         xp = x2[:, r0:r0 + step]
         for c0 in range(0, cols, width):
-            zp = z[:xp.shape[1] * min(width, cols - c0)].reshape(xp.shape[1], -1)
-            fill(stream, None, dtype, zp)
+            flat = z[:xp.shape[1] * min(width, cols - c0)]
+            fill(flat, r0 * cols + c0)
+            zp = flat.reshape(xp.shape[1], -1)
             w = zp.shape[1]
             for i0 in range(0, m, block):
                 xb = xp[i0:i0 + block]
@@ -662,6 +740,15 @@ def axpy(params: ParamSet, coeff: float | list, seed: int | list,
     ``SeedSequence`` hashing, several times the restart.  Threads never
     share a stream, but the scratch lives with the set: concurrent calls
     are safe on separate sets, subsets and copies, never on one set.
+
+    When the set's probes have marked every term's seed (see the module
+    docstring), the call splits at the set's middle element: the
+    calling thread runs the terms over the first half of the set in one
+    half of the scratch, in runs of half its size, while the module's
+    one worker thread runs them over the rest, from each term's mark,
+    in the other half.  The calling thread reports the whole scratch to
+    ``alloc_tracker``, as on one thread.  A call takes the set's marks,
+    whichever way it runs.
     """
     if type(coeff) is not list:
         coeff, seed = [coeff], [seed]
@@ -675,18 +762,41 @@ def axpy(params: ParamSet, coeff: float | list, seed: int | list,
     if not terms:
         return
     full = kind.variant == "full"
-    nbytes, views = params._update_plan(full)
-    alloc_tracker.alloc(nbytes)
-    dtype = params.dtype
+    marks = params._marks
+    places = [marks.get(s) for s, _ in terms] if full and marks else [None]
+    marks.clear()  # this update takes the set's marks
+    if None in places:
+        nbytes, views = params._update_plan(full)
+        alloc_tracker.alloc(nbytes)
+        _add_terms(views, terms, kind, params.dtype)
+    else:
+        nbytes, (mine, theirs) = params._update_plan("split")
+        alloc_tracker.alloc(nbytes)  # both halves, reported here for the worker
+        job = _worker().submit(_add_terms, theirs, terms, kind, params.dtype,
+                               places)
+        try:
+            _add_terms(mine, terms, kind, params.dtype)
+        finally:
+            job.result()
+    alloc_tracker.free(nbytes)
+
+
+def _add_terms(views, terms, kind, dtype, places=None):
+    """Add every ``(seed, coefficient)`` term, in order, over the runs of
+    ``views``.  Each term's draw starts at tensor 0 of its seed or, given
+    ``places``, at the term's place in its stream."""
     fill = samplers.gaussian_fill  # looked up here so bench/spans.py can wrap it
+    full = kind.variant == "full"
     stream = thread_stream(terms[0][0])  # keyed (seed, 0) for the first term
     for k, (s, c) in enumerate(terms):
-        if k:  # s was checked above: restart needs no second check
+        if places is not None:
+            stream.seek(places[k])
+        elif k:  # s was checked above: restart needs no second check
             stream.seed = s
             stream.restart(0)
         for run, z, outs in views:
             for i, out in outs:
-                if i:  # 0: tensor 0, or a piece going on with its tensor's draw
+                if i:  # 0: tensor 0, or a piece going on with its draw
                     stream.restart(i)
                 if full:
                     fill(stream, None, dtype, out)
@@ -694,4 +804,70 @@ def axpy(params: ParamSet, coeff: float | list, seed: int | list,
                     sample_for_tensor(stream, out.shape, kind, dtype, out)
             np.multiply(z, c, z)
             run += z
-    alloc_tracker.free(nbytes)
+
+
+def _split_point(layout):
+    """``(tensor, offset)`` of a layout's middle element, where a
+    full-kind update may split between two threads, or None: the layout
+    holds at most CHUNK elements, or :func:`_can_split` says no."""
+    sizes = [math.prod(shape) for _, _, shape in layout]
+    if sum(sizes) <= CHUNK or not _can_split():
+        return None
+    middle = sum(sizes) // 2
+    for i, size in enumerate(sizes):
+        if middle < size:
+            return i, middle
+        middle -= size
+
+
+@lru_cache(maxsize=1)
+def _can_split() -> bool:
+    """Whether a large set's update may take two threads: the machine has
+    a second CPU, and numpy's OpenBLAS is found, so ``zo.train`` can hold
+    it at one thread meanwhile (its busy-waiting worker would take the
+    second CPU)."""
+    return (os.cpu_count() or 1) > 1 and _openblas_threads() is not None
+
+
+@lru_cache(maxsize=1)
+def _openblas_threads():
+    """``(get, set)``, ctypes functions for the thread count of the
+    OpenBLAS bundled with numpy, or None when none is found.  The lookup
+    is bench/run.py's ``_blas_threads``."""
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in glob.glob(str(libdir / "*openblas*.so*")):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get = getattr(lib, name.format("get"), None)
+            put = getattr(lib, name.format("set"), None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+def _worker():
+    """The split update's pool of one worker thread, built on first use:
+    only a split imports ``concurrent.futures`` (and ``logging`` with it)."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(max_workers=1,
+                                       thread_name_prefix="zobench-axpy")
+        return _pool
+
+
+def _forget_pool():
+    """No pool yet: a forked child has none of its parent's threads."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+_forget_pool()
+os.register_at_fork(after_in_child=_forget_pool)

@@ -118,6 +118,27 @@ class GaussianStream:
         self._gen.bit_generator.state = self._state
         return self
 
+    def tell(self) -> tuple:
+        """Where this stream is: its whole Philox state (counter, both
+        buffers) as a tuple of Python ints, for :meth:`seek`."""
+        state = self._gen.bit_generator.state
+        return (self.seed, self.substream,
+                tuple(state["state"]["counter"].tolist()),
+                tuple(state["buffer"].tolist()), state["buffer_pos"],
+                state["has_uint32"], state["uinteger"])
+
+    def seek(self, place: tuple) -> "GaussianStream":
+        """Go on, on this stream or any other, from a place :meth:`tell`
+        gave: the samples that follow are the ones that followed it there.
+        Set from Python ints, the state costs what a restart does."""
+        self.seed, self.substream, counter, buffer, pos, has32, word = place
+        self._gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": counter, "key": (self.seed, self.substream)},
+            "buffer": buffer, "buffer_pos": pos,
+            "has_uint32": has32, "uinteger": word}
+        return self
+
     def normal(self, shape, dtype=np.float64, out=None) -> np.ndarray:
         """Draw a tensor of standard normals (into ``out`` if given)."""
         return self._gen.standard_normal(shape, dtype=dtype, out=out)

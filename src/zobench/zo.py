@@ -14,7 +14,10 @@ changes only through the terms replay applies, and eps sizes the probes
 only: replay and revert never read it.
 
 Every update goes through ``params.axpy``, looked up on the module at
-call time, so a wrapper installed there sees every call.
+call time, so a wrapper installed there sees every call.  On a set above
+``params.CHUNK`` elements that update may take two threads (see
+``zobench.params``); ``train`` then holds numpy's OpenBLAS at one thread,
+so its busy-waiting worker leaves the second CPU to the update.
 
 Query estimates are combined either by plain accumulation (the default:
 each query contributes lr * g, so the effective step grows with q) or by
@@ -26,6 +29,8 @@ floating point (any power-of-two q).
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import index as _index
@@ -149,10 +154,11 @@ def rge_proj_grad(model, params: ParamSet, batch, seed: int, epsilon: float,
     with params.probes(seed, epsilon, kind) as (plus, minus):
         loss_plus = float(model.loss(plus, batch))
         loss_minus = float(model.loss(minus, batch))
-    if not (math.isfinite(loss_plus) and math.isfinite(loss_minus)):
-        raise NumericError(
-            f"non-finite loss under perturbation seed {seed} "
-            f"(l+={loss_plus}, l-={loss_minus})", seed=seed)
+        if not (math.isfinite(loss_plus) and math.isfinite(loss_minus)):
+            # raised inside the block, so the probes drop the step's marks
+            raise NumericError(
+                f"non-finite loss under perturbation seed {seed} "
+                f"(l+={loss_plus}, l-={loss_minus})", seed=seed)
     g = (loss_plus - loss_minus) / (2.0 * epsilon)
     return QueryRecord(seed=seed, proj_grad=g, loss_plus=loss_plus,
                        loss_minus=loss_minus)
@@ -222,24 +228,60 @@ def train(model, batch_source: Callable, config: ZOConfig, params: ParamSet,
 
     If ``log_writer`` is given, each completed step is appended and
     flushed, so a partial log survives an aborted run.
+
+    When ``axpy`` may split the set's update between two threads (a set
+    above ``CHUNK`` elements, on a machine with a second CPU and numpy's
+    OpenBLAS found), the run holds OpenBLAS at one thread, whose idle
+    worker would otherwise spin on the second CPU, and restores the
+    caller's count on every exit.
     """
     records, metrics = [], []
-    for t in range(config.steps):
-        try:
-            queries = zo_step(model, params, batch_source, config, t)
-        except NumericError as exc:
-            exc.records = records
-            raise
-        records.extend(queries)
-        if log_writer is not None:
-            for rec in queries:
-                log_writer.append(rec.seed, rec.proj_grad)
-            log_writer.flush()
-        loss_proxy = float(np.mean([(rec.loss_plus + rec.loss_minus) / 2.0
-                                    for rec in queries]))
-        metrics.append({
-            "step": t,
-            "loss": loss_proxy,
-            "forwards": config.forwards_per_step,
-        })
+    with _one_blas_thread(params):
+        for t in range(config.steps):
+            try:
+                queries = zo_step(model, params, batch_source, config, t)
+            except NumericError as exc:
+                exc.records = records
+                raise
+            records.extend(queries)
+            if log_writer is not None:
+                for rec in queries:
+                    log_writer.append(rec.seed, rec.proj_grad)
+                log_writer.flush()
+            loss_proxy = float(np.mean([(rec.loss_plus + rec.loss_minus) / 2.0
+                                        for rec in queries]))
+            metrics.append({
+                "step": t,
+                "loss": loss_proxy,
+                "forwards": config.forwards_per_step,
+            })
     return records, metrics
+
+
+# runs holding OpenBLAS at one thread, and the count the last one restores:
+# the count is the process's, so overlapping runs must share one hold
+_blas_lock = threading.Lock()
+_blas_hold = [0, None]
+
+
+@contextmanager
+def _one_blas_thread(params: ParamSet):
+    """Hold numpy's OpenBLAS at one thread while the block runs, if
+    ``params`` is a set whose update ``axpy`` may split."""
+    blas = _params._openblas_threads() if params._split is not None else None
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    with _blas_lock:
+        if not _blas_hold[0]:
+            _blas_hold[1] = get()
+            put(1)
+        _blas_hold[0] += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_hold[0] -= 1
+            if not _blas_hold[0]:
+                put(_blas_hold[1])
