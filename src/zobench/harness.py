@@ -197,6 +197,10 @@ def _optimizer_config(cfg: ExperimentConfig, overrides: dict, seed: int):
     if budget is not None:
         # equal-forward-budget runs: the budget fixes the step count
         config.steps = budget // config.forwards_per_step
+        _require(config.steps >= 1, "optimizer.forward_budget",
+                 f"is below one step's {config.forwards_per_step} forwards")
+    # a run of no step has no final loss to report
+    _require(config.steps >= 1, "optimizer.steps", "must be >= 1")
     return config
 
 
@@ -333,6 +337,8 @@ def _build(cfg: ExperimentConfig, overrides: dict, seed: int) -> dict:
     built = {"data_cfg": data_cfg, "model": model,
              "opt": _optimizer_config(cfg, overrides, seed)}
     if cfg.kind == "tta":
+        _require(model.core is not None, "model.task",
+                 f"{data_cfg.task!r} has no predictive distribution to adapt")
         with _config_errors("tta"):
             built["tta_cfg"] = TTAEpisodeConfig(
                 steps=cfg.tta.get("steps"), optimizer=built["opt"],

@@ -30,17 +30,18 @@ never from a newly built one.
 
 A full-kind update of a set above CHUNK elements may take two threads:
 where the machine has a second CPU and numpy's OpenBLAS is found, so
-that ``zo.train`` can hold OpenBLAS at one thread meanwhile.  The set
-splits at its middle element.  A query's probes draw each tensor's z in
-stream order, and mark where the seed's stream is at that element: one
-place per query, kept with the set until its next axpy call takes it.
-When every term of a call has its place, the calling thread adds every
-term, in order, over the elements before the split, and the module's
-one worker thread, starting each term at its place, over the rest, each
-in its half of the set's one scratch.  Every element gets the same
-additions in the same order as on one thread, so no byte moves.  Replay,
-revert, low-rank kinds and any call with an unmarked term run on the
-calling thread alone.
+that ``zo.train`` can hold OpenBLAS at one thread meanwhile, through
+this module's ``_one_blas_thread``.  The set splits at its middle
+element.  A query's probes draw each tensor's z in stream order, and
+mark where the seed's stream is at that element: one place per query,
+the generator's Philox state dict, kept with the set until its next
+axpy call takes it.  When every term of a call has its place, the
+calling thread adds every term, in order, over the elements before the
+split, and the module's one worker thread, starting each term at its
+place, over the rest, each in its half of the set's one scratch.  Every
+element gets the same additions in the same order as on one thread, so
+no byte moves.  Replay, revert, low-rank kinds and any call with an
+unmarked term run on the calling thread alone.
 
 A query perturbs nothing in place: :meth:`ParamSet.probes` gives two
 read-only :class:`Probe` views, theta + eps z and theta - eps z, with
@@ -75,6 +76,7 @@ import os
 import struct
 import threading
 import weakref
+from contextlib import contextmanager
 from functools import lru_cache
 from pathlib import Path
 
@@ -281,28 +283,13 @@ class ParamSet:
         index = {name: self._index[name] for name, _, _ in layout}
         return ParamSet.__new__(ParamSet)._view(self._buf, layout, index)
 
-    def runs(self):
-        """The full kind's plan: ``(flat, size, parts)`` per run of tensors.
-
-        A run is a maximal sequence of tensors, in iteration order, each
-        starting in the buffer where the one before it stops, holding at
-        most ``min(largest tensor, CHUNK)`` elements; ``flat`` is a 1-D
-        view over it.  ``parts`` gives each tensor's ``(index, start,
-        stop, shape)`` within the run.  A tensor above the cap is cut
-        into pieces of the cap's size; a piece after its tensor's first
-        has index 0, like tensor 0, as its draw goes on from the piece
-        before it.  A subset's tensors on either side of a left-out one
-        fall in separate runs.
-        """
-        return self._plan(min(self._largest, CHUNK))
-
     def _update_plan(self, key):
         """axpy's ``(nbytes, views)`` for a key, built once: ``True`` for
         the full kind, ``False`` for a low-rank one, ``"split"`` for the
         full kind's update on two threads.
 
         The plan owns its scratch, of ``nbytes``: ``min(largest, CHUNK)``
-        elements under the full kind, whose runs are :meth:`runs`; a
+        elements under the full kind, in runs of :meth:`_plan`; a
         low-rank z is one matmul per tensor that cannot be cut, so that
         plan's runs and scratch are capped at the largest tensor's size.
         ``views`` holds ``(run, z, outs)`` per run: ``z`` is the
@@ -338,9 +325,13 @@ class ParamSet:
             for run, size, parts in self._plan(scratch.size, first, last))
 
     def _plan(self, cap, first=0, last=math.inf):
-        """Runs of at most ``cap`` elements over the set's elements from
-        ``first`` to before ``last``, counted in iteration order.  A part
-        at its tensor's start has the tensor's index; any other, 0."""
+        """``(flat, size, parts)`` per run of at most ``cap`` elements over
+        the set's elements from ``first`` to before ``last``, counted in
+        iteration order: tensors that follow on in the buffer, ``flat`` a
+        1-D view over them, a tensor above ``cap`` cut into pieces.
+        ``parts`` gives each piece's ``(index, start, stop, shape)`` in
+        the run; a piece after its tensor's first has index 0, like
+        tensor 0, as its draw goes on from the piece before it."""
         runs, parts, pos = [], [], 0
         for i, (_, start, shape) in enumerate(self._layout):
             size = math.prod(shape)
@@ -726,7 +717,7 @@ def axpy(params: ParamSet, coeff: float | list, seed: int | list,
     kind family and kept with the set: a scratch array, the whole
     transient, and the views onto it, so a call slices and allocates
     nothing.  For each term and each run of adjacent tensors
-    (:meth:`ParamSet.runs`) every z_i is drawn into its slice of the
+    (``ParamSet._plan``) every z_i is drawn into its slice of the
     scratch, then the run is scaled and added once.  Both are
     element-wise, so the result is bit-identical to scaling and adding
     tensor by tensor.  Under the full kind the scratch holds
@@ -765,19 +756,18 @@ def axpy(params: ParamSet, coeff: float | list, seed: int | list,
     marks = params._marks
     places = [marks.get(s) for s, _ in terms] if full and marks else [None]
     marks.clear()  # this update takes the set's marks
-    if None in places:
-        nbytes, views = params._update_plan(full)
-        alloc_tracker.alloc(nbytes)
-        _add_terms(views, terms, kind, params.dtype)
-    else:
-        nbytes, (mine, theirs) = params._update_plan("split")
-        alloc_tracker.alloc(nbytes)  # both halves, reported here for the worker
-        job = _worker().submit(_add_terms, theirs, terms, kind, params.dtype,
+    split = None not in places
+    nbytes, views = params._update_plan("split" if split else full)
+    alloc_tracker.alloc(nbytes)  # both halves of a split, reported here
+    if split:
+        job = _worker().submit(_add_terms, views[1], terms, kind, params.dtype,
                                places)
         try:
-            _add_terms(mine, terms, kind, params.dtype)
+            _add_terms(views[0], terms, kind, params.dtype)
         finally:
             job.result()
+    else:
+        _add_terms(views, terms, kind, params.dtype)
     alloc_tracker.free(nbytes)
 
 
@@ -849,6 +839,36 @@ def _openblas_threads():
                 put.argtypes, put.restype = [ctypes.c_int], None
                 return get, put
     return None
+
+
+# runs holding OpenBLAS at one thread, and the count the last one restores:
+# the count is the process's, so overlapping runs must share one hold
+_blas_lock = threading.Lock()
+_blas_hold = [0, None]
+
+
+@contextmanager
+def _one_blas_thread(params: ParamSet):
+    """Hold numpy's OpenBLAS at one thread while the block runs, if
+    ``params`` is a set whose update ``axpy`` may split, and restore the
+    caller's count on every exit."""
+    blas = _openblas_threads() if params._split is not None else None
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    with _blas_lock:
+        if not _blas_hold[0]:
+            _blas_hold[1] = get()
+            put(1)
+        _blas_hold[0] += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_hold[0] -= 1
+            if not _blas_hold[0]:
+                put(_blas_hold[1])
 
 
 def _worker():

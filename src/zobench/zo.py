@@ -15,9 +15,11 @@ only: replay and revert never read it.
 
 Every update goes through ``params.axpy``, looked up on the module at
 call time, so a wrapper installed there sees every call.  On a set above
-``params.CHUNK`` elements that update may take two threads (see
-``zobench.params``); ``train`` then holds numpy's OpenBLAS at one thread,
-so its busy-waiting worker leaves the second CPU to the update.
+``params.CHUNK`` elements that update may take two threads, each term
+of the second going on from the stream place (the generator's Philox
+state dict) its probes marked.  ``train`` then holds numpy's OpenBLAS
+at one thread, as ``params._one_blas_thread`` decides, so its
+busy-waiting worker leaves the second CPU to the update.
 
 Query estimates are combined either by plain accumulation (the default:
 each query contributes lr * g, so the effective step grows with q) or by
@@ -29,8 +31,6 @@ floating point (any power-of-two q).
 from __future__ import annotations
 
 import math
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import index as _index
@@ -229,14 +229,12 @@ def train(model, batch_source: Callable, config: ZOConfig, params: ParamSet,
     If ``log_writer`` is given, each completed step is appended and
     flushed, so a partial log survives an aborted run.
 
-    When ``axpy`` may split the set's update between two threads (a set
-    above ``CHUNK`` elements, on a machine with a second CPU and numpy's
-    OpenBLAS found), the run holds OpenBLAS at one thread, whose idle
-    worker would otherwise spin on the second CPU, and restores the
-    caller's count on every exit.
+    The run holds numpy's OpenBLAS at one thread while ``axpy`` may split
+    the set's update between two threads, and restores the caller's
+    count on every exit; ``zobench.params`` decides both.
     """
     records, metrics = [], []
-    with _one_blas_thread(params):
+    with _params._one_blas_thread(params):
         for t in range(config.steps):
             try:
                 queries = zo_step(model, params, batch_source, config, t)
@@ -257,31 +255,3 @@ def train(model, batch_source: Callable, config: ZOConfig, params: ParamSet,
             })
     return records, metrics
 
-
-# runs holding OpenBLAS at one thread, and the count the last one restores:
-# the count is the process's, so overlapping runs must share one hold
-_blas_lock = threading.Lock()
-_blas_hold = [0, None]
-
-
-@contextmanager
-def _one_blas_thread(params: ParamSet):
-    """Hold numpy's OpenBLAS at one thread while the block runs, if
-    ``params`` is a set whose update ``axpy`` may split."""
-    blas = _params._openblas_threads() if params._split is not None else None
-    if blas is None:
-        yield
-        return
-    get, put = blas
-    with _blas_lock:
-        if not _blas_hold[0]:
-            _blas_hold[1] = get()
-            put(1)
-        _blas_hold[0] += 1
-    try:
-        yield
-    finally:
-        with _blas_lock:
-            _blas_hold[0] -= 1
-            if not _blas_hold[0]:
-                put(_blas_hold[1])

@@ -408,6 +408,35 @@ def test_cli_bad_config_value_exits_2(tmp_path, capsys, verb, raw):
     assert not list(out_dir.glob("*"))
 
 
+@pytest.mark.parametrize("optimizer, field", [
+    ({"type": "zo", "lr": 0.05, "q": 4, "forward_budget": 5},
+     "optimizer.forward_budget"),
+    ({"type": "zo", "lr": 0.05, "q": 2, "steps": 0}, "optimizer.steps"),
+], ids=["budget_below_one_step", "steps_zero"])
+def test_cli_run_of_no_step_exits_2(tmp_path, capsys, optimizer, field):
+    # a zero-step run has no final loss: a sweep table over it would fail
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(train_config(optimizer=optimizer,
+                                                sweep={"lr": [0.05, 0.1]})))
+    out_dir = tmp_path / "out"
+    assert cli_main(["train", "--config", str(cfg_path),
+                     "--output-dir", str(out_dir)]) == 2
+    assert f"error: {field}:" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_cli_tta_on_a_model_with_no_predictive_distribution_exits_2(
+        tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tta_config(model={"task": "quadratic",
+                                                     "dim": 8})))
+    out_dir = tmp_path / "out"
+    assert cli_main(["tta", "--config", str(cfg_path),
+                     "--output-dir", str(out_dir)]) == 2
+    assert "error: model.task:" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("sweep", ["q", ["q"]], ids=["string", "list"])
 def test_non_object_sweep_is_named(sweep):
     with pytest.raises(ConfigError, match="^sweep: must be a JSON object$"):

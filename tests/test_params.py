@@ -301,7 +301,8 @@ def test_axpy_matches_manual_regeneration():
     assert all(arr.flags.c_contiguous for p in cases.values() for _, arr in p.items())
     for kind in (FULL, SamplerKind.lowrank(2, normalize=True)):
         for name, p in cases.items():
-            assert [len(parts) for *_, parts in p.runs()] == run_lengths[name]
+            runs = p._plan(min(p._largest, CHUNK))
+            assert [len(parts) for *_, parts in runs] == run_lengths[name]
             expected = p.copy()
             reference_axpy(expected, 0.25, 99, kind)
             peak, leaked = _tracked(lambda: axpy(p, 0.25, 99, kind))
@@ -546,7 +547,7 @@ def test_update_plan_lives_with_its_set():
     # own scratch; copies, subsets and decoded sets start without one and
     # never share their parent's
     p = _ramps([("w", (300, 256)), ("b", (256,)), ("c", (3,))])
-    assert [len(parts) for *_, parts in p.runs()] == [1, 3]
+    assert [len(parts) for *_, parts in p._plan(min(p._largest, CHUNK))] == [1, 3]
     axpy(p, 0.25, 7)
     plan = p._plans[True]
     scratch = _scratch(p, True)
@@ -571,7 +572,7 @@ def test_update_plan_lives_with_its_set():
         assert all(z.dtype == np.float32 for _, z, _ in views)
 
 
-# a 3-tensor set with one tensor above CHUNK: runs() cuts "w" in two,
+# a 3-tensor set with one tensor above CHUNK: its plan cuts "w" in two,
 # and the second piece shares its run with "b" and "v"
 _WIDE = [("w", (300, 256), -1.0, 1.0), ("b", (256,), 0.5, 2.0),
          ("v", (256, 10), -2.0, 0.0)]

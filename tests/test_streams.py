@@ -197,4 +197,4 @@ def test_seek_goes_on_from_a_told_place(dtype):
         tail = other.seek(place).normal(1001 - cut, dtype)
         assert np.concatenate([head, tail]).tobytes() == whole.tobytes()
         assert (other.seed, other.substream) == (7, 3)
-    assert place[5] == (dtype == np.float32)  # has_uint32 after 377 draws
+    assert place["has_uint32"] == (dtype == np.float32)  # after 377 draws
