@@ -9,7 +9,7 @@ Verbs:
     compare  aggregate result directories against a named baseline run
 
 Flags mirror config fields; when both are given the config file wins for
-experiment numerics and flags only affect paths and verbosity.  The verb
+experiment numerics and flags only affect paths.  The verb
 must match the config's ``kind``.  Invalid configs, malformed seed logs
 or parameter files, parameter files of the wrong schema, and files that
 cannot be read or written exit with code 2 and a one-line error instead

@@ -273,27 +273,24 @@ def _train_single(cfg, seed, outdir, run_id, data_cfg, model, opt):
         with SeedLogWriter(log_path, header) as writer:
             _, metrics = zo_train(counting, batch_source, opt, params,
                                   log_writer=writer)
-        summary["seed_log"] = os.path.basename(log_path)
+        summary.update({"seed_log": os.path.basename(log_path), "q": opt.q,
+                        "epsilon": opt.epsilon, "combine": opt.combine,
+                        "sampler": opt.sampler.variant})
     else:
         metrics = fo_train(counting, batch_source, opt, params)
+        summary["optimizer"] = opt.optimizer
     elapsed = time.perf_counter() - t0
     summary["optimizer_forwards"] = counting.forward_count
     params.save(os.path.join(outdir, f"{run_id}.final.pset"))
 
     summary.update({
-        "run_id": run_id, "kind": "train", "seed": seed,
+        "run_id": run_id, "kind": "train", "seed": seed, "lr": opt.lr,
         "task": data_cfg.task, "steps": len(metrics),
         "final_loss": metrics[-1]["loss"] if metrics else None,
     })
-    if isinstance(opt, ZOConfig):
-        summary.update({"q": opt.q, "lr": opt.lr, "epsilon": opt.epsilon,
-                        "combine": opt.combine,
-                        "sampler": opt.sampler.variant})
-    else:
-        summary.update({"optimizer": opt.optimizer, "lr": opt.lr})
     if test is not None:
         summary["eval_loss"] = float(model.loss(params, test))
-        if model.predict is not None:
+        if model.core is not None:
             summary["eval_accuracy"] = accuracy(model, params, test)
     _write_run(outdir, run_id, seed,
                [(m["step"], m["loss"], m["forwards"]) for m in metrics],

@@ -1,11 +1,11 @@
 """Toy model zoo: forward-only losses, analytic gradients, synthetic data.
 
-Every model exposes ``loss`` (all a zeroth-order optimizer needs),
+Every model exposes ``loss`` (all a zeroth-order optimizer needs) and
 an analytic ``loss_and_grad`` (for first-order baselines and for oracle
-checks against central differences), and ``predict`` where it makes
-sense.  A forward reads a weight it multiplies as ``params.matmul(x,
-name)``, which is ``x @ params[name]`` on a ParamSet and lets a ZO
-probe answer without building the perturbed weight.
+checks against central differences).  A forward reads a weight it
+multiplies as ``params.matmul(x, name)``, which is ``x @ params[name]``
+on a ParamSet and lets a ZO probe answer without building the perturbed
+weight.
 ``loss_and_grad`` takes both from one forward, and its loss has the
 bits of ``loss``'s: its kernels share the softmax's pieces
 between loss and gradient only where the arithmetic stays the same.
@@ -89,7 +89,6 @@ class Model:
     loss: Callable[[ParamSet, Batch], float]
     loss_and_grad: Optional[
         Callable[[ParamSet, Batch], tuple[float, ParamSet]]] = None
-    predict: Optional[Callable[[ParamSet, Batch], np.ndarray]] = None
     init: Optional[Callable[[int], ParamSet]] = None
     # the softmax network behind a classifier; None for other losses
     core: Optional["_SoftmaxCore"] = None
@@ -384,12 +383,8 @@ def _model_from_core(core: _SoftmaxCore) -> Model:
         core.backward(params, batch.inputs, dscores, cache, grads)
         return loss, grads
 
-    def predict(params, batch):
-        scores, _ = core.forward(params, batch.inputs)
-        return _softmax(scores)
-
     return Model(name=core.name, loss=loss, loss_and_grad=loss_and_grad,
-                 predict=predict, init=core.init, core=core)
+                 init=core.init, core=core)
 
 
 def logistic_regression(d: int, classes: int) -> Model:
@@ -448,13 +443,12 @@ def entropy_objective(model: Model) -> Model:
         return loss, grads
 
     return Model(name=model.name + "-entropy", loss=loss,
-                 loss_and_grad=loss_and_grad, predict=model.predict,
-                 init=model.init, core=core)
+                 loss_and_grad=loss_and_grad, init=model.init, core=core)
 
 
 def accuracy(model: Model, params: ParamSet, batch: Batch) -> float:
-    p = model.predict(params, batch)
-    return float(np.mean(p.argmax(axis=1) == batch.labels))
+    scores, _ = _core(model).forward(params, batch.inputs)
+    return float(np.mean(scores.argmax(axis=1) == batch.labels))
 
 
 def sample_scores(model: Model, params: ParamSet, batch: Batch) -> np.ndarray:

@@ -594,12 +594,10 @@ class _Draws:
         """z_i of tensor ``name``, drawn whole into ``z`` (of its shape)."""
         i = self.params._position[name]
         stream = thread_stream(self.seed, i)
-        if not self.full:
-            sample_for_tensor(stream, z.shape, self.kind, z.dtype, z)
-        elif self.params._split is not None and self.params._split[0] == i:
+        if self.full:
             self._fill(stream, i, z, 0)
         else:
-            samplers.gaussian_fill(stream, None, z.dtype, z)
+            sample_for_tensor(stream, z.shape, self.kind, z.dtype, z)
         return z
 
     def _fill(self, stream, i: int, z: np.ndarray, pos: int):
@@ -636,10 +634,7 @@ class _Draws:
         rows, cols = theta.shape
         x2 = x if x.ndim == 2 else x.reshape(-1, rows)
         if self.full and (theta.size > PIECE or rows > PIECE_ROWS):
-            i = self.params._position[name]
-            stream = thread_stream(self.seed, i)
-            ez = _pieced_product(lambda flat, pos: self._fill(stream, i, flat, pos),
-                                 x2, rows, cols, theta.dtype)
+            ez = self._pieced_product(name, x2, rows, cols, theta.dtype)
         else:  # one piece, or a low-rank z, which cannot be cut: drawn whole
             z = np.empty(theta.shape, theta.dtype)
             alloc_tracker.alloc(z.nbytes)
@@ -651,38 +646,38 @@ class _Draws:
         self._products[name] = (weakref.ref(x), ez)
         return ez
 
+    def _pieced_product(self, name: str, x2: np.ndarray, rows: int,
+                        cols: int, dtype) -> np.ndarray:
+        """``x2 @ z_i`` for the full kind's z of a ``rows x cols`` weight.
 
-def _pieced_product(fill, x2: np.ndarray, rows: int, cols: int,
-                    dtype) -> np.ndarray:
-    """``x2 @ z`` for the full kind's z of a ``rows x cols`` weight.
-
-    z is drawn in stream order, ``fill(piece, pos)`` filling its elements
-    from ``pos`` on, in pieces of at most :data:`PIECE` elements: at most
-    :data:`PIECE_ROWS` whole rows, or a slice of one row wider than
-    ``PIECE``.  Each piece's product is added to the result a block of
-    result rows at a time, through one scratch of at most ``PIECE``
-    elements.
-    """
-    step = max(1, min(rows, PIECE_ROWS, PIECE // cols))
-    width = min(cols, PIECE)
-    m, block = x2.shape[0], max(1, PIECE // width)
-    out = np.zeros((m, cols), np.result_type(x2, dtype))
-    partial = np.empty(min(m, block) * width, out.dtype)
-    z = np.empty(step * width, dtype)
-    alloc_tracker.alloc(z.nbytes)
-    for r0 in range(0, rows, step):
-        xp = x2[:, r0:r0 + step]
-        for c0 in range(0, cols, width):
-            flat = z[:xp.shape[1] * min(width, cols - c0)]
-            fill(flat, r0 * cols + c0)
-            zp = flat.reshape(xp.shape[1], -1)
-            w = zp.shape[1]
-            for i0 in range(0, m, block):
-                xb = xp[i0:i0 + block]
-                out[i0:i0 + block, c0:c0 + w] += np.matmul(
-                    xb, zp, out=partial[:len(xb) * w].reshape(len(xb), w))
-    alloc_tracker.free(z.nbytes)
-    return out
+        z_i is drawn in stream order by :meth:`_fill`, in pieces of at
+        most :data:`PIECE` elements: at most :data:`PIECE_ROWS` whole
+        rows, or a slice of one row wider than ``PIECE``.  Each piece's
+        product is added to the result a block of result rows at a time,
+        through one scratch of at most ``PIECE`` elements.
+        """
+        i = self.params._position[name]
+        stream = thread_stream(self.seed, i)
+        step = max(1, min(rows, PIECE_ROWS, PIECE // cols))
+        width = min(cols, PIECE)
+        m, block = x2.shape[0], max(1, PIECE // width)
+        out = np.zeros((m, cols), np.result_type(x2, dtype))
+        partial = np.empty(min(m, block) * width, out.dtype)
+        z = np.empty(step * width, dtype)
+        alloc_tracker.alloc(z.nbytes)
+        for r0 in range(0, rows, step):
+            xp = x2[:, r0:r0 + step]
+            for c0 in range(0, cols, width):
+                flat = z[:xp.shape[1] * min(width, cols - c0)]
+                self._fill(stream, i, flat, r0 * cols + c0)
+                zp = flat.reshape(xp.shape[1], -1)
+                w = zp.shape[1]
+                for i0 in range(0, m, block):
+                    xb = xp[i0:i0 + block]
+                    out[i0:i0 + block, c0:c0 + w] += np.matmul(
+                        xb, zp, out=partial[:len(xb) * w].reshape(len(xb), w))
+        alloc_tracker.free(z.nbytes)
+        return out
 
 
 def _schema_hash(entries) -> int:

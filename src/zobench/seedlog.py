@@ -160,11 +160,37 @@ class SeedLog:
 
     @staticmethod
     def from_records(header: SeedLogHeader, records) -> "SeedLog":
-        """The log of ``records``, QueryRecords flat in log order."""
-        dtype = header.record_dtype
-        seeds = np.array([rec.seed for rec in records], dtype=dtype["seed"])
-        pgs = np.array([rec.proj_grad for rec in records], dtype=dtype["pg"])
-        return SeedLog(replace(header, record_count=len(seeds)), seeds, pgs)
+        """The log of ``records``, QueryRecords flat in log order, which
+        refuses a record as :meth:`SeedLogWriter.append` does."""
+        record = _record_struct(header)
+        rec = np.frombuffer(b"".join([_pack(record, r.seed, r.proj_grad)
+                                      for r in records]), header.record_dtype)
+        return SeedLog(replace(header, record_count=len(rec)),
+                       rec["seed"].copy(), rec["pg"].copy())
+
+
+def _record_struct(header: SeedLogHeader) -> struct.Struct:
+    """``header.record_dtype``'s layout, the seed as "Q": struct packs
+    numpy's u8 char, "L", in 4 bytes under "<"."""
+    return struct.Struct("<Q" + header.record_dtype["pg"].char)
+
+
+def _pack(record: struct.Struct, seed: int, proj_grad: float) -> bytes:
+    """One record's bytes, or the error :meth:`SeedLogWriter.append`
+    names for a record it refuses."""
+    if type(seed) is not int:  # struct.pack checks the range
+        check_int("seed", seed)
+    g = float(proj_grad)
+    if not math.isfinite(g):  # struct packs NaN and inf silently
+        raise ValueError("proj_grad must be finite")
+    try:
+        return record.pack(int(seed), g)
+    except struct.error as exc:  # the only packing error a seed raises
+        raise OverflowError("seed must be a 64-bit unsigned "
+                            f"integer, got {seed}") from exc
+    except OverflowError as exc:  # g beyond float32's range
+        raise ValueError(f"proj_grad {g} overflows a "
+                         f"{record.size - 8}-byte float") from exc
 
 
 class SeedLogWriter:
@@ -178,9 +204,7 @@ class SeedLogWriter:
         self._fh.write(replace(header, record_count=0).pack())
         self._count = 0
         self._pending = bytearray()
-        # record_dtype's layout, the seed as "Q": struct packs numpy's
-        # u8 char, "L", in 4 bytes under "<"
-        self._record = struct.Struct("<Q" + header.record_dtype["pg"].char)
+        self._record = _record_struct(header)
 
     def append(self, seed: int, proj_grad: float):
         """Hold one record for the next flush; a refused one drops them all.
@@ -193,19 +217,7 @@ class SeedLogWriter:
         if self._fh.closed:
             raise LogFormatError("append after finalize")
         try:
-            if type(seed) is not int:  # struct.pack checks the range
-                check_int("seed", seed)
-            g = float(proj_grad)
-            if not math.isfinite(g):  # struct packs NaN and inf silently
-                raise ValueError("proj_grad must be finite")
-            try:
-                self._pending += self._record.pack(int(seed), g)
-            except struct.error as exc:  # the only packing error a seed raises
-                raise OverflowError("seed must be a 64-bit unsigned "
-                                    f"integer, got {seed}") from exc
-            except OverflowError as exc:  # g beyond float32's range
-                raise ValueError(f"proj_grad {g} overflows a "
-                                 f"{self.header.pg_width}-byte float") from exc
+            self._pending += _pack(self._record, seed, proj_grad)
         except BaseException:  # a refused record drops the held ones
             self._pending.clear()
             raise

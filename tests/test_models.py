@@ -232,7 +232,8 @@ def test_sample_scores_flat_vs_frames():
     params["weight"][:] = np.random.default_rng(1).normal(size=(4, 3))
     scores = sample_scores(model, params, tr)
     assert set(np.unique(scores)) == {0.0, 1.0}
-    hits = model.predict(params, tr).argmax(1) == tr.labels
+    logits = tr.inputs @ params["weight"] + params["bias"]
+    hits = logits.argmax(1) == tr.labels
     np.testing.assert_array_equal(scores, hits.astype(np.float64))
 
     scfg = DataGenConfig(task="seq", frames=8, feat_dim=4, classes=3,
@@ -249,8 +250,9 @@ def test_sample_scores_flat_vs_frames():
 def test_sample_scores_needs_a_core():
     model = quadratic_bowl(np.ones(3))
     batch = Batch(np.zeros((2, 3)), np.zeros(2, dtype=int))
-    with pytest.raises(ValueError, match="no predictive distribution"):
-        sample_scores(model, model.init(0), batch)
+    for score in (sample_scores, accuracy):
+        with pytest.raises(ValueError, match="no predictive distribution"):
+            score(model, model.init(0), batch)
 
 
 def test_accuracy_of_perfect_separation():

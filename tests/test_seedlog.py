@@ -15,7 +15,7 @@ from zobench.samplers import FULL, SamplerKind
 from zobench.seedlog import (HEADER_SIZE, LogFormatError, SeedLog,
                              SeedLogHeader, SeedLogWriter, inspect, read_log,
                              replay, revert)
-from zobench.zo import ZOConfig, derive_seed, train, zo_step
+from zobench.zo import QueryRecord, ZOConfig, derive_seed, train, zo_step
 
 
 def make_header(**kw):
@@ -400,6 +400,20 @@ def test_from_records_equals_written_log(tmp_path, pg_width):
     for a, b in ((built.seeds, written.seeds),
                  (built.proj_grads, written.proj_grads)):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("seed,g,error", [
+    (1.5, 0.5, TypeError), (7, float("nan"), ValueError),
+    (7, 1e39, ValueError)], ids=["float-seed", "nan", "beyond-float32"])
+def test_from_records_refuses_what_the_writer_refuses(tmp_path, seed, g, error):
+    # the same check for both: stored, these would read seed 1, a NaN
+    # that replay spreads to every parameter, and inf
+    header = make_header(pg_width=4)
+    with SeedLogWriter(tmp_path / "x.zolog", header) as w:
+        with pytest.raises(error):
+            w.append(seed, g)
+    with pytest.raises(error):
+        SeedLog.from_records(header, [QueryRecord(seed, g, 0.0, 0.0)])
 
 
 def test_replay_reconstructs_live_params(tmp_path):

@@ -191,6 +191,14 @@ def _probe_cases():
 
     cases.append(("indexed", indexed, indexed, w, w,
                   np.linspace(0.5, 2.0, 8).reshape(2, 4)))
+    # a model that multiplies a 1-D tensor: the probe builds it whole
+    v = ParamSet([("v", np.linspace(-1.0, 1.0, 5))])
+
+    def vector(p, b):
+        return float(np.tanh(p.matmul(b, "v")).sum())
+
+    cases.append(("vector", vector, vector, v, v,
+                  np.linspace(0.5, 2.0, 15).reshape(3, 5)))
     # TTA: the masked seq subset's probe laid over the full set
     seq_cfg = DataGenConfig(task="seq", frames=6, feat_dim=5, classes=3,
                             hidden=7, n_train=32, seed=0)
