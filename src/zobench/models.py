@@ -188,8 +188,8 @@ def _entropy_and_dscores(scores: np.ndarray):
 class _SoftmaxCore:
     """Shared machinery: scores + hand-coded backprop to parameter grads.
 
-    Subclasses implement forward() returning (scores, cache) and
-    backward(), which maps d(objective)/d(scores) to the parameters'
+    Subclasses implement init(seed), forward() returning (scores, cache)
+    and backward(), which maps d(objective)/d(scores) to the parameters'
     gradients and writes each into its tensor of ``grads``, a zeroed set
     in the parameters' layout (``ParamSet.zeros``) that the caller builds
     in dscores' dtype, through the ``out=`` of ``np.matmul``,
@@ -201,22 +201,12 @@ class _SoftmaxCore:
 
     name = "core"
 
-    def forward(self, params: ParamSet, x: np.ndarray):
-        raise NotImplementedError
-
-    def backward(self, params: ParamSet, x: np.ndarray,
-                 dscores: np.ndarray, cache, grads: ParamSet):
-        raise NotImplementedError
-
     def entropy_forward(self, params: ParamSet, x: np.ndarray):
         return self.forward(params, x)
 
     def entropy_backward(self, params: ParamSet, x: np.ndarray,
                          dscores: np.ndarray, cache, grads: ParamSet):
         self.backward(params, x, dscores, cache, grads)
-
-    def init(self, seed: int) -> ParamSet:
-        raise NotImplementedError
 
 
 class _LogisticCore(_SoftmaxCore):

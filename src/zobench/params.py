@@ -41,7 +41,8 @@ split, and the module's one worker thread, starting each term at its
 place, over the rest, each in its half of the set's one scratch.  Every
 element gets the same additions in the same order as on one thread, so
 no byte moves.  Replay, revert, low-rank kinds and any call with an
-unmarked term run on the calling thread alone.
+unmarked term run on the calling thread alone.  The worker is built
+when such a set is laid out, so no step is the first to start it.
 
 A query perturbs nothing in place: :meth:`ParamSet.probes` gives two
 read-only :class:`Probe` views, theta + eps z and theta - eps z, with
@@ -49,8 +50,12 @@ the z axpy adds.  A probe builds a tensor the model indexes,
 ``params[name]``, from eps z_i drawn once for both probes, and answers
 ``params.matmul(x, name)`` with ``x @ theta_i`` plus or minus ``eps (x
 @ z_i)``, drawing that z in pieces of at most :data:`PIECE` elements
-and never building the weight.  A probe's transients are those pieces
-and the kept eps z_i; its products are activations, like the forward's.
+and never building the weight.  On a set whose update may split, the
+worker thread draws those pieces, into two buffers in turn, while the
+calling thread multiplies each one drawn: the pieces, their products and
+the order they are added in are the one-thread loop's.  A probe's
+transients are those pieces and the kept eps z_i; its products are
+activations, like the forward's.
 
 The whole-set helpers keep the same bound: ``max_abs_diff`` and
 ``equals_bitwise`` walk the tensors in CHUNK-element pieces through one
@@ -76,7 +81,7 @@ import os
 import struct
 import threading
 import weakref
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from functools import lru_cache
 from pathlib import Path
 
@@ -100,11 +105,15 @@ CHUNK = 2 ** 16
 # pieces stay small), or a slice of one row wider than PIECE.  Its partial
 # products go through one scratch of at most PIECE elements too, so a
 # product costs two 128 KB buffers of float64 beside its result, which is
-# an activation.
+# an activation, and three on a set whose update may split, where the
+# worker thread draws each piece into one of two while the caller
+# multiplies the other.
 PIECE = 2 ** 14
 PIECE_ROWS = 256
 # A set keeps the places of at most this many queries for its next update
 # (see _Draws): probing it without updating it drops them all at this count.
+# So a step of more queries than this drops its first queries' places, and
+# its update, with terms unmarked, runs on one thread.
 _MARKS = 64
 
 _MAGIC = b"ZOPS"
@@ -199,6 +208,8 @@ class ParamSet:
         # (tensor, offset) of the element a full-kind update may split at,
         # and each probed seed's stream place there (see _Draws)
         self._split, self._marks = _split_point(layout), {}
+        if self._split is not None:  # the pool starts here, not in a step
+            _worker()
         return self
 
     # -- schema ----------------------------------------------------------
@@ -219,9 +230,6 @@ class ParamSet:
 
     def items(self):
         return iter(self._index.items())
-
-    def __len__(self):
-        return len(self._layout)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._index[name]
@@ -654,30 +662,83 @@ class _Draws:
         most :data:`PIECE` elements: at most :data:`PIECE_ROWS` whole
         rows, or a slice of one row wider than ``PIECE``.  Each piece's
         product is added to the result a block of result rows at a time,
-        through one scratch of at most ``PIECE`` elements.
+        through one scratch of at most ``PIECE`` elements.  On a set whose
+        update ``axpy`` may split, the module's worker thread draws the
+        pieces (:meth:`_drawn_ahead`) while this thread multiplies them;
+        each piece gets the same values and the same products in the same
+        order either way.
         """
-        i = self.params._position[name]
-        stream = thread_stream(self.seed, i)
         step = max(1, min(rows, PIECE_ROWS, PIECE // cols))
         width = min(cols, PIECE)
+        # (first row, first column, rows, columns) per piece, in stream order
+        pieces = [(r0, c0, min(step, rows - r0), min(width, cols - c0))
+                  for r0 in range(0, rows, step) for c0 in range(0, cols, width)]
         m, block = x2.shape[0], max(1, PIECE // width)
         out = np.zeros((m, cols), np.result_type(x2, dtype))
         partial = np.empty(min(m, block) * width, out.dtype)
-        z = np.empty(step * width, dtype)
+        ahead = self.params._split is not None  # the gate axpy's split reads
+        z = np.empty((1 + ahead, step * width), dtype)
         alloc_tracker.alloc(z.nbytes)
-        for r0 in range(0, rows, step):
-            xp = x2[:, r0:r0 + step]
-            for c0 in range(0, cols, width):
-                flat = z[:xp.shape[1] * min(width, cols - c0)]
-                self._fill(stream, i, flat, r0 * cols + c0)
-                zp = flat.reshape(xp.shape[1], -1)
-                w = zp.shape[1]
+        drawn = (self._drawn_ahead if ahead else self._drawn)(name, pieces, cols, z)
+        with closing(drawn):
+            for (r0, c0, h, w), flat in drawn:
+                xp, zp = x2[:, r0:r0 + h], flat.reshape(h, w)
                 for i0 in range(0, m, block):
                     xb = xp[i0:i0 + block]
                     out[i0:i0 + block, c0:c0 + w] += np.matmul(
                         xb, zp, out=partial[:len(xb) * w].reshape(len(xb), w))
         alloc_tracker.free(z.nbytes)
         return out
+
+    def _drawn(self, name: str, pieces, cols: int, z: np.ndarray):
+        """``(piece, z)`` per piece of ``name``'s z, in order: each drawn
+        on the calling thread into ``z[k % len(z)]``, k its index."""
+        i = self.params._position[name]
+        stream = thread_stream(self.seed, i)
+        for k, piece in enumerate(pieces):
+            r0, c0, h, w = piece
+            flat = z[k % len(z), :h * w]
+            self._fill(stream, i, flat, r0 * cols + c0)
+            yield piece, flat
+
+    def _drawn_ahead(self, name: str, pieces, cols: int, z: np.ndarray):
+        """:meth:`_drawn`'s pieces, drawn by the module's worker thread into
+        ``z[0]`` and ``z[1]`` in turn, at most two ahead of the caller.
+
+        ``filled`` hands a drawn piece to the caller, through ``ready``;
+        ``free`` hands its buffer back once the caller asks for the next.
+        A worker's error reaches the caller when it next asks; the caller's
+        error, or closing this early, sets ``stop``, which ends the worker
+        before its next piece.  Either way the worker has ended before
+        this returns.
+        """
+        free, filled, stop = threading.Semaphore(2), threading.Semaphore(0), []
+        draws, ready = self._drawn(name, pieces, cols, z), []
+
+        def draw():
+            try:
+                for _ in pieces:
+                    free.acquire()
+                    if stop:
+                        return
+                    ready.append(next(draws))
+                    filled.release()
+            finally:  # one more, with nothing ready if a draw failed
+                filled.release()
+
+        job = _worker().submit(draw)
+        try:
+            for k in range(len(pieces)):
+                if k:  # piece k - 1 is multiplied: its buffer is free
+                    free.release()
+                filled.acquire()
+                if not ready:  # the worker failed: job.result() raises it
+                    break
+                yield ready.pop(0)
+        finally:
+            stop.append(True)
+            free.release()
+            job.result()
 
 
 def _schema_hash(entries) -> int:
@@ -867,8 +928,10 @@ def _one_blas_thread(params: ParamSet):
 
 
 def _worker():
-    """The split update's pool of one worker thread, built on first use:
-    only a split imports ``concurrent.futures`` (and ``logging`` with it)."""
+    """The pool of one worker thread that takes half of a split update and
+    draws a pieced product's z, built when the first set that may split
+    is laid out: only such a set imports ``concurrent.futures`` (and
+    ``logging`` with it), and no step's first probe starts a thread."""
     global _pool
     with _pool_lock:
         if _pool is None:

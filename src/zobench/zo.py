@@ -17,9 +17,11 @@ Every update goes through ``params.axpy``, looked up on the module at
 call time, so a wrapper installed there sees every call.  On a set above
 ``params.CHUNK`` elements that update may take two threads, each term
 of the second going on from the stream place (the generator's Philox
-state dict) its probes marked.  ``train`` then holds numpy's OpenBLAS
+state dict) its probes marked, and each probe's product with a wide
+weight takes two as well: the worker thread draws z piece by piece while
+the calling thread multiplies.  ``train`` then holds numpy's OpenBLAS
 at one thread, as ``params._one_blas_thread`` decides, so its
-busy-waiting worker leaves the second CPU to the update.
+busy-waiting worker leaves the second CPU to the update and the draws.
 
 Query estimates are combined either by plain accumulation (the default:
 each query contributes lr * g, so the effective step grows with q) or by

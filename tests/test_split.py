@@ -4,9 +4,11 @@ Above ``CHUNK`` elements, where the machine has a second CPU and numpy's
 OpenBLAS is found, a query's probes mark where each seed's stream is at
 the set's middle element, and ``axpy`` hands the update from there on to
 one worker thread.  Every element gets the same additions in the same
-order as in the one-thread pass, so the two must agree bit for bit.
-Each test here decides the split itself (``_can_split`` patched), so it
-runs the same way on any machine.
+order as in the one-thread pass, so the two must agree bit for bit.  On
+such a set a probe's product with a wide weight takes two threads too:
+the worker draws z's pieces while the caller multiplies them, and the
+product must equal the one-thread one.  Each test here decides the split
+itself (``_can_split`` patched), so it runs the same way on any machine.
 """
 
 import threading
@@ -33,20 +35,27 @@ def _mlp(dim, hidden, classes, dtype=np.float64):
     return model, BatchSampler(gen_data(cfg)[0], 8, seed=0).draw, init
 
 
-def _reader(shapes):
-    """A model that reads a 2-D tensor as the mlp reads a weight, through
-    ``matmul`` with a fixed input, and any other by indexing it."""
+def _inputs(shapes, lead=(3,), dtype=np.float64):
+    """A fixed input of shape ``lead + (rows,)`` per 2-D tensor, by name."""
     rng = np.random.default_rng(0)
-    inputs = {name: rng.normal(size=(3, shape[0]))
-              for name, shape in shapes if len(shape) == 2}
+    return {name: rng.normal(size=lead + shape[:1]).astype(dtype)
+            for name, shape in shapes if len(shape) == 2}
+
+
+def _reader(shapes, lead=(3,), dtype=np.float64):
+    """A model that reads a 2-D tensor as the mlp reads a weight, through
+    ``matmul`` with its input from :func:`_inputs`, and any other by
+    indexing it."""
+    inputs = _inputs(shapes, lead, dtype)
 
     def loss(params, batch):
         return sum(float(np.tanh(params.matmul(inputs[name], name)
                                  if name in inputs else params[name]).sum())
                    for name, _ in shapes)
 
-    init = ParamSet((name, np.linspace(-1.0, 1.0, int(np.prod(shape)))
-                     .reshape(shape)) for name, shape in shapes)
+    init = ParamSet((name, np.linspace(-1.0, 1.0, int(np.prod(shape)),
+                                       dtype=dtype).reshape(shape))
+                    for name, shape in shapes)
     return Model(name="reader", loss=loss), lambda index: None, init
 
 
@@ -239,3 +248,174 @@ def test_train_restores_the_openblas_thread_count(monkeypatch):
     finally:
         put(original)
     assert seen == [1] * 8  # the failing query still evaluates both probes
+
+
+# A probe's product with a wide weight, on a set that may split: the
+# worker thread draws z's pieces while the caller multiplies them.
+# (shapes, lead dimensions of x, dtype); the first tensor is multiplied
+PRODUCTS = {
+    # 63 rows a piece, 300 = 4 * 63 + 48; the split point is in "w"
+    "rows-not-a-multiple": ([("w", (300, 257)), ("b", (257,))], (5,), np.float64),
+    # each row drawn in two slices
+    "row-slices": ([("w", (5, 17_000))], (3,), np.float64),
+    # the split point is the first element of "b"
+    "split-in-another": ([("a", (200, 200)), ("b", (40_000,))], (3,), np.float64),
+    "3-d-x": ([("w", (300, 257))], (2, 4), np.float64),
+    "float32": ([("w", (300, 257))], (5,), np.float32),
+}
+
+
+def _fill_threads(monkeypatch):
+    """The name of the thread of every Gaussian fill, until ``monkeypatch``
+    is undone."""
+    from zobench import samplers
+
+    names, fill = [], samplers.gaussian_fill
+
+    def spy(*args):
+        names.append(threading.current_thread().name)
+        return fill(*args)
+
+    monkeypatch.setattr(samplers, "gaussian_fill", spy)
+    return names
+
+
+def _product(monkeypatch, case, split):
+    """The case's ``product`` output, eps (x @ z), on a set built with the
+    split on or off, and the threads its fills ran on."""
+    shapes, lead, dtype = PRODUCTS[case]
+    name = shapes[0][0]
+    with monkeypatch.context() as patch:
+        patch.setattr(P, "_can_split", lambda: split)
+        _, _, init = _reader(shapes, lead, dtype)
+        names = _fill_threads(patch)
+        with init.probes(7, 1e-3) as (plus, _):
+            out = plus._draws.product(_inputs(shapes, lead, dtype)[name],
+                                      name, init[name])
+    return out, set(names)
+
+
+@pytest.mark.parametrize("case", list(PRODUCTS))
+def test_pipelined_product_equals_the_one_thread_one(monkeypatch, case):
+    ahead, threads = _product(monkeypatch, case, True)
+    assert all(name.startswith("zobench-axpy") for name in threads)
+    here, threads = _product(monkeypatch, case, False)
+    assert threads == {threading.current_thread().name}
+    assert ahead.dtype == here.dtype and np.array_equal(ahead, here)
+    # and a step through it: the probes' products and the update
+    shapes, lead, dtype = PRODUCTS[case]
+    trained = []
+    for split in (True, False):
+        monkeypatch.setattr(P, "_can_split", lambda: split)
+        model, source, init = _reader(shapes, lead, dtype)
+        zo.train(model, source, ZOConfig(q=2, steps=2, master_seed=3), init)
+        assert ("split" in init._plans) == split
+        trained.append(init)
+    assert trained[0].equals_bitwise(trained[1])
+
+
+def _within(seconds, fn):
+    """Run ``fn`` on a thread; its exception, or a failure if it hangs."""
+    box = []
+
+    def run():
+        try:
+            fn()
+        except BaseException as exc:  # noqa: BLE001 - handed to the test
+            box.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), "the call hung"
+    return box[0] if box else None
+
+
+def _pool_works():
+    assert P._worker().submit(int, 5).result(timeout=10) == 5
+
+
+def test_a_draw_that_fails_on_the_worker_reaches_the_caller(monkeypatch):
+    # "b" holds the split point and is read first, so the query has
+    # marked its place before the product of "w" fails on its third piece
+    from zobench import samplers
+
+    monkeypatch.setattr(P, "_can_split", lambda: True)
+    shapes = [("b", (100_000,)), ("w", (300, 257))]
+    model, source, init = _reader(shapes)
+    before, fill, worker, marked = init.copy(), samplers.gaussian_fill, [], []
+
+    def failing(*args):
+        if threading.current_thread().name.startswith("zobench-axpy"):
+            worker.append(None)
+            if len(worker) == 3:
+                marked.append(list(init._marks))
+                raise RuntimeError("third piece")
+        return fill(*args)
+
+    monkeypatch.setattr(samplers, "gaussian_fill", failing)
+    exc = _within(30, lambda: zo.rge_proj_grad(model, init, None, 5, 1e-3))
+    assert isinstance(exc, RuntimeError) and str(exc) == "third piece"
+    assert marked == [[5]]  # cleared as the query's block exits
+    assert init._marks == {} and init.equals_bitwise(before)
+    monkeypatch.setattr(samplers, "gaussian_fill", fill)
+    _pool_works()
+    # the next step still splits, with the bytes of the one-thread one
+    config = ZOConfig(q=2, steps=1, master_seed=3)
+    zo.train(model, source, config, init)
+    assert "split" in init._plans
+    monkeypatch.setattr(P, "_can_split", lambda: False)
+    model, source, expected = _reader(shapes)
+    zo.train(model, source, config, expected)
+    assert init.equals_bitwise(expected)
+
+
+class _FailingInput(np.ndarray):
+    """An input whose third slice raises, as the product takes the rows
+    of each piece: an error on the caller's side mid-product."""
+
+    def __getitem__(self, key):
+        self.slices = getattr(self, "slices", 0) + 1
+        if self.slices == 3:
+            raise RuntimeError("third slice")
+        return np.asarray(self)[key]
+
+
+def test_a_caller_error_stops_the_worker(monkeypatch):
+    # 2000 x 40 is drawn in 8 pieces of 256 rows; the caller fails on
+    # the third, and the worker, at most two pieces ahead, stops there
+    monkeypatch.setattr(P, "_can_split", lambda: True)
+    shapes = [("w", (2000, 40))]
+    _, _, init = _reader(shapes)
+    x = _inputs(shapes)["w"].view(_FailingInput)
+    names = _fill_threads(monkeypatch)
+
+    def product():
+        with init.probes(7, 1e-3) as (plus, _):
+            plus._draws.product(x, "w", init["w"])
+
+    exc = _within(30, product)
+    assert isinstance(exc, RuntimeError) and str(exc) == "third slice"
+    drawn = len(names)
+    _pool_works()
+    assert len(names) == drawn  # the worker has ended: no piece after it
+    assert 0 < drawn < 8 and init._marks == {}
+    # the pool draws the next product whole
+    ahead, threads = _product(monkeypatch, "rows-not-a-multiple", True)
+    here, _ = _product(monkeypatch, "rows-not-a-multiple", False)
+    assert np.array_equal(ahead, here)
+
+
+def test_a_step_of_more_queries_than_marks_runs_on_one_thread(monkeypatch):
+    # q = _MARKS + 1: the last query's mark drops the first ones, so the
+    # update has unmarked terms and takes the one-thread path
+    shapes = [("a", (200, 200)), ("b", (40_000,))]
+    config = ZOConfig(q=P._MARKS + 1, steps=1, master_seed=3)
+    trained = []
+    for split in (True, False):
+        monkeypatch.setattr(P, "_can_split", lambda: split)
+        model, source, init = _reader(shapes)
+        zo.train(model, source, config, init)
+        assert list(init._plans) == [True] and init._marks == {}
+        trained.append(init)
+    assert trained[0].equals_bitwise(trained[1])

@@ -576,6 +576,25 @@ def test_zo_step_memory_is_one_forward_plus_a_chunk():
     assert sgd >= params.num_elements() * params.dtype.itemsize
 
 
+def test_footprints_hold_in_a_fresh_process(tmp_path):
+    # The memory tests above, run alone: in the full suite an earlier test
+    # may already have made a one-off import or started a thread that a
+    # step would otherwise make inside its traced window.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         str(root / "tests" / "test_zo.py"), "-k", "memory"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1].startswith("5 passed"), proc.stdout
+
+
 @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
 def test_fo_step_memory_is_one_gradient(optimizer):
     # the backward writes straight into one gradient set, so on the wide
