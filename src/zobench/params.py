@@ -7,42 +7,36 @@ regenerating z from a stored seed reproduces exactly the same update.
 
 Every set is one packed 1-D buffer plus a layout of (name, offset,
 shape) entries; its tensors are views into that buffer.  A subset keeps
-the parent's buffer and only the selected entries.  A set plans how its
-tensors group into runs: tensors whose offsets follow on from each
-other, at most :data:`CHUNK` elements per run under the full kind, a
-tensor above that drawn piece by piece from its one stream.
+the parent's buffer and only the selected entries.
 
-axpy is the one update kernel, with one body and the only writer of a
-set's tensors: stage-2 updates, seed-log replay and revert call it with
-a list of terms, one per (seed, proj_grad) record, one call per step or
-log.  Each term draws its own z.  A
-direction is named by (seed, kind) alone; epsilon only sets the
-coefficient.  axpy's one temporary is a scratch array that lives with
-the set's update plan, built on first use with the views onto it: under
-the full kind it holds at most CHUNK elements whatever the model's size
-(512 KB of float64), which is what bounds the optimizer's transient
-memory.  Each draw of z goes into it run by run, then is scaled and
-added once per run.  The scratch makes a set single-writer: one set
-must not be updated from two threads at once, while separate sets,
-subsets and copies each have their own.  z comes from the calling
-thread's rekeyed stream (see :func:`zobench.streams.thread_stream`),
-never from a newly built one.
+Every draw of z goes through its kind's one hook, :func:`_sampler`:
+whether z_i can start mid-tensor, and the call that writes part of z_i.
+A set plans how its tensors group into runs: tensors whose offsets
+follow on from each other, at most :data:`CHUNK` elements per run when
+z can be cut, a tensor above that drawn piece by piece from its stream.
 
-A full-kind update of a set above CHUNK elements may take two threads:
+axpy is the one update kernel and the only writer of a set's tensors:
+stage-2 updates, seed-log replay and revert call it with a list of
+(seed, coefficient) terms, one call per step or log.  A direction is
+named by (seed, kind) alone; epsilon only sets the coefficient.  Its one
+temporary is a scratch array that lives with the set's update plan:
+when z can be cut it holds at most CHUNK elements whatever the model's
+size (512 KB of float64), which bounds the optimizer's transient
+memory.  So one set must not be updated from two threads at once.
+
+An update of cut z on a set above CHUNK elements may take two threads,
 where the machine has a second CPU and numpy's OpenBLAS is found, so
 that ``zo.train`` can hold OpenBLAS at one thread meanwhile, through
-this module's ``_one_blas_thread``.  The set splits at its middle
-element.  A query's probes draw each tensor's z in stream order, and
-mark where the seed's stream is at that element: one place per query,
-the generator's Philox state dict, kept with the set until its next
-axpy call takes it.  When every term of a call has its place, the
-calling thread adds every term, in order, over the elements before the
-split, and the module's one worker thread, starting each term at its
-place, over the rest, each in its half of the set's one scratch.  Every
-element gets the same additions in the same order as on one thread, so
-no byte moves.  Replay, revert, low-rank kinds and any call with an
-unmarked term run on the calling thread alone.  The worker is built
-when such a set is laid out, so no step is the first to start it.
+``_one_blas_thread``.  The set splits at its middle element.  A query's
+probes mark where each seed's stream is at that element, and when every
+term of a call has its mark, the module's one worker thread adds the
+terms over the rest of the set, from their marks, while the calling
+thread adds them over the elements before it; otherwise (replay,
+revert, z drawn whole) the calling thread adds them alone.  Every
+element gets the same additions in the same order either way, so no
+byte moves.
+The worker is built when such a set is laid out, so no step is the
+first to start it.
 
 A query perturbs nothing in place: :meth:`ParamSet.probes` gives two
 read-only :class:`Probe` views, theta + eps z and theta - eps z, with
@@ -202,10 +196,10 @@ class ParamSet:
         # the substream each tensor draws its z from: its place in the set
         self._position = {name: i for i, (name, _, _) in enumerate(layout)}
         self._largest = max(arr.size for arr in self._index.values())
-        # axpy's plan per kind family (full or not, or "split"), built on
+        # axpy's plan per answer of _sampler's cuts, or "split", built on
         # first use
         self._plans, self._schema_hash = {}, None
-        # (tensor, offset) of the element a full-kind update may split at,
+        # (tensor, offset) of the element an update of cut z may split at,
         # and each probed seed's stream place there (see _Draws)
         self._split, self._marks = _split_point(layout), {}
         if self._split is not None:  # the pool starts here, not in a step
@@ -292,21 +286,18 @@ class ParamSet:
         return ParamSet.__new__(ParamSet)._view(self._buf, layout, index)
 
     def _update_plan(self, key):
-        """axpy's ``(nbytes, views)`` for a key, built once: ``True`` for
-        the full kind, ``False`` for a low-rank one, ``"split"`` for the
-        full kind's update on two threads.
+        """axpy's ``(nbytes, views)`` for a key, built once: a kind's
+        :func:`_sampler` ``cuts``, or ``"split"`` for a cut update on two
+        threads.
 
         The plan owns its scratch, of ``nbytes``: ``min(largest, CHUNK)``
-        elements under the full kind, in runs of :meth:`_plan`; a
-        low-rank z is one matmul per tensor that cannot be cut, so that
-        plan's runs and scratch are capped at the largest tensor's size.
-        ``views`` holds ``(run, z, outs)`` per run: ``z`` is the
-        scratch's view for the run's draw and ``outs`` each part's
-        ``(index, slice of z)``, shaped as its tensor for a low-rank draw.
-        The split plan has no scratch of its own: its ``views`` are two
-        such tuples, one per thread, over the set's elements before and
-        from its middle one, each run in its half of the full plan's
-        scratch.
+        elements when z is cut, in runs of :meth:`_plan`, else the
+        largest tensor's size.  ``views`` holds ``(run, z, outs)`` per
+        run: ``z`` is the scratch's view for the run's draw and ``outs``
+        each part's ``(index, slice of z)``, shaped as its tensor when
+        drawn whole.  The split plan's ``views`` are two such tuples, one
+        per thread, over the set's elements before and from its middle
+        one, each run in its half of the cut plan's scratch.
         """
         plan = self._plans.get(key)
         if plan is None:
@@ -323,11 +314,11 @@ class ParamSet:
             self._plans[key] = plan
         return plan
 
-    def _views(self, scratch, full, first=0, last=math.inf):
+    def _views(self, scratch, cuts, first=0, last=math.inf):
         """``(run, z, outs)`` per run of :meth:`_plan` over ``scratch``."""
         return tuple(
             (run, scratch[:size],
-             tuple((i, scratch[start:stop] if full
+             tuple((i, scratch[start:stop] if cuts
                     else scratch[start:stop].reshape(shape))
                    for i, start, stop, shape in parts))
             for run, size, parts in self._plan(scratch.size, first, last))
@@ -576,17 +567,20 @@ class _Draws:
     draw comes from the calling thread's stream restarted at (seed, i),
     as ``axpy``'s does.  The kept eps z_i are reported to
     ``alloc_tracker`` until the context exits, a product's z while it is
-    drawn; the products themselves are activations.  Under the full kind,
-    the draw of the tensor that holds the set's split point marks the
-    stream's place there, by seed, in the set's marks for its next
-    update (all dropped when ``_MARKS`` are held); a block that raises
-    clears them, as its step will not update.
+    drawn; the products themselves are activations.  Under a kind whose
+    z can start mid-tensor (see :func:`_sampler`), the draw of the tensor
+    that holds the set's split point marks the stream's place there, by
+    seed, in the set's marks for its next update (all dropped when
+    ``_MARKS`` are held); a block that raises clears them, as its step
+    will not update.
     """
 
     def __init__(self, params: ParamSet, seed: int, epsilon: float,
                  kind: SamplerKind):
-        self.params, self.seed, self.eps, self.kind = params, seed, epsilon, kind
-        self.full = kind.variant == "full"
+        self.params, self.seed, self.eps = params, seed, epsilon
+        self.cuts, self.fill = _sampler(kind)
+        # the element this query's draws mark: none under a kind drawn whole
+        self.split = params._split if self.cuts else None
         self._scaled, self._products, self._kept = {}, {}, 0
 
     def __enter__(self):
@@ -601,29 +595,24 @@ class _Draws:
     def _draw(self, name: str, z: np.ndarray) -> np.ndarray:
         """z_i of tensor ``name``, drawn whole into ``z`` (of its shape)."""
         i = self.params._position[name]
-        stream = thread_stream(self.seed, i)
-        if self.full:
-            self._fill(stream, i, z, 0)
-        else:
-            sample_for_tensor(stream, z.shape, self.kind, z.dtype, z)
+        self._fill(thread_stream(self.seed, i), i, z, 0)
         return z
 
     def _fill(self, stream, i: int, z: np.ndarray, pos: int):
-        """Fill ``z``, C-contiguous, with z_i's elements from ``pos`` on.
-        If the set's split point is among them, the fill stops there for
-        the stream's place to be marked: fills are prefix-consistent, so
-        no byte moves."""
-        fill = samplers.gaussian_fill  # looked up here so bench/spans.py can wrap it
-        split = self.params._split
+        """Fill ``z``, C-contiguous, with z_i's elements from ``pos`` on,
+        ``stream`` being there.  If the split point this query marks is
+        among them, the fill stops there for the stream's place to be
+        marked: fills are prefix-consistent, so no byte moves."""
+        split = self.split
         if split is not None and split[0] == i and 0 <= split[1] - pos < z.size:
             z, cut, marks = z.reshape(-1), split[1] - pos, self.params._marks
             if cut:
-                fill(stream, None, z.dtype, z[:cut])
+                self.fill(stream, None, z.dtype, z[:cut])
             if len(marks) >= _MARKS:
                 marks.clear()
             marks[self.seed] = stream.tell()
             z = z[cut:]
-        fill(stream, None, z.dtype, z)
+        self.fill(stream, None, z.dtype, z)
 
     def scaled(self, name: str, theta: np.ndarray) -> np.ndarray:
         ez = self._scaled.get(name)
@@ -641,9 +630,9 @@ class _Draws:
             return kept[1]
         rows, cols = theta.shape
         x2 = x if x.ndim == 2 else x.reshape(-1, rows)
-        if self.full and (theta.size > PIECE or rows > PIECE_ROWS):
+        if self.cuts and (theta.size > PIECE or rows > PIECE_ROWS):
             ez = self._pieced_product(name, x2, rows, cols, theta.dtype)
-        else:  # one piece, or a low-rank z, which cannot be cut: drawn whole
+        else:  # one piece, or a z that cannot be cut: drawn whole
             z = np.empty(theta.shape, theta.dtype)
             alloc_tracker.alloc(z.nbytes)
             ez = x2 @ self._draw(name, z)
@@ -656,7 +645,7 @@ class _Draws:
 
     def _pieced_product(self, name: str, x2: np.ndarray, rows: int,
                         cols: int, dtype) -> np.ndarray:
-        """``x2 @ z_i`` for the full kind's z of a ``rows x cols`` weight.
+        """``x2 @ z_i`` for a ``rows x cols`` weight whose z can be cut.
 
         z_i is drawn in stream order by :meth:`_fill`, in pieces of at
         most :data:`PIECE` elements: at most :data:`PIECE_ROWS` whole
@@ -676,7 +665,7 @@ class _Draws:
         m, block = x2.shape[0], max(1, PIECE // width)
         out = np.zeros((m, cols), np.result_type(x2, dtype))
         partial = np.empty(min(m, block) * width, out.dtype)
-        ahead = self.params._split is not None  # the gate axpy's split reads
+        ahead = self.split is not None  # the gate axpy's split reads
         z = np.empty((1 + ahead, step * width), dtype)
         alloc_tracker.alloc(z.nbytes)
         drawn = (self._drawn_ahead if ahead else self._drawn)(name, pieces, cols, z)
@@ -768,19 +757,14 @@ def axpy(params: ParamSet, coeff: float | list, seed: int | list,
     draws its own z, even when the term before it has the same seed.
 
     Every seed is checked, by :func:`~zobench.streams.check_u64`, before
-    the first write.  The call then runs on the set's update plan
-    (``ParamSet._update_plan``), built on the set's first call of each
-    kind family and kept with the set: a scratch array, the whole
-    transient, and the views onto it, so a call slices and allocates
-    nothing.  For each term and each run of adjacent tensors
-    (``ParamSet._plan``) every z_i is drawn into its slice of the
-    scratch, then the run is scaled and added once.  Both are
-    element-wise, so the result is bit-identical to scaling and adding
-    tensor by tensor.  Under the full kind the scratch holds
-    ``min(largest tensor, CHUNK)`` elements, and a larger tensor is
-    drawn piece by piece from its one stream.  A low-rank z is a matmul
-    per tensor that cannot be cut, so its scratch is the largest
-    tensor's size.
+    the first write.  The call then runs on the set's update plan for
+    the kind (``ParamSet._update_plan``), built once and kept with the
+    set: a scratch array, the whole transient, and the views onto it, so
+    a call slices and allocates nothing.  For each term and each run of
+    adjacent tensors every z_i is drawn, by the kind's :func:`_sampler`
+    fill, into its slice of the scratch, then the run is scaled and
+    added once.  Both are element-wise, so the result is bit-identical
+    to scaling and adding tensor by tensor.
 
     Each z_i comes from the calling thread's one stream, restarted at
     (seed, i), not from a new ``GaussianStream``: building one costs
@@ -808,31 +792,30 @@ def axpy(params: ParamSet, coeff: float | list, seed: int | list,
             terms.append((s, c))
     if not terms:
         return
-    full = kind.variant == "full"
+    cuts, fill = _sampler(kind)
     marks = params._marks
-    places = [marks.get(s) for s, _ in terms] if full and marks else [None]
+    places = [marks.get(s) for s, _ in terms] if cuts and marks else [None]
     marks.clear()  # this update takes the set's marks
     split = None not in places
-    nbytes, views = params._update_plan("split" if split else full)
+    nbytes, views = params._update_plan("split" if split else cuts)
     alloc_tracker.alloc(nbytes)  # both halves of a split, reported here
     if split:
-        job = _worker().submit(_add_terms, views[1], terms, kind, params.dtype,
+        job = _worker().submit(_add_terms, views[1], terms, fill, params.dtype,
                                places)
         try:
-            _add_terms(views[0], terms, kind, params.dtype)
+            _add_terms(views[0], terms, fill, params.dtype)
         finally:
             job.result()
     else:
-        _add_terms(views, terms, kind, params.dtype)
+        _add_terms(views, terms, fill, params.dtype)
     alloc_tracker.free(nbytes)
 
 
-def _add_terms(views, terms, kind, dtype, places=None):
+def _add_terms(views, terms, fill, dtype, places=None):
     """Add every ``(seed, coefficient)`` term, in order, over the runs of
-    ``views``.  Each term's draw starts at tensor 0 of its seed or, given
-    ``places``, at the term's place in its stream."""
-    fill = samplers.gaussian_fill  # looked up here so bench/spans.py can wrap it
-    full = kind.variant == "full"
+    ``views``, each tensor or piece drawn by ``fill`` (see
+    :func:`_sampler`).  Each term's draw starts at tensor 0 of its seed
+    or, given ``places``, at the term's place in its stream."""
     stream = thread_stream(terms[0][0])  # keyed (seed, 0) for the first term
     for k, (s, c) in enumerate(terms):
         if places is not None:
@@ -844,12 +827,27 @@ def _add_terms(views, terms, kind, dtype, places=None):
             for i, out in outs:
                 if i:  # 0: tensor 0, or a piece going on with its draw
                     stream.restart(i)
-                if full:
-                    fill(stream, None, dtype, out)
-                else:
-                    sample_for_tensor(stream, out.shape, kind, dtype, out)
+                fill(stream, None, dtype, out)
             np.multiply(z, c, z)
             run += z
+
+
+def _sampler(kind: SamplerKind):
+    """``(cuts, fill)``: how ``kind`` draws z, the one place this module
+    asks which kind it is.
+
+    ``cuts``: whether z_i can start mid-tensor.  The full kind's can,
+    from its stream; a low-rank z_i is a matmul, drawn whole.
+    ``fill(stream, None, dtype, out)`` writes elements [pos, pos +
+    out.size) of z_i into ``out``, ``stream`` being restarted at (seed,
+    i) and gone on to pos: pos = 0 and ``out`` of the tensor's shape
+    unless z is cut.  The full kind's fill is ``samplers.gaussian_fill``,
+    looked up per call so bench/spans.py can wrap it.
+    """
+    if kind.variant == "full":
+        return True, samplers.gaussian_fill
+    return False, lambda stream, _, dtype, out: sample_for_tensor(
+        stream, out.shape, kind, dtype, out)
 
 
 def _split_point(layout):

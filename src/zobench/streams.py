@@ -3,11 +3,12 @@
 All randomness in the library flows through :class:`GaussianStream`, which
 wraps numpy's Philox counter-based bit generator.  Philox is keyed, so a
 (seed, substream) pair fully determines the sample sequence; there is no
-global RNG state anywhere.  Standard normals are produced by numpy's
-ziggurat implementation, whose stream is pinned by numpy's stream
-compatibility policy.  Seed logs are portable across machines running the
-same numpy major version; the golden-value test in tests/test_streams.py
-guards against silent stream changes.
+global RNG state anywhere.  Standard normals come from numpy's ziggurat
+``Generator.standard_normal``, whose stream numpy's RNG policy (NEP 19)
+does not promise to keep across releases.  So a seed log replays bit for
+bit under the numpy whose values ``test_golden_values_pin_the_generator``
+(tests/test_streams.py) pins; ROADMAP item W is a log that checks its
+own replay.
 
 Building a stream costs ~11 µs, mostly the ``SeedSequence`` hashing that
 a new ``Philox`` runs before the rekey overrides its whole state (one

@@ -3,7 +3,7 @@
 Usage:
     PYTHONPATH=src python tests/output_hashes.py OUT [--against LISTING]
 
-Runs twenty-four small harness configs, each over seeds {0, 1}, into
+Runs twenty-five small harness configs, each over seeds {0, 1}, into
 ``OUT/<config name>/`` and prints one ``<sha256>  <path>`` line per
 output file, paths relative to OUT and sorted.  ``*.timings.json``
 holds wall-clock times and is skipped.  Each seed log ``<run>.zolog``
@@ -77,6 +77,8 @@ CONFIGS = [
     train("qone", {**ZO_MLP, "q": 1}),
     train("wide", {**ZO_MLP, "steps": 3}, model=WIDE),
     train("wideqone", {**ZO_MLP, "q": 1, "steps": 3}, model=WIDE),
+    # a low-rank z is drawn whole, even on a set whose update may split
+    train("widelowrank", {**ZO_MLP, **LOWRANK, "steps": 3}, model=WIDE),
     tta("revert", reset_mode="revert"),
     tta("qonerevert", {**ZO_TTA, "q": 1}, reset_mode="revert"),
     tta("lowrankrevert", {**ZO_TTA, **LOWRANK}, reset_mode="revert"),

@@ -22,6 +22,33 @@ def test_quadratic_validation():
         quadratic_bowl(np.ones((2, 2)))
 
 
+_LOGISTIC = logistic_regression(4, 3)
+_BAD_ARGS = {
+    "bowl-b-shape": (lambda: quadratic_bowl(np.ones(3), b=np.ones(2)),
+                     "b must match"),
+    "logistic-d": (lambda: logistic_regression(0, 3), "need d >= 1"),
+    "logistic-classes": (lambda: logistic_regression(4, 1), "need d >= 1"),
+    "mlp-d": (lambda: mlp_classifier(0, 4, 3), "need positive dims"),
+    "mlp-hidden": (lambda: mlp_classifier(4, 0, 3), "need positive dims"),
+    "mlp-classes": (lambda: mlp_classifier(4, 4, 1), "need positive dims"),
+    "seq-frames": (lambda: seq_classifier(0, 4, 3), "need positive dims"),
+    "seq-feat-dim": (lambda: seq_classifier(4, 0, 3), "need positive dims"),
+    "seq-classes": (lambda: seq_classifier(4, 4, 1), "need positive dims"),
+    "batch-size": (lambda: BatchSampler(Batch(np.zeros((2, 4)), [0, 1]), 0, 0),
+                   "batch_size must be >= 1"),
+    "scores-unlabeled": (lambda: sample_scores(_LOGISTIC, _LOGISTIC.init(0),
+                                               Batch(np.zeros((2, 4)))),
+                         "needs labels"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_ARGS))
+def test_constructors_reject_bad_arguments(case):
+    build, message = _BAD_ARGS[case]
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_quadratic_loss_and_grad():
     eig, b = np.array([2.0, 4.0]), np.array([2.0, 4.0])
     model = quadratic_bowl(eig, b=b)

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import math
 
 import numpy as np
@@ -163,6 +164,22 @@ def test_trailing_bytes_rejected():
     blob = small_set().to_bytes() + b"\x00"
     with pytest.raises(ValueError):
         ParamSet.from_bytes(blob)
+
+
+class _ShrinkingFile(io.BytesIO):
+    """A file that loses the end of its last tensor between the decoder's
+    two passes: ``readinto`` fills one byte fewer than asked."""
+
+    def readinto(self, buf):
+        return super().readinto(memoryview(buf).cast("B")[:-1])
+
+
+def test_a_file_that_shrinks_between_passes_is_truncated():
+    # the first pass saw every byte; the second reads one short
+    blob = small_set().to_bytes()
+    assert ParamSet._decode(io.BytesIO(blob)).equals_bitwise(small_set())
+    with pytest.raises(ParamSetFormatError, match="truncated"):
+        ParamSet._decode(_ShrinkingFile(blob))
 
 
 def test_bad_width_rejected():
@@ -540,6 +557,25 @@ def _scratch(p, full):
     """The scratch array of ``p``'s update plan for a kind family."""
     _, views = p._plans[full]
     return views[0][1].base
+
+
+def test_a_kind_drawn_whole_ignores_the_marks_of_a_cut_one(monkeypatch):
+    # full-kind probes mark seed 5's place at the split point, the first
+    # element of "b"; a low-rank update of seed 5 still draws each tensor
+    # whole on one thread, and takes the marks
+    from zobench import params as P
+
+    monkeypatch.setattr(P, "_can_split", lambda: True)
+    p, expected = (_ramps([("a", (200, 200)), ("b", (40_000,))])
+                   for _ in range(2))
+    with p.probes(5, 1e-3) as (plus, _):
+        plus["b"]
+    assert list(p._marks) == [5]
+    kind = SamplerKind.lowrank(2)
+    axpy(p, 0.5, 5, kind)
+    assert p._marks == {} and list(p._plans) == [False]
+    axpy(expected, 0.5, 5, kind)
+    assert p.equals_bitwise(expected)
 
 
 def test_update_plan_lives_with_its_set():
