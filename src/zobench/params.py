@@ -32,9 +32,14 @@ probes mark where each seed's stream is at that element, and when every
 term of a call has its mark, the module's one worker thread adds the
 terms over the rest of the set, from their marks, while the calling
 thread adds them over the elements before it; otherwise (replay,
-revert, z drawn whole) the calling thread adds them alone.  Every
-element gets the same additions in the same order either way, so no
-byte moves.
+revert, z drawn whole) the calling thread adds them alone.  Inside
+``zo.train`` the call returns at once and the update is left pending:
+the worker adds the terms over the first half too, unless the calling
+thread takes that half when it next reads the set, so the next step's
+first probe draws while the update runs.  A probe's ``probe[name]``,
+its ``matmul`` before it multiplies theta, the set's next ``axpy`` and
+the end of the run settle it.  Every element gets the same additions in
+the same order either way, so no byte moves.
 The worker is built when such a set is laid out, so no step is the
 first to start it.
 
@@ -46,8 +51,10 @@ the z axpy adds.  A probe builds a tensor the model indexes,
 @ z_i)``, drawing that z in pieces of at most :data:`PIECE` elements
 and never building the weight.  On a set whose update may split, the
 worker thread draws those pieces, into two buffers in turn, while the
-calling thread multiplies each one drawn: the pieces, their products and
-the order they are added in are the one-thread loop's.  A probe's
+calling thread multiplies each one drawn, unless the worker is running a
+pending update: then the calling thread draws them into the half of the
+update's scratch it takes last.  Either way the pieces, their products
+and the order they are added in are the one-thread loop's.  A probe's
 transients are those pieces and the kept eps z_i; its products are
 activations, like the forward's.
 
@@ -202,6 +209,9 @@ class ParamSet:
         # (tensor, offset) of the element an update of cut z may split at,
         # and each probed seed's stream place there (see _Draws)
         self._split, self._marks = _split_point(layout), {}
+        # whether axpy may leave a split update running (inside zo.train),
+        # and what finishes the one it left, if any (see axpy)
+        self._defer, self._pending = False, None
         if self._split is not None:  # the pool starts here, not in a step
             _worker()
         return self
@@ -295,9 +305,12 @@ class ParamSet:
         largest tensor's size.  ``views`` holds ``(run, z, outs)`` per
         run: ``z`` is the scratch's view for the run's draw and ``outs``
         each part's ``(index, slice of z)``, shaped as its tensor when
-        drawn whole.  The split plan's ``views`` are two such tuples, one
-        per thread, over the set's elements before and from its middle
-        one, each run in its half of the cut plan's scratch.
+        drawn whole.  The split plan's ``views`` are such tuples over the
+        set's elements before its middle one, in the first half of the
+        cut plan's scratch, and from it, in the second; the elements
+        before it again in the second half, for the worker to take them
+        too; and the first half itself, which a probe borrows while the
+        update is left pending.
         """
         plan = self._plans.get(key)
         if plan is None:
@@ -305,14 +318,33 @@ class ParamSet:
                 nbytes, views = self._update_plan(True)
                 scratch = views[0][1].base  # each run's z is a view of it
                 cap, middle = scratch.size // 2, self.num_elements() // 2
-                plan = (nbytes, (self._views(scratch[:cap], True, 0, middle),
-                                 self._views(scratch[cap:2 * cap], True, middle)))
+                mine, theirs = scratch[:cap], scratch[cap:2 * cap]
+                plan = (nbytes, (self._views(mine, True, 0, middle),
+                                 self._views(theirs, True, middle),
+                                 self._views(theirs, True, 0, middle), mine))
             else:
                 scratch = np.empty(min(self._largest, CHUNK) if key
                                    else self._largest, self.dtype)
                 plan = (scratch.nbytes, self._views(scratch, key))
             self._plans[key] = plan
         return plan
+
+    def _settle(self):
+        """Finish the split update ``axpy`` left pending: take the elements
+        before the middle one unless the worker has begun them, add the
+        terms over them here, then wait for the worker.  Nothing is left
+        pending, and the worker's error is raised here, once."""
+        job, claim, terms, fill = self._pending
+        self._pending = None
+        nbytes, views = self._plans["split"]
+        try:
+            if claim.acquire(blocking=False):
+                _add_terms(views[0], terms, fill, self.dtype)
+        finally:
+            try:
+                job.result()
+            finally:
+                alloc_tracker.free(nbytes)
 
     def _views(self, scratch, cuts, first=0, last=math.inf):
         """``(run, z, outs)`` per run of :meth:`_plan` over ``scratch``."""
@@ -572,7 +604,10 @@ class _Draws:
     that holds the set's split point marks the stream's place there, by
     seed, in the set's marks for its next update (all dropped when
     ``_MARKS`` are held); a block that raises clears them, as its step
-    will not update.
+    will not update.  Each draw a probe makes before it reads theta
+    settles an update ``axpy`` left pending on the set: ``scaled``
+    before it draws, ``product`` after, so the product's draw overlaps
+    the update.  A kept draw has been through that, for its query.
     """
 
     def __init__(self, params: ParamSet, seed: int, epsilon: float,
@@ -617,6 +652,8 @@ class _Draws:
     def scaled(self, name: str, theta: np.ndarray) -> np.ndarray:
         ez = self._scaled.get(name)
         if ez is None:
+            if self.params._pending is not None:  # theta is read next
+                self.params._settle()
             ez = self._draw(name, np.empty(theta.shape, theta.dtype))
             ez *= self.eps
             self._scaled[name] = ez
@@ -641,6 +678,8 @@ class _Draws:
         if x.ndim != 2:
             ez = ez.reshape(x.shape[:-1] + (cols,))
         self._products[name] = (weakref.ref(x), ez)
+        if self.params._pending is not None:  # x @ theta is next
+            self.params._settle()
         return ez
 
     def _pieced_product(self, name: str, x2: np.ndarray, rows: int,
@@ -653,9 +692,11 @@ class _Draws:
         product is added to the result a block of result rows at a time,
         through one scratch of at most ``PIECE`` elements.  On a set whose
         update ``axpy`` may split, the module's worker thread draws the
-        pieces (:meth:`_drawn_ahead`) while this thread multiplies them;
-        each piece gets the same values and the same products in the same
-        order either way.
+        pieces (:meth:`_drawn_ahead`) while this thread multiplies them,
+        unless the worker is running the set's last update: then this
+        thread draws them, into the half of the update's scratch it will
+        take last, when a piece fits there.  Each piece gets the same
+        values and the same products in the same order either way.
         """
         step = max(1, min(rows, PIECE_ROWS, PIECE // cols))
         width = min(cols, PIECE)
@@ -665,9 +706,16 @@ class _Draws:
         m, block = x2.shape[0], max(1, PIECE // width)
         out = np.zeros((m, cols), np.result_type(x2, dtype))
         partial = np.empty(min(m, block) * width, out.dtype)
-        ahead = self.split is not None  # the gate axpy's split reads
-        z = np.empty((1 + ahead, step * width), dtype)
-        alloc_tracker.alloc(z.nbytes)
+        pending = self.params._pending is not None
+        # the gate axpy's split reads; no draw job queues behind an update
+        ahead = self.split is not None and not pending
+        idle = self.params._plans["split"][1][3] if pending else ()
+        if len(idle) >= step * width:  # counted with the update's scratch
+            z, nbytes = idle[:step * width].reshape(1, -1), 0
+        else:
+            z = np.empty((1 + ahead, step * width), dtype)
+            nbytes = z.nbytes
+        alloc_tracker.alloc(nbytes)
         drawn = (self._drawn_ahead if ahead else self._drawn)(name, pieces, cols, z)
         with closing(drawn):
             for (r0, c0, h, w), flat in drawn:
@@ -676,7 +724,7 @@ class _Draws:
                     xb = xp[i0:i0 + block]
                     out[i0:i0 + block, c0:c0 + w] += np.matmul(
                         xb, zp, out=partial[:len(xb) * w].reshape(len(xb), w))
-        alloc_tracker.free(z.nbytes)
+        alloc_tracker.free(nbytes)
         return out
 
     def _drawn(self, name: str, pieces, cols: int, z: np.ndarray):
@@ -780,7 +828,19 @@ def axpy(params: ParamSet, coeff: float | list, seed: int | list,
     in the other half.  The calling thread reports the whole scratch to
     ``alloc_tracker``, as on one thread.  A call takes the set's marks,
     whichever way it runs.
+
+    Inside ``zo.train`` (the window ``_one_blas_thread`` opens) a split
+    call returns as soon as the worker has it: the worker runs the
+    second half, then the first in its own half of the scratch, unless
+    the calling thread has taken the first by then.  The update is left
+    pending until the set is next read: a probe's ``probe[name]``, its
+    ``matmul`` before ``x @ theta``, the set's next ``axpy`` or the end
+    of the window settles it (``ParamSet._settle``).  Every element
+    still gets the same additions in the same order, whichever thread
+    adds them.
     """
+    if params._pending is not None:  # the last update first
+        params._settle()
     if type(coeff) is not list:
         coeff, seed = [coeff], [seed]
     elif len(seed) != len(coeff):
@@ -800,15 +860,25 @@ def axpy(params: ParamSet, coeff: float | list, seed: int | list,
     nbytes, views = params._update_plan("split" if split else cuts)
     alloc_tracker.alloc(nbytes)  # both halves of a split, reported here
     if split:
-        job = _worker().submit(_add_terms, views[1], terms, fill, params.dtype,
-                               places)
-        try:
-            _add_terms(views[0], terms, fill, params.dtype)
-        finally:
-            job.result()
+        claim = threading.Lock()  # the first half's, for whichever thread takes it
+        job = _worker().submit(_split_job, views, terms, fill, params.dtype,
+                               places, claim)
+        params._pending = (job, claim, terms, fill)
+        if not params._defer:
+            params._settle()
     else:
         _add_terms(views, terms, fill, params.dtype)
-    alloc_tracker.free(nbytes)
+        alloc_tracker.free(nbytes)
+
+
+def _split_job(views, terms, fill, dtype, places, claim):
+    """The worker's part of a split update over a split plan's ``views``:
+    the terms over the set from its middle element on, from their
+    ``places``, then over the elements before it unless the calling
+    thread has taken ``claim``."""
+    _add_terms(views[1], terms, fill, dtype, places)
+    if claim.acquire(blocking=False):
+        _add_terms(views[2], terms, fill, dtype)
 
 
 def _add_terms(views, terms, fill, dtype, places=None):
@@ -905,7 +975,8 @@ _blas_hold = [0, None]
 def _one_blas_thread(params: ParamSet):
     """Hold numpy's OpenBLAS at one thread while the block runs, if
     ``params`` is a set whose update ``axpy`` may split, and restore the
-    caller's count on every exit."""
+    caller's count on every exit.  Meanwhile ``axpy`` may leave the set's
+    split update pending; every exit settles it."""
     blas = _openblas_threads() if params._split is not None else None
     if blas is None:
         yield
@@ -916,13 +987,17 @@ def _one_blas_thread(params: ParamSet):
             _blas_hold[1] = get()
             put(1)
         _blas_hold[0] += 1
+    params._defer = True
     try:
         yield
     finally:
+        params._defer = False
         with _blas_lock:
             _blas_hold[0] -= 1
             if not _blas_hold[0]:
                 put(_blas_hold[1])
+        if params._pending is not None:
+            params._settle()
 
 
 def _worker():

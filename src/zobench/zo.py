@@ -22,6 +22,10 @@ weight takes two as well: the worker thread draws z piece by piece while
 the calling thread multiplies.  ``train`` then holds numpy's OpenBLAS
 at one thread, as ``params._one_blas_thread`` decides, so its
 busy-waiting worker leaves the second CPU to the update and the draws.
+Meanwhile stage 2 of step t may finish on the worker during step t + 1's
+first product, which draws z on the calling thread and needs no theta;
+the first read of theta waits for it.  Nothing else reads the set inside
+``train``: ``batch_source`` and ``log_writer`` never do.
 
 Query estimates are combined either by plain accumulation (the default:
 each query contributes lr * g, so the effective step grows with q) or by
@@ -233,7 +237,11 @@ def train(model, batch_source: Callable, config: ZOConfig, params: ParamSet,
 
     The run holds numpy's OpenBLAS at one thread while ``axpy`` may split
     the set's update between two threads, and restores the caller's
-    count on every exit; ``zobench.params`` decides both.
+    count on every exit; ``zobench.params`` decides both.  Stage 2 of
+    step t may then finish during step t + 1's first product, on the
+    worker thread, and every exit waits for it, so the set is whole when
+    ``train`` returns or raises.  ``batch_source`` and ``log_writer``
+    must not read the set: they run while an update may be pending.
     """
     records, metrics = [], []
     with _params._one_blas_thread(params):

@@ -3,7 +3,7 @@
 Usage:
     PYTHONPATH=src python tests/output_hashes.py OUT [--against LISTING]
 
-Runs twenty-five small harness configs, each over seeds {0, 1}, into
+Runs twenty-six small harness configs, each over seeds {0, 1}, into
 ``OUT/<config name>/`` and prints one ``<sha256>  <path>`` line per
 output file, paths relative to OUT and sorted.  ``*.timings.json``
 holds wall-clock times and is skipped.  Each seed log ``<run>.zolog``
@@ -79,6 +79,9 @@ CONFIGS = [
     train("wideqone", {**ZO_MLP, "q": 1, "steps": 3}, model=WIDE),
     # a low-rank z is drawn whole, even on a set whose update may split
     train("widelowrank", {**ZO_MLP, **LOWRANK, "steps": 3}, model=WIDE),
+    # q=4: the worker's half of an update usually outlasts the next step's
+    # first product, so the calling thread takes the other half
+    train("widequad", {**ZO_MLP, "q": 4, "steps": 3}, model=WIDE),
     tta("revert", reset_mode="revert"),
     tta("qonerevert", {**ZO_TTA, "q": 1}, reset_mode="revert"),
     tta("lowrankrevert", {**ZO_TTA, **LOWRANK}, reset_mode="revert"),

@@ -1,7 +1,7 @@
 """Every byte-reproducible file of tests/output_hashes.py's runs repeats.
 
 Criterion 11 compares two metrics.csv files; this covers every artifact
-of twenty-five configs (logs, parameter files, summaries, episode records and
+of twenty-six configs (logs, parameter files, summaries, episode records and
 sweep tables) and each seed log's replay and revert, the listing a
 refactor diffs against its parent tree; ``--against`` prints only what
 differs from an older listing.
@@ -28,7 +28,7 @@ def listing(out, *args):
 def test_output_hashes_repeat(tmp_path):
     first = listing(tmp_path / "a")
     assert listing(tmp_path / "b") == first
-    assert len(first) == 269
+    assert len(first) == 283
     assert not any(line.endswith(".timings.json") for line in first)
 
 

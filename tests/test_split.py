@@ -7,11 +7,16 @@ one worker thread.  Every element gets the same additions in the same
 order as in the one-thread pass, so the two must agree bit for bit.  On
 such a set a probe's product with a wide weight takes two threads too:
 the worker draws z's pieces while the caller multiplies them, and the
-product must equal the one-thread one.  Each test here decides the split
-itself (``_can_split`` patched), so it runs the same way on any machine.
+product must equal the one-thread one.  Inside ``zo.train`` an update
+is left on the worker while the next step's first probe draws, and
+whichever thread adds the first half, the bytes are the lone steps'.
+Each test here decides the split itself (``_can_split`` patched), so it
+runs the same way on any machine.
 """
 
+import concurrent.futures
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -248,6 +253,179 @@ def test_train_restores_the_openblas_thread_count(monkeypatch):
     finally:
         put(original)
     assert seen == [1] * 8  # the failing query still evaluates both probes
+
+
+# Inside zo.train a split update is left pending on the worker while the
+# next step's first probe draws; the first read of theta settles it.
+def _deferring(monkeypatch):
+    """Split on, and skip unless ``zo.train`` can leave an update pending:
+    it does so inside its OpenBLAS hold, which needs the library."""
+    if P._openblas_threads() is None:
+        pytest.skip("numpy's OpenBLAS was not found")
+    monkeypatch.setattr(P, "_can_split", lambda: True)
+
+
+def _left_pending(monkeypatch):
+    """Whether each ``axpy`` call left its set's update pending, in order."""
+    left, axpy_ = [], P.axpy
+
+    def spy(params, *args):
+        axpy_(params, *args)
+        left.append(params._pending is not None)
+
+    monkeypatch.setattr(P, "axpy", spy)
+    return left
+
+
+def _steps(model, params, source, config, steps):
+    """``steps`` lone ``zo_step`` calls, none leaving its update pending;
+    their records."""
+    records = []
+    for t in range(steps):
+        records += zo.zo_step(model, params, source, config, t)
+        assert params._pending is None
+    return records
+
+
+@pytest.mark.parametrize("q", [1, 2, 4])
+def test_train_equals_a_loop_of_zo_steps(monkeypatch, q):
+    _deferring(monkeypatch)
+    config = ZOConfig(epsilon=1e-3, lr=0.05, q=q, steps=4, master_seed=11)
+    model, source, live = _mlp(300, 257, 3)
+    left = _left_pending(monkeypatch)
+    records, _ = zo.train(model, source, config, live)
+    assert left == [True] * 4 and live._pending is None
+    _, _, looped = _mlp(300, 257, 3)
+    del left[:]
+    assert _steps(model, looped, source, config, 4) == records
+    assert left == [False] * 4
+    assert live.equals_bitwise(looped)
+
+
+@pytest.mark.parametrize("taker", ["worker", "caller"])
+def test_either_thread_may_take_the_first_half(monkeypatch, taker):
+    # "worker": each settle waits for the worker to end, so it has taken
+    # the first half too; "caller": the worker waits to begin its half
+    # until the calling thread has taken the first
+    _deferring(monkeypatch)
+    config = ZOConfig(epsilon=1e-3, lr=0.05, q=2, steps=3, master_seed=11)
+    model, source, expected = _mlp(300, 257, 3)
+    _steps(model, expected, source, config, 3)
+    _, _, init = _mlp(300, 257, 3)
+    add, settle, taken, claimed = P._add_terms, P.ParamSet._settle, [], threading.Event()
+
+    def gated(views, *args):
+        half = next(k for k, v in enumerate(init._plans["split"][1]) if v is views)
+        on_worker = threading.current_thread().name.startswith("zobench-axpy")
+        if half == 0:
+            claimed.set()
+        elif half == 1 and taker == "caller":
+            assert claimed.wait(30)
+            claimed.clear()
+        taken.append((half, on_worker))
+        add(views, *args)
+
+    def waiting(self):
+        if taker == "worker":
+            concurrent.futures.wait([self._pending[0]], timeout=30)
+        settle(self)
+
+    monkeypatch.setattr(P, "_add_terms", gated)
+    monkeypatch.setattr(P.ParamSet, "_settle", waiting)
+    zo.train(model, source, config, init)
+    first = (2, True) if taker == "worker" else (0, False)
+    assert Counter(taken) == {(1, True): 3, first: 3}
+    assert init._pending is None and init.equals_bitwise(expected)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_a_nan_step_leaves_the_steps_before_it(monkeypatch, k):
+    # both losses of step k are NaN and read nothing, so step k - 1's
+    # update is still pending when the run raises; its end settles it
+    _deferring(monkeypatch)
+    get, put = P._openblas_threads()
+    config = ZOConfig(epsilon=1e-3, lr=0.05, q=1, steps=4, master_seed=11)
+    model, source, init = _mlp(300, 257, 3)
+    _, _, expected = _mlp(300, 257, 3)
+    records = _steps(model, expected, source, config, k)
+    calls = []
+
+    def loss(p, b):
+        calls.append(None)
+        return float("nan") if len(calls) > 2 * k else model.loss(p, b)
+
+    original = get()
+    try:
+        put(2)
+        with pytest.raises(NumericError) as exc:
+            zo.train(Model(name="nan", loss=loss), source, config, init)
+        assert get() == 2
+    finally:
+        put(original)
+    assert exc.value.step == k and exc.value.records == records
+    assert init._pending is None and init.equals_bitwise(expected)
+
+
+def test_a_worker_error_is_raised_once(monkeypatch):
+    # the worker fails as it begins step 1's second half: a run and a
+    # loop of zo_step calls both raise it once, the calling thread having
+    # added step 1's first half, and the set keeps training after it
+    _deferring(monkeypatch)
+    get, put = P._openblas_threads()
+    config = ZOConfig(epsilon=1e-3, lr=0.05, q=2, steps=3, master_seed=11)
+    add = P._add_terms
+
+    def run(train):
+        model, source, params = _mlp(300, 257, 3)
+        begun = []
+
+        def failing(views, terms, fill, dtype, places=None):
+            if places is not None:
+                begun.append(None)
+                if len(begun) == 2:
+                    raise RuntimeError("second half")
+            add(views, terms, fill, dtype, places)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(P, "_add_terms", failing)
+            with pytest.raises(RuntimeError, match="second half"):
+                if train:
+                    zo.train(model, source, config, params)
+                else:
+                    _steps(model, params, source, config, 3)
+        assert params._pending is None and len(begun) == 2
+        return model, source, params
+
+    original = get()
+    try:
+        put(2)
+        model, source, live = run(True)
+        assert get() == 2
+    finally:
+        put(original)
+    assert live.equals_bitwise(run(False)[2])
+    _pool_works()
+    zo.train(model, source, config, live)
+    assert live._pending is None
+
+
+def test_only_train_leaves_an_update_pending(monkeypatch, tmp_path):
+    # replay and revert, and every update of a set at or below CHUNK,
+    # finish inside their axpy call
+    _deferring(monkeypatch)
+    model, source, init = _mlp(300, 257, 3)
+    live = init.copy()
+    config = ZOConfig(epsilon=1e-3, lr=0.05, q=2, steps=2, master_seed=11)
+    header = SeedLogHeader.from_config(config, init.schema_hash, pg_width=8)
+    with SeedLogWriter(tmp_path / "run.zolog", header) as writer:
+        zo.train(model, source, config, live, log_writer=writer)
+    left = _left_pending(monkeypatch)
+    log = read_log(tmp_path / "run.zolog")
+    assert revert(replay(init, log), log)._pending is None
+    model, source, small = _mlp(20, 16, 4)
+    assert small._split is None
+    zo.train(model, source, config, small)
+    assert left == [False] * 4
 
 
 # A probe's product with a wide weight, on a set that may split: the

@@ -576,6 +576,28 @@ def test_zo_step_memory_is_one_forward_plus_a_chunk():
     assert sgd >= params.num_elements() * params.dtype.itemsize
 
 
+def test_train_memory_is_that_of_lone_steps():
+    # A run peaks one CHUNK-element scratch above a lone step: the update
+    # plan's scratch stays with the set after the first update, so every
+    # later step's probes run beside it.  Four zo_step calls on a copy
+    # peak the same way, and train, which leaves each update pending on
+    # the worker while the next step's first product draws, draws that
+    # product's pieces into the idle half of the same scratch
+    from zobench.models import BatchSampler, gen_data
+
+    cfg, model = _wide_mlp()
+    source = BatchSampler(gen_data(cfg)[0], 32, seed=0).draw
+    init = model.init(0)
+    for q in (1, 4):
+        config = ZOConfig(lr=0.01, q=q, steps=4)
+        params = init.copy()
+        run = _traced_peak(lambda: zo.train(model, source, config, params))
+        params = init.copy()
+        steps = _traced_peak(lambda: [zo_step(model, params, source, config, t)
+                                      for t in range(4)])
+        assert run <= steps + _SLACK, (q, run, steps)
+
+
 def test_footprints_hold_in_a_fresh_process(tmp_path):
     # The memory tests above, run alone: in the full suite an earlier test
     # may already have made a one-off import or started a thread that a
@@ -592,7 +614,7 @@ def test_footprints_hold_in_a_fresh_process(tmp_path):
          str(root / "tests" / "test_zo.py"), "-k", "memory"],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines()[-1].startswith("5 passed"), proc.stdout
+    assert proc.stdout.splitlines()[-1].startswith("6 passed"), proc.stdout
 
 
 @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
