@@ -24,24 +24,19 @@ when z can be cut it holds at most CHUNK elements whatever the model's
 size (512 KB of float64), which bounds the optimizer's transient
 memory.  So one set must not be updated from two threads at once.
 
-An update of cut z on a set above CHUNK elements may take two threads,
+A set above CHUNK elements may use the module's one worker thread,
 where the machine has a second CPU and numpy's OpenBLAS is found, so
 that ``zo.train`` can hold OpenBLAS at one thread meanwhile, through
-``_one_blas_thread``.  The set splits at its middle element.  A query's
-probes mark where each seed's stream is at that element, and when every
-term of a call has its mark, the module's one worker thread adds the
-terms over the rest of the set, from their marks, while the calling
-thread adds them over the elements before it; otherwise (replay,
-revert, z drawn whole) the calling thread adds them alone.  Inside
-``zo.train`` the call returns at once and the update is left pending:
-the worker adds the terms over the first half too, unless the calling
-thread takes that half when it next reads the set, so the next step's
-first probe draws while the update runs.  A probe's ``probe[name]``,
-its ``matmul`` before it multiplies theta, the set's next ``axpy`` and
-the end of the run settle it.  Every element gets the same additions in
-the same order either way, so no byte moves.
-The worker is built when such a set is laid out, so no step is the
-first to start it.
+``_one_blas_thread``.  Inside ``zo.train`` an update of cut z on such a
+set is one worker job over the whole set, and the call returns at once:
+the update is left pending while the next step's first probe draws.  A
+probe's ``probe[name]``, its ``matmul`` before it multiplies theta, the
+set's next ``axpy`` and the end of the run settle it.  Outside
+``zo.train`` (a lone step, replay, revert) and for z drawn whole, the
+calling thread adds the terms itself.  Every element gets the same
+additions in the same order either way, so no byte moves.  The worker
+is built when such a set is laid out, so no step is the first to start
+it.
 
 A query perturbs nothing in place: :meth:`ParamSet.probes` gives two
 read-only :class:`Probe` views, theta + eps z and theta - eps z, with
@@ -49,12 +44,12 @@ the z axpy adds.  A probe builds a tensor the model indexes,
 ``params[name]``, from eps z_i drawn once for both probes, and answers
 ``params.matmul(x, name)`` with ``x @ theta_i`` plus or minus ``eps (x
 @ z_i)``, drawing that z in pieces of at most :data:`PIECE` elements
-and never building the weight.  On a set whose update may split, the
+and never building the weight.  On a set that may use the worker, the
 worker thread draws those pieces, into two buffers in turn, while the
 calling thread multiplies each one drawn, unless the worker is running a
 pending update: then the calling thread draws them into the half of the
-update's scratch it takes last.  Either way the pieces, their products
-and the order they are added in are the one-thread loop's.  A probe's
+update's scratch the update leaves free.  Either way the pieces, their
+products and the order they are added in are the one-thread loop's.  A probe's
 transients are those pieces and the kept eps z_i; its products are
 activations, like the forward's.
 
@@ -106,16 +101,11 @@ CHUNK = 2 ** 16
 # pieces stay small), or a slice of one row wider than PIECE.  Its partial
 # products go through one scratch of at most PIECE elements too, so a
 # product costs two 128 KB buffers of float64 beside its result, which is
-# an activation, and three on a set whose update may split, where the
+# an activation, and three on a set that may use the worker, where the
 # worker thread draws each piece into one of two while the caller
 # multiplies the other.
 PIECE = 2 ** 14
 PIECE_ROWS = 256
-# A set keeps the places of at most this many queries for its next update
-# (see _Draws): probing it without updating it drops them all at this count.
-# So a step of more queries than this drops its first queries' places, and
-# its update, with terms unmarked, runs on one thread.
-_MARKS = 64
 
 _MAGIC = b"ZOPS"
 _VERSION = 1
@@ -203,16 +193,15 @@ class ParamSet:
         # the substream each tensor draws its z from: its place in the set
         self._position = {name: i for i, (name, _, _) in enumerate(layout)}
         self._largest = max(arr.size for arr in self._index.values())
-        # axpy's plan per answer of _sampler's cuts, or "split", built on
+        # axpy's plan per answer of _sampler's cuts, or "worker", built on
         # first use
         self._plans, self._schema_hash = {}, None
-        # (tensor, offset) of the element an update of cut z may split at,
-        # and each probed seed's stream place there (see _Draws)
-        self._split, self._marks = _split_point(layout), {}
-        # whether axpy may leave a split update running (inside zo.train),
-        # and what finishes the one it left, if any (see axpy)
+        # whether a cut update and a pieced product may use the worker
+        self._threaded = self.num_elements() > CHUNK and _can_split()
+        # whether axpy may leave an update on the worker (inside zo.train),
+        # and the job it left, if any (see axpy)
         self._defer, self._pending = False, None
-        if self._split is not None:  # the pool starts here, not in a step
+        if self._threaded:  # the pool starts here, not in a step
             _worker()
         return self
 
@@ -297,31 +286,27 @@ class ParamSet:
 
     def _update_plan(self, key):
         """axpy's ``(nbytes, views)`` for a key, built once: a kind's
-        :func:`_sampler` ``cuts``, or ``"split"`` for a cut update on two
-        threads.
+        :func:`_sampler` ``cuts``, or ``"worker"`` for a cut update left
+        on the worker thread.
 
         The plan owns its scratch, of ``nbytes``: ``min(largest, CHUNK)``
         elements when z is cut, in runs of :meth:`_plan`, else the
         largest tensor's size.  ``views`` holds ``(run, z, outs)`` per
         run: ``z`` is the scratch's view for the run's draw and ``outs``
         each part's ``(index, slice of z)``, shaped as its tensor when
-        drawn whole.  The split plan's ``views`` are such tuples over the
-        set's elements before its middle one, in the first half of the
-        cut plan's scratch, and from it, in the second; the elements
-        before it again in the second half, for the worker to take them
-        too; and the first half itself, which a probe borrows while the
-        update is left pending.
+        drawn whole.  The worker plan's ``views`` are such tuples over
+        the whole set in the second half of the cut plan's scratch, and
+        the first half itself, which a probe borrows while the update is
+        left pending.
         """
         plan = self._plans.get(key)
         if plan is None:
-            if key == "split":
+            if key == "worker":
                 nbytes, views = self._update_plan(True)
                 scratch = views[0][1].base  # each run's z is a view of it
-                cap, middle = scratch.size // 2, self.num_elements() // 2
-                mine, theirs = scratch[:cap], scratch[cap:2 * cap]
-                plan = (nbytes, (self._views(mine, True, 0, middle),
-                                 self._views(theirs, True, middle),
-                                 self._views(theirs, True, 0, middle), mine))
+                cap = scratch.size // 2
+                plan = (nbytes, (self._views(scratch[cap:2 * cap], True),
+                                 scratch[:cap]))
             else:
                 scratch = np.empty(min(self._largest, CHUNK) if key
                                    else self._largest, self.dtype)
@@ -330,46 +315,35 @@ class ParamSet:
         return plan
 
     def _settle(self):
-        """Finish the split update ``axpy`` left pending: take the elements
-        before the middle one unless the worker has begun them, add the
-        terms over them here, then wait for the worker.  Nothing is left
-        pending, and the worker's error is raised here, once."""
-        job, claim, terms, fill = self._pending
-        self._pending = None
-        nbytes, views = self._plans["split"]
+        """Wait for the update ``axpy`` left on the worker.  Nothing is
+        left pending, and the worker's error is raised here, once."""
+        job, self._pending = self._pending, None
         try:
-            if claim.acquire(blocking=False):
-                _add_terms(views[0], terms, fill, self.dtype)
+            job.result()
         finally:
-            try:
-                job.result()
-            finally:
-                alloc_tracker.free(nbytes)
+            alloc_tracker.free(self._plans["worker"][0])
 
-    def _views(self, scratch, cuts, first=0, last=math.inf):
+    def _views(self, scratch, cuts):
         """``(run, z, outs)`` per run of :meth:`_plan` over ``scratch``."""
         return tuple(
             (run, scratch[:size],
              tuple((i, scratch[start:stop] if cuts
                     else scratch[start:stop].reshape(shape))
                    for i, start, stop, shape in parts))
-            for run, size, parts in self._plan(scratch.size, first, last))
+            for run, size, parts in self._plan(scratch.size))
 
-    def _plan(self, cap, first=0, last=math.inf):
-        """``(flat, size, parts)`` per run of at most ``cap`` elements over
-        the set's elements from ``first`` to before ``last``, counted in
+    def _plan(self, cap):
+        """``(flat, size, parts)`` per run of at most ``cap`` elements, in
         iteration order: tensors that follow on in the buffer, ``flat`` a
         1-D view over them, a tensor above ``cap`` cut into pieces.
         ``parts`` gives each piece's ``(index, start, stop, shape)`` in
         the run; a piece after its tensor's first has index 0, like
         tensor 0, as its draw goes on from the piece before it."""
-        runs, parts, pos = [], [], 0
+        runs, parts = [], []
         for i, (_, start, shape) in enumerate(self._layout):
             size = math.prod(shape)
-            a, b = max(first - pos, 0), min(last - pos, size)
-            pos += size
-            for off in range(a, b, cap):
-                lo, hi = start + off, start + min(off + cap, b)
+            for off in range(0, size, cap):
+                lo, hi = start + off, start + min(off + cap, size)
                 if not (parts and lo == stop and hi - head <= cap):
                     if parts:
                         runs.append((self._buf[head:stop], stop - head, tuple(parts)))
@@ -599,55 +573,31 @@ class _Draws:
     draw comes from the calling thread's stream restarted at (seed, i),
     as ``axpy``'s does.  The kept eps z_i are reported to
     ``alloc_tracker`` until the context exits, a product's z while it is
-    drawn; the products themselves are activations.  Under a kind whose
-    z can start mid-tensor (see :func:`_sampler`), the draw of the tensor
-    that holds the set's split point marks the stream's place there, by
-    seed, in the set's marks for its next update (all dropped when
-    ``_MARKS`` are held); a block that raises clears them, as its step
-    will not update.  Each draw a probe makes before it reads theta
-    settles an update ``axpy`` left pending on the set: ``scaled``
-    before it draws, ``product`` after, so the product's draw overlaps
-    the update.  A kept draw has been through that, for its query.
+    drawn; the products themselves are activations.  Each draw a probe
+    makes before it reads theta settles an update ``axpy`` left pending
+    on the set: ``scaled`` before it draws, ``product`` after, so the
+    product's draw overlaps the update.  A kept draw has been through
+    that, for its query.
     """
 
     def __init__(self, params: ParamSet, seed: int, epsilon: float,
                  kind: SamplerKind):
         self.params, self.seed, self.eps = params, seed, epsilon
         self.cuts, self.fill = _sampler(kind)
-        # the element this query's draws mark: none under a kind drawn whole
-        self.split = params._split if self.cuts else None
         self._scaled, self._products, self._kept = {}, {}, 0
 
     def __enter__(self):
         return Probe(self, +1, self.params), Probe(self, -1, self.params)
 
-    def __exit__(self, failed, *exc):
+    def __exit__(self, *exc):
         alloc_tracker.free(self._kept)
         self._scaled, self._products, self._kept = {}, {}, 0
-        if failed:  # the step aborts: no update will take the marks
-            self.params._marks.clear()
 
     def _draw(self, name: str, z: np.ndarray) -> np.ndarray:
         """z_i of tensor ``name``, drawn whole into ``z`` (of its shape)."""
         i = self.params._position[name]
-        self._fill(thread_stream(self.seed, i), i, z, 0)
+        self.fill(thread_stream(self.seed, i), None, z.dtype, z)
         return z
-
-    def _fill(self, stream, i: int, z: np.ndarray, pos: int):
-        """Fill ``z``, C-contiguous, with z_i's elements from ``pos`` on,
-        ``stream`` being there.  If the split point this query marks is
-        among them, the fill stops there for the stream's place to be
-        marked: fills are prefix-consistent, so no byte moves."""
-        split = self.split
-        if split is not None and split[0] == i and 0 <= split[1] - pos < z.size:
-            z, cut, marks = z.reshape(-1), split[1] - pos, self.params._marks
-            if cut:
-                self.fill(stream, None, z.dtype, z[:cut])
-            if len(marks) >= _MARKS:
-                marks.clear()
-            marks[self.seed] = stream.tell()
-            z = z[cut:]
-        self.fill(stream, None, z.dtype, z)
 
     def scaled(self, name: str, theta: np.ndarray) -> np.ndarray:
         ez = self._scaled.get(name)
@@ -686,16 +636,16 @@ class _Draws:
                         cols: int, dtype) -> np.ndarray:
         """``x2 @ z_i`` for a ``rows x cols`` weight whose z can be cut.
 
-        z_i is drawn in stream order by :meth:`_fill`, in pieces of at
+        z_i is drawn in stream order by the kind's fill, in pieces of at
         most :data:`PIECE` elements: at most :data:`PIECE_ROWS` whole
         rows, or a slice of one row wider than ``PIECE``.  Each piece's
         product is added to the result a block of result rows at a time,
-        through one scratch of at most ``PIECE`` elements.  On a set whose
-        update ``axpy`` may split, the module's worker thread draws the
-        pieces (:meth:`_drawn_ahead`) while this thread multiplies them,
-        unless the worker is running the set's last update: then this
-        thread draws them, into the half of the update's scratch it will
-        take last, when a piece fits there.  Each piece gets the same
+        through one scratch of at most ``PIECE`` elements.  On a set that
+        may use the worker, the module's worker thread draws the pieces
+        (:meth:`_drawn_ahead`) while this thread multiplies them, unless
+        the worker is running the set's last update: then this thread
+        draws them, into the half of the update's scratch the update
+        leaves free, when a piece fits there.  Each piece gets the same
         values and the same products in the same order either way.
         """
         step = max(1, min(rows, PIECE_ROWS, PIECE // cols))
@@ -707,16 +657,16 @@ class _Draws:
         out = np.zeros((m, cols), np.result_type(x2, dtype))
         partial = np.empty(min(m, block) * width, out.dtype)
         pending = self.params._pending is not None
-        # the gate axpy's split reads; no draw job queues behind an update
-        ahead = self.split is not None and not pending
-        idle = self.params._plans["split"][1][3] if pending else ()
+        # no draw job queues behind an update
+        ahead = self.params._threaded and not pending
+        idle = self.params._plans["worker"][1][1] if pending else ()
         if len(idle) >= step * width:  # counted with the update's scratch
             z, nbytes = idle[:step * width].reshape(1, -1), 0
         else:
             z = np.empty((1 + ahead, step * width), dtype)
             nbytes = z.nbytes
         alloc_tracker.alloc(nbytes)
-        drawn = (self._drawn_ahead if ahead else self._drawn)(name, pieces, cols, z)
+        drawn = (self._drawn_ahead if ahead else self._drawn)(name, pieces, z)
         with closing(drawn):
             for (r0, c0, h, w), flat in drawn:
                 xp, zp = x2[:, r0:r0 + h], flat.reshape(h, w)
@@ -727,18 +677,17 @@ class _Draws:
         alloc_tracker.free(nbytes)
         return out
 
-    def _drawn(self, name: str, pieces, cols: int, z: np.ndarray):
+    def _drawn(self, name: str, pieces, z: np.ndarray):
         """``(piece, z)`` per piece of ``name``'s z, in order: each drawn
         on the calling thread into ``z[k % len(z)]``, k its index."""
-        i = self.params._position[name]
-        stream = thread_stream(self.seed, i)
+        stream = thread_stream(self.seed, self.params._position[name])
         for k, piece in enumerate(pieces):
-            r0, c0, h, w = piece
+            _, _, h, w = piece
             flat = z[k % len(z), :h * w]
-            self._fill(stream, i, flat, r0 * cols + c0)
+            self.fill(stream, None, flat.dtype, flat)
             yield piece, flat
 
-    def _drawn_ahead(self, name: str, pieces, cols: int, z: np.ndarray):
+    def _drawn_ahead(self, name: str, pieces, z: np.ndarray):
         """:meth:`_drawn`'s pieces, drawn by the module's worker thread into
         ``z[0]`` and ``z[1]`` in turn, at most two ahead of the caller.
 
@@ -750,7 +699,7 @@ class _Draws:
         this returns.
         """
         free, filled, stop = threading.Semaphore(2), threading.Semaphore(0), []
-        draws, ready = self._drawn(name, pieces, cols, z), []
+        draws, ready = self._drawn(name, pieces, z), []
 
         def draw():
             try:
@@ -820,20 +769,13 @@ def axpy(params: ParamSet, coeff: float | list, seed: int | list,
     share a stream, but the scratch lives with the set: concurrent calls
     are safe on separate sets, subsets and copies, never on one set.
 
-    When the set's probes have marked every term's seed (see the module
-    docstring), the call splits at the set's middle element: the
-    calling thread runs the terms over the first half of the set in one
-    half of the scratch, in runs of half its size, while the module's
-    one worker thread runs them over the rest, from each term's mark,
-    in the other half.  The calling thread reports the whole scratch to
-    ``alloc_tracker``, as on one thread.  A call takes the set's marks,
-    whichever way it runs.
-
-    Inside ``zo.train`` (the window ``_one_blas_thread`` opens) a split
-    call returns as soon as the worker has it: the worker runs the
-    second half, then the first in its own half of the scratch, unless
-    the calling thread has taken the first by then.  The update is left
-    pending until the set is next read: a probe's ``probe[name]``, its
+    Inside ``zo.train`` (the window ``_one_blas_thread`` opens, on a
+    set above CHUNK elements that may use the worker) a cut call hands
+    the whole update to the module's one worker thread as one job, in
+    the second half of the scratch, in runs of half its size, and
+    returns at once; the calling thread reports the whole scratch to
+    ``alloc_tracker``, as on one thread.  The update is left pending
+    until the set is next read: a probe's ``probe[name]``, its
     ``matmul`` before ``x @ theta``, the set's next ``axpy`` or the end
     of the window settles it (``ParamSet._settle``).  Every element
     still gets the same additions in the same order, whichever thread
@@ -853,44 +795,24 @@ def axpy(params: ParamSet, coeff: float | list, seed: int | list,
     if not terms:
         return
     cuts, fill = _sampler(kind)
-    marks = params._marks
-    places = [marks.get(s) for s, _ in terms] if cuts and marks else [None]
-    marks.clear()  # this update takes the set's marks
-    split = None not in places
-    nbytes, views = params._update_plan("split" if split else cuts)
-    alloc_tracker.alloc(nbytes)  # both halves of a split, reported here
-    if split:
-        claim = threading.Lock()  # the first half's, for whichever thread takes it
-        job = _worker().submit(_split_job, views, terms, fill, params.dtype,
-                               places, claim)
-        params._pending = (job, claim, terms, fill)
-        if not params._defer:
-            params._settle()
+    defer = cuts and params._defer
+    nbytes, views = params._update_plan("worker" if defer else cuts)
+    alloc_tracker.alloc(nbytes)
+    if defer:
+        params._pending = _worker().submit(_add_terms, views[0], terms, fill,
+                                           params.dtype)
     else:
         _add_terms(views, terms, fill, params.dtype)
         alloc_tracker.free(nbytes)
 
 
-def _split_job(views, terms, fill, dtype, places, claim):
-    """The worker's part of a split update over a split plan's ``views``:
-    the terms over the set from its middle element on, from their
-    ``places``, then over the elements before it unless the calling
-    thread has taken ``claim``."""
-    _add_terms(views[1], terms, fill, dtype, places)
-    if claim.acquire(blocking=False):
-        _add_terms(views[2], terms, fill, dtype)
-
-
-def _add_terms(views, terms, fill, dtype, places=None):
+def _add_terms(views, terms, fill, dtype):
     """Add every ``(seed, coefficient)`` term, in order, over the runs of
     ``views``, each tensor or piece drawn by ``fill`` (see
-    :func:`_sampler`).  Each term's draw starts at tensor 0 of its seed
-    or, given ``places``, at the term's place in its stream."""
+    :func:`_sampler`) from tensor 0 of its seed on."""
     stream = thread_stream(terms[0][0])  # keyed (seed, 0) for the first term
     for k, (s, c) in enumerate(terms):
-        if places is not None:
-            stream.seek(places[k])
-        elif k:  # s was checked above: restart needs no second check
+        if k:  # s was checked above: restart needs no second check
             stream.seed = s
             stream.restart(0)
         for run, z, outs in views:
@@ -920,26 +842,12 @@ def _sampler(kind: SamplerKind):
         stream, out.shape, kind, dtype, out)
 
 
-def _split_point(layout):
-    """``(tensor, offset)`` of a layout's middle element, where a
-    full-kind update may split between two threads, or None: the layout
-    holds at most CHUNK elements, or :func:`_can_split` says no."""
-    sizes = [math.prod(shape) for _, _, shape in layout]
-    if sum(sizes) <= CHUNK or not _can_split():
-        return None
-    middle = sum(sizes) // 2
-    for i, size in enumerate(sizes):
-        if middle < size:
-            return i, middle
-        middle -= size
-
-
 @lru_cache(maxsize=1)
 def _can_split() -> bool:
-    """Whether a large set's update may take two threads: the machine has
-    a second CPU, and numpy's OpenBLAS is found, so ``zo.train`` can hold
-    it at one thread meanwhile (its busy-waiting worker would take the
-    second CPU)."""
+    """Whether a large set may use the worker thread beside the calling
+    one: the machine has a second CPU, and numpy's OpenBLAS is found, so
+    ``zo.train`` can hold it at one thread meanwhile (its busy-waiting
+    worker would take the second CPU)."""
     return (os.cpu_count() or 1) > 1 and _openblas_threads() is not None
 
 
@@ -974,10 +882,10 @@ _blas_hold = [0, None]
 @contextmanager
 def _one_blas_thread(params: ParamSet):
     """Hold numpy's OpenBLAS at one thread while the block runs, if
-    ``params`` is a set whose update ``axpy`` may split, and restore the
-    caller's count on every exit.  Meanwhile ``axpy`` may leave the set's
-    split update pending; every exit settles it."""
-    blas = _openblas_threads() if params._split is not None else None
+    ``params`` is a set that may use the worker, and restore the caller's
+    count on every exit.  Meanwhile ``axpy`` may leave the set's update
+    pending on the worker; every exit settles it."""
+    blas = _openblas_threads() if params._threaded else None
     if blas is None:
         yield
         return
@@ -1001,9 +909,9 @@ def _one_blas_thread(params: ParamSet):
 
 
 def _worker():
-    """The pool of one worker thread that takes half of a split update and
-    draws a pieced product's z, built when the first set that may split
-    is laid out: only such a set imports ``concurrent.futures`` (and
+    """The pool of one worker thread that runs a pending update and draws
+    a pieced product's z, built when the first set that may use it is
+    laid out: only such a set imports ``concurrent.futures`` (and
     ``logging`` with it), and no step's first probe starts a thread."""
     global _pool
     with _pool_lock:

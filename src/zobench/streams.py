@@ -23,9 +23,7 @@ stream a fresh ``GaussianStream(seed, substream)`` would produce (Salmon
 et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11).  The
 state is set from Python ints and tuples in ~0.8 µs; given numpy ``uint64``
 arrays, the setter reads each word as a numpy scalar and takes ~3.3 µs
-(2 cores, Python 3.11, numpy 2.4).  A stream's place, which
-:meth:`GaussianStream.tell` gives and ``seek`` goes on from, is the
-generator's own state dict, numpy arrays and all.
+(2 cores, Python 3.11, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -119,19 +117,6 @@ class GaussianStream:
         self.substream = substream
         self._state["state"]["key"] = (self.seed, substream)
         self._gen.bit_generator.state = self._state
-        return self
-
-    def tell(self) -> dict:
-        """Where this stream is: numpy's own Philox state dict (key,
-        counter, both buffers), for :meth:`seek`."""
-        return self._gen.bit_generator.state
-
-    def seek(self, place: dict) -> "GaussianStream":
-        """Go on, on this stream or any other, from a place :meth:`tell`
-        gave: the samples that follow are the ones that followed it there,
-        under the seed and substream of the place's key."""
-        self._gen.bit_generator.state = place
-        self.seed, self.substream = place["state"]["key"].tolist()
         return self
 
     def normal(self, shape, dtype=np.float64, out=None) -> np.ndarray:

@@ -15,17 +15,15 @@ only: replay and revert never read it.
 
 Every update goes through ``params.axpy``, looked up on the module at
 call time, so a wrapper installed there sees every call.  On a set above
-``params.CHUNK`` elements that update may take two threads, each term
-of the second going on from the stream place (the generator's Philox
-state dict) its probes marked, and each probe's product with a wide
-weight takes two as well: the worker thread draws z piece by piece while
-the calling thread multiplies.  ``train`` then holds numpy's OpenBLAS
-at one thread, as ``params._one_blas_thread`` decides, so its
-busy-waiting worker leaves the second CPU to the update and the draws.
-Meanwhile stage 2 of step t may finish on the worker during step t + 1's
-first product, which draws z on the calling thread and needs no theta;
-the first read of theta waits for it.  Nothing else reads the set inside
-``train``: ``batch_source`` and ``log_writer`` never do.
+``params.CHUNK`` elements, where the machine has a second CPU, a probe's
+product with a wide weight takes two threads: ``zobench.params``' worker
+thread draws z piece by piece while the calling thread multiplies.  ``train`` then holds numpy's OpenBLAS at one
+thread, as ``params._one_blas_thread`` decides, so its busy-waiting
+worker leaves the second CPU to the worker's draws and updates: inside
+``train`` stage 2 of step t runs on the worker, as one job, during step
+t + 1's first product, which draws z on the calling thread and needs no
+theta; the first read of theta waits for it.  Nothing else reads the set
+inside ``train``: ``batch_source`` and ``log_writer`` never do.
 
 Query estimates are combined either by plain accumulation (the default:
 each query contributes lr * g, so the effective step grows with q) or by
@@ -161,7 +159,6 @@ def rge_proj_grad(model, params: ParamSet, batch, seed: int, epsilon: float,
         loss_plus = float(model.loss(plus, batch))
         loss_minus = float(model.loss(minus, batch))
         if not (math.isfinite(loss_plus) and math.isfinite(loss_minus)):
-            # raised inside the block, so the probes drop the step's marks
             raise NumericError(
                 f"non-finite loss under perturbation seed {seed} "
                 f"(l+={loss_plus}, l-={loss_minus})", seed=seed)
@@ -235,13 +232,13 @@ def train(model, batch_source: Callable, config: ZOConfig, params: ParamSet,
     If ``log_writer`` is given, each completed step is appended and
     flushed, so a partial log survives an aborted run.
 
-    The run holds numpy's OpenBLAS at one thread while ``axpy`` may split
-    the set's update between two threads, and restores the caller's
-    count on every exit; ``zobench.params`` decides both.  Stage 2 of
-    step t may then finish during step t + 1's first product, on the
-    worker thread, and every exit waits for it, so the set is whole when
-    ``train`` returns or raises.  ``batch_source`` and ``log_writer``
-    must not read the set: they run while an update may be pending.
+    On a set that may use ``zobench.params``' worker thread, the run
+    holds numpy's OpenBLAS at one thread and restores the caller's count
+    on every exit; ``zobench.params`` decides both.  Stage 2 of step t
+    then runs on the worker during step t + 1's first product, and every
+    exit waits for it, so the set is whole when ``train`` returns or
+    raises.  ``batch_source`` and ``log_writer`` must not read the set:
+    they run while an update may be pending.
     """
     records, metrics = [], []
     with _params._one_blas_thread(params):

@@ -77,10 +77,10 @@ CONFIGS = [
     train("qone", {**ZO_MLP, "q": 1}),
     train("wide", {**ZO_MLP, "steps": 3}, model=WIDE),
     train("wideqone", {**ZO_MLP, "q": 1, "steps": 3}, model=WIDE),
-    # a low-rank z is drawn whole, even on a set whose update may split
+    # a low-rank z is drawn whole, even on a set that may use the worker
     train("widelowrank", {**ZO_MLP, **LOWRANK, "steps": 3}, model=WIDE),
-    # q=4: the worker's half of an update usually outlasts the next step's
-    # first product, so the calling thread takes the other half
+    # q=4: the worker's update outlasts the next step's first product, so
+    # the calling thread waits for it
     train("widequad", {**ZO_MLP, "q": 4, "steps": 3}, model=WIDE),
     tta("revert", reset_mode="revert"),
     tta("qonerevert", {**ZO_TTA, "q": 1}, reset_mode="revert"),

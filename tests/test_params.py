@@ -560,9 +560,9 @@ def _scratch(p, full):
 
 
 def test_a_kind_drawn_whole_ignores_the_marks_of_a_cut_one(monkeypatch):
-    # full-kind probes mark seed 5's place at the split point, the first
-    # element of "b"; a low-rank update of seed 5 still draws each tensor
-    # whole on one thread, and takes the marks
+    # after a full-kind probe of seed 5 on a set that may use the worker,
+    # a low-rank update of seed 5 draws each tensor whole, on one thread,
+    # with the bytes of one that follows no probe
     from zobench import params as P
 
     monkeypatch.setattr(P, "_can_split", lambda: True)
@@ -570,10 +570,9 @@ def test_a_kind_drawn_whole_ignores_the_marks_of_a_cut_one(monkeypatch):
                    for _ in range(2))
     with p.probes(5, 1e-3) as (plus, _):
         plus["b"]
-    assert list(p._marks) == [5]
     kind = SamplerKind.lowrank(2)
     axpy(p, 0.5, 5, kind)
-    assert p._marks == {} and list(p._plans) == [False]
+    assert list(p._plans) == [False]
     axpy(expected, 0.5, 5, kind)
     assert p.equals_bitwise(expected)
 

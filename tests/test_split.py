@@ -1,22 +1,18 @@
-"""A large set's update split between two threads.
+"""A large set's work on the module's worker thread.
 
 Above ``CHUNK`` elements, where the machine has a second CPU and numpy's
-OpenBLAS is found, a query's probes mark where each seed's stream is at
-the set's middle element, and ``axpy`` hands the update from there on to
-one worker thread.  Every element gets the same additions in the same
-order as in the one-thread pass, so the two must agree bit for bit.  On
-such a set a probe's product with a wide weight takes two threads too:
-the worker draws z's pieces while the caller multiplies them, and the
-product must equal the one-thread one.  Inside ``zo.train`` an update
-is left on the worker while the next step's first probe draws, and
-whichever thread adds the first half, the bytes are the lone steps'.
-Each test here decides the split itself (``_can_split`` patched), so it
-runs the same way on any machine.
+OpenBLAS is found, a set may use the one worker thread: inside
+``zo.train`` its full-kind update runs there as one job, left pending
+while the next step's first probe draws, and a probe's product with a
+wide weight draws z's pieces there while the caller multiplies them.
+Every element gets the same additions in the same order as in the
+one-thread pass, and every product the same pieces, so the two must
+agree bit for bit.  Each test here decides whether the set may use the
+worker (``_can_split`` patched), so it runs the same way on any machine
+that has the OpenBLAS ``zo.train`` holds.
 """
 
-import concurrent.futures
 import threading
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,7 +20,7 @@ import pytest
 from zobench import params as P
 from zobench import zo
 from zobench.models import BatchSampler, DataGenConfig, Model, gen_data, make_model
-from zobench.params import CHUNK, ParamSet, axpy
+from zobench.params import CHUNK, ParamSet
 from zobench.samplers import SamplerKind
 from zobench.seedlog import SeedLogHeader, SeedLogWriter, read_log, replay, revert
 from zobench.zo import NumericError, ZOConfig
@@ -64,31 +60,32 @@ def _reader(shapes, lead=(3,), dtype=np.float64):
     return Model(name="reader", loss=loss), lambda index: None, init
 
 
-# (name, set-up, split tensor, split offset)
+# whether zo.train can hold OpenBLAS, and so leave an update on the worker
+BLAS = P._openblas_threads() is not None
+
+# the set-up of each case
 CASES = {
     # layer1.weight, 512 x 2048, drawn 8 rows (16,384 elements) a piece
-    "mlp-512-2048-10": (lambda: _mlp(512, 2048, 10), 0, 535_557),
+    "mlp-512-2048-10": lambda: _mlp(512, 2048, 10),
     # layer1.weight, 300 x 257 (77,100 elements), drawn 63 rows a piece
-    "mlp-300-257-3": (lambda: _mlp(300, 257, 3), 0, 39_065),
+    "mlp-300-257-3": lambda: _mlp(300, 257, 3),
     # layer1.weight, 5 x 17000, each row drawn in two slices
-    "mlp-5-17000-3": (lambda: _mlp(5, 17000, 3), 0, 76_501),
-    # the middle element is the first of "b"
-    "boundary": (lambda: _reader([("a", (200, 200)), ("b", (40_000,))]), 1, 0),
-    # has_uint32 and uinteger carry half a word across the split
-    "mlp-300-257-3-f32": (lambda: _mlp(300, 257, 3, np.float32), 0, 39_065),
+    "mlp-5-17000-3": lambda: _mlp(5, 17000, 3),
+    # two tensors, neither above CHUNK
+    "boundary": lambda: _reader([("a", (200, 200)), ("b", (40_000,))]),
+    "mlp-300-257-3-f32": lambda: _mlp(300, 257, 3, np.float32),
 }
 
 
 def _train(monkeypatch, case, split, config):
-    """``zo.train`` from the case's initial set, built with the split on or
-    off; returns the trained set."""
+    """``zo.train`` from the case's initial set, built with the worker
+    on or off; returns the trained set."""
     monkeypatch.setattr(P, "_can_split", lambda: split)
-    make, tensor, offset = CASES[case]
-    model, source, init = make()
-    assert init._split == ((tensor, offset) if split else None)
+    model, source, init = CASES[case]()
+    assert init._threaded == split
     zo.train(model, source, config, init)
-    assert ("split" in init._plans) == (split and config.sampler.variant == "full")
-    assert init._marks == {}  # each update takes its step's marks
+    assert ("worker" in init._plans) == (
+        split and BLAS and config.sampler.variant == "full")
     return init
 
 
@@ -104,8 +101,8 @@ def test_split_update_equals_the_sequential_one(monkeypatch, case, q, combine):
 
 
 def test_lowrank_kinds_take_the_sequential_update(monkeypatch):
-    # a low-rank probe draws each tensor whole through its sampler and
-    # marks nothing, so its update runs on one thread
+    # a low-rank z is drawn whole through its sampler, so its update
+    # runs on the calling thread
     config = ZOConfig(epsilon=1e-3, lr=0.05, q=3, steps=3, master_seed=11,
                       sampler=SamplerKind.lowrank(2, normalize=True))
     split = _train(monkeypatch, "mlp-300-257-3", True, config)
@@ -114,8 +111,8 @@ def test_lowrank_kinds_take_the_sequential_update(monkeypatch):
 
 @pytest.mark.parametrize("q", [1, 3])
 def test_replay_of_a_split_run_is_the_live_run(monkeypatch, tmp_path, q):
-    # replay and revert have no marks and run on one thread; a full-width
-    # log holds the live terms, so replay rebuilds the split run exactly
+    # replay and revert run on the calling thread; a full-width log
+    # holds the live terms, so replay rebuilds the run exactly
     monkeypatch.setattr(P, "_can_split", lambda: True)
     model, source, init = _mlp(300, 257, 3)
     live = init.copy()
@@ -123,32 +120,11 @@ def test_replay_of_a_split_run_is_the_live_run(monkeypatch, tmp_path, q):
     header = SeedLogHeader.from_config(config, init.schema_hash, pg_width=8)
     with SeedLogWriter(tmp_path / "run.zolog", header) as writer:
         zo.train(model, source, config, live, log_writer=writer)
-    assert "split" in live._plans
+    assert ("worker" in live._plans) == BLAS
     log = read_log(tmp_path / "run.zolog")
     rebuilt = replay(init, log)
-    assert rebuilt.equals_bitwise(live) and "split" not in rebuilt._plans
+    assert rebuilt.equals_bitwise(live) and "worker" not in rebuilt._plans
     assert revert(rebuilt, log).max_abs_diff(init) <= 1e-6
-
-
-def test_a_term_without_a_mark_takes_the_sequential_update(monkeypatch):
-    monkeypatch.setattr(P, "_can_split", lambda: True)
-    model, _, init = _reader([("a", (200, 200)), ("b", (40_000,))])
-    expected = init.copy()
-    zo.rge_proj_grad(model, init, None, 5, 1e-3)
-    assert list(init._marks) == [5]
-    axpy(init, [0.5, -0.25], [5, 6])  # 6 was never probed
-    assert list(init._plans) == [True] and init._marks == {}
-    axpy(expected, [0.5, -0.25], [5, 6])
-    assert init.equals_bitwise(expected)
-
-
-def test_a_set_keeps_a_bounded_number_of_marks(monkeypatch):
-    # probing without updating drops the marks each time _MARKS are held
-    monkeypatch.setattr(P, "_can_split", lambda: True)
-    model, _, init = _reader([("a", (200, 200)), ("b", (40_000,))])
-    for seed in range(P._MARKS + 5):
-        zo.rge_proj_grad(model, init, None, seed, 1e-3)
-    assert list(init._marks) == list(range(P._MARKS, P._MARKS + 5))
 
 
 def test_concurrent_split_updates_match_sequential(monkeypatch):
@@ -156,7 +132,6 @@ def test_concurrent_split_updates_match_sequential(monkeypatch):
     # sharing the one worker: every set must end as on one thread
     import sys
 
-    monkeypatch.setattr(P, "_can_split", lambda: True)
     shapes = [("a", (200, 200)), ("b", (40_000,))]
 
     def run(master_seed, out):
@@ -166,8 +141,10 @@ def test_concurrent_split_updates_match_sequential(monkeypatch):
         out[master_seed] = init
 
     expected, got = {}, {}
+    monkeypatch.setattr(P, "_can_split", lambda: False)
     for master_seed in range(4):
         run(master_seed, expected)
+    monkeypatch.setattr(P, "_can_split", lambda: True)
     threads = [threading.Thread(target=run, args=(master_seed, got))
                for master_seed in range(4)]
     blas = P._openblas_threads()
@@ -185,12 +162,13 @@ def test_concurrent_split_updates_match_sequential(monkeypatch):
     # overlapping runs share one hold: the last to end restores the count
     assert (blas and blas[0]()) == count
     for master_seed, params in expected.items():
-        assert "split" in params._plans
+        assert ("worker" in got[master_seed]._plans) == BLAS
         assert got[master_seed].equals_bitwise(params)
 
 
 @pytest.mark.parametrize("query", [0, 2])
 def test_numeric_error_leaves_theta_and_no_marks(monkeypatch, query):
+    # a lone step's update runs on the calling thread: none is pending
     monkeypatch.setattr(P, "_can_split", lambda: True)
     model, source, init = _mlp(300, 257, 3)
     calls = []
@@ -205,7 +183,7 @@ def test_numeric_error_leaves_theta_and_no_marks(monkeypatch, query):
         zo.zo_step(Model(name="nan", loss=loss), init, source, config, 0)
     assert exc.value.query == query
     assert init.equals_bitwise(before)
-    assert init._marks == {}
+    assert init._pending is None
 
 
 def test_the_pool_holds_one_worker(monkeypatch):
@@ -219,15 +197,17 @@ def test_the_pool_holds_one_worker(monkeypatch):
     assert len(workers) == 1
 
 
-def test_small_sets_never_split():
-    # a set at or below CHUNK elements keeps the one-thread update
+def test_small_sets_never_split(monkeypatch):
+    # a set at or below CHUNK elements never uses the worker
+    monkeypatch.setattr(P, "_can_split", lambda: True)
     for shapes in ([("w", (CHUNK,))], [("w", (256, 255)), ("b", (256,))]):
-        assert ParamSet.from_shapes(shapes)._split is None
+        assert not ParamSet.from_shapes(shapes)._threaded
+    assert ParamSet.from_shapes([("w", (CHUNK + 1,))])._threaded
 
 
 def test_train_restores_the_openblas_thread_count(monkeypatch):
-    # zo.train on a set it may split holds OpenBLAS at one thread and
-    # gives the caller's count back, whether it returns or raises
+    # zo.train on a set that may use the worker holds OpenBLAS at one
+    # thread and gives the caller's count back, whether it returns or raises
     blas = P._openblas_threads()
     if blas is None:
         pytest.skip("numpy's OpenBLAS was not found")
@@ -255,12 +235,12 @@ def test_train_restores_the_openblas_thread_count(monkeypatch):
     assert seen == [1] * 8  # the failing query still evaluates both probes
 
 
-# Inside zo.train a split update is left pending on the worker while the
-# next step's first probe draws; the first read of theta settles it.
+# Inside zo.train an update is left pending on the worker while the next
+# step's first probe draws; the first read of theta settles it.
 def _deferring(monkeypatch):
-    """Split on, and skip unless ``zo.train`` can leave an update pending:
+    """Worker on, and skip unless ``zo.train`` can leave an update pending:
     it does so inside its OpenBLAS hold, which needs the library."""
-    if P._openblas_threads() is None:
+    if not BLAS:
         pytest.skip("numpy's OpenBLAS was not found")
     monkeypatch.setattr(P, "_can_split", lambda: True)
 
@@ -302,42 +282,6 @@ def test_train_equals_a_loop_of_zo_steps(monkeypatch, q):
     assert live.equals_bitwise(looped)
 
 
-@pytest.mark.parametrize("taker", ["worker", "caller"])
-def test_either_thread_may_take_the_first_half(monkeypatch, taker):
-    # "worker": each settle waits for the worker to end, so it has taken
-    # the first half too; "caller": the worker waits to begin its half
-    # until the calling thread has taken the first
-    _deferring(monkeypatch)
-    config = ZOConfig(epsilon=1e-3, lr=0.05, q=2, steps=3, master_seed=11)
-    model, source, expected = _mlp(300, 257, 3)
-    _steps(model, expected, source, config, 3)
-    _, _, init = _mlp(300, 257, 3)
-    add, settle, taken, claimed = P._add_terms, P.ParamSet._settle, [], threading.Event()
-
-    def gated(views, *args):
-        half = next(k for k, v in enumerate(init._plans["split"][1]) if v is views)
-        on_worker = threading.current_thread().name.startswith("zobench-axpy")
-        if half == 0:
-            claimed.set()
-        elif half == 1 and taker == "caller":
-            assert claimed.wait(30)
-            claimed.clear()
-        taken.append((half, on_worker))
-        add(views, *args)
-
-    def waiting(self):
-        if taker == "worker":
-            concurrent.futures.wait([self._pending[0]], timeout=30)
-        settle(self)
-
-    monkeypatch.setattr(P, "_add_terms", gated)
-    monkeypatch.setattr(P.ParamSet, "_settle", waiting)
-    zo.train(model, source, config, init)
-    first = (2, True) if taker == "worker" else (0, False)
-    assert Counter(taken) == {(1, True): 3, first: 3}
-    assert init._pending is None and init.equals_bitwise(expected)
-
-
 @pytest.mark.parametrize("k", [1, 2])
 def test_a_nan_step_leaves_the_steps_before_it(monkeypatch, k):
     # both losses of step k are NaN and read nothing, so step k - 1's
@@ -367,43 +311,35 @@ def test_a_nan_step_leaves_the_steps_before_it(monkeypatch, k):
 
 
 def test_a_worker_error_is_raised_once(monkeypatch):
-    # the worker fails as it begins step 1's second half: a run and a
-    # loop of zo_step calls both raise it once, the calling thread having
-    # added step 1's first half, and the set keeps training after it
+    # the worker fails as it begins step 1's update: the run raises it
+    # once, as step 2 first reads theta, with step 0's update in the set,
+    # and the set keeps training after it
     _deferring(monkeypatch)
     get, put = P._openblas_threads()
     config = ZOConfig(epsilon=1e-3, lr=0.05, q=2, steps=3, master_seed=11)
-    add = P._add_terms
+    model, source, live = _mlp(300, 257, 3)
+    _, _, expected = _mlp(300, 257, 3)
+    _steps(model, expected, source, config, 1)
+    add, begun = P._add_terms, []
 
-    def run(train):
-        model, source, params = _mlp(300, 257, 3)
-        begun = []
-
-        def failing(views, terms, fill, dtype, places=None):
-            if places is not None:
-                begun.append(None)
-                if len(begun) == 2:
-                    raise RuntimeError("second half")
-            add(views, terms, fill, dtype, places)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(P, "_add_terms", failing)
-            with pytest.raises(RuntimeError, match="second half"):
-                if train:
-                    zo.train(model, source, config, params)
-                else:
-                    _steps(model, params, source, config, 3)
-        assert params._pending is None and len(begun) == 2
-        return model, source, params
+    def failing(*args):
+        begun.append(None)
+        if len(begun) == 2:
+            raise RuntimeError("step 1")
+        add(*args)
 
     original = get()
     try:
         put(2)
-        model, source, live = run(True)
+        with monkeypatch.context() as patch:
+            patch.setattr(P, "_add_terms", failing)
+            with pytest.raises(RuntimeError, match="step 1"):
+                zo.train(model, source, config, live)
         assert get() == 2
     finally:
         put(original)
-    assert live.equals_bitwise(run(False)[2])
+    assert live._pending is None and len(begun) == 2
+    assert live.equals_bitwise(expected)
     _pool_works()
     zo.train(model, source, config, live)
     assert live._pending is None
@@ -423,20 +359,53 @@ def test_only_train_leaves_an_update_pending(monkeypatch, tmp_path):
     log = read_log(tmp_path / "run.zolog")
     assert revert(replay(init, log), log)._pending is None
     model, source, small = _mlp(20, 16, 4)
-    assert small._split is None
+    assert not small._threaded
     zo.train(model, source, config, small)
     assert left == [False] * 4
 
 
-# A probe's product with a wide weight, on a set that may split: the
-# worker thread draws z's pieces while the caller multiplies them.
+def test_only_train_runs_the_update_on_the_worker(monkeypatch, tmp_path):
+    # inside zo.train each step's update is one worker job; a lone step,
+    # replay and revert add their terms on the calling thread
+    _deferring(monkeypatch)
+    add, pool, threads, jobs = P._add_terms, P._worker, [], []
+
+    def spy(*args):
+        threads.append(threading.current_thread().name)
+        add(*args)
+
+    class Pool:  # the module's pool, recording each job it is handed
+        def submit(self, fn, *args):
+            jobs.append(fn)
+            return pool().submit(fn, *args)
+
+    monkeypatch.setattr(P, "_add_terms", spy)
+    monkeypatch.setattr(P, "_worker", Pool)
+    model, source, init = _mlp(300, 257, 3)
+    live = init.copy()
+    config = ZOConfig(epsilon=1e-3, lr=0.05, q=2, steps=3, master_seed=11)
+    header = SeedLogHeader.from_config(config, init.schema_hash, pg_width=8)
+    with SeedLogWriter(tmp_path / "run.zolog", header) as writer:
+        zo.train(model, source, config, live, log_writer=writer)
+    assert len(threads) == jobs.count(spy) == 3
+    assert all(name.startswith("zobench-axpy") for name in threads)
+    del threads[:], jobs[:]
+    zo.zo_step(model, live, source, config, 3)
+    log = read_log(tmp_path / "run.zolog")
+    revert(replay(init, log), log)
+    assert len(threads) == 3 and spy not in jobs
+    assert set(threads) == {threading.current_thread().name}
+
+
+# A probe's product with a wide weight, on a set that may use the worker:
+# the worker thread draws z's pieces while the caller multiplies them.
 # (shapes, lead dimensions of x, dtype); the first tensor is multiplied
 PRODUCTS = {
-    # 63 rows a piece, 300 = 4 * 63 + 48; the split point is in "w"
+    # 63 rows a piece, 300 = 4 * 63 + 48
     "rows-not-a-multiple": ([("w", (300, 257)), ("b", (257,))], (5,), np.float64),
     # each row drawn in two slices
     "row-slices": ([("w", (5, 17_000))], (3,), np.float64),
-    # the split point is the first element of "b"
+    # the set is above CHUNK only with "b", which is indexed
     "split-in-another": ([("a", (200, 200)), ("b", (40_000,))], (3,), np.float64),
     "3-d-x": ([("w", (300, 257))], (2, 4), np.float64),
     "float32": ([("w", (300, 257))], (5,), np.float32),
@@ -460,7 +429,7 @@ def _fill_threads(monkeypatch):
 
 def _product(monkeypatch, case, split):
     """The case's ``product`` output, eps (x @ z), on a set built with the
-    split on or off, and the threads its fills ran on."""
+    worker on or off, and the threads its fills ran on."""
     shapes, lead, dtype = PRODUCTS[case]
     name = shapes[0][0]
     with monkeypatch.context() as patch:
@@ -487,7 +456,7 @@ def test_pipelined_product_equals_the_one_thread_one(monkeypatch, case):
         monkeypatch.setattr(P, "_can_split", lambda: split)
         model, source, init = _reader(shapes, lead, dtype)
         zo.train(model, source, ZOConfig(q=2, steps=2, master_seed=3), init)
-        assert ("split" in init._plans) == split
+        assert ("worker" in init._plans) == (split and BLAS)
         trained.append(init)
     assert trained[0].equals_bitwise(trained[1])
 
@@ -514,34 +483,33 @@ def _pool_works():
 
 
 def test_a_draw_that_fails_on_the_worker_reaches_the_caller(monkeypatch):
-    # "b" holds the split point and is read first, so the query has
-    # marked its place before the product of "w" fails on its third piece
+    # "b" is indexed first, then the product of "w" fails on its third
+    # piece, drawn on the worker
     from zobench import samplers
 
     monkeypatch.setattr(P, "_can_split", lambda: True)
     shapes = [("b", (100_000,)), ("w", (300, 257))]
     model, source, init = _reader(shapes)
-    before, fill, worker, marked = init.copy(), samplers.gaussian_fill, [], []
+    before, fill, worker = init.copy(), samplers.gaussian_fill, []
 
     def failing(*args):
         if threading.current_thread().name.startswith("zobench-axpy"):
             worker.append(None)
             if len(worker) == 3:
-                marked.append(list(init._marks))
                 raise RuntimeError("third piece")
         return fill(*args)
 
     monkeypatch.setattr(samplers, "gaussian_fill", failing)
     exc = _within(30, lambda: zo.rge_proj_grad(model, init, None, 5, 1e-3))
     assert isinstance(exc, RuntimeError) and str(exc) == "third piece"
-    assert marked == [[5]]  # cleared as the query's block exits
-    assert init._marks == {} and init.equals_bitwise(before)
+    assert len(worker) == 3 and init.equals_bitwise(before)
     monkeypatch.setattr(samplers, "gaussian_fill", fill)
     _pool_works()
-    # the next step still splits, with the bytes of the one-thread one
+    # the next step still uses the worker, with the bytes of the
+    # one-thread one
     config = ZOConfig(q=2, steps=1, master_seed=3)
     zo.train(model, source, config, init)
-    assert "split" in init._plans
+    assert ("worker" in init._plans) == BLAS
     monkeypatch.setattr(P, "_can_split", lambda: False)
     model, source, expected = _reader(shapes)
     zo.train(model, source, config, expected)
@@ -577,23 +545,8 @@ def test_a_caller_error_stops_the_worker(monkeypatch):
     drawn = len(names)
     _pool_works()
     assert len(names) == drawn  # the worker has ended: no piece after it
-    assert 0 < drawn < 8 and init._marks == {}
+    assert 0 < drawn < 8
     # the pool draws the next product whole
     ahead, threads = _product(monkeypatch, "rows-not-a-multiple", True)
     here, _ = _product(monkeypatch, "rows-not-a-multiple", False)
     assert np.array_equal(ahead, here)
-
-
-def test_a_step_of_more_queries_than_marks_runs_on_one_thread(monkeypatch):
-    # q = _MARKS + 1: the last query's mark drops the first ones, so the
-    # update has unmarked terms and takes the one-thread path
-    shapes = [("a", (200, 200)), ("b", (40_000,))]
-    config = ZOConfig(q=P._MARKS + 1, steps=1, master_seed=3)
-    trained = []
-    for split in (True, False):
-        monkeypatch.setattr(P, "_can_split", lambda: split)
-        model, source, init = _reader(shapes)
-        zo.train(model, source, config, init)
-        assert list(init._plans) == [True] and init._marks == {}
-        trained.append(init)
-    assert trained[0].equals_bitwise(trained[1])

@@ -181,20 +181,3 @@ def test_number_checks_reject_bools_and_non_finite(check, value, error):
     else:
         with pytest.raises(error):
             _NUMBER_CHECKS[check](value)
-
-
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_seek_goes_on_from_a_told_place(dtype):
-    # a place holds the whole Philox state: float32 draws leave half a
-    # 64-bit word buffered (has_uint32), which must carry over too
-    whole = GaussianStream(7, 3).normal(1001, dtype)
-    for cut in (0, 1, 376, 377):
-        stream = GaussianStream(7, 3)
-        head = stream.normal(cut, dtype)
-        place = stream.tell()
-        other = GaussianStream(9, 1)
-        other.normal(5, dtype)
-        tail = other.seek(place).normal(1001 - cut, dtype)
-        assert np.concatenate([head, tail]).tobytes() == whole.tobytes()
-        assert (other.seed, other.substream) == (7, 3)
-    assert place["has_uint32"] == (dtype == np.float32)  # after 377 draws
