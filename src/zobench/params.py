@@ -27,16 +27,17 @@ memory.  So one set must not be updated from two threads at once.
 A set above CHUNK elements may use the module's one worker thread,
 where the machine has a second CPU and numpy's OpenBLAS is found, so
 that ``zo.train`` can hold OpenBLAS at one thread meanwhile, through
-``_one_blas_thread``.  Inside ``zo.train`` an update of cut z on such a
-set is one worker job over the whole set, and the call returns at once:
-the update is left pending while the next step's first probe draws.  A
-probe's ``probe[name]``, its ``matmul`` before it multiplies theta, the
-set's next ``axpy`` and the end of the run settle it.  Outside
-``zo.train`` (a lone step, replay, revert) and for z drawn whole, the
-calling thread adds the terms itself.  Every element gets the same
-additions in the same order either way, so no byte moves.  The worker
-is built when such a set is laid out, so no step is the first to start
-it.
+``_one_blas_thread``.  Such a set's plan for cut z has its runs, of at
+most CHUNK / 2 elements, in the second half of its scratch, and the
+first half spare.  Inside ``zo.train`` axpy hands those runs to the
+worker as one job and returns at once: the update is left pending while
+the next step's first probe draws into the spare half.  A probe's
+``probe[name]``, its ``matmul`` before it multiplies theta, the set's
+next ``axpy`` and the end of the run settle it.  Elsewhere (a lone step,
+replay, revert) the calling thread adds the same runs.  Fills are
+prefix-consistent, so every element gets the same additions in the same
+order however the runs fall, and no byte moves.  The worker is built
+when such a set is laid out, so no step is the first to start it.
 
 A query perturbs nothing in place: :meth:`ParamSet.probes` gives two
 read-only :class:`Probe` views, theta + eps z and theta - eps z, with
@@ -46,12 +47,11 @@ the z axpy adds.  A probe builds a tensor the model indexes,
 @ z_i)``, drawing that z in pieces of at most :data:`PIECE` elements
 and never building the weight.  On a set that may use the worker, the
 worker thread draws those pieces, into two buffers in turn, while the
-calling thread multiplies each one drawn, unless the worker is running a
-pending update: then the calling thread draws them into the half of the
-update's scratch the update leaves free.  Either way the pieces, their
-products and the order they are added in are the one-thread loop's.  A probe's
-transients are those pieces and the kept eps z_i; its products are
-activations, like the forward's.
+calling thread multiplies each one drawn, unless an update is pending:
+then the calling thread draws them into the update plan's spare half.
+Either way the pieces, their products and the order they are added in
+are the one-thread loop's.  A probe's transients are those pieces and
+the kept eps z_i; its products are activations, like the forward's.
 
 The whole-set helpers keep the same bound: ``max_abs_diff`` and
 ``equals_bitwise`` walk the tensors in CHUNK-element pieces through one
@@ -193,11 +193,10 @@ class ParamSet:
         # the substream each tensor draws its z from: its place in the set
         self._position = {name: i for i, (name, _, _) in enumerate(layout)}
         self._largest = max(arr.size for arr in self._index.values())
-        # axpy's plan per answer of _sampler's cuts, or "worker", built on
-        # first use
+        # axpy's plan per answer of _sampler's cuts, built on first use
         self._plans, self._schema_hash = {}, None
         # whether a cut update and a pieced product may use the worker
-        self._threaded = self.num_elements() > CHUNK and _can_split()
+        self._threaded = self.num_elements() > CHUNK and _can_thread()
         # whether axpy may leave an update on the worker (inside zo.train),
         # and the job it left, if any (see axpy)
         self._defer, self._pending = False, None
@@ -284,44 +283,39 @@ class ParamSet:
         index = {name: self._index[name] for name, _, _ in layout}
         return ParamSet.__new__(ParamSet)._view(self._buf, layout, index)
 
-    def _update_plan(self, key):
-        """axpy's ``(nbytes, views)`` for a key, built once: a kind's
-        :func:`_sampler` ``cuts``, or ``"worker"`` for a cut update left
-        on the worker thread.
+    def _update_plan(self, cuts):
+        """axpy's ``(nbytes, views, spare)`` for a kind's :func:`_sampler`
+        ``cuts``, built once.
 
         The plan owns its scratch, of ``nbytes``: ``min(largest, CHUNK)``
-        elements when z is cut, in runs of :meth:`_plan`, else the
-        largest tensor's size.  ``views`` holds ``(run, z, outs)`` per
-        run: ``z`` is the scratch's view for the run's draw and ``outs``
-        each part's ``(index, slice of z)``, shaped as its tensor when
-        drawn whole.  The worker plan's ``views`` are such tuples over
-        the whole set in the second half of the cut plan's scratch, and
-        the first half itself, which a probe borrows while the update is
-        left pending.
+        elements when z is cut, else the largest tensor's size.  ``views``
+        holds ``(run, z, outs)`` per run of :meth:`_plan`: ``z`` is the
+        scratch's view for the run's draw and ``outs`` each part's
+        ``(index, slice of z)``, shaped as its tensor when drawn whole.
+        On a set that may use the worker a cut plan's runs, of at most
+        half the scratch, lie in its second half, whichever thread adds
+        them, and the first half is ``spare``: a probe's pieces borrow it
+        while the update is pending.  Otherwise ``spare`` is empty.
         """
-        plan = self._plans.get(key)
+        plan = self._plans.get(cuts)
         if plan is None:
-            if key == "worker":
-                nbytes, views = self._update_plan(True)
-                scratch = views[0][1].base  # each run's z is a view of it
-                cap = scratch.size // 2
-                plan = (nbytes, (self._views(scratch[cap:2 * cap], True),
-                                 scratch[:cap]))
-            else:
-                scratch = np.empty(min(self._largest, CHUNK) if key
-                                   else self._largest, self.dtype)
-                plan = (scratch.nbytes, self._views(scratch, key))
-            self._plans[key] = plan
+            scratch = np.empty(min(self._largest, CHUNK) if cuts
+                               else self._largest, self.dtype)
+            half = scratch.size // 2 if cuts and self._threaded else 0
+            runs = scratch[half:2 * half] if half else scratch
+            plan = self._plans[cuts] = (scratch.nbytes, self._views(runs, cuts),
+                                        scratch[:half])
         return plan
 
     def _settle(self):
-        """Wait for the update ``axpy`` left on the worker.  Nothing is
-        left pending, and the worker's error is raised here, once."""
+        """Wait for the update ``axpy`` left on the worker, in the cut
+        plan's runs.  Nothing is left pending, and the worker's error is
+        raised here, once."""
         job, self._pending = self._pending, None
         try:
             job.result()
         finally:
-            alloc_tracker.free(self._plans["worker"][0])
+            alloc_tracker.free(self._plans[True][0])
 
     def _views(self, scratch, cuts):
         """``(run, z, outs)`` per run of :meth:`_plan` over ``scratch``."""
@@ -576,8 +570,8 @@ class _Draws:
     drawn; the products themselves are activations.  Each draw a probe
     makes before it reads theta settles an update ``axpy`` left pending
     on the set: ``scaled`` before it draws, ``product`` after, so the
-    product's draw overlaps the update.  A kept draw has been through
-    that, for its query.
+    product's draw, into the update plan's spare half, overlaps the
+    update.  A kept draw has been through that, for its query.
     """
 
     def __init__(self, params: ParamSet, seed: int, epsilon: float,
@@ -643,10 +637,9 @@ class _Draws:
         through one scratch of at most ``PIECE`` elements.  On a set that
         may use the worker, the module's worker thread draws the pieces
         (:meth:`_drawn_ahead`) while this thread multiplies them, unless
-        the worker is running the set's last update: then this thread
-        draws them, into the half of the update's scratch the update
-        leaves free, when a piece fits there.  Each piece gets the same
-        values and the same products in the same order either way.
+        an update is pending: then this thread draws them into the update
+        plan's spare half, when a piece fits there.  Each piece gets the
+        same values and the same products in the same order either way.
         """
         step = max(1, min(rows, PIECE_ROWS, PIECE // cols))
         width = min(cols, PIECE)
@@ -659,9 +652,9 @@ class _Draws:
         pending = self.params._pending is not None
         # no draw job queues behind an update
         ahead = self.params._threaded and not pending
-        idle = self.params._plans["worker"][1][1] if pending else ()
-        if len(idle) >= step * width:  # counted with the update's scratch
-            z, nbytes = idle[:step * width].reshape(1, -1), 0
+        spare = self.params._plans[True][2] if pending else ()
+        if len(spare) >= step * width:  # counted with the update's scratch
+            z, nbytes = spare[:step * width].reshape(1, -1), 0
         else:
             z = np.empty((1 + ahead, step * width), dtype)
             nbytes = z.nbytes
@@ -770,16 +763,11 @@ def axpy(params: ParamSet, coeff: float | list, seed: int | list,
     are safe on separate sets, subsets and copies, never on one set.
 
     Inside ``zo.train`` (the window ``_one_blas_thread`` opens, on a
-    set above CHUNK elements that may use the worker) a cut call hands
-    the whole update to the module's one worker thread as one job, in
-    the second half of the scratch, in runs of half its size, and
-    returns at once; the calling thread reports the whole scratch to
-    ``alloc_tracker``, as on one thread.  The update is left pending
-    until the set is next read: a probe's ``probe[name]``, its
-    ``matmul`` before ``x @ theta``, the set's next ``axpy`` or the end
-    of the window settles it (``ParamSet._settle``).  Every element
-    still gets the same additions in the same order, whichever thread
-    adds them.
+    set that may use the worker) a cut call hands the plan's runs to the
+    module's worker thread as one job and returns at once, the update
+    left pending until the set is next read (see the module docstring
+    and ``ParamSet._settle``); the calling thread reports the whole
+    scratch to ``alloc_tracker``, as when it adds the runs itself.
     """
     if params._pending is not None:  # the last update first
         params._settle()
@@ -795,11 +783,10 @@ def axpy(params: ParamSet, coeff: float | list, seed: int | list,
     if not terms:
         return
     cuts, fill = _sampler(kind)
-    defer = cuts and params._defer
-    nbytes, views = params._update_plan("worker" if defer else cuts)
+    nbytes, views, _ = params._update_plan(cuts)
     alloc_tracker.alloc(nbytes)
-    if defer:
-        params._pending = _worker().submit(_add_terms, views[0], terms, fill,
+    if cuts and params._defer:
+        params._pending = _worker().submit(_add_terms, views, terms, fill,
                                            params.dtype)
     else:
         _add_terms(views, terms, fill, params.dtype)
@@ -843,11 +830,11 @@ def _sampler(kind: SamplerKind):
 
 
 @lru_cache(maxsize=1)
-def _can_split() -> bool:
-    """Whether a large set may use the worker thread beside the calling
-    one: the machine has a second CPU, and numpy's OpenBLAS is found, so
-    ``zo.train`` can hold it at one thread meanwhile (its busy-waiting
-    worker would take the second CPU)."""
+def _can_thread() -> bool:
+    """Whether a set above CHUNK elements may use the worker thread
+    beside the calling one: the machine has a second CPU, and numpy's
+    OpenBLAS is found, so ``zo.train`` can hold it at one thread
+    meanwhile (its busy-waiting worker would take the second CPU)."""
     return (os.cpu_count() or 1) > 1 and _openblas_threads() is not None
 
 

@@ -14,16 +14,11 @@ changes only through the terms replay applies, and eps sizes the probes
 only: replay and revert never read it.
 
 Every update goes through ``params.axpy``, looked up on the module at
-call time, so a wrapper installed there sees every call.  On a set above
-``params.CHUNK`` elements, where the machine has a second CPU, a probe's
-product with a wide weight takes two threads: ``zobench.params``' worker
-thread draws z piece by piece while the calling thread multiplies.  ``train`` then holds numpy's OpenBLAS at one
-thread, as ``params._one_blas_thread`` decides, so its busy-waiting
-worker leaves the second CPU to the worker's draws and updates: inside
-``train`` stage 2 of step t runs on the worker, as one job, during step
-t + 1's first product, which draws z on the calling thread and needs no
-theta; the first read of theta waits for it.  Nothing else reads the set
-inside ``train``: ``batch_source`` and ``log_writer`` never do.
+call time, so a wrapper installed there sees every call.  ``train``
+holds the window in which ``zobench.params`` may leave a step's update
+pending on its worker thread (that module's docstring says how), so
+``batch_source`` and ``log_writer`` must not read the set, and every
+exit of ``train`` waits for the update.
 
 Query estimates are combined either by plain accumulation (the default:
 each query contributes lr * g, so the effective step grows with q) or by
@@ -232,13 +227,11 @@ def train(model, batch_source: Callable, config: ZOConfig, params: ParamSet,
     If ``log_writer`` is given, each completed step is appended and
     flushed, so a partial log survives an aborted run.
 
-    On a set that may use ``zobench.params``' worker thread, the run
-    holds numpy's OpenBLAS at one thread and restores the caller's count
-    on every exit; ``zobench.params`` decides both.  Stage 2 of step t
-    then runs on the worker during step t + 1's first product, and every
-    exit waits for it, so the set is whole when ``train`` returns or
-    raises.  ``batch_source`` and ``log_writer`` must not read the set:
-    they run while an update may be pending.
+    The run holds ``params._one_blas_thread``'s window, in which a
+    step's update may be left pending (see ``zobench.params``), so
+    ``batch_source`` and ``log_writer`` must not read the set.  Every
+    exit waits for the update: the set is whole when ``train`` returns
+    or raises.
     """
     records, metrics = [], []
     with _params._one_blas_thread(params):

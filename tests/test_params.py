@@ -555,17 +555,17 @@ def test_concurrent_axpy_matches_sequential():
 
 def _scratch(p, full):
     """The scratch array of ``p``'s update plan for a kind family."""
-    _, views = p._plans[full]
+    _, views, _ = p._plans[full]
     return views[0][1].base
 
 
-def test_a_kind_drawn_whole_ignores_the_marks_of_a_cut_one(monkeypatch):
+def test_a_kind_drawn_whole_ignores_a_probe_of_a_cut_one(monkeypatch):
     # after a full-kind probe of seed 5 on a set that may use the worker,
     # a low-rank update of seed 5 draws each tensor whole, on one thread,
     # with the bytes of one that follows no probe
     from zobench import params as P
 
-    monkeypatch.setattr(P, "_can_split", lambda: True)
+    monkeypatch.setattr(P, "_can_thread", lambda: True)
     p, expected = (_ramps([("a", (200, 200)), ("b", (40_000,))])
                    for _ in range(2))
     with p.probes(5, 1e-3) as (plus, _):
@@ -603,7 +603,7 @@ def test_update_plan_lives_with_its_set():
     assert not np.shares_memory(full, lowrank)
     for arr in (full, lowrank):  # min(largest, CHUNK), not rounded up
         assert arr.dtype == np.float32 and arr.size == 15
-    for _, views in f32._plans.values():
+    for _, views, _ in f32._plans.values():
         assert all(z.dtype == np.float32 for _, z, _ in views)
 
 

@@ -8,7 +8,7 @@ wide weight draws z's pieces there while the caller multiplies them.
 Every element gets the same additions in the same order as in the
 one-thread pass, and every product the same pieces, so the two must
 agree bit for bit.  Each test here decides whether the set may use the
-worker (``_can_split`` patched), so it runs the same way on any machine
+worker (``_can_thread`` patched), so it runs the same way on any machine
 that has the OpenBLAS ``zo.train`` holds.
 """
 
@@ -19,10 +19,12 @@ import pytest
 
 from zobench import params as P
 from zobench import zo
-from zobench.models import BatchSampler, DataGenConfig, Model, gen_data, make_model
+from zobench.models import (BatchSampler, DataGenConfig, Model, gen_data,
+                            gen_shifted_stream, make_model)
 from zobench.params import CHUNK, ParamSet
 from zobench.samplers import SamplerKind
 from zobench.seedlog import SeedLogHeader, SeedLogWriter, read_log, replay, revert
+from zobench.tta import AdaptMask, TTAEpisodeConfig, run_stream
 from zobench.zo import NumericError, ZOConfig
 
 
@@ -77,15 +79,30 @@ CASES = {
 }
 
 
-def _train(monkeypatch, case, split, config):
+def _on_worker(patch):
+    """Whether each ``_add_terms`` call, in order, ran on the worker
+    thread, until ``patch`` is undone."""
+    on_worker, add = [], P._add_terms
+
+    def spy(*args):
+        on_worker.append(threading.current_thread().name.startswith("zobench-axpy"))
+        add(*args)
+
+    patch.setattr(P, "_add_terms", spy)
+    return on_worker
+
+
+def _train(monkeypatch, case, threaded, config):
     """``zo.train`` from the case's initial set, built with the worker
     on or off; returns the trained set."""
-    monkeypatch.setattr(P, "_can_split", lambda: split)
+    monkeypatch.setattr(P, "_can_thread", lambda: threaded)
     model, source, init = CASES[case]()
-    assert init._threaded == split
-    zo.train(model, source, config, init)
-    assert ("worker" in init._plans) == (
-        split and BLAS and config.sampler.variant == "full")
+    assert init._threaded == threaded
+    with monkeypatch.context() as patch:
+        on_worker = _on_worker(patch)
+        zo.train(model, source, config, init)
+    worker = threaded and BLAS and config.sampler.variant == "full"
+    assert on_worker == [worker] * config.steps
     return init
 
 
@@ -95,9 +112,9 @@ def _train(monkeypatch, case, split, config):
 def test_split_update_equals_the_sequential_one(monkeypatch, case, q, combine):
     config = ZOConfig(epsilon=1e-3, lr=0.05, q=q, steps=3, combine=combine,
                       master_seed=11)
-    split = _train(monkeypatch, case, True, config)
-    assert split.num_elements() > CHUNK
-    assert split.equals_bitwise(_train(monkeypatch, case, False, config))
+    trained = _train(monkeypatch, case, True, config)
+    assert trained.num_elements() > CHUNK
+    assert trained.equals_bitwise(_train(monkeypatch, case, False, config))
 
 
 def test_lowrank_kinds_take_the_sequential_update(monkeypatch):
@@ -105,29 +122,30 @@ def test_lowrank_kinds_take_the_sequential_update(monkeypatch):
     # runs on the calling thread
     config = ZOConfig(epsilon=1e-3, lr=0.05, q=3, steps=3, master_seed=11,
                       sampler=SamplerKind.lowrank(2, normalize=True))
-    split = _train(monkeypatch, "mlp-300-257-3", True, config)
-    assert split.equals_bitwise(_train(monkeypatch, "mlp-300-257-3", False, config))
+    trained = _train(monkeypatch, "mlp-300-257-3", True, config)
+    assert trained.equals_bitwise(_train(monkeypatch, "mlp-300-257-3", False, config))
 
 
 @pytest.mark.parametrize("q", [1, 3])
 def test_replay_of_a_split_run_is_the_live_run(monkeypatch, tmp_path, q):
     # replay and revert run on the calling thread; a full-width log
     # holds the live terms, so replay rebuilds the run exactly
-    monkeypatch.setattr(P, "_can_split", lambda: True)
+    monkeypatch.setattr(P, "_can_thread", lambda: True)
     model, source, init = _mlp(300, 257, 3)
     live = init.copy()
     config = ZOConfig(epsilon=1e-3, lr=0.05, q=q, steps=4, master_seed=11)
     header = SeedLogHeader.from_config(config, init.schema_hash, pg_width=8)
+    on_worker = _on_worker(monkeypatch)
     with SeedLogWriter(tmp_path / "run.zolog", header) as writer:
         zo.train(model, source, config, live, log_writer=writer)
-    assert ("worker" in live._plans) == BLAS
     log = read_log(tmp_path / "run.zolog")
     rebuilt = replay(init, log)
-    assert rebuilt.equals_bitwise(live) and "worker" not in rebuilt._plans
+    assert rebuilt.equals_bitwise(live)
+    assert on_worker == [BLAS] * 4 + [False]
     assert revert(rebuilt, log).max_abs_diff(init) <= 1e-6
 
 
-def test_concurrent_split_updates_match_sequential(monkeypatch):
+def test_concurrent_worker_updates_match_sequential(monkeypatch):
     # more threads than cores train separate sets at once, each update
     # sharing the one worker: every set must end as on one thread
     import sys
@@ -141,10 +159,11 @@ def test_concurrent_split_updates_match_sequential(monkeypatch):
         out[master_seed] = init
 
     expected, got = {}, {}
-    monkeypatch.setattr(P, "_can_split", lambda: False)
+    monkeypatch.setattr(P, "_can_thread", lambda: False)
     for master_seed in range(4):
         run(master_seed, expected)
-    monkeypatch.setattr(P, "_can_split", lambda: True)
+    monkeypatch.setattr(P, "_can_thread", lambda: True)
+    on_worker = _on_worker(monkeypatch)
     threads = [threading.Thread(target=run, args=(master_seed, got))
                for master_seed in range(4)]
     blas = P._openblas_threads()
@@ -161,15 +180,15 @@ def test_concurrent_split_updates_match_sequential(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     # overlapping runs share one hold: the last to end restores the count
     assert (blas and blas[0]()) == count
+    assert on_worker == [BLAS] * 4 * 3
     for master_seed, params in expected.items():
-        assert ("worker" in got[master_seed]._plans) == BLAS
         assert got[master_seed].equals_bitwise(params)
 
 
 @pytest.mark.parametrize("query", [0, 2])
-def test_numeric_error_leaves_theta_and_no_marks(monkeypatch, query):
+def test_numeric_error_leaves_theta_and_nothing_pending(monkeypatch, query):
     # a lone step's update runs on the calling thread: none is pending
-    monkeypatch.setattr(P, "_can_split", lambda: True)
+    monkeypatch.setattr(P, "_can_thread", lambda: True)
     model, source, init = _mlp(300, 257, 3)
     calls = []
 
@@ -187,7 +206,7 @@ def test_numeric_error_leaves_theta_and_no_marks(monkeypatch, query):
 
 
 def test_the_pool_holds_one_worker(monkeypatch):
-    monkeypatch.setattr(P, "_can_split", lambda: True)
+    monkeypatch.setattr(P, "_can_thread", lambda: True)
     model, source, init = _reader([("a", (200, 200)), ("b", (40_000,))])
     for master_seed in range(3):
         zo.train(model, source, ZOConfig(q=2, steps=2, master_seed=master_seed),
@@ -197,12 +216,63 @@ def test_the_pool_holds_one_worker(monkeypatch):
     assert len(workers) == 1
 
 
-def test_small_sets_never_split(monkeypatch):
+def test_small_sets_never_use_the_worker(monkeypatch):
     # a set at or below CHUNK elements never uses the worker
-    monkeypatch.setattr(P, "_can_split", lambda: True)
+    monkeypatch.setattr(P, "_can_thread", lambda: True)
     for shapes in ([("w", (CHUNK,))], [("w", (256, 255)), ("b", (256,))]):
         assert not ParamSet.from_shapes(shapes)._threaded
     assert ParamSet.from_shapes([("w", (CHUNK + 1,))])._threaded
+
+
+@pytest.mark.parametrize("threaded", [True, False])
+def test_one_update_plan_per_kind_family(monkeypatch, threaded):
+    # on a set that may use the worker, the cut plan's runs, of at most
+    # CHUNK / 2 elements, lie in the second half of its scratch, whichever
+    # thread adds them, and the first half is spare; on any other set,
+    # and for z drawn whole, the runs fill the scratch and nothing is spare
+    monkeypatch.setattr(P, "_can_thread", lambda: threaded)
+    _, _, init = _mlp(300, 257, 3)
+    P.axpy(init, 0.5, 5)
+    P.axpy(init, 0.5, 5, SamplerKind.lowrank(2))
+    assert sorted(init._plans) == [False, True]
+    nbytes, views, spare = init._plans[True]
+    scratch = views[0][1].base
+    assert nbytes == scratch.nbytes and scratch.size == CHUNK
+    half = CHUNK // 2 if threaded else 0
+    assert spare.size == half and (not half or spare.base is scratch)
+    assert sum(z.size for _, z, _ in views) == init.num_elements()
+    for _, z, _ in views:
+        assert z.size <= CHUNK - half and not np.shares_memory(z, spare)
+        assert np.shares_memory(z, scratch[half:])
+    assert init._plans[False][2].size == 0
+
+
+@pytest.mark.parametrize("reset_mode", ["snapshot", "revert"])
+def test_a_tta_episode_on_a_subset_that_uses_the_worker(monkeypatch, reset_mode):
+    # mask layer1.* of mlp 300-257-3 selects 77,357 elements, above CHUNK:
+    # the episode's subset uses the worker, and the model reads its probes
+    # through Probe.over; a revert reset adds on the calling thread
+    cfg = DataGenConfig(task="mlp", dim=300, hidden=257, classes=3,
+                        n_train=64, n_test=8, seed=0)
+    model, stream, steps = make_model(cfg), gen_shifted_stream(cfg, 3), 3
+    config = TTAEpisodeConfig(steps=steps, reset_mode=reset_mode, optimizer=ZOConfig(
+        epsilon=1e-3, lr=0.05, q=2, steps=steps))
+    runs = []
+    for threaded in (True, False):
+        monkeypatch.setattr(P, "_can_thread", lambda: threaded)
+        source = model.init(0)
+        # init zeros the head: every g would be 0 and every term skipped
+        head = source["head.weight"]
+        head[...] = np.linspace(-1.0, 1.0, head.size).reshape(head.shape)
+        with monkeypatch.context() as patch:
+            on_worker = _on_worker(patch)
+            aggregate, episodes = run_stream(model, source, stream,
+                                             AdaptMask(["layer1.*"]), config,
+                                             master_seed=5)
+        reset = [False] if reset_mode == "revert" else []
+        assert on_worker == ([threaded and BLAS] * steps + reset) * len(stream)
+        runs.append((source.to_bytes(), aggregate, episodes))
+    assert runs[0] == runs[1]
 
 
 def test_train_restores_the_openblas_thread_count(monkeypatch):
@@ -212,7 +282,7 @@ def test_train_restores_the_openblas_thread_count(monkeypatch):
     if blas is None:
         pytest.skip("numpy's OpenBLAS was not found")
     get, put = blas
-    monkeypatch.setattr(P, "_can_split", lambda: True)
+    monkeypatch.setattr(P, "_can_thread", lambda: True)
     model, source, init = _mlp(300, 257, 3)
     seen = []
 
@@ -242,7 +312,7 @@ def _deferring(monkeypatch):
     it does so inside its OpenBLAS hold, which needs the library."""
     if not BLAS:
         pytest.skip("numpy's OpenBLAS was not found")
-    monkeypatch.setattr(P, "_can_split", lambda: True)
+    monkeypatch.setattr(P, "_can_thread", lambda: True)
 
 
 def _left_pending(monkeypatch):
@@ -368,18 +438,15 @@ def test_only_train_runs_the_update_on_the_worker(monkeypatch, tmp_path):
     # inside zo.train each step's update is one worker job; a lone step,
     # replay and revert add their terms on the calling thread
     _deferring(monkeypatch)
-    add, pool, threads, jobs = P._add_terms, P._worker, [], []
-
-    def spy(*args):
-        threads.append(threading.current_thread().name)
-        add(*args)
+    pool, jobs = P._worker, []
 
     class Pool:  # the module's pool, recording each job it is handed
         def submit(self, fn, *args):
             jobs.append(fn)
             return pool().submit(fn, *args)
 
-    monkeypatch.setattr(P, "_add_terms", spy)
+    on_worker = _on_worker(monkeypatch)
+    spy = P._add_terms
     monkeypatch.setattr(P, "_worker", Pool)
     model, source, init = _mlp(300, 257, 3)
     live = init.copy()
@@ -387,14 +454,12 @@ def test_only_train_runs_the_update_on_the_worker(monkeypatch, tmp_path):
     header = SeedLogHeader.from_config(config, init.schema_hash, pg_width=8)
     with SeedLogWriter(tmp_path / "run.zolog", header) as writer:
         zo.train(model, source, config, live, log_writer=writer)
-    assert len(threads) == jobs.count(spy) == 3
-    assert all(name.startswith("zobench-axpy") for name in threads)
-    del threads[:], jobs[:]
+    assert on_worker == [True] * 3 and jobs.count(spy) == 3
+    del jobs[:]
     zo.zo_step(model, live, source, config, 3)
     log = read_log(tmp_path / "run.zolog")
     revert(replay(init, log), log)
-    assert len(threads) == 3 and spy not in jobs
-    assert set(threads) == {threading.current_thread().name}
+    assert on_worker[3:] == [False] * 3 and spy not in jobs
 
 
 # A probe's product with a wide weight, on a set that may use the worker:
@@ -427,13 +492,13 @@ def _fill_threads(monkeypatch):
     return names
 
 
-def _product(monkeypatch, case, split):
+def _product(monkeypatch, case, threaded):
     """The case's ``product`` output, eps (x @ z), on a set built with the
     worker on or off, and the threads its fills ran on."""
     shapes, lead, dtype = PRODUCTS[case]
     name = shapes[0][0]
     with monkeypatch.context() as patch:
-        patch.setattr(P, "_can_split", lambda: split)
+        patch.setattr(P, "_can_thread", lambda: threaded)
         _, _, init = _reader(shapes, lead, dtype)
         names = _fill_threads(patch)
         with init.probes(7, 1e-3) as (plus, _):
@@ -452,11 +517,13 @@ def test_pipelined_product_equals_the_one_thread_one(monkeypatch, case):
     # and a step through it: the probes' products and the update
     shapes, lead, dtype = PRODUCTS[case]
     trained = []
-    for split in (True, False):
-        monkeypatch.setattr(P, "_can_split", lambda: split)
+    for threaded in (True, False):
+        monkeypatch.setattr(P, "_can_thread", lambda: threaded)
         model, source, init = _reader(shapes, lead, dtype)
-        zo.train(model, source, ZOConfig(q=2, steps=2, master_seed=3), init)
-        assert ("worker" in init._plans) == (split and BLAS)
+        with monkeypatch.context() as patch:
+            on_worker = _on_worker(patch)
+            zo.train(model, source, ZOConfig(q=2, steps=2, master_seed=3), init)
+        assert on_worker == [threaded and BLAS] * 2
         trained.append(init)
     assert trained[0].equals_bitwise(trained[1])
 
@@ -487,7 +554,7 @@ def test_a_draw_that_fails_on_the_worker_reaches_the_caller(monkeypatch):
     # piece, drawn on the worker
     from zobench import samplers
 
-    monkeypatch.setattr(P, "_can_split", lambda: True)
+    monkeypatch.setattr(P, "_can_thread", lambda: True)
     shapes = [("b", (100_000,)), ("w", (300, 257))]
     model, source, init = _reader(shapes)
     before, fill, worker = init.copy(), samplers.gaussian_fill, []
@@ -508,9 +575,10 @@ def test_a_draw_that_fails_on_the_worker_reaches_the_caller(monkeypatch):
     # the next step still uses the worker, with the bytes of the
     # one-thread one
     config = ZOConfig(q=2, steps=1, master_seed=3)
+    on_worker = _on_worker(monkeypatch)
     zo.train(model, source, config, init)
-    assert ("worker" in init._plans) == BLAS
-    monkeypatch.setattr(P, "_can_split", lambda: False)
+    assert on_worker == [BLAS]
+    monkeypatch.setattr(P, "_can_thread", lambda: False)
     model, source, expected = _reader(shapes)
     zo.train(model, source, config, expected)
     assert init.equals_bitwise(expected)
@@ -530,7 +598,7 @@ class _FailingInput(np.ndarray):
 def test_a_caller_error_stops_the_worker(monkeypatch):
     # 2000 x 40 is drawn in 8 pieces of 256 rows; the caller fails on
     # the third, and the worker, at most two pieces ahead, stops there
-    monkeypatch.setattr(P, "_can_split", lambda: True)
+    monkeypatch.setattr(P, "_can_thread", lambda: True)
     shapes = [("w", (2000, 40))]
     _, _, init = _reader(shapes)
     x = _inputs(shapes)["w"].view(_FailingInput)
