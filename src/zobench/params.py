@@ -44,14 +44,19 @@ read-only :class:`Probe` views, theta + eps z and theta - eps z, with
 the z axpy adds.  A probe builds a tensor the model indexes,
 ``params[name]``, from eps z_i drawn once for both probes, and answers
 ``params.matmul(x, name)`` with ``x @ theta_i`` plus or minus ``eps (x
-@ z_i)``, drawing that z in pieces of at most :data:`PIECE` elements
-and never building the weight.  On a set that may use the worker, the
-worker thread draws those pieces, into two buffers in turn, while the
-calling thread multiplies each one drawn, unless an update is pending:
-then the calling thread draws them into the update plan's spare half.
-Either way the pieces, their products and the order they are added in
-are the one-thread loop's.  A probe's transients are those pieces and
-the kept eps z_i; its products are activations, like the forward's.
+@ z_i)``, never building the weight.  A small weight's product is drawn
+whole and kept for the other probe.  A larger one's z is drawn in
+pieces of at most :data:`PIECE` elements, and the pair shares one ``x @
+theta_i``: the first probe to ask makes both results, in place, and
+keeps the other probe's for it while x is the same array.  On a set
+that may use the worker, the worker thread draws those pieces, into two
+buffers in turn, while the calling thread multiplies each one drawn,
+unless an update is pending: then the calling thread draws them into
+the update plan's spare half.  Either way the pieces, their products
+and the order they are added in are the one-thread loop's, and each
+result is the same sum or difference.  A probe's transients are those
+pieces and the kept eps z_i; its products are activations, like the
+forward's.
 
 The whole-set helpers keep the same bound: ``max_abs_diff`` and
 ``equals_bitwise`` walk the tensors in CHUNK-element pieces through one
@@ -106,6 +111,10 @@ CHUNK = 2 ** 16
 # multiplies the other.
 PIECE = 2 ** 14
 PIECE_ROWS = 256
+# The first of a probe pair to multiply a pieced weight makes both probes'
+# results from one x @ theta, in place, through a scratch of at most PAIR
+# elements: 16 KB of float64 beside the two results, which are activations.
+PAIR = 2 ** 11
 
 _MAGIC = b"ZOPS"
 _VERSION = 1
@@ -522,9 +531,11 @@ class Probe:
     eps z_i, from an eps z_i drawn once per query and kept for the other
     probe.  ``probe.matmul(x, name)`` never builds a 2-D weight: it
     returns ``x @ theta_i`` plus or minus ``eps (x @ z_i)``, the product
-    drawn first, piece by piece, and kept for the other probe while x is
-    the same array.  A probe laid :meth:`over` a larger set reads that
-    set's other tensors unperturbed.  A model reads a probe through
+    drawn first.  A weight drawn in pieces shares ``x @ theta_i`` with
+    the other probe, which is handed its result, made with this one's,
+    while x is the same array; a weight drawn whole keeps ``eps (x @
+    z_i)`` for it instead.  A probe laid :meth:`over` a larger set reads
+    that set's other tensors unperturbed.  A model reads a probe through
     these three calls only.
     """
 
@@ -540,14 +551,20 @@ class Probe:
         return theta + ez if self._sign > 0 else theta - ez
 
     def matmul(self, x, name: str) -> np.ndarray:
+        """``x @ theta_i`` plus or minus ``eps (x @ z_i)``, an array the
+        caller may write to: :meth:`_Draws.pair`'s for a weight drawn in
+        pieces, else made here from the kept product."""
         theta = self._probed.get(name)
         if theta is None:
             return self._base.matmul(x, name)
-        x = np.asarray(x)
+        x = np.asanyarray(x)
         if theta.ndim != 2 or x.ndim == 0 or x.shape[-1] != len(theta):
             return x @ self[name]
+        draws = self._draws
+        if draws.cuts and (theta.size > PIECE or len(theta) > PIECE_ROWS):
+            return draws.pair(x, name, theta, self._sign)
         # the product first: its draw buffers are freed before y exists
-        ez = self._draws.product(x, name, theta)
+        ez = draws.product(x, name, theta)
         y = x @ theta
         return np.add(y, ez, y) if self._sign > 0 else np.subtract(y, ez, y)
 
@@ -561,9 +578,11 @@ class _Draws:
     """One query's draws of eps z(seed, kind) over ``params``, shared by
     its two probes, and the context that hands them out.
 
-    ``scaled`` keeps eps z_i per indexed tensor; ``product`` keeps eps (x
-    @ z_i) per multiplied weight with a weak reference to x, so a freed
-    input, or a new array in its place, is never taken for it.  Each
+    ``scaled`` keeps eps z_i per indexed tensor.  ``product`` keeps eps
+    (x @ z_i) per weight it draws whole; for a weight it draws in pieces,
+    ``pair`` keeps the other probe's result instead, with that probe's
+    sign.  Either is kept with a weak reference to x, so a freed input,
+    or a new array in its place, is never taken for it.  Each
     draw comes from the calling thread's stream restarted at (seed, i),
     as ``axpy``'s does.  The kept eps z_i are reported to
     ``alloc_tracker`` until the context exits, a product's z while it is
@@ -578,14 +597,14 @@ class _Draws:
                  kind: SamplerKind):
         self.params, self.seed, self.eps = params, seed, epsilon
         self.cuts, self.fill = _sampler(kind)
-        self._scaled, self._products, self._kept = {}, {}, 0
+        self._scaled, self._products, self._paired, self._kept = {}, {}, {}, 0
 
     def __enter__(self):
         return Probe(self, +1, self.params), Probe(self, -1, self.params)
 
     def __exit__(self, *exc):
         alloc_tracker.free(self._kept)
-        self._scaled, self._products, self._kept = {}, {}, 0
+        self._scaled, self._products, self._paired, self._kept = {}, {}, {}, 0
 
     def _draw(self, name: str, z: np.ndarray) -> np.ndarray:
         """z_i of tensor ``name``, drawn whole into ``z`` (of its shape)."""
@@ -611,7 +630,8 @@ class _Draws:
             return kept[1]
         rows, cols = theta.shape
         x2 = x if x.ndim == 2 else x.reshape(-1, rows)
-        if self.cuts and (theta.size > PIECE or rows > PIECE_ROWS):
+        pieced = self.cuts and (theta.size > PIECE or rows > PIECE_ROWS)
+        if pieced:
             ez = self._pieced_product(name, x2, rows, cols, theta.dtype)
         else:  # one piece, or a z that cannot be cut: drawn whole
             z = np.empty(theta.shape, theta.dtype)
@@ -621,10 +641,43 @@ class _Draws:
         ez *= self.eps
         if x.ndim != 2:
             ez = ez.reshape(x.shape[:-1] + (cols,))
-        self._products[name] = (weakref.ref(x), ez)
+        if not pieced:  # a pieced product becomes the pair's results
+            self._products[name] = (weakref.ref(x), ez)
         if self.params._pending is not None:  # x @ theta is next
             self.params._settle()
         return ez
+
+    def pair(self, x: np.ndarray, name: str, theta: np.ndarray,
+             sign: int) -> np.ndarray:
+        """``x @ theta_i + sign * eps (x @ z_i)`` for a weight whose
+        product is drawn in pieces, with one ``x @ theta_i`` per pair.
+
+        The first probe to ask draws eps (x @ z_i) by :meth:`product`,
+        then multiplies ``y = x @ theta_i``, and turns the two in place
+        into ``y + eps (x @ z_i)`` and ``y - eps (x @ z_i)``, PAIR
+        elements at a time through one scratch: its own result and the
+        other probe's, kept with a weak reference to x and that probe's
+        sign.  The other probe, asking with the same array, is handed it,
+        popped, so the caller may write to it.  Any other call (another
+        x, the same sign again, a freed x) computes its own.
+        """
+        kept = self._paired.pop(name, None)
+        if kept is not None and kept[0]() is x and kept[1] == sign:
+            return kept[2]
+        ez = self.product(x, name, theta)
+        y = x @ theta
+        # y and ez become the plus and minus results; both are new, so
+        # these are views
+        plus, minus = y.reshape(-1), ez.reshape(-1)
+        scratch = np.empty(min(plus.size, PAIR), plus.dtype)
+        for lo in range(0, plus.size, PAIR):
+            yb, eb = plus[lo:lo + PAIR], minus[lo:lo + PAIR]
+            diff = np.subtract(yb, eb, scratch[:yb.size])
+            np.add(yb, eb, yb)
+            eb[...] = diff
+        mine, other = (y, ez) if sign > 0 else (ez, y)
+        self._paired[name] = (weakref.ref(x), -sign, other)
+        return mine
 
     def _pieced_product(self, name: str, x2: np.ndarray, rows: int,
                         cols: int, dtype) -> np.ndarray:

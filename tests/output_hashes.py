@@ -3,7 +3,7 @@
 Usage:
     PYTHONPATH=src python tests/output_hashes.py OUT [--against LISTING]
 
-Runs twenty-six small harness configs, each over seeds {0, 1}, into
+Runs twenty-eight small harness configs, each over seeds {0, 1}, into
 ``OUT/<config name>/`` and prints one ``<sha256>  <path>`` line per
 output file, paths relative to OUT and sorted.  ``*.timings.json``
 holds wall-clock times and is skipped.  Each seed log ``<run>.zolog``
@@ -39,6 +39,9 @@ MLP = {"task": "mlp", "dim": 8, "hidden": 6, "classes": 3}
 # layer1.weight's 76,800 elements exceed params.CHUNK: drawn in pieces
 WIDE = {"task": "mlp", "dim": 300, "hidden": 256, "classes": 3}
 SEQ = {"task": "seq", "frames": 6, "feat_dim": 4, "classes": 3, "hidden": 6}
+# feat.weight's 20,480 elements exceed params.PIECE: a probe pair draws its
+# product in pieces, from a 3-D input, and shares one x @ theta
+WIDE_SEQ = {**SEQ, "feat_dim": 160, "hidden": 128}
 SMALL_MLP = {"task": "mlp", "dim": 6, "hidden": 5, "classes": 3}
 LOGISTIC = {"task": "logistic", "dim": 6, "classes": 3}
 QUADRATIC = {"task": "quadratic", "dim": 8}
@@ -82,7 +85,9 @@ CONFIGS = [
     # q=4: the worker's update outlasts the next step's first product, so
     # the calling thread waits for it
     train("widequad", {**ZO_MLP, "q": 4, "steps": 3}, model=WIDE),
+    train("wideseq", {**ZO_MLP, "lr": 0.005, "steps": 5}, model=WIDE_SEQ),
     tta("revert", reset_mode="revert"),
+    tta("wideseqrevert", model=WIDE_SEQ, reset_mode="revert"),
     tta("qonerevert", {**ZO_TTA, "q": 1}, reset_mode="revert"),
     tta("lowrankrevert", {**ZO_TTA, **LOWRANK}, reset_mode="revert"),
     tta("adam", {"type": "adam", "lr": 0.01}),

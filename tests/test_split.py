@@ -127,7 +127,7 @@ def test_lowrank_kinds_take_the_sequential_update(monkeypatch):
 
 
 @pytest.mark.parametrize("q", [1, 3])
-def test_replay_of_a_split_run_is_the_live_run(monkeypatch, tmp_path, q):
+def test_replay_of_a_worker_run_is_the_live_run(monkeypatch, tmp_path, q):
     # replay and revert run on the calling thread; a full-width log
     # holds the live terms, so replay rebuilds the run exactly
     monkeypatch.setattr(P, "_can_thread", lambda: True)
@@ -471,7 +471,7 @@ PRODUCTS = {
     # each row drawn in two slices
     "row-slices": ([("w", (5, 17_000))], (3,), np.float64),
     # the set is above CHUNK only with "b", which is indexed
-    "split-in-another": ([("a", (200, 200)), ("b", (40_000,))], (3,), np.float64),
+    "threaded-by-another": ([("a", (200, 200)), ("b", (40_000,))], (3,), np.float64),
     "3-d-x": ([("w", (300, 257))], (2, 4), np.float64),
     "float32": ([("w", (300, 257))], (5,), np.float32),
 }
@@ -526,6 +526,75 @@ def test_pipelined_product_equals_the_one_thread_one(monkeypatch, case):
         assert on_worker == [threaded and BLAS] * 2
         trained.append(init)
     assert trained[0].equals_bitwise(trained[1])
+
+
+# A probe pair's products with one weight: the first probe to multiply a
+# pieced weight makes both results from one x @ theta and keeps the other
+# probe's; a whole-drawn weight keeps eps (x @ z) and multiplies theta per
+# probe.  HANDOFFS adds a whole-drawn case to PRODUCTS, all pieced.
+HANDOFFS = {**PRODUCTS,
+            "whole-drawn": ([("w", (20, 16))], (5,), np.float64)}
+# calls in order: (the probe's sign, which input), input 1 a fresh array
+ORDERS = {
+    "plus-minus": [(1, 0), (-1, 0)],
+    "minus-plus": [(-1, 0), (1, 0)],
+    "plus-plus-minus": [(1, 0), (1, 0), (-1, 0)],
+    "plus-minus-minus": [(1, 0), (-1, 0), (-1, 0)],
+    "fresh-x-between": [(1, 0), (-1, 1), (-1, 0), (1, 1)],
+}
+
+
+@pytest.mark.parametrize("order", list(ORDERS))
+@pytest.mark.parametrize("case", list(HANDOFFS))
+def test_the_other_probe_takes_the_result_made_for_it(monkeypatch, case, order):
+    monkeypatch.setattr(P, "_can_thread", lambda: True)
+    shapes, lead, dtype = HANDOFFS[case]
+    name = shapes[0][0]
+    _, _, init = _reader(shapes, lead, dtype)
+    x = _inputs(shapes, lead, dtype)[name]
+    inputs = [x, (x * -2.5).astype(dtype)]
+    theta = init[name]
+    expected = {}
+    for k, xk in enumerate(inputs):
+        with init.probes(7, 1e-3) as (plus, _):
+            ez = plus._draws.product(xk, name, theta)
+            y = xk @ theta
+            expected[1, k], expected[-1, k] = y + ez, y - ez
+    with init.probes(7, 1e-3) as probes:
+        for sign, k in ORDERS[order]:
+            got = probes[sign < 0].matmul(inputs[k], name)
+            want = expected[sign, k]
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (sign, k)
+            got.fill(np.nan)  # the caller owns it: no later result sees this
+
+
+@pytest.mark.parametrize("case", list(HANDOFFS))
+def test_one_x_at_theta_per_pair_for_a_pieced_weight(monkeypatch, case):
+    monkeypatch.setattr(P, "_can_thread", lambda: True)
+    shapes, lead, dtype = HANDOFFS[case]
+    name = shapes[0][0]
+    _, _, init = _reader(shapes, lead, dtype)
+    theta, products = init[name], []
+
+    class Counted(np.ndarray):
+        """An input that counts its products with theta."""
+
+        def __array_ufunc__(self, ufunc, method, *args, **kwargs):
+            if ufunc is np.matmul and np.shares_memory(args[1], theta):
+                products.append(None)
+            args = [np.asarray(arg) for arg in args]
+            return getattr(ufunc, method)(*args, **kwargs)
+
+    x = _inputs(shapes, lead, dtype)[name].view(Counted)
+    with init.probes(7, 1e-3) as (plus, minus):
+        plus.matmul(x, name)
+        minus.matmul(x, name)
+        assert len(products) == (2 if case == "whole-drawn" else 1)
+        # the same sign again makes its own
+        plus.matmul(x, name)
+        plus.matmul(x, name)
+        assert len(products) == (4 if case == "whole-drawn" else 3)
 
 
 def _within(seconds, fn):

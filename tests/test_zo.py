@@ -552,9 +552,10 @@ def test_mlp_loss_memory_is_one_hidden_activation():
 def test_zo_step_memory_is_one_forward_plus_a_chunk():
     # On the wide mlp a ZO step needs one forward's peak plus CHUNK
     # elements, where an FO SGD step holds a gradient the size of the
-    # parameters.  The probes hold a forward and the kept eps (x @ z) of
-    # layer1, one batch x hidden activation of CHUNK elements; the
-    # update, after them, holds its CHUNK-element scratch, first
+    # parameters.  The probes hold a forward and the minus probe's layer1
+    # result, made beside the plus probe's from one x @ theta: one batch
+    # x hidden activation of CHUNK elements; the update, after them,
+    # holds its CHUNK-element scratch, first
     # allocated here as each step starts from a fresh copy
     from zobench.fo import FOConfig, fo_step
     from zobench.models import BatchSampler, gen_data
